@@ -128,13 +128,21 @@ class TermSource:
         return cls(gen, length=arr.size)
 
     def terms(self, lo, hi):
-        """Terms for n in [lo, hi), clamped at tiny negative quadrature noise."""
+        """Terms for n in [lo, hi), clamped at tiny negative quadrature noise.
+
+        Raises ParameterError on a negative or non-finite term."""
         ns = np.arange(lo, hi, dtype=np.int64)
         vals = np.asarray(self.generator(ns), dtype=float)
-        if vals.size and float(vals.min()) < -1e-12:
+        if not vals.size:
+            return vals
+        low = float(vals.min())
+        if not (math.isfinite(low) and math.isfinite(float(vals.max()))):
+            bad = int(ns[int(np.argmin(np.isfinite(vals)))])
+            raise ParameterError(f"term source produced non-finite term at n={bad}")
+        if low < -1e-12:
             bad = int(ns[int(np.argmin(vals))])
             raise ParameterError(
-                f"term source produced negative term {vals.min():.3e} at n={bad}"
+                f"term source produced negative term {low:.3e} at n={bad}"
             )
         return np.maximum(vals, 0.0)
 
@@ -263,15 +271,29 @@ def _power_tail(partial, a_last, n_last, p):
 
     Returns (sum_estimate, tail_bound): the estimate adds the sandwich lower
     bound (so it is nondecreasing in n_max); the bound is the sandwich width.
+    Both ends are written without C = a_last * n_last**p, which overflows for
+    large p.
     """
-    c = a_last * n_last**p
-    tail_low = c * (n_last + 1.0) ** (1.0 - p) / (p - 1.0)
-    tail_up = c * n_last ** (1.0 - p) / (p - 1.0)
+    n = float(n_last)
+    tail_up = a_last * n / (p - 1.0)
+    tail_low = tail_up * (n / (n + 1.0)) ** (p - 1.0)
     return partial + tail_low, tail_up - tail_low
 
 
-def _dense_scan(src, policy, n_max):
-    """Dense dyadic-block scan: partial sums, anchors, blowup detection."""
+# A hinted power series stops scanning once its tail sandwich is this fraction
+# of policy.tail_tolerance: the verdict is already settled by the hint, and
+# further terms only refine sum_estimate.
+_HORIZON_FRACTION = 0.1
+
+
+def _dense_scan(src, policy, n_max, exponent=None):
+    """Dense dyadic-block scan: partial sums, anchors, blowup detection.
+
+    With a known power-law exponent > 1 the scan stops early, after at least
+    policy.dyadic_window blocks, at the first block whose last term is positive
+    and whose _power_tail sandwich is narrower than
+    _HORIZON_FRACTION * policy.tail_tolerance.
+    """
     block_sums = []
     anchor_ns = []
     anchor_vals = []
@@ -293,6 +315,14 @@ def _dense_scan(src, policy, n_max):
         n_last = hi - 1
         if partial > policy.blowup_threshold and blowup_at is None:
             blowup_at = hi - 1
+            break
+        if (
+            exponent is not None
+            and len(block_sums) >= policy.dyadic_window
+            and a_last > 0.0
+            and _power_tail(partial, a_last, n_last, exponent)[1]
+            < _HORIZON_FRACTION * policy.tail_tolerance
+        ):
             break
     return {
         "partial": partial,
@@ -340,7 +370,7 @@ def _analyze_with_hint(src, policy):
             evidence={"method": "analytic_hint", "hint": hint.to_dict()},
             n_used=0,
         )
-    scan = _dense_scan(src, policy, n_max)
+    scan = _dense_scan(src, policy, n_max, exponent=p)
     est, bound = _power_tail(scan["partial"], scan["a_last"], scan["n_last"], p)
     return SeriesVerdict(
         "converges",
@@ -480,6 +510,8 @@ def load_terms_csv(path):
                 if lineno == 1:  # tolerate a single header line
                     continue
                 raise ParameterError(f"line {lineno}: not a number: {cell!r}")
+            if not math.isfinite(v):
+                raise ParameterError(f"line {lineno}: non-finite term {cell!r}")
             if v < 0:
                 raise ParameterError(f"line {lineno}: negative term {v}")
             values.append(v)

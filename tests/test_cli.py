@@ -126,6 +126,26 @@ def test_series_malformed_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("body", ["1.0\nnan\n0.25\n", "1.0\ninf\n"],
+                         ids=["nan", "inf"])
+def test_series_non_finite_exit_2(capsys, tmp_path, body):
+    path = tmp_path / "non_finite.csv"
+    path.write_text(body)
+    code, out, err = run(capsys, "series", "--input", str(path),
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "line 2: non-finite term" in err
+    assert "Traceback" not in err
+
+
+def test_diagnose_huge_exponent_no_overflow(capsys):
+    code, _, err = run(capsys, "diagnose", "--family", "ex32", "--alpha", "0.5",
+                       "--beta", "1e300", "--modes", "s3d")
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
 def test_env_nmax_override(capsys, monkeypatch):
     monkeypatch.setenv(cli.NMAX_ENV, "70000")
     code, out, _ = run(capsys, "list", "--format", "json", "--show-policy")

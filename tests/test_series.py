@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab.errors import ParameterError
+from convlab.registry import ex31
 from convlab.series import (DEFAULT_POLICY, AnalyticHint, EnginePolicy,
-                            TermSource, analyze_series, fit_exponent,
-                            load_terms_csv, null_sequence_test)
+                            TermSource, _power_tail, analyze_series,
+                            fit_exponent, load_terms_csv, null_sequence_test)
 
 
 def power_source(p, hint=None):
@@ -86,6 +87,13 @@ def test_negative_terms_rejected():
         src.terms(1, 10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_terms_rejected(bad):
+    src = TermSource.from_vectorized(lambda ns: np.where(ns == 3, bad, 1.0))
+    with pytest.raises(ParameterError, match="non-finite term at n=3"):
+        src.terms(1, 10)
+
+
 def test_tiny_negative_noise_clamped():
     src = TermSource.from_vectorized(lambda ns: np.full(len(ns), -1e-14))
     assert np.all(src.terms(1, 10) == 0.0)
@@ -122,6 +130,34 @@ def test_hint_power_boundary():
     from scipy.special import zeta
 
     assert abs(v.sum_estimate - zeta(1.2)) < 1e-5
+
+
+def test_hinted_power_stops_at_tight_sandwich():
+    v = analyze_series(power_source(2.0, hint=AnalyticHint("power", exponent=2.0)))
+    assert v.converges
+    assert v.n_used < 2 ** 13
+    assert v.tail_bound < 0.1 * DEFAULT_POLICY.tail_tolerance
+    # oracle: the interval holds pi^2/6
+    assert v.sum_estimate - 1e-12 <= math.pi ** 2 / 6.0
+    assert math.pi ** 2 / 6.0 <= v.sum_estimate + v.tail_bound + 1e-12
+
+
+def test_hinted_power_does_not_stop_inside_plateau():
+    # ex31(2) at eps=0.01: terms are 1 up to n = 10^4, then exactly n^-2
+    from scipy.special import zeta
+
+    src = ex31(2.0).meta.term_source("cc", ("eps", 0.01), None)
+    v = analyze_series(src)
+    assert v.converges
+    assert v.n_used > 10 ** 4
+    exact = 1e4 + zeta(2.0, 1e4 + 1.0)
+    assert v.sum_estimate - 1e-9 <= exact <= v.sum_estimate + v.tail_bound + 1e-9
+
+
+def test_power_tail_huge_exponent_is_finite():
+    est, bound = _power_tail(1.0, 1e-300, 1023, 1e300)
+    assert math.isfinite(est) and math.isfinite(bound)
+    assert est == 1.0 and 0.0 <= bound < 1e-300
 
 
 def test_hint_validation():
@@ -210,6 +246,11 @@ def test_load_terms_csv_errors(tmp_path):
     neg.write_text("1.0\n-0.5\n")
     with pytest.raises(ParameterError, match="negative"):
         load_terms_csv(neg)
+    for i, cell in enumerate(("nan", "inf")):
+        non_finite = tmp_path / f"non_finite{i}.csv"
+        non_finite.write_text(f"1.0\n{cell}\n0.25\n")
+        with pytest.raises(ParameterError, match="line 2: non-finite"):
+            load_terms_csv(non_finite)
     empty = tmp_path / "empty.csv"
     empty.write_text("header\n")
     with pytest.raises(ParameterError, match="no terms"):
