@@ -53,8 +53,10 @@ def _policy_from(args):
 def _emit(payload, fmt, table_fn):
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        table_fn(payload)
+        return
+    table_fn(payload)
+    if "policy" in payload:
+        print("policy: " + ", ".join(f"{k}={v}" for k, v in payload["policy"].items()))
 
 
 def _print_rows(rows, header):
@@ -81,8 +83,6 @@ def cmd_list(args):
         d = cat["diagram"]
         print(f"\ndiagram: {len(d['nodes'])} modes, {len(d['edges'])} implications "
               f"(transitively closed), {len(d['non_edges'])} recorded non-implications")
-        if "policy" in cat:
-            print("policy: " + ", ".join(f"{k}={v}" for k, v in cat["policy"].items()))
 
     _emit(catalog, args.format, table)
     return EXIT_OK
@@ -157,8 +157,6 @@ def cmd_diagnose(args):
             for r in pl["reports"]
         ]
         _print_rows(rows, ("mode", "verdict", "witness"))
-        if "policy" in pl:
-            print("policy: " + ", ".join(f"{k}={v}" for k, v in pl["policy"].items()))
 
     _emit(payload, args.format, table)
     return EXIT_OK
@@ -206,8 +204,6 @@ def cmd_matrix(args):
             print(f"coverage gaps ({len(pl['coverage_gaps'])}):")
             for g in pl["coverage_gaps"]:
                 print(f"  {g}")
-        if "policy" in pl:
-            print("policy: " + ", ".join(f"{k}={v}" for k, v in pl["policy"].items()))
 
     _emit(payload, args.format, table)
     return EXIT_OK if report.ok else EXIT_VIOLATION
@@ -228,8 +224,6 @@ def cmd_series(args):
             if k in v:
                 print(f"  {k} = {v[k]:.6g}")
         print(f"  evidence: {v['evidence']}")
-        if "policy" in pl:
-            print("policy: " + ", ".join(f"{k}={v}" for k, v in pl["policy"].items()))
 
     _emit(payload, args.format, table)
     return EXIT_OK

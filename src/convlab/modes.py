@@ -11,17 +11,14 @@ for a universal mode requires the family's analytic certification.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import space
 from .errors import ParameterError
 from .series import (DEFAULT_POLICY, EnginePolicy, TermSource, analyze_series,
                      null_sequence_test)
-from .testfuncs import ClampedAffine, ClampedIdentity, Sine, TestFunction
+from .testfuncs import ClampedAffine, ClampedIdentity, Sine
 
 SERIES_MODES = ("cc", "slp", "slinf", "sa_as", "s1d", "s1star", "s2d", "s3d")
 LIMIT_MODES = ("as", "prob", "lp", "linf", "dist")

@@ -21,10 +21,8 @@ import numpy as np
 
 from . import space
 from .errors import ParameterError
-from .modes import (Family, FamilyMeta, ModeParams, check_mode,
-                    default_omega_points)
-from .series import (DEFAULT_POLICY, AnalyticHint, EnginePolicy, TermSource,
-                     analyze_series)
+from .modes import Family, FamilyMeta, ModeParams, check_mode, term_s1star
+from .series import DEFAULT_POLICY, AnalyticHint, TermSource, analyze_series
 from .testfuncs import ClampedAffine, ClampedIdentity, Sine
 
 SCHEMA_VERSION = 1
@@ -498,6 +496,9 @@ def build_family(kind, **params):
         raise ParameterError(
             f"unknown family {kind!r}; valid kinds: {', '.join(sorted(_BUILDERS))}"
         )
+    for name, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{kind} parameter {name} must be finite, got {value}")
     try:
         return _BUILDERS[kind](**params)
     except TypeError as exc:
@@ -932,10 +933,8 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
     for f in fs:
         src = family.meta.term_source("s1star", ("f", f), params)
         if src is None:
-            from .series import TermSource as _TS
-            from .modes import term_s1star as _t
-
-            src = _TS.from_scalar(lambda n, f=f: _t(family, n, f), dense_cap=2048)
+            src = TermSource.from_scalar(lambda n, f=f: term_s1star(family, n, f),
+                                         dense_cap=2048)
         verdict = analyze_series(src, policy)
         details[f"f={f.name}"] = verdict.to_dict()
         if not verdict.converges:

@@ -14,13 +14,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-
-from scipy.integrate import quad
+from dataclasses import dataclass
 
 from .errors import AccuracyError, ParameterError, RepresentationError
 
 _MASS_TOL = 1e-9
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call: most commands never
+    integrate numerically, and the import dominates the package's load time."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def require_omega(omega):
@@ -394,24 +400,31 @@ def sup_norm(rv):
 
 
 def char_fn(rv, t, tol=1e-10):
-    """E[exp(i*t*X)]: exact atom sum plus oscillation-aware quadrature of the
-    real and imaginary parts on smooth pieces."""
+    """E[exp(i*t*X)]: exact sums over constant and affine pieces plus
+    oscillation-aware quadrature of the real and imaginary parts on quantile
+    pieces."""
     t = float(t)
     if t == 0.0:
         return complex(1.0, 0.0)
     re = 0.0
     im = 0.0
     err = 0.0
-    smooth = [cp for cp in rv.canonical_pieces() if cp.kind != "const"]
+    quantile_pieces = [cp for cp in rv.canonical_pieces() if cp.kind == "quantile"]
     for cp in rv.canonical_pieces():
-        if cp.kind == "const":
+        if cp.kind != "quantile":
+            # the integral of exp(i*t*(A*w + B)) over [lo, hi) is
+            # (hi - lo) * sinc(h) * exp(i*t*(A*mid + B)), h = t*A*(hi - lo)/2;
+            # constant pieces have A = 0, so theirs is the exact atom term
             m = cp.hi - cp.lo
-            re += m * math.cos(t * cp.B)
-            im += m * math.sin(t * cp.B)
+            h = 0.5 * t * cp.A * m
+            sinc = math.sin(h) / h if h != 0.0 else 1.0
+            phase = t * (cp.A * 0.5 * (cp.lo + cp.hi) + cp.B)
+            re += m * sinc * math.cos(phase)
+            im += m * sinc * math.sin(phase)
             continue
         # subdivision budget grows with the oscillation count on the piece
         lim = 50 + int(10.0 * abs(t) * (cp.hi - cp.lo))
-        epsabs = tol / max(1, 2 * len(smooth))
+        epsabs = tol / max(1, 2 * len(quantile_pieces))
         vr, er = quad(lambda w, cp=cp: math.cos(t * cp.value(w)),
                       cp.lo, cp.hi, epsabs=epsabs, epsrel=0.0, limit=lim)
         vi, ei = quad(lambda w, cp=cp: math.sin(t * cp.value(w)),

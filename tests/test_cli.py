@@ -1,11 +1,17 @@
 """Command-line front end: subcommands, exit codes, output stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import convlab.cli as cli
 from convlab.errors import AccuracyError
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -77,6 +83,56 @@ def test_diagnose_bad_parameter_exit_2(capsys):
     code, _, err = run(capsys, "diagnose", "--family", "ex32",
                        "--alpha", "1.5", "--beta", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "const", "--c", "nan"),
+    ("--family", "const", "--c", "inf"),
+    ("--family", "shift_uniform", "--beta", "inf"),
+    ("--family", "ex31", "--alpha", "inf"),
+    ("--family", "ex32", "--alpha", "0.5", "--beta=-inf"),
+], ids=["const-c-nan", "const-c-inf", "shift-beta-inf", "ex31-alpha-inf",
+        "ex32-beta-minus-inf"])
+def test_diagnose_non_finite_parameter_exit_2(capsys, argv):
+    code, out, err = run(capsys, "diagnose", *argv, "--modes", "s3d",
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
+def _scipy_integrate_loaded(statement):
+    """Run `statement` in a fresh interpreter; did it load scipy.integrate?"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    probe = f"{statement}\nimport sys\nprint('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_cold_start_without_quadrature_skips_scipy(tmp_path):
+    path = tmp_path / "terms.csv"
+    path.write_text("\n".join(repr(1.0 / n ** 2) for n in range(1, 5001)))
+    main = "from convlab.cli import main\n"
+    for statement in (
+        "import convlab",
+        main + "assert main(['list']) == 0",
+        main + f"assert main(['series', '--input', {str(path)!r}]) == 0",
+        main + "assert main(['diagnose', '--family', 'shift_uniform', "
+               "'--beta', '2']) == 0",
+    ):
+        assert not _scipy_integrate_loaded(statement), statement
+
+
+def test_quantile_char_fn_loads_scipy_on_demand():
+    assert _scipy_integrate_loaded(
+        "from convlab.cli import main\n"
+        "assert main(['diagnose', '--family', 'ex32', '--alpha', '0.5', "
+        "'--beta', '2', '--modes', 's3d']) == 0")
 
 
 def test_matrix_clean_exit_0(capsys):

@@ -275,3 +275,43 @@ def test_dense_cap_limits_scan():
     src = TermSource.from_scalar(slow, dense_cap=256)
     analyze_series(src)
     assert max(calls) <= 256
+
+
+def recording_source(p, sizes):
+    def gen(ns):
+        sizes.append(len(ns))
+        return ns.astype(float) ** -p
+
+    return TermSource.from_vectorized(gen)
+
+
+def test_long_blocks_are_generated_in_chunks():
+    # one generator call never spans more than series._CHUNK terms, and the
+    # chunked block sums equal np.sum over whole dyadic blocks to the bit
+    from convlab import series
+
+    sizes = []
+    v = analyze_series(recording_source(1.5, sizes))
+    assert v.n_used == DEFAULT_POLICY.n_max
+    assert max(sizes) <= series._CHUNK
+    blocks = [float(np.sum(np.arange(lo, hi, dtype=float) ** -1.5))
+              for lo, hi in series._dyadic_blocks(DEFAULT_POLICY.n_max)]
+    est, _ = _power_tail(series._neumaier(blocks), DEFAULT_POLICY.n_max ** -1.5,
+                         DEFAULT_POLICY.n_max, v.p_hat)
+    assert v.sum_estimate == est
+
+    sizes.clear()
+    assert null_sequence_test(recording_source(0.5, sizes)).tends_to_zero
+    assert max(sizes) <= series._CHUNK
+
+
+def test_chunked_block_matches_whole_block():
+    from convlab import series
+
+    rng = np.random.default_rng(7)
+    cap = series._CHUNK
+    for n in (1, 7, cap, cap + 1, cap + 3, 2 * cap + 6, 3 * cap + 5) * 3:
+        vals = rng.random(n) * 10.0 ** rng.uniform(-12, 3, n)
+        src = TermSource.from_values(vals)
+        assert series._block(src, 1, n + 1) == (
+            float(np.sum(vals)), vals[0], vals[-1], vals.min(), vals.max())

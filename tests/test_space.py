@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from convlab import space
 from convlab.errors import (AccuracyError, ParameterError, RepresentationError)
 from convlab.space import (AffineInOmega, Constant, Piece, PowerAtOne,
                            QuantileOfDensity, RandomVariable, cdf, char_fn,
@@ -59,6 +60,58 @@ def test_uniform_char_fn_closed_form():
     assert abs(phi - oracle) < 1e-10
     assert abs(abs(phi) - 2.0 / math.pi) < 1e-8
     assert char_fn(u, 0.0) == complex(1.0, 0.0)
+
+
+def test_quad_returns_scipy_result():
+    def f(w):
+        return math.exp(-w) * math.cos(3.0 * w)
+
+    kwargs = dict(epsabs=1e-12, epsrel=0.0, limit=100)
+    assert space.quad(f, 0.0, 2.0, **kwargs) == quad(f, 0.0, 2.0, **kwargs)
+
+
+@pytest.mark.parametrize("t", (1e-300, 1e-9, 0.5, 5.0, 50.0))
+@pytest.mark.parametrize("a,b", [(1.0, 0.0), (-3.0, 0.7)],
+                         ids=["uniform", "scaled-shifted"])
+def test_affine_char_fn_exact_without_quadrature(monkeypatch, t, a, b):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("affine pieces need no quadrature")
+
+    monkeypatch.setattr(space, "quad", no_quad)
+    rv = uniform_rv().scaled(a).shifted(b)
+    # E exp(itX) = exp(itb) * (exp(ix) - 1)/(ix), x = t*a, written with
+    # 1 - cos(x) = 2 sin(x/2)^2 so that small x loses nothing to cancellation
+    x = t * a
+    phi_u = complex(math.sin(x) / x, 2.0 * math.sin(0.5 * x) ** 2 / x)
+    oracle = complex(math.cos(t * b), math.sin(t * b)) * phi_u
+    assert abs(char_fn(rv, t) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("t", (0.5, 5.0, 50.0))
+def test_mixed_char_fn_vs_quadrature_oracle(monkeypatch, t):
+    rv = RandomVariable((
+        Piece(0.0, 0.3, Constant(2.0)),
+        Piece(0.3, 0.6, AffineInOmega(4.0, -1.0)),
+        Piece(0.6, 1.0, QuantileOfDensity(PowerAtOne(0.5)), scale=2.0,
+              shift=0.5),
+    ))
+    oracle = 0.0j
+    for cp in rv.canonical_pieces():
+        for part, unit in ((math.cos, 1.0), (math.sin, 1.0j)):
+            val, _ = quad(lambda w, cp=cp: part(t * cp.value(w)), cp.lo, cp.hi,
+                          epsabs=1e-14, epsrel=0.0, limit=500)
+            oracle += unit * val
+    calls = []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(space, "quad", counting_quad)
+    tol = 1e-9
+    assert abs(char_fn(rv, t, tol=tol) - oracle) <= tol
+    # only the quantile piece is integrated, once per real and imaginary part
+    assert calls == [(0.6, 1.0), (0.6, 1.0)]
 
 
 def test_power_at_one_validation():
