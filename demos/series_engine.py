@@ -27,7 +27,7 @@ def show(label, verdict):
 
 
 def power(p):
-    return TermSource.from_vectorized(lambda ns: ns.astype(float) ** -p)
+    return TermSource(lambda ns: ns.astype(float) ** -p)
 
 
 def main():
@@ -37,7 +37,7 @@ def main():
     print(f"(true value of sum n^-2: pi^2/6 = {math.pi ** 2 / 6:.8f})")
 
     print("\n== the boundary is reported honestly ==")
-    src = TermSource.from_vectorized(
+    src = TermSource(
         lambda ns: 1.0 / (ns.astype(float) * np.log(ns.astype(float) + 1.0) ** 2)
     )
     show("sum 1/(n log^2 n)", analyze_series(src))
@@ -45,13 +45,13 @@ def main():
     print("decision margin around 1, so the engine declines to guess")
 
     print("\n== analytic hints upgrade the verdict ==")
-    hinted = TermSource.from_vectorized(
+    hinted = TermSource(
         lambda ns: (ns <= 100).astype(float) * 0.5,
         hint=AnalyticHint("eventually_zero", start=100),
     )
     show("terms vanish after n=100", analyze_series(hinted))
 
-    geom = TermSource.from_vectorized(lambda ns: 0.5 ** ns.astype(float))
+    geom = TermSource(lambda ns: 0.5 ** ns.astype(float))
     show("sum 2^(-n)", analyze_series(geom))
 
     print("\n== the horizon is a policy, not a constant ==")

@@ -21,8 +21,8 @@ import os
 import sys
 
 from .errors import AccuracyError, ConvlabError, ParameterError
-from .modes import (ALL_MODES, ModeParams, check_mode, generic_term,
-                    probes_for)
+from .modes import (ALL_MODES, ModeParams, check_mode, probe_key,
+                    probe_source, probes_for)
 from .registry import (NODE_MODES, build_family, default_registry,
                        export_catalog, mode_diagram, soundness_sweep)
 from .series import DEFAULT_POLICY, analyze_series, load_terms_csv
@@ -101,21 +101,12 @@ def _dump_terms(path, family, modes, count):
     """Per-term CSV: mode, probe, n, term.  Deterministic ordering."""
     import csv
 
-    from .modes import probe_key
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "probe", "n", "term"])
         for mode, tag, params in modes:
             for probe in probes_for(tag, params):
-                src = family.meta.term_source(tag, probe, params)
-                if src is not None:
-                    vals = src.terms(1, count + 1)
-                else:
-                    vals = [
-                        generic_term(family, tag, probe, n, params)
-                        for n in range(1, count + 1)
-                    ]
+                vals = probe_source(family, tag, probe, params).terms(1, count + 1)
                 key = probe_key(probe)
                 for n, v in enumerate(vals, start=1):
                     writer.writerow([mode, key, n, repr(float(v))])
@@ -130,14 +121,10 @@ def cmd_diagnose(args):
     for mode in modes:
         # tolerate hyphenated spellings like "s-linf"
         mode = mode.strip().lower().replace("-", "")
-        if mode in NODE_MODES and mode not in ALL_MODES:
-            tag, overrides = NODE_MODES[mode]
-            params = ModeParams.defaults(family, **overrides)
-            rep = check_mode(family, tag, params, policy)
-            rep.mode = mode
-        else:
-            tag, params = mode, ModeParams.defaults(family)
-            rep = check_mode(family, tag, params, policy)
+        tag, overrides = NODE_MODES.get(mode, (mode, {}))
+        params = ModeParams.defaults(family, **overrides)
+        rep = check_mode(family, tag, params, policy)
+        rep.mode = mode
         reports.append(rep)
         dump_specs.append((mode, tag, params))
     if args.dump_terms:

@@ -20,14 +20,54 @@ from .series import (DEFAULT_POLICY, EnginePolicy, TermSource, analyze_series,
                      null_sequence_test)
 from .testfuncs import ClampedAffine, ClampedIdentity, Sine
 
-SERIES_MODES = ("cc", "slp", "slinf", "sa_as", "s1d", "s1star", "s2d", "s3d")
-LIMIT_MODES = ("as", "prob", "lp", "linf", "dist")
-ALL_MODES = SERIES_MODES + LIMIT_MODES
 
-# modes quantified over a probe axis that finite probing cannot exhaust
-UNIVERSAL_MODES = frozenset(
-    {"cc", "sa_as", "s1d", "s1star", "s2d", "s3d", "as", "prob", "dist"}
-)
+@dataclass(frozen=True)
+class ModeSpec:
+    """series: a summability mode, else a limit mode; universal: quantified
+    over a probe axis that finite probing cannot exhaust; axes: (probe axis,
+    term kind) pairs in probe order; alpha: pointwise terms take the power
+    params.alpha, else 1."""
+
+    series: bool
+    universal: bool
+    axes: tuple
+    alpha: bool = False
+
+    def term(self, axis):
+        return dict(self.axes)[axis]
+
+    def exponent(self, params):
+        return params.alpha if self.alpha else 1.0
+
+
+MODES = {
+    "cc": ModeSpec(True, True, (("eps", "tail"),)),
+    "slp": ModeSpec(True, False, (("p", "moment"),)),
+    "slinf": ModeSpec(True, False, (("all", "sup"),)),
+    "sa_as": ModeSpec(True, True, (("omega", "pointwise"),), alpha=True),
+    "s1d": ModeSpec(True, True, (("f", "expect_gap"),)),
+    "s1star": ModeSpec(True, True, (("f", "coupled_gap"),)),
+    "s2d": ModeSpec(True, True, (("x", "cdf_gap"),)),
+    "s3d": ModeSpec(True, True, (("t", "char_gap"),)),
+    "as": ModeSpec(False, True, (("omega", "pointwise"),)),
+    "prob": ModeSpec(False, True, (("eps", "tail"),)),
+    "lp": ModeSpec(False, False, (("p", "moment"),)),
+    "linf": ModeSpec(False, False, (("all", "sup"),)),
+    "dist": ModeSpec(False, True, (("x", "cdf_gap"), ("f", "expect_gap"))),
+}
+
+SERIES_MODES = tuple(m for m, spec in MODES.items() if spec.series)
+LIMIT_MODES = tuple(m for m, spec in MODES.items() if not spec.series)
+ALL_MODES = SERIES_MODES + LIMIT_MODES
+UNIVERSAL_MODES = frozenset(m for m, spec in MODES.items() if spec.universal)
+
+# probe axis -> the ModeParams field holding its probe values ("p" holds
+# one value, "all" none)
+_AXIS_FIELDS = {"eps": "epsilons", "f": "test_functions", "x": "x_points",
+                "t": "t_points", "omega": "omega_points"}
+
+# generic-route terms cost a quadrature each: evaluate densely only this far
+GENERIC_DENSE_CAP = 2048
 
 VERDICT_HOLDS = "holds"
 VERDICT_FAILS = "fails"
@@ -232,73 +272,62 @@ def term_trunc_l1(family, n, eps):
     return space.truncated_abs_moment(family.diff(n), eps)
 
 
-def limit_terms(family, mode, probe, n, params=None):
-    """The n-th term of the vanishing sequence behind a classical limit mode;
-    classification asks whether it tends to zero instead of being summable."""
-    axis, value = probe
-    if mode == "prob":
-        return term_cc(family, n, value)
-    if mode == "lp":
-        return term_slp(family, n, value)
-    if mode == "linf":
-        return term_slinf(family, n)
-    if mode == "as":
-        w = space.require_omega(value)
-        return abs(family.member(n)(w) - family.limit(w))
-    if mode == "dist":
-        if axis == "x":
-            return term_s2d(family, n, value)
-        return term_s1d(family, n, value)
-    raise ParameterError(f"unknown limit mode {mode!r}")
+def mode_spec(mode):
+    if mode not in MODES:
+        raise ParameterError(
+            f"unknown mode {mode!r}; valid modes: {', '.join(ALL_MODES)}"
+        )
+    return MODES[mode]
 
 
 def generic_term(family, mode, probe, n, params):
+    """The n-th term of the sequence behind one probe of a mode: summed for
+    a series mode, tested for tending to zero for a limit mode."""
     axis, value = probe
-    if mode == "cc":
+    spec = mode_spec(mode)
+    kind = spec.term(axis)
+    if kind == "tail":
         return term_cc(family, n, value)
-    if mode == "slp":
+    if kind == "moment":
         return term_slp(family, n, value)
-    if mode == "slinf":
+    if kind == "sup":
         return term_slinf(family, n)
-    if mode == "s1d":
+    if kind == "expect_gap":
         return term_s1d(family, n, value)
-    if mode == "s1star":
+    if kind == "coupled_gap":
         return term_s1star(family, n, value)
-    if mode == "s2d":
+    if kind == "cdf_gap":
         return term_s2d(family, n, value)
-    if mode == "s3d":
+    if kind == "char_gap":
         return term_s3d(family, n, value)
-    if mode == "sa_as":
-        return term_sa_as(family, n, params.alpha, value)
-    if mode in LIMIT_MODES:
-        return limit_terms(family, mode, probe, n, params)
-    raise ParameterError(f"unknown mode {mode!r}")
+    return term_sa_as(family, n, spec.exponent(params), value)
 
 
 # ---------------------------------------------------------------------------
 # Orchestration
 
 
+def _axis_values(axis, params):
+    if axis in _AXIS_FIELDS:
+        return getattr(params, _AXIS_FIELDS[axis])
+    return (params.p,) if axis == "p" else (None,)
+
+
 def probes_for(mode, params):
-    if mode in ("cc", "prob"):
-        return [("eps", e) for e in params.epsilons]
-    if mode in ("slp", "lp"):
-        return [("p", params.p)]
-    if mode in ("slinf", "linf"):
-        return [("all", None)]
-    if mode in ("s1d", "s1star"):
-        return [("f", f) for f in params.test_functions]
-    if mode == "s2d":
-        return [("x", x) for x in params.x_points]
-    if mode == "s3d":
-        return [("t", t) for t in params.t_points]
-    if mode in ("sa_as", "as"):
-        return [("omega", w) for w in params.omega_points]
-    if mode == "dist":
-        return [("x", x) for x in params.x_points] + [
-            ("f", f) for f in params.test_functions
-        ]
-    raise ParameterError(f"unknown mode {mode!r}; valid modes: {', '.join(ALL_MODES)}")
+    return [(axis, v) for axis, _ in mode_spec(mode).axes
+            for v in _axis_values(axis, params)]
+
+
+def probe_source(family, mode, probe, params, use_analytic=True):
+    """The family's closed-form TermSource for one probe or, without one
+    (or with use_analytic False), the generic term-by-term route."""
+    src = family.meta.term_source(mode, probe, params) if use_analytic else None
+    if src is None:
+        src = TermSource.from_scalar(
+            lambda n: generic_term(family, mode, probe, n, params),
+            dense_cap=GENERIC_DENSE_CAP,
+        )
+    return src
 
 
 def probe_key(probe):
@@ -339,21 +368,16 @@ class ModeReport:
 
 
 def _params_summary(mode, params):
-    out = {}
-    if mode in ("cc", "prob"):
-        out["epsilons"] = list(params.epsilons)
-    if mode in ("slp", "lp"):
-        out["p"] = params.p
-    if mode == "sa_as":
-        out["alpha"] = params.alpha
-    if mode == "s2d" or mode == "dist":
-        out["x_points"] = list(params.x_points)
-    if mode == "s3d":
-        out["t_points"] = list(params.t_points)
-    if mode in ("s1d", "s1star", "dist"):
-        out["test_functions"] = [f.name for f in params.test_functions]
-    if mode in ("sa_as", "as"):
-        out["omega_points"] = list(params.omega_points)
+    spec = mode_spec(mode)
+    out = {"alpha": params.alpha} if spec.alpha else {}
+    for axis, _ in spec.axes:
+        if axis == "p":
+            out["p"] = params.p
+        elif axis in _AXIS_FIELDS:
+            vals = _axis_values(axis, params)
+            if axis == "f":
+                vals = [f.name for f in vals]
+            out[_AXIS_FIELDS[axis]] = list(vals)
     return out
 
 
@@ -363,7 +387,6 @@ def check_mode(
     params: ModeParams = None,
     policy: EnginePolicy = DEFAULT_POLICY,
     use_analytic=True,
-    fallback_dense_cap=2048,
 ) -> ModeReport:
     """Classify one convergence mode for a family.
 
@@ -373,10 +396,7 @@ def check_mode(
     quantifier or the family's analytic metadata certifies it; otherwise
     NotFalsified, keeping quantifier handling honest.
     """
-    if mode not in ALL_MODES:
-        raise ParameterError(
-            f"unknown mode {mode!r}; valid modes: {', '.join(ALL_MODES)}"
-        )
+    spec = mode_spec(mode)
     if params is None:
         params = ModeParams.defaults(family)
     probes = probes_for(mode, params)
@@ -386,15 +406,8 @@ def check_mode(
     bad = None
     inconclusive = False
     for probe in probes:
-        src = None
-        if use_analytic:
-            src = family.meta.term_source(mode, probe, params)
-        if src is None:
-            src = TermSource.from_scalar(
-                lambda n, probe=probe: generic_term(family, mode, probe, n, params),
-                dense_cap=fallback_dense_cap,
-            )
-        if mode in SERIES_MODES:
+        src = probe_source(family, mode, probe, params, use_analytic)
+        if spec.series:
             verdict = analyze_series(src, policy)
             ok = verdict.converges
             failed = verdict.diverges
@@ -411,7 +424,7 @@ def check_mode(
         verdict_tag, witness = VERDICT_FAILS, probe_key(bad)
     elif inconclusive:
         verdict_tag, witness = VERDICT_INCONCLUSIVE, None
-    elif mode in UNIVERSAL_MODES and not family.meta.certifies(mode, params):
+    elif spec.universal and not family.meta.certifies(mode, params):
         verdict_tag, witness = VERDICT_NOT_FALSIFIED, None
     else:
         verdict_tag, witness = VERDICT_HOLDS, None

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import space
 from .errors import ParameterError
-from .modes import Family, FamilyMeta, ModeParams, check_mode, term_s1star
+from .modes import (Family, FamilyMeta, ModeParams, check_mode, mode_spec,
+                    probe_source)
 from .series import DEFAULT_POLICY, AnalyticHint, TermSource, analyze_series
 from .testfuncs import ClampedAffine, ClampedIdentity, Sine
 
@@ -40,8 +41,14 @@ def _const(level):
     return AnalyticHint("eventually_constant", level=float(level))
 
 
+def _require_finite(kind, **params):
+    for name, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{kind} parameter {name} must be finite, got {value}")
+
+
 def _vec(gen, hint=None):
-    return TermSource.from_vectorized(gen, hint=hint)
+    return TermSource(gen, hint=hint)
 
 
 def _zeros_source(start=1):
@@ -64,8 +71,9 @@ def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
 
     def source(mode, probe, params):
         axis, val = probe
+        term = mode if mode == "trunc_l1" else mode_spec(mode).term(axis)
 
-        if mode in ("cc", "prob"):
+        if term == "tail":
             eps = float(val)
             if eps > v1:
                 return _zeros_source()
@@ -77,7 +85,7 @@ def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
 
             return _vec(gen, hint=_power(r, constant=1.0))
 
-        if mode in ("slp", "lp"):
+        if term == "moment":
             p = float(val)
 
             def gen(ns, p=p):
@@ -88,7 +96,7 @@ def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
             exp = r if math.isinf(q) else min(r, p * q)
             return _vec(gen, hint=_power(exp))
 
-        if mode in ("slinf", "linf"):
+        if term == "sup":
 
             def gen(ns):
                 nsf = ns.astype(float)
@@ -98,7 +106,7 @@ def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
 
             return _vec(gen, hint=_const(abs(v1 - c)))
 
-        if mode in ("s1d", "s1star") or (mode == "dist" and axis == "f"):
+        if term in ("expect_gap", "coupled_gap"):
             f = val
 
             def gen_s1d(ns, f=f):
@@ -113,9 +121,9 @@ def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                     f(v2_of(nsf)) - f(c)
                 )
 
-            return _vec(gen_s1star if mode == "s1star" else gen_s1d)
+            return _vec(gen_s1star if term == "coupled_gap" else gen_s1d)
 
-        if mode == "s2d" or (mode == "dist" and axis == "x"):
+        if term == "cdf_gap":
             x = float(val)
             if x >= max(v1, c) or x < min(c, 0.0):
                 return _zeros_source()
@@ -128,7 +136,7 @@ def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
 
             return _vec(gen, hint=_power(r, constant=1.0))
 
-        if mode == "s3d":
+        if term == "char_gap":
             t = float(val)
             if t == 0.0:
                 return _zeros_source()
@@ -148,9 +156,9 @@ def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                 exp = min(r, q)
             return _vec(gen, hint=_power(exp))
 
-        if mode in ("sa_as", "as"):
+        if term == "pointwise":
             omega = float(val)
-            a0 = params.alpha if mode == "sa_as" else 1.0
+            a0 = mode_spec(mode).exponent(params)
 
             def gen(ns, omega=omega, a0=a0):
                 nsf = ns.astype(float)
@@ -161,7 +169,7 @@ def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                 return _vec(gen, hint=_zero(start=math.ceil(omega ** (-1.0 / r))))
             return _vec(gen, hint=_power(a0 * q))
 
-        if mode == "trunc_l1":
+        if term == "trunc_l1":
             eps = float(val)
 
             def gen(ns, eps=eps):
@@ -184,6 +192,7 @@ def ex31(alpha):
     """Two atoms: value 1 with mass n^-2, value n^(-1/alpha) with the rest;
     limit 0.  For alpha > 1 this converges completely but not
     distributionally in the summable senses."""
+    _require_finite("ex31", alpha=alpha)
     if alpha <= 0:
         raise ParameterError("ex31 needs alpha > 0")
     q = 1.0 / alpha
@@ -269,8 +278,9 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, base_hi, s2d_hint_exp):
 
     def source(mode, probe, params):
         axis, val = probe
+        term = mode if mode == "trunc_l1" else mode_spec(mode).term(axis)
 
-        if mode in ("cc", "prob"):
+        if term == "tail":
             eps = float(val)
             start = 1 if eps > s1_max else math.ceil(eps ** (-1.0 / beta))
             return _vec(
@@ -278,23 +288,23 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, base_hi, s2d_hint_exp):
                 hint=_zero(start=start),
             )
 
-        if mode in ("slp", "lp"):
+        if term == "moment":
             p = float(val)
             return _vec(
                 lambda ns, p=p: s_of(ns.astype(float)) ** p, hint=_power(beta * p)
             )
 
-        if mode in ("slinf", "linf"):
+        if term == "sup":
             return _vec(lambda ns: s_of(ns.astype(float)), hint=_power(beta))
 
-        if mode in ("sa_as", "as"):
-            a0 = params.alpha if mode == "sa_as" else 1.0
+        if term == "pointwise":
+            a0 = mode_spec(mode).exponent(params)
             return _vec(
                 lambda ns, a0=a0: s_of(ns.astype(float)) ** a0,
                 hint=_power(beta * a0),
             )
 
-        if mode == "s2d" or (mode == "dist" and axis == "x"):
+        if term == "cdf_gap":
             x = float(val)
             fx = float(base_cdf_vec(np.array([x]))[0])
 
@@ -310,7 +320,7 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, base_hi, s2d_hint_exp):
                 return _vec(gen, hint=_zero(start=start))
             return _vec(gen, hint=_power(s2d_hint_exp(x)))
 
-        if mode == "s3d":
+        if term == "char_gap":
             t = float(val)
             if t == 0.0:
                 return _zeros_source()
@@ -322,11 +332,11 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, base_hi, s2d_hint_exp):
 
             return _vec(gen, hint=_power(beta))
 
-        if mode in ("s1d", "s1star") or (mode == "dist" and axis == "f"):
+        if term in ("expect_gap", "coupled_gap"):
             f = val
             if isinstance(f, Sine):
                 phi1 = base_char(1.0)
-                if mode == "s1star":
+                if term == "coupled_gap":
                     if base_hi + s1_max / 2.0 >= math.pi / 2.0:
                         return None
 
@@ -357,7 +367,7 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, base_hi, s2d_hint_exp):
                 )
             return None
 
-        if mode == "trunc_l1":
+        if term == "trunc_l1":
             eps = float(val)
 
             def gen(ns, eps=eps):
@@ -413,6 +423,7 @@ def ex32(alpha, beta):
     """X with density (1-alpha)*(1-u)^(-alpha), shifted by n^-beta.  The sup
     norms are summable, but at x=1 the CDF gaps decay only like
     n^(-(1-alpha)*beta)."""
+    _require_finite("ex32", alpha=alpha, beta=beta)
     if not 0.0 < alpha < 1.0:
         raise ParameterError("ex32 needs 0 < alpha < 1")
     if beta <= 1.0:
@@ -446,6 +457,7 @@ def ex32(alpha, beta):
 def shift_uniform(beta=2.0):
     """Uniform(0,1) shifted by n^-beta; the globally Lipschitz limit CDF
     makes every CDF-gap series behave like the shifts themselves."""
+    _require_finite("shift_uniform", beta=beta)
 
     def base_cdf_vec(x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -464,6 +476,7 @@ def shift_uniform(beta=2.0):
 
 def constant_family(c=0.0):
     """X_n = X = c: every mode holds with identically zero terms."""
+    _require_finite("const", c=c)
     rv = space.constant_rv(c)
 
     def source(mode, probe, params):
@@ -496,9 +509,6 @@ def build_family(kind, **params):
         raise ParameterError(
             f"unknown family {kind!r}; valid kinds: {', '.join(sorted(_BUILDERS))}"
         )
-    for name, value in params.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{kind} parameter {name} must be finite, got {value}")
     try:
         return _BUILDERS[kind](**params)
     except TypeError as exc:
@@ -521,12 +531,7 @@ def default_registry():
 # Implication diagram
 
 
-NODES = (
-    "slinf", "sl1", "s1star", "s1d", "s3d", "s1as", "cc",
-    "as", "prob", "dist", "linf", "l1", "s2d",
-)
-
-# diagram node -> (mode tag, ModeParams overrides)
+# diagram node -> (mode tag, ModeParams overrides); the order is the node order
 NODE_MODES = {
     "slinf": ("slinf", {}),
     "sl1": ("slp", {"p": 1.0}),
@@ -542,6 +547,7 @@ NODE_MODES = {
     "l1": ("lp", {"p": 1.0}),
     "s2d": ("s2d", {}),
 }
+NODES = tuple(NODE_MODES)
 
 _GENERATOR_EDGES = (
     ("slinf", "sl1"),
@@ -605,9 +611,6 @@ class ImplicationDiagram:
         for a, b in self.edges:
             if a not in self.nodes or b not in self.nodes:
                 raise ParameterError(f"edge ({a}, {b}) references unknown node")
-
-    def has_edge(self, a, b):
-        return (a, b) in set(self.edges)
 
     def transitive_closure(self):
         reach = {n: set() for n in self.nodes}
@@ -931,10 +934,7 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
     splitting_ok = True
     details = {"truncated": trunc_verdict.to_dict()}
     for f in fs:
-        src = family.meta.term_source("s1star", ("f", f), params)
-        if src is None:
-            src = TermSource.from_scalar(lambda n, f=f: term_s1star(family, n, f),
-                                         dense_cap=2048)
+        src = probe_source(family, "s1star", ("f", f), params)
         verdict = analyze_series(src, policy)
         details[f"f={f.name}"] = verdict.to_dict()
         if not verdict.converges:

@@ -106,15 +106,11 @@ class TermSource:
         self.length = length
 
     @classmethod
-    def from_vectorized(cls, fn, hint=None, dense_cap=None):
-        return cls(fn, hint=hint, dense_cap=dense_cap)
-
-    @classmethod
-    def from_scalar(cls, fn, hint=None, dense_cap=4096):
+    def from_scalar(cls, fn, dense_cap):
         def gen(ns):
             return np.array([float(fn(int(n))) for n in ns], dtype=float)
 
-        return cls(gen, hint=hint, dense_cap=dense_cap)
+        return cls(gen, dense_cap=dense_cap)
 
     @classmethod
     def from_values(cls, values):

@@ -217,7 +217,7 @@ def test_criterion_8_calibration_and_determinism(capsys):
     expected = ["diverges", "diverges", "converges", "converges", "converges"]
     got = []
     for p in (0.8, 1.0, 1.1, 1.5, 2.0):
-        src = TermSource.from_vectorized(lambda ns, p=p: ns.astype(float) ** -p)
+        src = TermSource(lambda ns, p=p: ns.astype(float) ** -p)
         got.append(analyze_series(src).klass)
     assert got == expected
 

@@ -10,12 +10,14 @@ import pytest
 
 from convlab import space
 from convlab.errors import ParameterError
-from convlab.modes import (ALL_MODES, SERIES_MODES, UNIVERSAL_MODES, Family,
-                           FamilyMeta, ModeParams, check_mode, generic_term,
-                           probe_key, probes_for, term_cc, term_s1star,
-                           term_s2d, term_sa_as, term_slinf, term_slp,
-                           term_trunc_l1, van_der_corput)
-from convlab.registry import NODE_MODES, default_registry
+from convlab.modes import (ALL_MODES, LIMIT_MODES, SERIES_MODES,
+                           UNIVERSAL_MODES, Family, FamilyMeta, ModeParams,
+                           _params_summary, check_mode, generic_term,
+                           probe_key, probes_for, term_cc, term_s1d,
+                           term_s1star, term_s2d, term_s3d, term_sa_as,
+                           term_slinf, term_slp, term_trunc_l1,
+                           van_der_corput)
+from convlab.registry import NODE_MODES, NODES, default_registry
 from convlab.series import EnginePolicy
 
 CROSS_CHECK_NS = (1, 2, 3, 5, 12, 40)
@@ -56,13 +58,14 @@ def test_term_s2d_rejects_jump_points():
 @pytest.mark.parametrize("family", registry_families(), ids=lambda f: f.name)
 def test_analytic_terms_match_generic(family):
     """Closed-form term formulas agree with the quadrature/CDF route."""
-    node_param_sets = [ModeParams.defaults(family)]
+    node_param_sets = [ModeParams.defaults(family),
+                       ModeParams.defaults(family, alpha=2.0)]
     for node, (tag, overrides) in NODE_MODES.items():
         if overrides:
             node_param_sets.append(ModeParams.defaults(family, **overrides))
     checked = 0
     for params in node_param_sets:
-        for mode in SERIES_MODES:
+        for mode in ALL_MODES:
             for probe in probes_for(mode, params):
                 src = family.meta.term_source(mode, probe, params)
                 if src is None:
@@ -167,3 +170,106 @@ def test_check_mode_policy_propagates():
     rep = check_mode(fam, "s1d", policy=small)
     assert rep.fails
     assert rep.probe_results["f=sine"].n_used <= 4096
+
+
+# The per-mode string dispatch the mode table replaced, kept as the reference
+# the table-driven probes, summaries and generic terms must reproduce.
+
+
+def reference_probes(mode, params):
+    if mode in ("cc", "prob"):
+        return [("eps", e) for e in params.epsilons]
+    if mode in ("slp", "lp"):
+        return [("p", params.p)]
+    if mode in ("slinf", "linf"):
+        return [("all", None)]
+    if mode in ("s1d", "s1star"):
+        return [("f", f) for f in params.test_functions]
+    if mode == "s2d":
+        return [("x", x) for x in params.x_points]
+    if mode == "s3d":
+        return [("t", t) for t in params.t_points]
+    if mode in ("sa_as", "as"):
+        return [("omega", w) for w in params.omega_points]
+    if mode == "dist":
+        return [("x", x) for x in params.x_points] + [
+            ("f", f) for f in params.test_functions
+        ]
+    raise ParameterError(f"unknown mode {mode!r}")
+
+
+def reference_summary(mode, params):
+    out = {}
+    if mode in ("cc", "prob"):
+        out["epsilons"] = list(params.epsilons)
+    if mode in ("slp", "lp"):
+        out["p"] = params.p
+    if mode == "sa_as":
+        out["alpha"] = params.alpha
+    if mode == "s2d" or mode == "dist":
+        out["x_points"] = list(params.x_points)
+    if mode == "s3d":
+        out["t_points"] = list(params.t_points)
+    if mode in ("s1d", "s1star", "dist"):
+        out["test_functions"] = [f.name for f in params.test_functions]
+    if mode in ("sa_as", "as"):
+        out["omega_points"] = list(params.omega_points)
+    return out
+
+
+def reference_term(family, mode, probe, n, params):
+    axis, value = probe
+    if mode == "cc":
+        return term_cc(family, n, value)
+    if mode == "slp":
+        return term_slp(family, n, value)
+    if mode == "slinf":
+        return term_slinf(family, n)
+    if mode == "s1d":
+        return term_s1d(family, n, value)
+    if mode == "s1star":
+        return term_s1star(family, n, value)
+    if mode == "s2d":
+        return term_s2d(family, n, value)
+    if mode == "s3d":
+        return term_s3d(family, n, value)
+    if mode == "sa_as":
+        return term_sa_as(family, n, params.alpha, value)
+    if mode == "prob":
+        return term_cc(family, n, value)
+    if mode == "lp":
+        return term_slp(family, n, value)
+    if mode == "linf":
+        return term_slinf(family, n)
+    if mode == "as":
+        w = space.require_omega(value)
+        return abs(family.member(n)(w) - family.limit(w))
+    if mode == "dist":
+        if axis == "x":
+            return term_s2d(family, n, value)
+        return term_s1d(family, n, value)
+    raise ParameterError(f"unknown mode {mode!r}")
+
+
+@pytest.mark.parametrize("family", registry_families(), ids=lambda f: f.name)
+def test_mode_table_matches_reference_dispatch(family):
+    assert SERIES_MODES == ("cc", "slp", "slinf", "sa_as", "s1d", "s1star",
+                            "s2d", "s3d")
+    assert LIMIT_MODES == ("as", "prob", "lp", "linf", "dist")
+    assert ALL_MODES == SERIES_MODES + LIMIT_MODES
+    assert NODES == ("slinf", "sl1", "s1star", "s1d", "s3d", "s1as", "cc",
+                     "as", "prob", "dist", "linf", "l1", "s2d")
+    assert UNIVERSAL_MODES == frozenset(
+        {"cc", "sa_as", "s1d", "s1star", "s2d", "s3d", "as", "prob", "dist"})
+    for params in (ModeParams.defaults(family),
+                   ModeParams.defaults(family, alpha=2.0, p=2.0)):
+        for mode in ALL_MODES:
+            probes = probes_for(mode, params)
+            assert probes == reference_probes(mode, params)
+            assert (list(_params_summary(mode, params).items())
+                    == list(reference_summary(mode, params).items()))
+            for probe in probes:
+                for n in (1, 2, 5, 40):
+                    got = generic_term(family, mode, probe, n, params)
+                    want = reference_term(family, mode, probe, n, params)
+                    assert got == want, (mode, probe_key(probe), n)

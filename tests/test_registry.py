@@ -29,6 +29,18 @@ def test_build_family_validation():
         build_family("ex31", beta=2.0)  # wrong parameter name
 
 
+@pytest.mark.parametrize("builder, args", [
+    (ex31, (math.inf,)),
+    (ex32, (0.5, math.inf)),
+    (shift_uniform, (math.inf,)),
+    (constant_family, (math.nan,)),
+    (constant_family, (math.inf,)),
+], ids=["ex31-inf", "ex32-beta-inf", "shift-inf", "const-nan", "const-inf"])
+def test_builders_reject_non_finite(builder, args):
+    with pytest.raises(ParameterError, match="must be finite"):
+        builder(*args)
+
+
 def test_ex31_member_atoms():
     fam = ex31(2.0)
     c = space.cdf(fam.member(3))

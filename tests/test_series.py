@@ -19,7 +19,7 @@ from convlab.series import (DEFAULT_POLICY, AnalyticHint, EnginePolicy,
 
 
 def power_source(p, hint=None):
-    return TermSource.from_vectorized(
+    return TermSource(
         lambda ns, p=p: ns.astype(float) ** -p, hint=hint
     )
 
@@ -57,7 +57,7 @@ def test_harmonic_diverges_with_fitted_exponent():
 
 def test_geometric_converges():
     v = analyze_series(
-        TermSource.from_vectorized(lambda ns: 0.5 ** ns.astype(float))
+        TermSource(lambda ns: 0.5 ** ns.astype(float))
     )
     assert v.converges
     # oracle: sum 2^-n = 1
@@ -66,7 +66,7 @@ def test_geometric_converges():
 
 def test_blowup_detection():
     v = analyze_series(
-        TermSource.from_vectorized(lambda ns: np.full(len(ns), 10.0))
+        TermSource(lambda ns: np.full(len(ns), 10.0))
     )
     assert v.diverges
     assert v.evidence["method"] == "partial_sum_blowup"
@@ -74,7 +74,7 @@ def test_blowup_detection():
 
 def test_all_zero_converges():
     v = analyze_series(
-        TermSource.from_vectorized(lambda ns: np.zeros(len(ns)))
+        TermSource(lambda ns: np.zeros(len(ns)))
     )
     assert v.converges
     assert v.sum_estimate == 0.0
@@ -82,25 +82,25 @@ def test_all_zero_converges():
 
 
 def test_negative_terms_rejected():
-    src = TermSource.from_vectorized(lambda ns: -np.ones(len(ns)))
+    src = TermSource(lambda ns: -np.ones(len(ns)))
     with pytest.raises(ParameterError):
         src.terms(1, 10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_terms_rejected(bad):
-    src = TermSource.from_vectorized(lambda ns: np.where(ns == 3, bad, 1.0))
+    src = TermSource(lambda ns: np.where(ns == 3, bad, 1.0))
     with pytest.raises(ParameterError, match="non-finite term at n=3"):
         src.terms(1, 10)
 
 
 def test_tiny_negative_noise_clamped():
-    src = TermSource.from_vectorized(lambda ns: np.full(len(ns), -1e-14))
+    src = TermSource(lambda ns: np.full(len(ns), -1e-14))
     assert np.all(src.terms(1, 10) == 0.0)
 
 
 def test_hint_eventually_zero():
-    src = TermSource.from_vectorized(
+    src = TermSource(
         lambda ns: (ns <= 5).astype(float),
         hint=AnalyticHint("eventually_zero", start=5),
     )
@@ -111,7 +111,7 @@ def test_hint_eventually_zero():
 
 
 def test_hint_eventually_constant_diverges():
-    src = TermSource.from_vectorized(
+    src = TermSource(
         lambda ns: np.ones(len(ns)),
         hint=AnalyticHint("eventually_constant", level=1.0),
     )
@@ -203,7 +203,7 @@ def test_determinism():
 def test_null_sequence_basic():
     assert null_sequence_test(power_source(1.0)).tends_to_zero
     v = null_sequence_test(
-        TermSource.from_vectorized(lambda ns: np.full(len(ns), 0.5))
+        TermSource(lambda ns: np.full(len(ns), 0.5))
     )
     assert v.klass == "stays_above"
     assert abs(v.level - 0.5) < 1e-12
@@ -214,7 +214,7 @@ def test_null_sequence_hints():
         power_source(0.3, hint=AnalyticHint("power", exponent=0.3))
     ).tends_to_zero
     v = null_sequence_test(
-        TermSource.from_vectorized(
+        TermSource(
             lambda ns: np.ones(len(ns)),
             hint=AnalyticHint("eventually_constant", level=1.0),
         )
@@ -282,7 +282,7 @@ def recording_source(p, sizes):
         sizes.append(len(ns))
         return ns.astype(float) ** -p
 
-    return TermSource.from_vectorized(gen)
+    return TermSource(gen)
 
 
 def test_long_blocks_are_generated_in_chunks():
