@@ -113,6 +113,8 @@ def _dump_terms(path, family, modes, count):
 
 
 def cmd_diagnose(args):
+    if args.dump_count < 1:
+        raise ParameterError(f"--dump-count must be at least 1, got {args.dump_count}")
     family = _family_from_args(args)
     policy = _policy_from(args)
     modes = args.modes.split(",") if args.modes else list(ALL_MODES)

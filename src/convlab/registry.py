@@ -385,12 +385,6 @@ def _shift_family(name, kind, params, base_rv, base_cdf_vec, beta,
                   s2d_hint_exp, s2d_certified, base_hi=1.0, x_probes=None):
     if beta <= 1:
         raise ParameterError("shift family needs beta > 1 for a summable shift")
-    char_cache = {}
-
-    def base_char(t):
-        if t not in char_cache:
-            char_cache[t] = space.char_fn(base_rv, t, tol=1e-11)
-        return char_cache[t]
 
     def member(n):
         return base_rv.shifted(float(n) ** -beta)
@@ -408,15 +402,17 @@ def _shift_family(name, kind, params, base_rv, base_cdf_vec, beta,
         kind=kind,
         support=(0.0, base_hi),
         bound=base_hi + 1.0,
+        # base_rv is the limit, so the family (bound below) caches its char_fn
         term_source=_shift_source_factory(
-            beta, base_cdf_vec, base_char, base_hi, s2d_hint_exp
+            beta, base_cdf_vec, lambda t: family.limit_char(t), base_hi, s2d_hint_exp
         ),
         certifies=certifies,
         shift_sequence=lambda n: np.asarray(n, dtype=float) ** -beta,
         base_cdf_vec=base_cdf_vec,
         x_probes=x_probes,
     )
-    return Family(name, params, base_rv, member, meta)
+    family = Family(name, params, base_rv, member, meta)
+    return family
 
 
 def ex32(alpha, beta):

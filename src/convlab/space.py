@@ -4,10 +4,12 @@ The sample space is ((0,1), Borel, Lebesgue).  A random variable is an
 ordered list of half-open pieces [a, b) partitioning (0,1); on each piece the
 value is a constant, an affine function of omega, or the quantile function of
 a declared density, optionally wrapped in a per-piece affine transform, with
-one more affine transform applied to the whole variable.  This class of
-functions is closed under shifts, scaling and absolute differences, so CDFs
-and essential suprema come out exact and expectations reduce to atom sums
-plus one-dimensional quadrature of smooth integrands.
+one more affine transform applied to the whole variable.  Since omega is the
+quantile of the uniform density, every piece is stored as A*Q(omega) + B with
+Q a density's quantile, and A = 0 for a constant.  This class of functions is
+closed under shifts, scaling and absolute differences, so CDFs and essential
+suprema come out exact and expectations reduce to atom sums plus
+one-dimensional quadrature of smooth integrands.
 """
 
 from __future__ import annotations
@@ -78,6 +80,23 @@ class PowerAtOne:
 
 
 @dataclass(frozen=True)
+class Uniform:
+    """The uniform density on (0,1): its quantile is the identity."""
+
+    def cdf(self, x):
+        return min(max(x, 0.0), 1.0)
+
+    def quantile(self, w):
+        return w
+
+    def quantile_antiderivative(self, w):
+        return 0.5 * w * w
+
+
+UNIFORM = Uniform()
+
+
+@dataclass(frozen=True)
 class Constant:
     value: float
 
@@ -90,7 +109,7 @@ class AffineInOmega:
 
 @dataclass(frozen=True)
 class QuantileOfDensity:
-    density: PowerAtOne
+    density: object  # PowerAtOne or UNIFORM
 
 
 @dataclass(frozen=True)
@@ -106,34 +125,22 @@ class Piece:
 
 @dataclass(frozen=True)
 class _CanonPiece:
-    """Piece with all affine wrapping folded in: value = A*base(w) + B.
-
-    kind is "const" (value B), "omega" (base w) or "quantile" (base Q(w)).
-    """
+    """Piece with all affine wrapping folded in: value = A*Q(w) + B with Q
+    the quantile of dens; A = 0 is a constant piece."""
 
     lo: float
     hi: float
-    kind: str
     A: float
     B: float
-    dens: PowerAtOne = None
-
-    def base(self, w):
-        if self.kind == "omega":
-            return w
-        if self.kind == "quantile":
-            return self.dens.quantile(w)
-        return 0.0
+    dens: object = UNIFORM
 
     def value(self, w):
-        if self.kind == "const":
+        if self.A == 0.0:
             return self.B
-        return self.A * self.base(w) + self.B
+        return self.A * self.dens.quantile(w) + self.B
 
     def endpoint_values(self):
         """Limits of the value at both interval endpoints."""
-        if self.kind == "const":
-            return self.B, self.B
         return self.value(self.lo), self.value(self.hi)
 
 
@@ -166,19 +173,15 @@ class RandomVariable:
         ps, pf = self.post_scale, self.post_shift
         if isinstance(p.expr, Constant):
             v = ps * (p.scale * p.expr.value + p.shift) + pf
-            return _CanonPiece(p.lo, p.hi, "const", 0.0, v)
+            return _CanonPiece(p.lo, p.hi, 0.0, v)
         if isinstance(p.expr, AffineInOmega):
             a = ps * p.scale * p.expr.slope
             b = ps * (p.scale * p.expr.intercept + p.shift) + pf
-            if a == 0.0:
-                return _CanonPiece(p.lo, p.hi, "const", 0.0, b)
-            return _CanonPiece(p.lo, p.hi, "omega", a, b)
+            return _CanonPiece(p.lo, p.hi, a, b)
         if isinstance(p.expr, QuantileOfDensity):
             a = ps * p.scale
             b = ps * p.shift + pf
-            if a == 0.0:
-                return _CanonPiece(p.lo, p.hi, "const", 0.0, b)
-            return _CanonPiece(p.lo, p.hi, "quantile", a, b, p.expr.density)
+            return _CanonPiece(p.lo, p.hi, a, b, p.expr.density)
         raise RepresentationError(f"unknown piece expression {p.expr!r}")
 
     def canonical_pieces(self):
@@ -217,26 +220,15 @@ def density_rv(density: PowerAtOne):
 # CDF
 
 
-class _AffineSegment:
-    def __init__(self, lo, hi, A, B):
-        self.lo, self.hi, self.A, self.B = lo, hi, A, B
-        self.mass = hi - lo
+class _Segment:
+    """A monotone piece A*Q(w) + B on [lo, hi), A != 0."""
 
-    def measure_below(self, x):
-        w = (x - self.B) / self.A
-        if self.A > 0:
-            return min(max(w - self.lo, 0.0), self.mass)
-        return min(max(self.hi - w, 0.0), self.mass)
-
-
-class _QuantileSegment:
     def __init__(self, lo, hi, A, B, dens):
         self.lo, self.hi, self.A, self.B, self.dens = lo, hi, A, B, dens
         self.mass = hi - lo
 
     def measure_below(self, x):
-        y = (x - self.B) / self.A
-        w = self.dens.cdf(y)
+        w = self.dens.cdf((x - self.B) / self.A)
         if self.A > 0:
             return min(max(w - self.lo, 0.0), self.mass)
         return min(max(self.hi - w, 0.0), self.mass)
@@ -280,12 +272,10 @@ def cdf(rv: RandomVariable) -> Cdf:
     atom_masses = {}
     segments = []
     for cp in rv.canonical_pieces():
-        if cp.kind == "const":
+        if cp.A == 0.0:
             atom_masses[cp.B] = atom_masses.get(cp.B, 0.0) + (cp.hi - cp.lo)
-        elif cp.kind == "omega":
-            segments.append(_AffineSegment(cp.lo, cp.hi, cp.A, cp.B))
         else:
-            segments.append(_QuantileSegment(cp.lo, cp.hi, cp.A, cp.B, cp.dens))
+            segments.append(_Segment(cp.lo, cp.hi, cp.A, cp.B, cp.dens))
     atoms = [(x, m) for x, m in atom_masses.items() if m > 0.0]
     return Cdf(atoms, segments)
 
@@ -294,47 +284,20 @@ def cdf(rv: RandomVariable) -> Cdf:
 # Expectation and friends
 
 
-def _inverse_base(cp, y):
-    """Solve base(w) = y on the piece; None if out of range."""
-    if cp.kind == "omega":
-        w = y
-    else:
-        if not 0.0 <= y <= 1.0:
-            return None
-        w = cp.dens.cdf(y)
-    if cp.lo < w < cp.hi:
-        return w
-    return None
-
-
-def _omega_breaks(cp, value_breaks):
-    """Map value-space breakpoints (e.g. an indicator threshold) to omega
-    breakpoints inside this piece so quadrature can subdivide there."""
-    pts = []
-    for v in value_breaks:
-        y = (v - cp.B) / cp.A
-        w = _inverse_base(cp, y)
-        if w is not None:
-            pts.append(w)
-    return sorted(pts)
-
-
-def expectation(rv, g, tol=1e-10, value_breaks=()):
+def expectation(rv, g, tol=1e-10):
     """E[g(X)] with an absolute error bound.
 
     Atoms are summed exactly; smooth pieces are integrated adaptively.
-    `value_breaks` lists values of X where g is allowed to be discontinuous;
-    they are translated to quadrature breakpoints.  Raises AccuracyError if
-    the combined quadrature error exceeds the tolerance.
+    Raises AccuracyError if the combined quadrature error exceeds the
+    tolerance.
     """
-    smooth = [cp for cp in rv.canonical_pieces() if cp.kind != "const"]
+    smooth = [cp for cp in rv.canonical_pieces() if cp.A != 0.0]
     total = 0.0
     err = 0.0
     for cp in rv.canonical_pieces():
-        if cp.kind == "const":
+        if cp.A == 0.0:
             total += (cp.hi - cp.lo) * g(cp.B)
             continue
-        pts = _omega_breaks(cp, value_breaks)
         val, e = quad(
             lambda w, cp=cp: g(cp.value(w)),
             cp.lo,
@@ -342,7 +305,6 @@ def expectation(rv, g, tol=1e-10, value_breaks=()):
             epsabs=tol / max(1, len(smooth)),
             epsrel=0.0,
             limit=200,
-            points=pts or None,
         )
         total += val
         err += e
@@ -367,7 +329,7 @@ def expectation_joint(rv1, rv2, h, tol=1e-9):
             continue
         c1 = _piece_at(rv1, lo)
         c2 = _piece_at(rv2, lo)
-        if c1.kind == "const" and c2.kind == "const":
+        if c1.A == 0.0 and c2.A == 0.0:
             total += (hi - lo) * h(c1.B, c2.B)
             continue
         val, e = quad(
@@ -401,17 +363,21 @@ def sup_norm(rv):
 
 def char_fn(rv, t, tol=1e-10):
     """E[exp(i*t*X)]: exact sums over constant and affine pieces plus
-    oscillation-aware quadrature of the real and imaginary parts on quantile
-    pieces."""
+    oscillation-aware quadrature of the real and imaginary parts on pieces
+    of other densities."""
     t = float(t)
     if t == 0.0:
         return complex(1.0, 0.0)
     re = 0.0
     im = 0.0
     err = 0.0
-    quantile_pieces = [cp for cp in rv.canonical_pieces() if cp.kind == "quantile"]
+
+    def closed_form(cp):
+        return cp.A == 0.0 or cp.dens == UNIFORM
+
+    quad_pieces = [cp for cp in rv.canonical_pieces() if not closed_form(cp)]
     for cp in rv.canonical_pieces():
-        if cp.kind != "quantile":
+        if closed_form(cp):
             # the integral of exp(i*t*(A*w + B)) over [lo, hi) is
             # (hi - lo) * sinc(h) * exp(i*t*(A*mid + B)), h = t*A*(hi - lo)/2;
             # constant pieces have A = 0, so theirs is the exact atom term
@@ -424,7 +390,7 @@ def char_fn(rv, t, tol=1e-10):
             continue
         # subdivision budget grows with the oscillation count on the piece
         lim = 50 + int(10.0 * abs(t) * (cp.hi - cp.lo))
-        epsabs = tol / max(1, 2 * len(quantile_pieces))
+        epsabs = tol / max(1, 2 * len(quad_pieces))
         vr, er = quad(lambda w, cp=cp: math.cos(t * cp.value(w)),
                       cp.lo, cp.hi, epsabs=epsabs, epsrel=0.0, limit=lim)
         vi, ei = quad(lambda w, cp=cp: math.sin(t * cp.value(w)),
@@ -450,60 +416,28 @@ def _piece_at(rv, w):
     return rv.canonical_pieces()[i]
 
 
-def _combine_difference(c1, c2, lo, hi):
-    """Canonical (kind, A, B, dens) of value1 - value2 on [lo, hi)."""
-    k1, k2 = c1.kind, c2.kind
-    if k1 == "quantile" and k2 == "quantile":
-        if c1.dens != c2.dens:
-            raise RepresentationError(
-                "difference of quantile pieces with different densities"
-            )
-        a, b, dens = c1.A - c2.A, c1.B - c2.B, c1.dens
-        return ("const", 0.0, b, None) if a == 0.0 else ("quantile", a, b, dens)
-    if {k1, k2} == {"quantile", "omega"}:
-        raise RepresentationError(
-            "difference of a quantile piece and an affine piece is not "
-            "representable in the supported expression set"
-        )
-    if k1 == "quantile" or k2 == "quantile":
-        qp = c1 if k1 == "quantile" else c2
-        sign = 1.0 if k1 == "quantile" else -1.0
-        a = sign * qp.A
-        b = c1.B - c2.B
-        return ("quantile", a, b, qp.dens)
-    if k1 == "omega" or k2 == "omega":
-        a = (c1.A if k1 == "omega" else 0.0) - (c2.A if k2 == "omega" else 0.0)
-        b = c1.B - c2.B
-        return ("const", 0.0, b, None) if a == 0.0 else ("omega", a, b, None)
-    return ("const", 0.0, c1.B - c2.B, None)
+def _combine_difference(c1, c2):
+    """Canonical (A, B, dens) of value1 - value2 on a common interval."""
+    if c1.A != 0.0 and c2.A != 0.0 and c1.dens != c2.dens:
+        raise RepresentationError("difference of pieces of different densities")
+    return c1.A - c2.A, c1.B - c2.B, (c1.dens if c1.A != 0.0 else c2.dens)
 
 
-def _emit_abs_pieces(kind, a, b, dens, lo, hi, out):
-    """Append pieces representing |a*base + b| on [lo, hi)."""
-
-    def base(w):
-        return w if kind == "omega" else dens.quantile(w)
+def _emit_abs_pieces(a, b, dens, lo, hi, out):
+    """Append pieces representing |a*Q(w) + b| on [lo, hi)."""
 
     def piece(aa, bb, plo, phi):
-        if kind == "omega":
-            out.append(Piece(plo, phi, AffineInOmega(aa, bb)))
-        else:
-            out.append(Piece(plo, phi, QuantileOfDensity(dens), scale=aa, shift=bb))
+        out.append(Piece(plo, phi, QuantileOfDensity(dens), scale=aa, shift=bb))
 
-    if kind == "const":
-        out.append(Piece(lo, hi, Constant(abs(b))))
-        return
-    v_lo = a * base(lo) + b
-    v_hi = a * base(hi) + b
+    v_lo = a * dens.quantile(lo) + b
+    v_hi = a * dens.quantile(hi) + b
     if min(v_lo, v_hi) >= 0.0:
         piece(a, b, lo, hi)
         return
     if max(v_lo, v_hi) <= 0.0:
         piece(-a, -b, lo, hi)
         return
-    y0 = -b / a
-    w0 = y0 if kind == "omega" else dens.cdf(y0)
-    w0 = min(max(w0, lo), hi)
+    w0 = min(max(dens.cdf(-b / a), lo), hi)
     if w0 <= lo or w0 >= hi:  # crossing collapses to an endpoint numerically
         if abs(v_lo) >= abs(v_hi):
             sign = 1.0 if v_lo > 0 else -1.0
@@ -529,8 +463,7 @@ def diff_abs(rv_n, rv_limit):
             continue
         c1 = _piece_at(rv_n, lo)
         c2 = _piece_at(rv_limit, lo)
-        kind, a, b, dens = _combine_difference(c1, c2, lo, hi)
-        _emit_abs_pieces(kind, a, b, dens, lo, hi, out)
+        _emit_abs_pieces(*_combine_difference(c1, c2), lo, hi, out)
     return RandomVariable(tuple(out))
 
 
@@ -541,19 +474,13 @@ def truncated_abs_moment(diff_rv, eps):
         raise ParameterError("eps must be positive")
     total = 0.0
     for cp in diff_rv.canonical_pieces():
-        if cp.kind == "const":
+        if cp.A == 0.0:
             if cp.B < eps:
                 total += (cp.hi - cp.lo) * cp.B
             continue
         # value is monotone on the piece; find the sub-interval where it is
         # below eps and integrate the value there in closed form
-        y_eps = (eps - cp.B) / cp.A
-        w_eps = None
-        if cp.kind == "omega":
-            w_eps = y_eps
-        else:
-            w_eps = cp.dens.cdf(min(max(y_eps, 0.0), 1.0))
-        w_eps = min(max(w_eps, cp.lo), cp.hi)
+        w_eps = min(max(cp.dens.cdf((eps - cp.B) / cp.A), cp.lo), cp.hi)
         v_lo, v_hi = cp.endpoint_values()
         increasing = v_hi >= v_lo
         if increasing:
@@ -566,9 +493,6 @@ def truncated_abs_moment(diff_rv, eps):
                 continue
         if b_int <= a_int:
             continue
-        if cp.kind == "omega":
-            anti = lambda w: cp.A * 0.5 * w * w + cp.B * w
-        else:
-            anti = lambda w: cp.A * cp.dens.quantile_antiderivative(w) + cp.B * w
+        anti = lambda w: cp.A * cp.dens.quantile_antiderivative(w) + cp.B * w
         total += anti(b_int) - anti(a_int)
     return total

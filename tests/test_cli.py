@@ -236,6 +236,17 @@ def test_dump_terms_bit_stable(capsys, tmp_path):
     assert first[1].startswith("s1d,f=sine,1,0.8414709848078965")
 
 
+@pytest.mark.parametrize("count", ("-3", "0"))
+def test_dump_count_below_one_exit_2(capsys, tmp_path, count):
+    path = tmp_path / "terms.csv"
+    code, out, err = run(capsys, "diagnose", "--family", "const", "--modes", "cc",
+                         "--dump-terms", str(path), "--dump-count", count)
+    assert code == cli.EXIT_PARAMETER
+    assert "--dump-count must be at least 1" in err
+    assert out == ""
+    assert not path.exists()
+
+
 def test_main_maps_accuracy_error_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "cmd_series",

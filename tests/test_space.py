@@ -210,8 +210,35 @@ def test_diff_abs_two_atoms():
 
 
 def test_diff_abs_mixed_kinds_rejected():
-    with pytest.raises(RepresentationError):
-        diff_abs(uniform_rv(), density_rv(PowerAtOne(0.5)))
+    # an affine piece is a quantile piece of the uniform density, so both
+    # pairs are differences of two densities' quantiles
+    for rv1 in (uniform_rv(), density_rv(PowerAtOne(0.3))):
+        with pytest.raises(RepresentationError):
+            diff_abs(rv1, density_rv(PowerAtOne(0.5)))
+
+
+def test_diff_abs_affine_minus_affine_constant():
+    u = uniform_rv()
+    d = diff_abs(u.shifted(0.01), u)
+    assert len(d.canonical_pieces()) == 1
+    assert cdf(d).atoms == ((0.01, 1.0),)
+    assert cdf(d).segments == ()
+
+
+def test_diff_abs_reflection():
+    # X = omega, X_n = 1 - omega: same law, but |X_n - X| = |1 - 2 omega|
+    u = uniform_rv()
+    d = diff_abs(u, u.scaled(-1.0).shifted(1.0))
+    for w in (0.01, 0.2, 0.4999, 0.5, 0.75, 0.99):
+        assert abs(d(w) - abs(1.0 - 2.0 * w)) < 1e-15
+    c = cdf(d)
+    assert c.jump_points == ()
+    for x in (0.0, 0.1, 0.4, 0.8, 1.0):
+        assert abs(c(x) - x) < 1e-15
+    mean, _ = expectation(d, lambda v: v)
+    assert abs(mean - 0.5) < 1e-12
+    # |1 - 2 omega| is uniform, so E[D 1{D < 0.4}] = 0.4^2 / 2
+    assert abs(truncated_abs_moment(d, 0.4) - 0.08) < 1e-15
 
 
 def test_expectation_joint_matches_diff_abs():
@@ -239,35 +266,88 @@ def test_truncated_abs_moment_two_atoms(split, v1, v2, eps):
     assert abs(got - want) < 1e-12
 
 
+def quad_truncated(value, eps, breaks):
+    """Oracle for E[V 1{V < eps}]: quadrature over omega of V(omega), split
+    at the omegas where V crosses eps or changes slope."""
+    points = [w for w in breaks if 0.0 < w < 1.0]
+    val, _ = quad(lambda w: value(w) if value(w) < eps else 0.0, 0.0, 1.0,
+                  epsabs=1e-12, epsrel=0.0, limit=200, points=points or None)
+    return val
+
+
 @given(eps=st.floats(0.02, 1.5))
 @settings(max_examples=80, deadline=None)
 def test_truncated_abs_moment_affine_vs_quadrature(eps):
     d = diff_abs(uniform_rv(), constant_rv(0.5))
     got = truncated_abs_moment(d, eps)
-    want, _ = expectation(
-        d, lambda v: v if v < eps else 0.0, tol=1e-10, value_breaks=(eps,)
-    )
+    want = quad_truncated(lambda w: abs(w - 0.5), eps, (0.5 - eps, 0.5, 0.5 + eps))
     assert abs(got - want) < 1e-9
 
 
 def test_truncated_abs_moment_quantile_piece():
-    base = density_rv(PowerAtOne(0.5))
-    d = diff_abs(base, constant_rv(0.0))  # |X| = X
+    dens = PowerAtOne(0.5)
+    d = diff_abs(density_rv(dens), constant_rv(0.0))  # |X| = X
     got = truncated_abs_moment(d, 0.5)
-    want, _ = expectation(
-        base, lambda v: v if v < 0.5 else 0.0, tol=1e-10, value_breaks=(0.5,)
-    )
+    want = quad_truncated(dens.quantile, 0.5, (dens.cdf(0.5),))
     assert abs(got - want) < 1e-8
     with pytest.raises(ParameterError):
         truncated_abs_moment(d, 0.0)
 
 
-def test_expectation_value_breaks_indicator():
-    u = uniform_rv()
-    val, _ = expectation(
-        u, lambda v: 1.0 if v >= 0.3 else 0.0, tol=1e-10, value_breaks=(0.3,)
-    )
-    assert abs(val - 0.7) < 1e-9
+def reference_cdf(rv, x):
+    """P(X <= x) with constant, affine and quantile pieces kept apart: an
+    affine piece is inverted in omega directly, a quantile piece through its
+    density's CDF."""
+    atoms, below = {}, []
+    ps, pf = rv.post_scale, rv.post_shift
+    for p in rv.pieces:
+        e, mass = p.expr, p.hi - p.lo
+        if isinstance(e, Constant):
+            a, b = 0.0, ps * (p.scale * e.value + p.shift) + pf
+        elif isinstance(e, AffineInOmega):
+            a = ps * p.scale * e.slope
+            b = ps * (p.scale * e.intercept + p.shift) + pf
+        else:
+            a, b = ps * p.scale, ps * p.shift + pf
+        if a == 0.0:
+            atoms[b] = atoms.get(b, 0.0) + mass
+            continue
+        w = (x - b) / a
+        if isinstance(e, QuantileOfDensity):
+            w = e.density.cdf(w)
+        if a > 0:
+            below.append(min(max(w - p.lo, 0.0), mass))
+        else:
+            below.append(min(max(p.hi - w, 0.0), mass))
+    total = sum(m for ax, m in sorted(atoms.items()) if ax <= x)
+    total += sum(below)
+    return min(total, 1.0)
+
+
+finite = st.floats(-3.0, 3.0)
+piece_exprs = st.one_of(
+    st.builds(Constant, finite),
+    st.builds(AffineInOmega, finite, finite),
+    st.builds(QuantileOfDensity, st.builds(PowerAtOne, st.floats(0.05, 0.95))),
+)
+
+
+@st.composite
+def piecewise_rvs(draw):
+    cuts = draw(st.lists(st.sampled_from([k / 16.0 for k in range(1, 16)]),
+                         max_size=4, unique=True))
+    bounds = [0.0] + sorted(cuts) + [1.0]
+    pieces = tuple(Piece(lo, hi, draw(piece_exprs), draw(finite), draw(finite))
+                   for lo, hi in zip(bounds, bounds[1:]))
+    return RandomVariable(pieces, draw(finite), draw(finite))
+
+
+@given(rv=piecewise_rvs(), xs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_cdf_matches_two_kind_reference(rv, xs):
+    c = cdf(rv)
+    for x in xs + [rv(w) for w in (0.03, 0.5, 0.97)]:
+        assert c(x) == reference_cdf(rv, x)
 
 
 def test_cdf_mass_check():
