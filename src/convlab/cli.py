@@ -101,15 +101,18 @@ def _dump_terms(path, family, modes, count):
     """Per-term CSV: mode, probe, n, term.  Deterministic ordering."""
     import csv
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "probe", "n", "term"])
-        for mode, tag, params in modes:
-            for probe in probes_for(tag, params):
-                vals = probe_source(family, tag, probe, params).terms(1, count + 1)
-                key = probe_key(probe)
-                for n, v in enumerate(vals, start=1):
-                    writer.writerow([mode, key, n, repr(float(v))])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["mode", "probe", "n", "term"])
+            for mode, tag, params in modes:
+                for probe in probes_for(tag, params):
+                    vals = probe_source(family, tag, probe, params).terms(1, count + 1)
+                    key = probe_key(probe)
+                    for n, v in enumerate(vals, start=1):
+                        writer.writerow([mode, key, n, repr(float(v))])
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_diagnose(args):

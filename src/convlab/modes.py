@@ -11,6 +11,7 @@ for a universal mode requires the family's analytic certification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -102,6 +103,11 @@ class ModeParams:
     omega_points: tuple = field(default_factory=default_omega_points)
 
     def __post_init__(self):
+        for name, values in (("epsilons", self.epsilons), ("p", (self.p,)),
+                             ("alpha", (self.alpha,)), ("t_points", self.t_points),
+                             ("x_points", self.x_points)):
+            if not all(math.isfinite(v) for v in values):
+                raise ParameterError(f"{name} must be finite, got {values!r}")
         if any(e <= 0 for e in self.epsilons) or self.p <= 0 or self.alpha <= 0:
             raise ParameterError("epsilons, p and alpha must be positive")
         for w in self.omega_points:

@@ -516,22 +516,25 @@ def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -
 def load_terms_csv(path):
     """Read a term stream: one nonnegative decimal per line, header optional."""
     values = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            cell = row[0].strip()
-            try:
-                v = float(cell)
-            except ValueError:
-                if lineno == 1:  # tolerate a single header line
+    try:
+        with open(path, newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or not row[0].strip():
                     continue
-                raise ParameterError(f"line {lineno}: not a number: {cell!r}")
-            if not math.isfinite(v):
-                raise ParameterError(f"line {lineno}: non-finite term {cell!r}")
-            if v < 0:
-                raise ParameterError(f"line {lineno}: negative term {v}")
-            values.append(v)
+                cell = row[0].strip()
+                try:
+                    v = float(cell)
+                except ValueError:
+                    if lineno == 1:  # tolerate a single header line
+                        continue
+                    raise ParameterError(f"line {lineno}: not a number: {cell!r}")
+                if not math.isfinite(v):
+                    raise ParameterError(f"line {lineno}: non-finite term {cell!r}")
+                if v < 0:
+                    raise ParameterError(f"line {lineno}: negative term {v}")
+                values.append(v)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from exc
     if not values:
         raise ParameterError(f"no terms found in {path}")
     return TermSource.from_values(values)

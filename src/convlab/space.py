@@ -7,13 +7,17 @@ a declared density, optionally wrapped in a per-piece affine transform, with
 one more affine transform applied to the whole variable.  Since omega is the
 quantile of the uniform density, every piece is stored as A*Q(omega) + B with
 Q a density's quantile, and A = 0 for a constant.  This class of functions is
-closed under shifts, scaling and absolute differences, so CDFs and essential
-suprema come out exact and expectations reduce to atom sums plus
-one-dimensional quadrature of smooth integrands.
+closed under shifts, scaling and absolute differences, so CDFs, essential
+suprema, truncated first moments and characteristic functions come out in
+closed form: each density declares the antiderivative of its quantile and
+the characteristic integral of its pieces.  Only general expectations
+E[g(X)] reduce to atom sums plus one-dimensional quadrature of smooth
+integrands, and only they load scipy.integrate.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -21,6 +25,14 @@ from dataclasses import dataclass
 from .errors import AccuracyError, ParameterError, RepresentationError
 
 _MASS_TOL = 1e-9
+# characteristic integrals of power pieces: a power series while |s*b| stays
+# within _SERIES_RADIUS (its terms peak near e^|s*b|, so rounding grows with
+# the radius), a continued fraction beyond it (under 60 steps from the radius
+# on); both stop once the next step is below _ITER_EPS and give up after
+# _MAX_ITER steps
+_SERIES_RADIUS = 4.0
+_ITER_EPS = 1e-16
+_MAX_ITER = 100
 
 
 def quad(*args, **kwargs):
@@ -78,6 +90,84 @@ class PowerAtOne:
         q = 1.0 / (1.0 - self.alpha)
         return w + (1.0 - w) ** (q + 1.0) / (q + 1.0)
 
+    def char_integral(self, lo, hi, A, B, t):
+        """The integral of exp(i*t*(A*Q(w) + B)) over [lo, hi), A != 0, with
+        a bound on its truncation error.
+
+        With a = 1 - alpha and u = (1-w)^(1/a), Q = 1 - u and
+        dw = -a*u^(-alpha) du, so the integral is
+        exp(i*t*(A + B)) * (H(1 - lo) - H(1 - hi)), where H is
+        _power_char_primitive with s = t*A.
+        """
+        a = 1.0 - self.alpha
+        h_lo, e_lo = _power_char_primitive(a, t * A, 1.0 - lo)
+        h_hi, e_hi = _power_char_primitive(a, t * A, 1.0 - hi)
+        phase = t * (A + B)
+        return complex(math.cos(phase), math.sin(phase)) * (h_lo - h_hi), e_lo + e_hi
+
+
+def _power_char_primitive(a, s, v):
+    """H(v) = a * int_0^b exp(-i*s*u) * u^(a-1) du with b = v^(1/a), for
+    0 < a <= 1 and 0 <= v <= 1, with a bound on its truncation error.
+
+    Within |s|*b <= _SERIES_RADIUS, expand the exponential:
+    H = v * (1 + a * sum_{k>=1} (-i*s*b)^k / (k! * (k + a))).  Beyond it,
+    rotate the path onto the imaginary axis:
+    H = (i*s)^(-a) * (Gamma(a + 1) - a * Gamma(a, i*s*b)).  Negative s gives
+    the complex conjugate of |s|.
+    """
+    if v <= 0.0:
+        return 0j, 0.0
+    y = abs(s) * v ** (1.0 / a)
+    if y <= _SERIES_RADIUS:
+        term = 1.0 + 0j
+        acc = 0j
+        for k in range(1, _MAX_ITER + 1):
+            term *= complex(0.0, -y / k)
+            inc = term / (k + a)
+            acc += inc
+            if a * abs(inc) <= _ITER_EPS:
+                err = 0.0
+                break
+        else:
+            err = v * a * abs(inc)
+        h = v * (1.0 + a * acc)
+    else:
+        g, g_err = _upper_gamma(a, complex(0.0, y))
+        scale = cmath.exp(-a * cmath.log(complex(0.0, abs(s))))
+        h = scale * (math.gamma(a + 1.0) - a * g)
+        err = abs(scale) * a * g_err
+    return (h if s > 0.0 else h.conjugate()), err
+
+
+def _upper_gamma(a, z):
+    """Gamma(a, z) for Re z >= 0 away from 0, with a bound on its truncation
+    error, from Legendre's continued fraction
+    e^-z z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...)))
+    evaluated by the modified Lentz method."""
+    tiny = 1e-300
+    b = z + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    frac = d
+    for i in range(1, _MAX_ITER + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if d != 0.0 else tiny)
+        c = b + an / c
+        if c == 0.0:
+            c = tiny
+        delta = d * c
+        frac *= delta
+        if abs(delta - 1.0) <= _ITER_EPS:
+            err = 0.0
+            break
+    else:
+        err = abs(frac * (delta - 1.0))
+    prefactor = cmath.exp(-z) * cmath.exp(a * cmath.log(z))
+    return prefactor * frac, abs(prefactor) * err
+
 
 @dataclass(frozen=True)
 class Uniform:
@@ -91,6 +181,16 @@ class Uniform:
 
     def quantile_antiderivative(self, w):
         return 0.5 * w * w
+
+    def char_integral(self, lo, hi, A, B, t):
+        """The integral of exp(i*t*(A*w + B)) over [lo, hi), exact:
+        (hi - lo) * sinc(h) * exp(i*t*(A*mid + B)) with h = t*A*(hi - lo)/2;
+        a constant piece has A = 0, so its value is the exact atom term."""
+        m = hi - lo
+        h = 0.5 * t * A * m
+        sinc = math.sin(h) / h if h != 0.0 else 1.0
+        phase = t * (A * 0.5 * (lo + hi) + B)
+        return complex(m * sinc * math.cos(phase), m * sinc * math.sin(phase)), 0.0
 
 
 UNIFORM = Uniform()
@@ -126,7 +226,7 @@ class Piece:
 @dataclass(frozen=True)
 class _CanonPiece:
     """Piece with all affine wrapping folded in: value = A*Q(w) + B with Q
-    the quantile of dens; A = 0 is a constant piece."""
+    the quantile of dens; A = 0 is a constant piece, stored as uniform."""
 
     lo: float
     hi: float
@@ -181,7 +281,7 @@ class RandomVariable:
         if isinstance(p.expr, QuantileOfDensity):
             a = ps * p.scale
             b = ps * p.shift + pf
-            return _CanonPiece(p.lo, p.hi, a, b, p.expr.density)
+            return _CanonPiece(p.lo, p.hi, a, b, p.expr.density if a != 0.0 else UNIFORM)
         raise RepresentationError(f"unknown piece expression {p.expr!r}")
 
     def canonical_pieces(self):
@@ -362,49 +462,31 @@ def sup_norm(rv):
 
 
 def char_fn(rv, t, tol=1e-10):
-    """E[exp(i*t*X)]: exact sums over constant and affine pieces plus
-    oscillation-aware quadrature of the real and imaginary parts on pieces
-    of other densities."""
+    """E[exp(i*t*X)], exact: the sum over pieces of each density's
+    characteristic integral (closed form for constant and affine pieces,
+    convergent expansions for power pieces; no quadrature).  Raises
+    ParameterError for a non-finite t or phase t*X and AccuracyError if an
+    expansion stops short of convergence by more than tol."""
     t = float(t)
+    if not math.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t}")
     if t == 0.0:
         return complex(1.0, 0.0)
-    re = 0.0
-    im = 0.0
+    total = 0j
     err = 0.0
-
-    def closed_form(cp):
-        return cp.A == 0.0 or cp.dens == UNIFORM
-
-    quad_pieces = [cp for cp in rv.canonical_pieces() if not closed_form(cp)]
     for cp in rv.canonical_pieces():
-        if closed_form(cp):
-            # the integral of exp(i*t*(A*w + B)) over [lo, hi) is
-            # (hi - lo) * sinc(h) * exp(i*t*(A*mid + B)), h = t*A*(hi - lo)/2;
-            # constant pieces have A = 0, so theirs is the exact atom term
-            m = cp.hi - cp.lo
-            h = 0.5 * t * cp.A * m
-            sinc = math.sin(h) / h if h != 0.0 else 1.0
-            phase = t * (cp.A * 0.5 * (cp.lo + cp.hi) + cp.B)
-            re += m * sinc * math.cos(phase)
-            im += m * sinc * math.sin(phase)
-            continue
-        # subdivision budget grows with the oscillation count on the piece
-        lim = 50 + int(10.0 * abs(t) * (cp.hi - cp.lo))
-        epsabs = tol / max(1, 2 * len(quad_pieces))
-        vr, er = quad(lambda w, cp=cp: math.cos(t * cp.value(w)),
-                      cp.lo, cp.hi, epsabs=epsabs, epsrel=0.0, limit=lim)
-        vi, ei = quad(lambda w, cp=cp: math.sin(t * cp.value(w)),
-                      cp.lo, cp.hi, epsabs=epsabs, epsrel=0.0, limit=lim)
-        re += vr
-        im += vi
-        err += er + ei
+        if not math.isfinite(t * (abs(cp.A) + abs(cp.B))):
+            raise ParameterError(f"t*X overflows at t={t}")
+        val, e = cp.dens.char_integral(cp.lo, cp.hi, cp.A, cp.B, t)
+        total += val
+        err += e
     if err > tol:
         raise AccuracyError(
-            f"quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
-            estimate=complex(re, im),
+            f"characteristic function error {err:.3e} exceeds tolerance {tol:.3e}",
+            estimate=total,
             error=err,
         )
-    return complex(re, im)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Command-line front end: subcommands, exit codes, output stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convlab.cli as cli
 from convlab.errors import AccuracyError
+from convlab.registry import NODES
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -124,15 +129,20 @@ def test_cold_start_without_quadrature_skips_scipy(tmp_path):
         main + f"assert main(['series', '--input', {str(path)!r}]) == 0",
         main + "assert main(['diagnose', '--family', 'shift_uniform', "
                "'--beta', '2']) == 0",
+        main + "assert main(['diagnose', '--family', 'ex32', '--alpha', '0.5', "
+               "'--beta', '2']) == 0",
+        main + "assert main(['matrix']) == 0",
     ):
         assert not _scipy_integrate_loaded(statement), statement
 
 
-def test_quantile_char_fn_loads_scipy_on_demand():
+def test_generic_expectation_loads_scipy_on_demand():
+    # E[X] = 1/(2 - alpha) for the density (1-alpha)(1-u)^(-alpha)
     assert _scipy_integrate_loaded(
-        "from convlab.cli import main\n"
-        "assert main(['diagnose', '--family', 'ex32', '--alpha', '0.5', "
-        "'--beta', '2', '--modes', 's3d']) == 0")
+        "from convlab import space\n"
+        "rv = space.density_rv(space.PowerAtOne(0.5))\n"
+        "mean, err = space.expectation(rv, lambda x: x)\n"
+        "assert abs(mean - 2.0 / 3.0) < 1e-10, mean")
 
 
 def test_matrix_clean_exit_0(capsys):
@@ -193,6 +203,62 @@ def test_series_non_finite_exit_2(capsys, tmp_path, body):
     assert out == ""
     assert "line 2: non-finite term" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_series_unreadable_input_exit_2(capsys, tmp_path, kind):
+    path = {"missing": tmp_path / "absent.csv", "directory": tmp_path,
+            "binary": tmp_path / "blob.csv"}[kind]
+    if kind == "binary":
+        path.write_bytes(bytes(range(256)) * 4)
+    code, out, err = run(capsys, "series", "--input", str(path))
+    assert code == cli.EXIT_PARAMETER
+    assert out == ""
+    assert f"cannot read {path}" in err
+
+
+def test_dump_terms_unwritable_exit_2(capsys, tmp_path):
+    path = tmp_path / "absent" / "terms.csv"
+    code, out, err = run(capsys, "diagnose", "--family", "const", "--modes", "cc",
+                         "--dump-terms", str(path))
+    assert code == cli.EXIT_PARAMETER
+    assert out == ""
+    assert f"cannot write {path}" in err
+
+
+# parameter values at and beyond the edges of each family's domain
+_ALPHAS = st.one_of(
+    st.sampled_from((5e-324, 1e-300, 1e-16, 1.0 - 2.0 ** -53, 1.0 - 1e-12, 1.0,
+                     0.0, -1.0, 1e300)),
+    st.floats(-1.0, 3.0), st.floats(1e-300, 1e300))
+_BETAS = st.one_of(
+    st.sampled_from((1.0, 1.0 + 2.0 ** -52, 1.0 + 1e-12, 1e10, 1e300, 0.5,
+                     -1e300)),
+    st.floats(0.0, 10.0), st.floats(1.0, 1e300))
+_FAMILY_PARAMS = {"ex31": {"alpha": _ALPHAS}, "ex32": {"alpha": _ALPHAS, "beta": _BETAS},
+                  "ex33": {}, "shift_uniform": {"beta": _BETAS},
+                  "const": {"c": st.floats(-1e308, 1e308)}}
+
+
+@st.composite
+def _family_argv(draw):
+    kind = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
+    argv = ["--family", kind]
+    for name, values in _FAMILY_PARAMS[kind].items():
+        # "--alpha=-1.0": argparse would read a bare "-1.0" as an option
+        argv.append(f"--{name}={draw(values)!r}")
+    return argv
+
+
+@given(family=_family_argv(), modes=st.sets(st.sampled_from(NODES)))
+@settings(max_examples=100, deadline=None)
+def test_diagnose_fuzzed_family_parameters_exit_cleanly(family, modes):
+    argv = ["diagnose", *family, "--modes", ",".join(sorted(modes | {"s3d"})),
+            "--n-max", "4096", "--format", "json"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
 
 
 def test_diagnose_huge_exponent_no_overflow(capsys):

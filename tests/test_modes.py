@@ -5,6 +5,8 @@ registry family ships must agree with the generic representation-exact
 generator (quadrature/CDF route) at small indices.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from convlab.modes import (ALL_MODES, LIMIT_MODES, SERIES_MODES,
                            term_s1star, term_s2d, term_s3d, term_sa_as,
                            term_slinf, term_slp, term_trunc_l1,
                            van_der_corput)
-from convlab.registry import NODE_MODES, NODES, default_registry
+from convlab.registry import NODE_MODES, NODES, default_registry, ex32
 from convlab.series import EnginePolicy
 
 CROSS_CHECK_NS = (1, 2, 3, 5, 12, 40)
@@ -41,6 +43,20 @@ def test_mode_params_validation():
         ModeParams(p=0.0)
     with pytest.raises(ParameterError):
         ModeParams(omega_points=(0.5, 1.5))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"t_points": (math.nan,)},
+    {"t_points": (math.inf,)},
+    {"epsilons": (math.nan,)},
+    {"p": math.inf},
+    {"alpha": math.nan},
+    {"x_points": (0.5, -math.inf)},
+], ids=["t-nan", "t-inf", "eps-nan", "p-inf", "alpha-nan", "x-minus-inf"])
+def test_mode_params_rejects_non_finite(overrides):
+    fam = ex32(0.5, 2.0)
+    with pytest.raises(ParameterError, match="must be finite"):
+        ModeParams.defaults(fam, **overrides)
 
 
 def test_unknown_mode_rejected():

@@ -110,8 +110,80 @@ def test_mixed_char_fn_vs_quadrature_oracle(monkeypatch, t):
     monkeypatch.setattr(space, "quad", counting_quad)
     tol = 1e-9
     assert abs(char_fn(rv, t, tol=tol) - oracle) <= tol
-    # only the quantile piece is integrated, once per real and imaginary part
-    assert calls == [(0.6, 1.0), (0.6, 1.0)]
+    # every piece, the power-density one included, is summed without quadrature
+    assert calls == []
+
+
+def _power_piece_oracle(alpha, lo, hi, A, B, t):
+    """Quadrature of exp(i*t*(A*Q(w) + B)) over [lo, hi) for the PowerAtOne
+    quantile Q, in v = u^a = 1 - w (a = 1 - alpha, u = 1 - Q): there
+    Q = 1 - v^(1/a) is smooth, so the density's singularity never reaches
+    the integrand."""
+    a = 1.0 - alpha
+    limit = 200 + int(20.0 * abs(t * A))
+
+    def part(f):
+        val, _ = quad(lambda v: f(t * (A * (1.0 - v ** (1.0 / a)) + B)),
+                      1.0 - hi, 1.0 - lo, epsabs=1e-13, epsrel=0.0, limit=limit)
+        return val
+
+    return complex(part(math.cos), part(math.sin))
+
+
+@given(
+    alpha=st.floats(0.01, 0.99),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(
+        lambda e: abs(e[0] - e[1]) > 1e-9),
+    scale=st.floats(0.01, 10.0),
+    negative_scale=st.booleans(),
+    shift=st.floats(-5.0, 5.0),
+    t=st.floats(1e-9, 200.0),
+    negative_t=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_power_char_fn_vs_quadrature_oracle(alpha, ends, scale, negative_scale,
+                                            shift, t, negative_t):
+    lo, hi = sorted(ends)
+    A = -scale if negative_scale else scale
+    t = -t if negative_t else t
+    pieces = [Piece(lo, hi, QuantileOfDensity(PowerAtOne(alpha)), scale=A,
+                    shift=shift)]
+    if lo > 0.0:
+        pieces.insert(0, Piece(0.0, lo, Constant(0.0)))
+    if hi < 1.0:
+        pieces.append(Piece(hi, 1.0, Constant(0.0)))
+    # the zero atoms add their mass exactly
+    oracle = _power_piece_oracle(alpha, lo, hi, A, shift, t) + lo + (1.0 - hi)
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("char_fn needs no quadrature")
+
+    tol = 1e-10
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space, "quad", no_quad)
+        assert abs(char_fn(RandomVariable(tuple(pieces)), t, tol=tol) - oracle) <= tol
+
+
+@pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+def test_char_fn_rejects_non_finite_t(t):
+    with pytest.raises(ParameterError):
+        char_fn(density_rv(PowerAtOne(0.5)), t)
+
+
+@pytest.mark.parametrize("rv", [density_rv(PowerAtOne(0.5)).scaled(10.0),
+                                uniform_rv().scaled(10.0), constant_rv(1e308)],
+                         ids=["power", "affine", "constant"])
+def test_char_fn_rejects_overflowing_phase(rv):
+    with pytest.raises(ParameterError, match="overflows"):
+        char_fn(rv, 1e308)
+
+
+@pytest.mark.parametrize("t", (5.0, 50.0), ids=["series", "continued-fraction"])
+def test_char_fn_unconverged_expansion_raises(monkeypatch, t):
+    # two steps reach neither the series' nor the fraction's stopping rule
+    monkeypatch.setattr(space, "_MAX_ITER", 2)
+    with pytest.raises(AccuracyError):
+        char_fn(density_rv(PowerAtOne(0.5)), t)
 
 
 def test_power_at_one_validation():
