@@ -15,6 +15,7 @@ CONVLAB_NMAX overrides the engine's n_max (same effect as --n-max).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -97,20 +98,19 @@ def _family_from_args(args):
     return build_family(args.family, **params)
 
 
-def _dump_terms(path, family, modes, count):
+def _dump_terms(fh, path, family, modes, count):
     """Per-term CSV: mode, probe, n, term.  Deterministic ordering."""
     import csv
 
     try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mode", "probe", "n", "term"])
-            for mode, tag, params in modes:
-                for probe in probes_for(tag, params):
-                    vals = probe_source(family, tag, probe, params).terms(1, count + 1)
-                    key = probe_key(probe)
-                    for n, v in enumerate(vals, start=1):
-                        writer.writerow([mode, key, n, repr(float(v))])
+        writer = csv.writer(fh)
+        writer.writerow(["mode", "probe", "n", "term"])
+        for mode, tag, params in modes:
+            for probe in probes_for(tag, params):
+                vals = probe_source(family, tag, probe, params).terms(1, count + 1)
+                key = probe_key(probe)
+                for n, v in enumerate(vals, start=1):
+                    writer.writerow([mode, key, n, repr(float(v))])
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 
@@ -121,19 +121,27 @@ def cmd_diagnose(args):
     family = _family_from_args(args)
     policy = _policy_from(args)
     modes = args.modes.split(",") if args.modes else list(ALL_MODES)
+    # open the dump file first, so an unwritable path fails before any work
+    dump = contextlib.nullcontext()
+    if args.dump_terms:
+        try:
+            dump = open(args.dump_terms, "w", newline="")
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.dump_terms}: {exc}") from exc
     reports = []
     dump_specs = []
-    for mode in modes:
-        # tolerate hyphenated spellings like "s-linf"
-        mode = mode.strip().lower().replace("-", "")
-        tag, overrides = NODE_MODES.get(mode, (mode, {}))
-        params = ModeParams.defaults(family, **overrides)
-        rep = check_mode(family, tag, params, policy)
-        rep.mode = mode
-        reports.append(rep)
-        dump_specs.append((mode, tag, params))
-    if args.dump_terms:
-        _dump_terms(args.dump_terms, family, dump_specs, args.dump_count)
+    with dump as fh:
+        for mode in modes:
+            # tolerate hyphenated spellings like "s-linf"
+            mode = mode.strip().lower().replace("-", "")
+            tag, overrides = NODE_MODES.get(mode, (mode, {}))
+            params = ModeParams.defaults(family, **overrides)
+            rep = check_mode(family, tag, params, policy)
+            rep.mode = mode
+            reports.append(rep)
+            dump_specs.append((mode, tag, params))
+        if fh is not None:
+            _dump_terms(fh, args.dump_terms, family, dump_specs, args.dump_count)
     payload = {
         "schema_version": 1,
         "family": family.describe(),

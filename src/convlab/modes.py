@@ -123,7 +123,10 @@ class ModeParams:
         if family.meta.x_probes is not None:
             cands = list(family.meta.x_probes)
         elif hi - lo < 1e-9:
-            cands = [lo + (k - 4.5) * 0.1 for k in range(10)]
+            # spacing 0.1, or 4 ulps of a point mass too large to resolve it
+            step = 0.1 if math.ulp(lo) <= 0.125 else 4.0 * math.ulp(lo)
+            cands = [x for x in (lo + (k - 4.5) * step for k in range(10))
+                     if math.isfinite(x)]
         else:
             cands = [lo + (hi - lo) * k / 10.0 for k in range(1, 10)]
         xs = tuple(x for x in cands if all(abs(x - j) > 1e-9 for j in jumps))[:9]

@@ -37,37 +37,41 @@ def _zero(start=1):
     return AnalyticHint("eventually_zero", start=int(start))
 
 
-def _const(level):
-    return AnalyticHint("eventually_constant", level=float(level))
-
-
 def _require_finite(kind, **params):
     for name, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ParameterError(f"{kind} parameter {name} must be finite, got {value}")
 
 
-def _vec(gen, hint=None):
-    return TermSource(gen, hint=hint)
-
-
 def _zeros_source(start=1):
-    return _vec(lambda ns: np.zeros(len(ns)), hint=_zero(start))
+    return TermSource(lambda ns: np.zeros(len(ns)), hint=_zero(start))
 
 
 # ---------------------------------------------------------------------------
-# Two-atom families: X_n = v1 on (0, n^-r), v2(n) on [n^-r, 1); limit 0.
+# Two-atom families: X_n = 1 on (0, n^-r), n^-q on [n^-r, 1); limit 0.
 
 
-def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
+def _two_atom_source_factory(r, q):
     """Vectorized term formulas for a two-atom family.
 
-    r: decay exponent of the first atom's mass n^-r; v2_of: vectorized value
-    of the second atom; q: its decay exponent (math.inf when v2 is
-    identically the limit value)."""
+    r: decay exponent of the first atom's mass n^-r; q: decay exponent of
+    the second atom's value n^-q (math.inf when it is identically 0).  Each
+    term is mean(g) = E g(X_n), or gap(g) = |E g(X_n) - g(0)|, for a g fixed
+    by the mode and probe."""
 
     def m1_of(nsf):
         return np.minimum(nsf**-r, 1.0)
+
+    def v2_of(nsf):  # n^-inf is 0 for every n, but pow gives 1 ** -inf = 1
+        return np.zeros(len(nsf)) if math.isinf(q) else nsf**-q
+
+    def mean(g, ns):
+        nsf = ns.astype(float)
+        m1 = m1_of(nsf)
+        return m1 * g(1.0) + (1.0 - m1) * g(v2_of(nsf))
+
+    def gap(g, ns):
+        return np.abs(mean(g, ns) - g(0.0))
 
     def source(mode, probe, params):
         axis, val = probe
@@ -75,117 +79,98 @@ def _two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
 
         if term == "tail":
             eps = float(val)
-            if eps > v1:
+            if eps > 1.0:
                 return _zeros_source()
-
-            def gen(ns, eps=eps):
-                nsf = ns.astype(float)
-                m1 = m1_of(nsf)
-                return m1 * (v1 >= eps) + (1.0 - m1) * (np.abs(v2_of(nsf) - c) >= eps)
-
-            return _vec(gen, hint=_power(r, constant=1.0))
+            return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns),
+                              hint=_power(r, constant=1.0))
 
         if term == "moment":
             p = float(val)
-
-            def gen(ns, p=p):
-                nsf = ns.astype(float)
-                m1 = m1_of(nsf)
-                return m1 * abs(v1 - c) ** p + (1.0 - m1) * np.abs(v2_of(nsf) - c) ** p
-
-            exp = r if math.isinf(q) else min(r, p * q)
-            return _vec(gen, hint=_power(exp))
+            return TermSource(lambda ns: mean(lambda v: np.abs(v) ** p, ns),
+                              hint=_power(min(r, p * q)))
 
         if term == "sup":
+            return TermSource(lambda ns: np.maximum(1.0, v2_of(ns.astype(float))),
+                              hint=AnalyticHint("eventually_constant", level=1.0))
 
-            def gen(ns):
-                nsf = ns.astype(float)
-                return np.maximum(
-                    np.full(len(ns), abs(v1 - c)), np.abs(v2_of(nsf) - c)
-                )
+        if term == "expect_gap":
+            return TermSource(lambda ns: gap(val, ns))
 
-            return _vec(gen, hint=_const(abs(v1 - c)))
-
-        if term in ("expect_gap", "coupled_gap"):
-            f = val
-
-            def gen_s1d(ns, f=f):
-                nsf = ns.astype(float)
-                m1 = m1_of(nsf)
-                return np.abs(m1 * f(v1) + (1.0 - m1) * f(v2_of(nsf)) - f(c))
-
-            def gen_s1star(ns, f=f):
-                nsf = ns.astype(float)
-                m1 = m1_of(nsf)
-                return m1 * abs(float(f(v1)) - float(f(c))) + (1.0 - m1) * np.abs(
-                    f(v2_of(nsf)) - f(c)
-                )
-
-            return _vec(gen_s1star if term == "coupled_gap" else gen_s1d)
+        if term == "coupled_gap":
+            return TermSource(lambda ns: mean(lambda v: np.abs(val(v) - val(0.0)), ns))
 
         if term == "cdf_gap":
             x = float(val)
-            if x >= max(v1, c) or x < min(c, 0.0):
+            if x >= 1.0 or x < 0.0:
                 return _zeros_source()
-
-            def gen(ns, x=x):
-                nsf = ns.astype(float)
-                m1 = m1_of(nsf)
-                fn = m1 * (v1 <= x) + (1.0 - m1) * (v2_of(nsf) <= x)
-                return np.abs(fn - float(c <= x))
-
-            return _vec(gen, hint=_power(r, constant=1.0))
+            return TermSource(lambda ns: gap(lambda v: v <= x, ns),
+                              hint=_power(r, constant=1.0))
 
         if term == "char_gap":
             t = float(val)
             if t == 0.0:
                 return _zeros_source()
 
-            def gen(ns, t=t):
-                nsf = ns.astype(float)
-                m1 = m1_of(nsf)
-                return np.abs(
-                    m1 * np.exp(1j * t * v1)
-                    + (1.0 - m1) * np.exp(1j * t * v2_of(nsf))
-                    - np.exp(1j * t * c)
-                )
+            def g(v):
+                return np.exp(1j * t * v)
 
-            if math.isinf(q) or abs(np.exp(1j * t * v1) - np.exp(1j * t * c)) < 1e-12:
-                exp = r if math.isinf(q) else q
-            else:
-                exp = min(r, q)
-            return _vec(gen, hint=_power(exp))
+            # at t in 2*pi*Z the first atom drops out of the gap
+            exp = q if abs(g(1.0) - g(0.0)) < 1e-12 and q < math.inf else min(r, q)
+            return TermSource(lambda ns: gap(g, ns), hint=_power(exp))
 
         if term == "pointwise":
             omega = float(val)
             a0 = mode_spec(mode).exponent(params)
 
-            def gen(ns, omega=omega, a0=a0):
+            def gen(ns):
                 nsf = ns.astype(float)
-                vals = np.where(omega < m1_of(nsf), v1, v2_of(nsf))
-                return np.abs(vals - c) ** a0
+                return np.abs(np.where(omega < m1_of(nsf), 1.0, v2_of(nsf))) ** a0
 
             if math.isinf(q):
-                return _vec(gen, hint=_zero(start=math.ceil(omega ** (-1.0 / r))))
-            return _vec(gen, hint=_power(a0 * q))
+                return TermSource(gen, hint=_zero(start=math.ceil(omega ** (-1.0 / r))))
+            return TermSource(gen, hint=_power(a0 * q))
 
         if term == "trunc_l1":
             eps = float(val)
-
-            def gen(ns, eps=eps):
-                nsf = ns.astype(float)
-                m1 = m1_of(nsf)
-                d2 = np.abs(v2_of(nsf) - c)
-                return m1 * abs(v1 - c) * (abs(v1 - c) < eps) + (1.0 - m1) * d2 * (
-                    d2 < eps
-                )
-
-            exp = r if math.isinf(q) else min(r, q)
-            return _vec(gen, hint=_power(exp))
+            return TermSource(lambda ns: mean(lambda v: np.abs(v) * (np.abs(v) < eps),
+                                              ns), hint=_power(min(r, q)))
 
         return None
 
     return source
+
+
+def _two_atom_family(kind, name, params, r, q):
+    """X_n = 1 with mass n^-r, n^-q with the rest; limit 0.
+
+    What the family certifies follows from (r, q): a summable first-atom
+    mass (r > 1) gives cc and s2d; a summable second atom as well (q > 1)
+    gives the summable expectation modes; sa_as needs a summable pointwise
+    series, alpha * q > 1."""
+
+    def member(n):
+        # 1.0 / n, not float(n) ** -1.0: the two differ in the last bit
+        b = 1.0 / float(n) if r == 1.0 else float(n) ** -r
+        if b >= 1.0:
+            return space.constant_rv(1.0)
+        second = space.Constant(float(n) ** -q)
+        return space.RandomVariable((space.Piece(0.0, b, space.Constant(1.0)),
+                                     space.Piece(b, 1.0, second)))
+
+    def certifies(mode, mode_params):
+        if mode in ("as", "prob", "dist"):
+            return True
+        if mode in ("cc", "s2d"):
+            return r > 1.0
+        if mode in ("s1d", "s1star", "s3d"):
+            return r > 1.0 and q > 1.0
+        if mode == "sa_as":
+            return q * mode_params.alpha > 1.0
+        return False
+
+    meta = FamilyMeta(kind=kind, support=(0.0, 1.0), bound=1.0,
+                      term_source=_two_atom_source_factory(r, q), certifies=certifies)
+    return Family(name, params, space.constant_rv(0.0), member, meta)
 
 
 def ex31(alpha):
@@ -195,86 +180,29 @@ def ex31(alpha):
     _require_finite("ex31", alpha=alpha)
     if alpha <= 0:
         raise ParameterError("ex31 needs alpha > 0")
-    q = 1.0 / alpha
-
-    def v2_of(nsf):
-        return nsf**-q
-
-    def member(n):
-        b = float(n) ** -2.0
-        if b >= 1.0:
-            return space.constant_rv(1.0)
-        return space.RandomVariable(
-            (
-                space.Piece(0.0, b, space.Constant(1.0)),
-                space.Piece(b, 1.0, space.Constant(float(n) ** -q)),
-            )
-        )
-
-    def certifies(mode, params):
-        if mode in ("cc", "s2d", "as", "prob", "dist"):
-            return True
-        if mode == "sa_as":
-            return params.alpha > alpha
-        if mode in ("s1d", "s1star", "s3d"):
-            return alpha < 1.0
-        return False
-
-    meta = FamilyMeta(
-        kind="ex31",
-        support=(0.0, 1.0),
-        bound=1.0,
-        term_source=_two_atom_source_factory(2.0, v2_of, q),
-        certifies=certifies,
-    )
-    return Family(f"ex31(alpha={alpha:g})", {"alpha": alpha},
-                  space.constant_rv(0.0), member, meta)
+    return _two_atom_family("ex31", f"ex31(alpha={alpha:g})", {"alpha": alpha},
+                            2.0, 1.0 / alpha)
 
 
 def ex33():
     """Value 1 on (0, 1/n), 0 on [1/n, 1); limit 0.  Strongly almost surely
     convergent of every order, yet no summable distributional mode holds."""
-
-    def v2_of(nsf):
-        return np.zeros(len(nsf))
-
-    def member(n):
-        b = 1.0 / float(n)
-        if b >= 1.0:
-            return space.constant_rv(1.0)
-        return space.RandomVariable(
-            (
-                space.Piece(0.0, b, space.Constant(1.0)),
-                space.Piece(b, 1.0, space.Constant(0.0)),
-            )
-        )
-
-    def certifies(mode, params):
-        return mode in ("sa_as", "as", "prob", "dist")
-
-    meta = FamilyMeta(
-        kind="ex33",
-        support=(0.0, 1.0),
-        bound=1.0,
-        term_source=_two_atom_source_factory(1.0, v2_of, math.inf),
-        certifies=certifies,
-    )
-    return Family("ex33", {}, space.constant_rv(0.0), member, meta)
+    return _two_atom_family("ex33", "ex33", {}, 1.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
-# Shift families: X_n = X + n^-beta.
+# Shift families: X_n = X + n^-beta, X supported on [0, 1].
 
 
-def _shift_source_factory(beta, base_cdf_vec, base_char, base_hi, s2d_hint_exp):
-    """Vectorized term formulas for X_n = X + n^-beta.
+def _shift_source_factory(beta, base_cdf_vec, base_char, holder_at_1):
+    """Vectorized term formulas for X_n = X + n^-beta, X on [0, 1].
 
-    s2d_hint_exp(x) gives the decay exponent of |F(x - s) - F(x)| in s for
-    the base CDF (it degrades at a non-Lipschitz point of F)."""
-    s1_max = 1.0  # largest shift, at n = 1
+    holder_at_1 is the Hölder exponent of the base CDF F at x = 1, so
+    |F(1 - s) - F(1)| decays like s^holder_at_1; F is Lipschitz elsewhere.
+    The largest shift, 1, is at n = 1."""
 
-    def s_of(nsf):
-        return nsf**-beta
+    def s_of(ns):
+        return ns.astype(float) ** -beta
 
     def source(mode, probe, params):
         axis, val = probe
@@ -282,99 +210,73 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, base_hi, s2d_hint_exp):
 
         if term == "tail":
             eps = float(val)
-            start = 1 if eps > s1_max else math.ceil(eps ** (-1.0 / beta))
-            return _vec(
-                lambda ns, eps=eps: (s_of(ns.astype(float)) >= eps) * 1.0,
-                hint=_zero(start=start),
-            )
+            start = 1 if eps > 1.0 else math.ceil(eps ** (-1.0 / beta))
+            return TermSource(lambda ns: (s_of(ns) >= eps) * 1.0,
+                              hint=_zero(start=start))
 
-        if term == "moment":
-            p = float(val)
-            return _vec(
-                lambda ns, p=p: s_of(ns.astype(float)) ** p, hint=_power(beta * p)
-            )
+        if term in ("moment", "pointwise"):
+            k = float(val) if term == "moment" else mode_spec(mode).exponent(params)
+            return TermSource(lambda ns: s_of(ns) ** k, hint=_power(beta * k))
 
         if term == "sup":
-            return _vec(lambda ns: s_of(ns.astype(float)), hint=_power(beta))
-
-        if term == "pointwise":
-            a0 = mode_spec(mode).exponent(params)
-            return _vec(
-                lambda ns, a0=a0: s_of(ns.astype(float)) ** a0,
-                hint=_power(beta * a0),
-            )
+            return TermSource(s_of, hint=_power(beta))
 
         if term == "cdf_gap":
             x = float(val)
             fx = float(base_cdf_vec(np.array([x]))[0])
 
-            def gen(ns, x=x, fx=fx):
-                s = s_of(ns.astype(float))
-                return np.abs(base_cdf_vec(x - s) - fx)
+            def gen(ns):
+                return np.abs(base_cdf_vec(x - s_of(ns)) - fx)
 
             if x <= 0.0:
-                return _vec(gen, hint=_zero())
-            if x > base_hi:
-                gap = x - base_hi
-                start = 1 if gap >= s1_max else math.ceil(gap ** (-1.0 / beta))
-                return _vec(gen, hint=_zero(start=start))
-            return _vec(gen, hint=_power(s2d_hint_exp(x)))
+                return TermSource(gen, hint=_zero())
+            if x > 1.0:
+                gap = x - 1.0
+                start = 1 if gap >= 1.0 else math.ceil(gap ** (-1.0 / beta))
+                return TermSource(gen, hint=_zero(start=start))
+            holder = holder_at_1 if abs(x - 1.0) <= 1e-12 else 1.0
+            return TermSource(gen, hint=_power(holder * beta))
 
         if term == "char_gap":
             t = float(val)
             if t == 0.0:
                 return _zeros_source()
             phi = base_char(t)
-
-            def gen(ns, t=t, phi=phi):
-                s = s_of(ns.astype(float))
-                return np.abs(phi) * np.abs(np.exp(1j * t * s) - 1.0)
-
-            return _vec(gen, hint=_power(beta))
+            return TermSource(
+                lambda ns: np.abs(phi) * np.abs(np.exp(1j * t * s_of(ns)) - 1.0),
+                hint=_power(beta))
 
         if term in ("expect_gap", "coupled_gap"):
             f = val
             if isinstance(f, Sine):
                 phi1 = base_char(1.0)
-                if term == "coupled_gap":
-                    if base_hi + s1_max / 2.0 >= math.pi / 2.0:
-                        return None
 
-                    def gen(ns, phi1=phi1):
-                        s = s_of(ns.astype(float))
-                        return 2.0 * np.sin(s / 2.0) * np.real(
-                            np.exp(1j * s / 2.0) * phi1
-                        )
+                def gen(ns):
+                    s = s_of(ns)
+                    if term == "coupled_gap":
+                        half = np.exp(1j * s / 2.0) * phi1
+                        return 2.0 * np.sin(s / 2.0) * np.real(half)
+                    return np.abs(np.imag((np.exp(1j * s) - 1.0) * phi1))
 
-                else:
-
-                    def gen(ns, phi1=phi1):
-                        s = s_of(ns.astype(float))
-                        return np.abs(np.imag((np.exp(1j * s) - 1.0) * phi1))
-
-                return _vec(gen, hint=_power(beta))
+                return TermSource(gen, hint=_power(beta))
             if isinstance(f, ClampedIdentity):
-                if f.M + f.eps < base_hi + s1_max:
+                if f.M + f.eps < 2.0:
                     return None
-                return _vec(lambda ns: s_of(ns.astype(float)), hint=_power(beta))
+                return TermSource(s_of, hint=_power(beta))
             if isinstance(f, ClampedAffine):
-                reach = max(abs(0.0 - f.x0), abs(base_hi + s1_max - f.x0))
-                if f.K * reach > f.M:
+                if f.K * max(abs(0.0 - f.x0), abs(2.0 - f.x0)) > f.M:
                     return None
-                return _vec(
-                    lambda ns, K=f.K: K * s_of(ns.astype(float)),
-                    hint=_power(beta),
-                )
+                return TermSource(lambda ns: f.K * s_of(ns), hint=_power(beta))
             return None
 
         if term == "trunc_l1":
             eps = float(val)
 
-            def gen(ns, eps=eps):
-                s = s_of(ns.astype(float))
+            def gen(ns):
+                s = s_of(ns)
                 return np.where(s < eps, s, 0.0)
 
-            return _vec(gen, hint=_power(beta))
+            return TermSource(gen, hint=_power(beta))
 
         return None
 
@@ -382,7 +284,11 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, base_hi, s2d_hint_exp):
 
 
 def _shift_family(name, kind, params, base_rv, base_cdf_vec, beta,
-                  s2d_hint_exp, s2d_certified, base_hi=1.0, x_probes=None):
+                  holder_at_1, x_probes=None):
+    """X_n = base_rv + n^-beta for a base variable on [0, 1] whose CDF is
+    Lipschitz except at x = 1, where its Hölder exponent is holder_at_1.
+    The CDF-gap series at 1 then decays like n^-(holder_at_1 * beta), which
+    decides s2d."""
     if beta <= 1:
         raise ParameterError("shift family needs beta > 1 for a summable shift")
 
@@ -395,16 +301,16 @@ def _shift_family(name, kind, params, base_rv, base_cdf_vec, beta,
         if mode == "sa_as":
             return beta * mode_params.alpha > 1.0
         if mode == "s2d":
-            return s2d_certified
+            return holder_at_1 * beta > 1.0
         return False
 
     meta = FamilyMeta(
         kind=kind,
-        support=(0.0, base_hi),
-        bound=base_hi + 1.0,
+        support=(0.0, 1.0),
+        bound=2.0,
         # base_rv is the limit, so the family (bound below) caches its char_fn
         term_source=_shift_source_factory(
-            beta, base_cdf_vec, lambda t: family.limit_char(t), base_hi, s2d_hint_exp
+            beta, base_cdf_vec, lambda t: family.limit_char(t), holder_at_1
         ),
         certifies=certifies,
         shift_sequence=lambda n: np.asarray(n, dtype=float) ** -beta,
@@ -424,30 +330,15 @@ def ex32(alpha, beta):
         raise ParameterError("ex32 needs 0 < alpha < 1")
     if beta <= 1.0:
         raise ParameterError("ex32 needs beta > 1")
-    dens = space.PowerAtOne(alpha)
-    base_rv = space.density_rv(dens)
 
     def base_cdf_vec(x):
         xa = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         return 1.0 - (1.0 - xa) ** (1.0 - alpha)
 
-    def s2d_hint_exp(x):
-        # F is locally Lipschitz away from 1; at 1 the gap is s^(1-alpha)
-        if abs(x - 1.0) <= 1e-12:
-            return (1.0 - alpha) * beta
-        return beta
-
-    return _shift_family(
-        f"ex32(alpha={alpha:g},beta={beta:g})",
-        "ex32",
-        {"alpha": alpha, "beta": beta},
-        base_rv,
-        base_cdf_vec,
-        beta,
-        s2d_hint_exp,
-        s2d_certified=(1.0 - alpha) * beta > 1.0,
-        x_probes=(0.25, 0.5, 0.75, 1.0),
-    )
+    return _shift_family(f"ex32(alpha={alpha:g},beta={beta:g})", "ex32",
+                         {"alpha": alpha, "beta": beta},
+                         space.density_rv(space.PowerAtOne(alpha)), base_cdf_vec, beta,
+                         holder_at_1=1.0 - alpha, x_probes=(0.25, 0.5, 0.75, 1.0))
 
 
 def shift_uniform(beta=2.0):
@@ -458,16 +349,9 @@ def shift_uniform(beta=2.0):
     def base_cdf_vec(x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
-    return _shift_family(
-        f"shift_uniform(beta={beta:g})",
-        "shift_uniform",
-        {"beta": beta},
-        space.uniform_rv(),
-        base_cdf_vec,
-        beta,
-        s2d_hint_exp=lambda x: beta,
-        s2d_certified=True,
-    )
+    return _shift_family(f"shift_uniform(beta={beta:g})", "shift_uniform",
+                         {"beta": beta}, space.uniform_rv(), base_cdf_vec, beta,
+                         holder_at_1=1.0)
 
 
 def constant_family(c=0.0):

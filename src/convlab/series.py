@@ -87,8 +87,9 @@ class AnalyticHint:
 
 
 class AllTermsZero(Exception):
-    """Raised by fit_exponent when every probed term is zero; the caller maps
-    this to a convergent (in fact finite) series."""
+    """Raised by the anchor fit when fewer than 3 anchors in its window have
+    a positive term, in particular when every anchor term is zero; the
+    caller maps this to a convergent (in fact finite) series."""
 
 
 class TermSource:
@@ -273,16 +274,20 @@ def _anchor_fit(anchor_ns, anchor_vals, window):
     return p_hat, ci
 
 
+def _fit_block_starts(src, n_max, window):
+    """_anchor_fit on the terms at the dyadic block starts 1, 2, 4, ... <= n_max."""
+    anchor_ns = [lo for lo, _ in _dyadic_blocks(n_max)]
+    anchors = np.concatenate([src.terms(n, n + 1) for n in anchor_ns])
+    return _anchor_fit(anchor_ns, anchors, window)
+
+
 def fit_exponent(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY):
     """Fit a_n ~ C n**(-p) on dyadic anchors; returns (p_hat, ci_halfwidth).
 
-    Raises AllTermsZero when every probed anchor vanishes.
+    Raises AllTermsZero when fewer than 3 of the last policy.dyadic_window
+    anchors have a positive term.
     """
-    n_max = src.effective_n_max(policy)
-    k_max = int(math.floor(math.log2(n_max)))
-    anchor_ns = [2**k for k in range(0, k_max + 1)]
-    anchors = np.concatenate([src.terms(n, n + 1) for n in anchor_ns])
-    return _anchor_fit(anchor_ns, anchors, policy.dyadic_window)
+    return _fit_block_starts(src, src.effective_n_max(policy), policy.dyadic_window)
 
 
 def _power_tail(partial, a_last, n_last, p):
@@ -497,10 +502,8 @@ def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -
     n_used = hi - 1
     if last_max < policy.null_tolerance:
         return NullVerdict("tends_to_zero", n_used=n_used)
-    anchor_ns = [b[0] for b in blocks]
-    anchors = np.concatenate([src.terms(n, n + 1) for n in anchor_ns])
     try:
-        p_hat, ci = _anchor_fit(anchor_ns, anchors, policy.dyadic_window)
+        p_hat, ci = _fit_block_starts(src, n_max, policy.dyadic_window)
     except AllTermsZero:
         return NullVerdict("tends_to_zero", n_used=n_used)
     if p_hat - ci > 0.02:

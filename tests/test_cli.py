@@ -226,6 +226,27 @@ def test_dump_terms_unwritable_exit_2(capsys, tmp_path):
     assert f"cannot write {path}" in err
 
 
+def test_dump_terms_unwritable_fails_before_any_mode(capsys, tmp_path, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("check_mode ran before the dump path was opened")
+
+    monkeypatch.setattr(cli, "check_mode", no_check)
+    path = tmp_path / "absent" / "terms.csv"
+    code, out, err = run(capsys, "diagnose", "--family", "ex31", "--alpha", "2",
+                         "--dump-terms", str(path))
+    assert code == cli.EXIT_PARAMETER
+    assert out == ""
+    assert f"cannot write {path}" in err
+
+
+@pytest.mark.parametrize("c", ("1e16", "-1e16", "1e308", "-1.7976931348623157e308"))
+def test_point_mass_beyond_float_resolution_has_x_probes(capsys, c):
+    code, out, err = run(capsys, "diagnose", "--family", "const", f"--c={c}",
+                         "--modes", "s2d", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["reports"][0]["verdict"] == "holds"
+
+
 # parameter values at and beyond the edges of each family's domain
 _ALPHAS = st.one_of(
     st.sampled_from((5e-324, 1e-300, 1e-16, 1.0 - 2.0 ** -53, 1.0 - 1e-12, 1.0,

@@ -150,6 +150,15 @@ def test_default_x_grid_skips_limit_atoms():
     assert all(abs(x - j) > 1e-9 for x in params.x_points for j in jumps)
 
 
+@pytest.mark.parametrize("c", (0.0, 1.5, -3.0, 1e15, -1e15))
+def test_point_mass_x_grid_keeps_tenth_spacing(c):
+    from convlab.registry import constant_family
+
+    old = [c + (k - 4.5) * 0.1 for k in range(10)]
+    want = tuple(x for x in old if abs(x - c) > 1e-9)[:9]
+    assert ModeParams.defaults(constant_family(c)).x_points == want
+
+
 def test_x_probe_override_reaches_failure_point():
     fam = [f for f in registry_families() if f.name.startswith("ex32(alpha=0.5")][0]
     params = ModeParams.defaults(fam)

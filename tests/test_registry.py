@@ -1,5 +1,6 @@
 """Counterexample catalog, implication diagram, soundness harness."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from convlab import space
 from convlab.errors import ParameterError
+from convlab.modes import ALL_MODES, ModeParams, mode_spec, probes_for
 from convlab.registry import (NODE_MODES, NODES, ImplicationDiagram,
                               LipschitzWitness, build_family, constant_family,
                               default_registry, ex31, ex32, ex33,
@@ -14,6 +16,7 @@ from convlab.registry import (NODE_MODES, NODES, ImplicationDiagram,
                               mode_diagram, shift_uniform, soundness_sweep,
                               verdict_matches, verify_lipschitz_s2d,
                               verify_truncation_s1star)
+from convlab.series import AnalyticHint, TermSource
 
 
 def test_build_family_validation():
@@ -227,3 +230,262 @@ def test_non_edge_witnesses_present_in_registry():
     for ne in mode_diagram().non_edges:
         if ne.witness is not None:
             assert ne.witness in kinds
+
+
+# ---------------------------------------------------------------------------
+# Reference formulas: the two-atom and shift families as each mode once spelt
+# them out.  The builders derive the same terms, hints, members and
+# certification from (r, q) and from the base CDF's Hölder exponent at 1.
+
+
+def _ref_two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
+    def m1_of(nsf):
+        return np.minimum(nsf**-r, 1.0)
+
+    def power(p):
+        return AnalyticHint("power", exponent=float(p))
+
+    def zeros(start=1):
+        return TermSource(lambda ns: np.zeros(len(ns)),
+                          hint=AnalyticHint("eventually_zero", start=int(start)))
+
+    def source(mode, probe, params):
+        axis, val = probe
+        term = mode if mode == "trunc_l1" else mode_spec(mode).term(axis)
+
+        if term == "tail":
+            eps = float(val)
+            if eps > v1:
+                return zeros()
+
+            def gen(ns, eps=eps):
+                nsf = ns.astype(float)
+                m1 = m1_of(nsf)
+                return m1 * (v1 >= eps) + (1.0 - m1) * (np.abs(v2_of(nsf) - c) >= eps)
+
+            return TermSource(gen, hint=AnalyticHint("power", exponent=float(r),
+                                                     constant=1.0))
+
+        if term == "moment":
+            p = float(val)
+
+            def gen(ns, p=p):
+                nsf = ns.astype(float)
+                m1 = m1_of(nsf)
+                return m1 * abs(v1 - c) ** p + (1.0 - m1) * np.abs(v2_of(nsf) - c) ** p
+
+            return TermSource(gen, hint=power(r if math.isinf(q) else min(r, p * q)))
+
+        if term == "sup":
+
+            def gen(ns):
+                nsf = ns.astype(float)
+                return np.maximum(np.full(len(ns), abs(v1 - c)), np.abs(v2_of(nsf) - c))
+
+            return TermSource(gen, hint=AnalyticHint("eventually_constant",
+                                                     level=float(abs(v1 - c))))
+
+        if term in ("expect_gap", "coupled_gap"):
+            f = val
+
+            def gen_s1d(ns, f=f):
+                nsf = ns.astype(float)
+                m1 = m1_of(nsf)
+                return np.abs(m1 * f(v1) + (1.0 - m1) * f(v2_of(nsf)) - f(c))
+
+            def gen_s1star(ns, f=f):
+                nsf = ns.astype(float)
+                m1 = m1_of(nsf)
+                return m1 * abs(float(f(v1)) - float(f(c))) + (1.0 - m1) * np.abs(
+                    f(v2_of(nsf)) - f(c))
+
+            return TermSource(gen_s1star if term == "coupled_gap" else gen_s1d)
+
+        if term == "cdf_gap":
+            x = float(val)
+            if x >= max(v1, c) or x < min(c, 0.0):
+                return zeros()
+
+            def gen(ns, x=x):
+                nsf = ns.astype(float)
+                m1 = m1_of(nsf)
+                fn = m1 * (v1 <= x) + (1.0 - m1) * (v2_of(nsf) <= x)
+                return np.abs(fn - float(c <= x))
+
+            return TermSource(gen, hint=AnalyticHint("power", exponent=float(r),
+                                                     constant=1.0))
+
+        if term == "char_gap":
+            t = float(val)
+            if t == 0.0:
+                return zeros()
+
+            def gen(ns, t=t):
+                nsf = ns.astype(float)
+                m1 = m1_of(nsf)
+                return np.abs(m1 * np.exp(1j * t * v1)
+                              + (1.0 - m1) * np.exp(1j * t * v2_of(nsf))
+                              - np.exp(1j * t * c))
+
+            if math.isinf(q) or abs(np.exp(1j * t * v1) - np.exp(1j * t * c)) < 1e-12:
+                exp = r if math.isinf(q) else q
+            else:
+                exp = min(r, q)
+            return TermSource(gen, hint=power(exp))
+
+        if term == "pointwise":
+            omega = float(val)
+            a0 = mode_spec(mode).exponent(params)
+
+            def gen(ns, omega=omega, a0=a0):
+                nsf = ns.astype(float)
+                vals = np.where(omega < m1_of(nsf), v1, v2_of(nsf))
+                return np.abs(vals - c) ** a0
+
+            if math.isinf(q):
+                return TermSource(gen, hint=AnalyticHint(
+                    "eventually_zero", start=math.ceil(omega ** (-1.0 / r))))
+            return TermSource(gen, hint=power(a0 * q))
+
+        if term == "trunc_l1":
+            eps = float(val)
+
+            def gen(ns, eps=eps):
+                nsf = ns.astype(float)
+                m1 = m1_of(nsf)
+                d2 = np.abs(v2_of(nsf) - c)
+                return m1 * abs(v1 - c) * (abs(v1 - c) < eps) + (1.0 - m1) * d2 * (
+                    d2 < eps)
+
+            return TermSource(gen, hint=power(r if math.isinf(q) else min(r, q)))
+
+        return None
+
+    return source
+
+
+def _ref_ex31(alpha):
+    q = 1.0 / alpha
+
+    def member(n):
+        b = float(n) ** -2.0
+        if b >= 1.0:
+            return space.constant_rv(1.0)
+        return space.RandomVariable((
+            space.Piece(0.0, b, space.Constant(1.0)),
+            space.Piece(b, 1.0, space.Constant(float(n) ** -q)),
+        ))
+
+    def certifies(mode, params):
+        if mode in ("cc", "s2d", "as", "prob", "dist"):
+            return True
+        if mode == "sa_as":
+            return params.alpha > alpha
+        if mode in ("s1d", "s1star", "s3d"):
+            return alpha < 1.0
+        return False
+
+    source = _ref_two_atom_source_factory(2.0, lambda nsf: nsf**-q, q)
+    return source, member, certifies
+
+
+def _ref_ex33():
+    def member(n):
+        b = 1.0 / float(n)
+        if b >= 1.0:
+            return space.constant_rv(1.0)
+        return space.RandomVariable((
+            space.Piece(0.0, b, space.Constant(1.0)),
+            space.Piece(b, 1.0, space.Constant(0.0)),
+        ))
+
+    def certifies(mode, params):
+        return mode in ("sa_as", "as", "prob", "dist")
+
+    source = _ref_two_atom_source_factory(
+        1.0, lambda nsf: np.zeros(len(nsf)), math.inf)
+    return source, member, certifies
+
+
+def _ref_ex32_s2d(alpha, beta):
+    """(s2d_hint_exp, s2d_certified) as ex32 declared them."""
+
+    def s2d_hint_exp(x):
+        if abs(x - 1.0) <= 1e-12:
+            return (1.0 - alpha) * beta
+        return beta
+
+    return s2d_hint_exp, (1.0 - alpha) * beta > 1.0
+
+
+_TWO_ATOM_CASES = [(ex31(a), _ref_ex31(a)) for a in (0.25, 0.5, 1.0, 1.7, 2.0)]
+_TWO_ATOM_CASES.append((ex33(), _ref_ex33()))
+_TWO_ATOM_IDS = [family.name for family, _ in _TWO_ATOM_CASES]
+_EXTRA_PROBES = {"eps": (2.0, 1.0, 1e-7), "x": (-0.5, 0.0, 1.0, 1.5),
+                 "t": (0.0, 2.0 * math.pi, -3.0)}
+
+
+def _probes_with_extras(mode, params):
+    axes = ("eps",) if mode == "trunc_l1" else [a for a, _ in mode_spec(mode).axes]
+    probes = ([("eps", e) for e in params.epsilons] if mode == "trunc_l1"
+              else probes_for(mode, params))
+    return probes + [(a, v) for a in axes for v in _EXTRA_PROBES.get(a, ())]
+
+
+def _source_signature(src):
+    if src is None:
+        return None
+    hint = None if src.hint is None else src.hint.to_dict()
+    return hint, src.terms(1, 2 ** 12).tobytes()
+
+
+@pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)
+def test_two_atom_terms_match_reference(family, ref):
+    ref_source = ref[0]
+    checked = 0
+    for alpha, p in itertools.product((0.5, 1.0, 2.0), repeat=2):
+        params = ModeParams.defaults(family, alpha=alpha, p=p)
+        for mode in ALL_MODES + ("trunc_l1",):
+            for probe in _probes_with_extras(mode, params):
+                got = family.meta.term_source(mode, probe, params)
+                want = ref_source(mode, probe, params)
+                assert _source_signature(got) == _source_signature(want), (mode, probe)
+                checked += 1
+    assert checked > 700
+
+
+@pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)
+def test_two_atom_members_and_certification_match_reference(family, ref):
+    _, ref_member, ref_certifies = ref
+    for n in range(1, 5000):
+        assert repr(family.member(n)) == repr(ref_member(n)), n
+    own = family.params.get("alpha")
+    for a in np.linspace(0.05, 3.0, 60):
+        if own is not None and abs(a - own) < 1e-9:
+            continue
+        params = ModeParams(alpha=float(a))
+        for mode in ALL_MODES:
+            assert family.meta.certifies(mode, params) == ref_certifies(mode, params), (
+                mode, a)
+
+
+def test_ex32_s2d_hint_and_certification_match_reference():
+    for alpha in (0.05, 0.25, 0.4, 0.5, 0.6, 0.75, 0.95):
+        for beta in (1.01, 1.5, 2.0, 2.5, 4.0, 20.0):
+            fam = ex32(alpha, beta)
+            params = ModeParams.defaults(fam)
+            hint_exp, certified = _ref_ex32_s2d(alpha, beta)
+            for x in (0.25, 0.5, 0.75, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-13, 1.0):
+                hint = fam.meta.term_source("s2d", ("x", x), params).hint
+                assert hint.kind == "power" and hint.exponent == hint_exp(x), x
+            assert fam.meta.certifies("s2d", params) == certified
+
+
+def test_shift_uniform_s2d_hint_is_beta():
+    for beta in (1.01, 2.0, 3.5):
+        fam = shift_uniform(beta)
+        params = ModeParams.defaults(fam)
+        for x in params.x_points + (1.0,):
+            hint = fam.meta.term_source("s2d", ("x", x), params).hint
+            assert hint.exponent == beta
+        assert fam.meta.certifies("s2d", params)

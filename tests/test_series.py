@@ -187,6 +187,27 @@ def test_fit_exponent():
     assert ci < 1e-3
 
 
+@pytest.mark.parametrize("length", (4, 5, 8, 9, 1000, 1024, 1025, 4095))
+def test_fit_exponent_anchors_are_powers_of_two_up_to_horizon(length):
+    from convlab import series
+
+    ns = np.arange(1, length + 1, dtype=float)
+    vals = ns ** -1.3 * (1.5 + np.sin(ns))
+    anchor_ns = [2 ** k for k in range(int(math.log2(length)) + 1)]
+    policy = EnginePolicy(n_max=10_000, dyadic_window=4)
+    want = series._anchor_fit(anchor_ns, vals[np.array(anchor_ns) - 1], 4)
+    assert fit_exponent(TermSource.from_values(vals), policy) == want
+
+
+def test_fit_exponent_needs_three_positive_anchors():
+    from convlab import series
+
+    vals = np.zeros(64)
+    vals[[0, 1]] = 1.0  # positive at anchors 1 and 2 only
+    with pytest.raises(series.AllTermsZero):
+        fit_exponent(TermSource.from_values(vals))
+
+
 def test_sum_estimate_nondecreasing_in_horizon():
     src = power_source(2.0)
     est_small = analyze_series(src, EnginePolicy(n_max=10_000)).sum_estimate
