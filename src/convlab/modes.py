@@ -12,6 +12,7 @@ for a universal mode requires the family's analytic certification.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -340,15 +341,16 @@ def probe_source(family, mode, probe, params, use_analytic=True):
 
 
 def probe_key(probe):
+    # interned: every report of a probe shares one key string
     axis, value = probe
     if axis == "all":
         return "all"
     if axis == "f":
-        return f"f={value.name}"
-    return f"{axis}={value!r}"
+        return sys.intern(f"f={value.name}")
+    return sys.intern(f"{axis}={value!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ModeReport:
     family: str
     mode: str

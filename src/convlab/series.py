@@ -116,8 +116,8 @@ class TermSource:
     @classmethod
     def from_values(cls, values):
         arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            raise ParameterError("empty term list")
+        if arr.size < 2:
+            raise ParameterError(f"need at least 2 terms, got {arr.size}")
 
         def gen(ns):
             return arr[np.asarray(ns, dtype=int) - 1]
@@ -152,7 +152,7 @@ class TermSource:
         return max(n, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesVerdict:
     klass: str  # "converges" | "diverges" | "inconclusive"
     sum_estimate: Optional[float] = None
@@ -179,7 +179,7 @@ class SeriesVerdict:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullVerdict:
     klass: str  # "tends_to_zero" | "stays_above" | "inconclusive"
     level: Optional[float] = None
@@ -215,11 +215,17 @@ def _neumaier(values):
     return s + c
 
 
-# Most terms one generator call evaluates.  Longer blocks are generated in
-# pieces, so the scan's working set does not grow with its horizon: whole,
-# the last block below n_max = 10**6 (475713 terms) held ~25 MB of numpy
-# temporaries in the ex32 s2d generator.
-_CHUNK = 1 << 16
+# Most terms one generator call evaluates; longer blocks are generated in
+# pieces, so the scan's working set does not grow with its horizon.  A
+# generator makes several numpy temporaries of this length (about six for a
+# two-atom mean).  At 2**13 each is 64 KiB and glibc's heap reuses them from
+# call to call.  At 2**16 each is 512 KiB, and glibc gives every freed one
+# back to the kernel (by munmap or by trimming the heap), so each chunk
+# faults in zeroed pages again: a warm unhinted 10**6-term scan then takes
+# ~12,500 minor faults instead of none.  Below 2**13 the Python overhead per
+# call dominates.  _block keeps the sums bit-identical for any _CHUNK of at
+# least 128, numpy's pairwise block size.
+_CHUNK = 1 << 13
 
 
 def _block(src, lo, hi):

@@ -192,6 +192,15 @@ def test_series_malformed_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_series_one_term_exit_2(capsys, tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("0.5\n")
+    code, out, err = run(capsys, "series", "--input", str(path))
+    assert code == cli.EXIT_PARAMETER
+    assert out == ""
+    assert "need at least 2 terms, got 1" in err
+
+
 @pytest.mark.parametrize("body", ["1.0\nnan\n0.25\n", "1.0\ninf\n"],
                          ids=["nan", "inf"])
 def test_series_non_finite_exit_2(capsys, tmp_path, body):

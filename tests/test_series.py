@@ -5,6 +5,8 @@ hand-built finite term streams.
 """
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab.errors import ParameterError
+from convlab.modes import ModeParams, probe_source, probes_for
 from convlab.registry import ex31
 from convlab.series import (DEFAULT_POLICY, AnalyticHint, EnginePolicy,
                             TermSource, _power_tail, analyze_series,
@@ -247,8 +250,9 @@ def test_from_values_and_length():
     src = TermSource.from_values([1.0, 0.5, 0.25])
     assert src.effective_n_max(DEFAULT_POLICY) == 3
     assert list(src.terms(1, 4)) == [1.0, 0.5, 0.25]
-    with pytest.raises(ParameterError):
-        TermSource.from_values([])
+    for values in ([], [0.5]):
+        with pytest.raises(ParameterError, match=f"got {len(values)}"):
+            TermSource.from_values(values)
 
 
 def test_load_terms_csv(tmp_path):
@@ -326,13 +330,39 @@ def test_long_blocks_are_generated_in_chunks():
     assert max(sizes) <= series._CHUNK
 
 
-def test_chunked_block_matches_whole_block():
+def test_chunked_block_matches_whole_block(monkeypatch):
+    # bit-identical for every chunk of at least numpy's pairwise block size
     from convlab import series
 
-    rng = np.random.default_rng(7)
-    cap = series._CHUNK
-    for n in (1, 7, cap, cap + 1, cap + 3, 2 * cap + 6, 3 * cap + 5) * 3:
-        vals = rng.random(n) * 10.0 ** rng.uniform(-12, 3, n)
-        src = TermSource.from_values(vals)
-        assert series._block(src, 1, n + 1) == (
-            float(np.sum(vals)), vals[0], vals[-1], vals.min(), vals.max())
+    for cap in (128, 1 << 10, 1 << 13, 1 << 16):
+        monkeypatch.setattr(series, "_CHUNK", cap)
+        rng = np.random.default_rng(7)
+        for n in (1, 7, cap, cap + 1, cap + 3, 2 * cap + 6, 3 * cap + 5) * 3:
+            vals = rng.random(n) * 10.0 ** rng.uniform(-12, 3, n)
+            src = TermSource(lambda ns, vals=vals: vals[ns - 1])
+            assert series._block(src, 1, n + 1) == (
+                float(np.sum(vals)), vals[0], vals[-1], vals.min(), vals.max()), (cap, n)
+
+
+def test_warm_unhinted_scan_reuses_its_heap():
+    # a 10**6-term two-atom scan: its per-chunk numpy temporaries must stay
+    # small enough for the allocator to reuse rather than map in afresh
+    fam = ex31(2.0)
+    params = ModeParams.defaults(fam)
+    probe = probes_for("s1d", params)[0]
+    src = probe_source(fam, "s1d", probe, params)
+    assert src.hint is None
+    assert analyze_series(src).n_used == DEFAULT_POLICY.n_max
+    if sys.platform.startswith("linux"):
+        import resource
+
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        analyze_series(src)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+    tracemalloc.start()
+    try:
+        analyze_series(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
