@@ -11,6 +11,7 @@ for a universal mode requires the family's analytic certification.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 from . import space
 from .errors import ParameterError
 from .series import (DEFAULT_POLICY, EnginePolicy, TermSource, analyze_series,
-                     null_sequence_test)
+                     fresh, null_sequence_test)
 from .testfuncs import ClampedAffine, ClampedIdentity, Sine
 
 
@@ -104,6 +105,10 @@ class ModeParams:
     omega_points: tuple = field(default_factory=default_omega_points)
 
     def __post_init__(self):
+        # tuples throughout, so that params can key the per-family caches
+        for name in ("epsilons", "x_points", "t_points", "test_functions",
+                     "omega_points"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, values in (("epsilons", self.epsilons), ("p", (self.p,)),
                              ("alpha", (self.alpha,)), ("t_points", self.t_points),
                              ("x_points", self.x_points)):
@@ -147,7 +152,11 @@ class FamilyMeta:
     """Analytic metadata a family ships alongside its members.
 
     term_source(mode, probe, params) may return a vectorized TermSource
-    (closed-form terms plus hint) for fast certified runs; certifies(mode,
+    (closed-form terms plus hint) for fast certified runs.  Its terms and
+    hint may depend on the mode only through the mode's term kind for the
+    probe's axis and its exponent (ModeSpec.term and ModeSpec.exponent):
+    probe_source hands one source to every mode that agrees on those, so
+    that blocks one mode has evaluated serve the next.  certifies(mode,
     params) says whether an all-probes-converge outcome may be upgraded to
     Holds for a universally quantified mode.
     """
@@ -177,6 +186,7 @@ class Family:
         self._limit_cdf = None
         self._limit_expect = {}
         self._limit_char = {}
+        self._sources = {}
 
     def member(self, n):
         if n < 1:
@@ -330,13 +340,22 @@ def probes_for(mode, params):
 
 def probe_source(family, mode, probe, params, use_analytic=True):
     """The family's closed-form TermSource for one probe or, without one
-    (or with use_analytic False), the generic term-by-term route."""
-    src = family.meta.term_source(mode, probe, params) if use_analytic else None
+    (or with use_analytic False), the generic term-by-term route.
+
+    The family keeps every source it hands out, keyed by all the terms
+    depend on, so modes with the same terms share one source (dist's test
+    functions and s1d's, say) and each block of it is evaluated once."""
+    spec = mode_spec(mode)
+    key = (use_analytic, spec.term(probe[0]), probe, spec.exponent(params), params)
+    src = family._sources.get(key)
     if src is None:
-        src = TermSource.from_scalar(
-            lambda n: generic_term(family, mode, probe, n, params),
-            dense_cap=GENERIC_DENSE_CAP,
-        )
+        src = family.meta.term_source(mode, probe, params) if use_analytic else None
+        if src is None:
+            src = TermSource.from_scalar(
+                lambda n: generic_term(family, mode, probe, n, params),
+                dense_cap=GENERIC_DENSE_CAP,
+            )
+        family._sources[key] = src
     return src
 
 
@@ -373,12 +392,15 @@ class ModeReport:
             "mode": self.mode,
             "verdict": self.verdict,
             "witness": self.witness,
-            "params": self.params_used,
+            "params": fresh(self.params_used),
             "probes": {k: v.to_dict() for k, v in self.probe_results.items()},
         }
 
 
+@functools.lru_cache(maxsize=256)
 def _params_summary(mode, params):
+    """The probe values a report shows; one dict shared by every report of
+    (mode, params), which to_dict() copies."""
     spec = mode_spec(mode)
     out = {"alpha": params.alpha} if spec.alpha else {}
     for axis, _ in spec.axes:
@@ -413,24 +435,33 @@ def check_mode(
     probes = probes_for(mode, params)
     if not probes:
         raise ParameterError(f"empty probe set for mode {mode!r}")
+    sources = [probe_source(family, mode, probe, params, use_analytic)
+               for probe in probes]
+    # the unhinted probes scan their blocks together (TermSource.siblings)
+    unhinted = tuple(dict.fromkeys(src for src in sources if src.hint is None))
+    for src in unhinted:
+        src.siblings = unhinted
     results = {}
     bad = None
     inconclusive = False
-    for probe in probes:
-        src = probe_source(family, mode, probe, params, use_analytic)
-        if spec.series:
-            verdict = analyze_series(src, policy)
-            ok = verdict.converges
-            failed = verdict.diverges
-        else:
-            verdict = null_sequence_test(src, policy)
-            ok = verdict.tends_to_zero
-            failed = verdict.klass == "stays_above"
-        results[probe_key(probe)] = verdict
-        if failed and bad is None:
-            bad = probe
-        elif not ok and not failed:
-            inconclusive = True
+    try:
+        for probe, src in zip(probes, sources):
+            if spec.series:
+                verdict = analyze_series(src, policy)
+                ok = verdict.converges
+                failed = verdict.diverges
+            else:
+                verdict = null_sequence_test(src, policy)
+                ok = verdict.tends_to_zero
+                failed = verdict.klass == "stays_above"
+            results[probe_key(probe)] = verdict
+            if failed and bad is None:
+                bad = probe
+            elif not ok and not failed:
+                inconclusive = True
+    finally:
+        for src in unhinted:
+            src.siblings = ()
     if bad is not None:
         verdict_tag, witness = VERDICT_FAILS, probe_key(bad)
     elif inconclusive:

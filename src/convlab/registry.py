@@ -13,6 +13,7 @@ generators in `modes` remain available and are cross-checked in tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -29,10 +30,14 @@ from .testfuncs import ClampedAffine, ClampedIdentity, Sine
 SCHEMA_VERSION = 1
 
 
+# Hints are immutable: one per exponent or start serves every source, and
+# every verdict resting on it shares its evidence dict.
+@functools.lru_cache(maxsize=256)
 def _power(p, constant=None):
     return AnalyticHint("power", exponent=float(p), constant=constant)
 
 
+@functools.lru_cache(maxsize=256)
 def _zero(start=1):
     return AnalyticHint("eventually_zero", start=int(start))
 
@@ -41,6 +46,9 @@ def _require_finite(kind, **params):
     for name, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ParameterError(f"{kind} parameter {name} must be finite, got {value}")
+
+
+_ONE_THROUGHOUT = AnalyticHint("eventually_constant", level=1.0)
 
 
 def _zeros_source(start=1):
@@ -59,16 +67,32 @@ def _two_atom_source_factory(r, q):
     term is mean(g) = E g(X_n), or gap(g) = |E g(X_n) - g(0)|, for a g fixed
     by the mode and probe."""
 
-    def m1_of(nsf):
-        return np.minimum(nsf**-r, 1.0)
+    latest = [None, None]  # key and basis of the latest chunk
 
-    def v2_of(nsf):  # n^-inf is 0 for every n, but pow gives 1 ** -inf = 1
-        return np.zeros(len(nsf)) if math.isinf(q) else nsf**-q
+    def basis(ns):
+        """(m1, 1 - m1, v2) at ns: the first atom's mass, the second's, and
+        the second atom's value.  A mode's unhinted probes are scanned chunk
+        by chunk in turn, so the latest chunk's basis is kept for the next
+        probe's call, keyed by its first index and length when ns is a run
+        of consecutive indices."""
+        consecutive = len(ns) and ns[-1] - ns[0] == len(ns) - 1
+        key = (int(ns[0]), len(ns)) if consecutive else None
+        if key is not None and key == latest[0]:
+            return latest[1]
+        nsf = ns.astype(float)
+        m1 = np.minimum(nsf**-r, 1.0)
+        # n^-inf is 0 for every n, but pow gives 1 ** -inf = 1
+        v2 = np.zeros(len(nsf)) if math.isinf(q) else nsf**-q
+        b = (m1, 1.0 - m1, v2)
+        for arr in b:  # shared by the sources: no caller may write to it
+            arr.flags.writeable = False
+        if key is not None:
+            latest[:] = key, b
+        return b
 
     def mean(g, ns):
-        nsf = ns.astype(float)
-        m1 = m1_of(nsf)
-        return m1 * g(1.0) + (1.0 - m1) * g(v2_of(nsf))
+        m1, m2, v2 = basis(ns)
+        return m1 * g(1.0) + m2 * g(v2)
 
     def gap(g, ns):
         return np.abs(mean(g, ns) - g(0.0))
@@ -90,8 +114,8 @@ def _two_atom_source_factory(r, q):
                               hint=_power(min(r, p * q)))
 
         if term == "sup":
-            return TermSource(lambda ns: np.maximum(1.0, v2_of(ns.astype(float))),
-                              hint=AnalyticHint("eventually_constant", level=1.0))
+            return TermSource(lambda ns: np.maximum(1.0, basis(ns)[2]),
+                              hint=_ONE_THROUGHOUT)
 
         if term == "expect_gap":
             return TermSource(lambda ns: gap(val, ns))
@@ -123,8 +147,8 @@ def _two_atom_source_factory(r, q):
             a0 = mode_spec(mode).exponent(params)
 
             def gen(ns):
-                nsf = ns.astype(float)
-                return np.abs(np.where(omega < m1_of(nsf), 1.0, v2_of(nsf))) ** a0
+                m1, _, v2 = basis(ns)
+                return np.abs(np.where(omega < m1, 1.0, v2)) ** a0
 
             if math.isinf(q):
                 return TermSource(gen, hint=_zero(start=math.ceil(omega ** (-1.0 / r))))

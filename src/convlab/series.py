@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -85,19 +86,40 @@ class AnalyticHint:
             d["start"] = self.start
         return d
 
+    @cached_property
+    def evidence(self):
+        """The evidence dict of every verdict resting on this hint, built
+        once and shared by those verdicts (their to_dict() copies it)."""
+        d = {"method": "analytic_hint", "hint": self.to_dict()}
+        if self.kind == "eventually_constant" and self.level != 0.0:
+            d["detail"] = f"terms stay at level {self.level}"
+        return d
 
-class AllTermsZero(Exception):
+
+class TooFewAnchors(Exception):
     """Raised by the anchor fit when fewer than 3 anchors in its window have
-    a positive term, in particular when every anchor term is zero; the
-    caller maps this to a convergent (in fact finite) series."""
+    a positive term, so no decay exponent can be fitted."""
+
+
+class AllTermsZero(TooFewAnchors):
+    """Raised by the anchor fit when every anchor term is zero."""
 
 
 class TermSource:
     """A nonnegative sequence a_n, n >= 1, behind every summability mode.
 
-    The generator maps a numpy integer array to a float array.  dense_cap
+    The generator maps a numpy integer array to a float array; the engine
+    always passes it an ascending run of consecutive indices.  dense_cap
     limits how far the engine evaluates terms densely; expensive generators
     (per-term quadrature) set it low and rely on hints or anchor fits.
+
+    A source remembers the summary of each dyadic block it has evaluated,
+    so a second scan of it (another mode's probe on the same terms) costs
+    no terms.  siblings, set by check_mode for the length of one mode's
+    check, names the mode's other unhinted sources: a block that one of
+    them misses is then evaluated for every sibling whose own scan would
+    read it next, chunk by chunk, so a generator can share per-chunk work
+    between them.
     """
 
     def __init__(self, generator, hint=None, dense_cap=None, length=None):
@@ -105,6 +127,8 @@ class TermSource:
         self.hint = hint
         self.dense_cap = dense_cap
         self.length = length
+        self.siblings = ()
+        self._blocks = {}  # (lo, hi) -> (sum, first, last, min, max)
 
     @classmethod
     def from_scalar(cls, fn, dense_cap):
@@ -152,6 +176,25 @@ class TermSource:
         return max(n, 2)
 
 
+def fresh(value):
+    """A copy of a JSON-like value that shares no dict or list with it:
+    verdicts and reports share their constant dicts, and each to_dict()
+    hands out its own."""
+    if isinstance(value, dict):
+        return {k: fresh(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [fresh(v) for v in value]
+    return value
+
+
+# evidence of the unhinted outcomes that carry no figures, shared by every
+# verdict with that outcome
+_EXPONENT_FIT = {"method": "exponent_fit"}
+_NEAR_BOUNDARY = {"method": "exponent_near_boundary"}
+_ZERO_OBSERVED = {"method": "eventually_zero_observed"}
+_TOO_FEW_ANCHORS = {"method": "too_few_positive_anchors"}
+
+
 @dataclass(frozen=True, slots=True)
 class SeriesVerdict:
     klass: str  # "converges" | "diverges" | "inconclusive"
@@ -171,7 +214,8 @@ class SeriesVerdict:
         return self.klass == "diverges"
 
     def to_dict(self):
-        d = {"class": self.klass, "n_used": self.n_used, "evidence": dict(self.evidence)}
+        d = {"class": self.klass, "n_used": self.n_used,
+             "evidence": fresh(self.evidence)}
         for k in ("sum_estimate", "tail_bound", "p_hat", "ci_halfwidth"):
             v = getattr(self, k)
             if v is not None:
@@ -223,26 +267,52 @@ def _neumaier(values):
 # back to the kernel (by munmap or by trimming the heap), so each chunk
 # faults in zeroed pages again: a warm unhinted 10**6-term scan then takes
 # ~12,500 minor faults instead of none.  Below 2**13 the Python overhead per
-# call dominates.  _block keeps the sums bit-identical for any _CHUNK of at
-# least 128, numpy's pairwise block size.
+# call dominates.  _summaries keeps the sums bit-identical for any _CHUNK of
+# at least 128, numpy's pairwise block size.
 _CHUNK = 1 << 13
 
 
-def _block(src, lo, hi):
-    """(sum, first, last, min, max) of src.terms(lo, hi), generated at most
-    _CHUNK terms at a time.  A longer range is halved where numpy's pairwise
-    summation halves a contiguous array, so the sum is np.sum of the whole
+def _summaries(srcs, lo, hi):
+    """[(sum, first, last, min, max) of src.terms(lo, hi) for src in srcs],
+    generated at most _CHUNK terms at a time, every source's chunk in turn
+    before the next chunk.  A longer range is halved where numpy's pairwise
+    summation halves a contiguous array, so each sum is np.sum of the whole
     block to the bit."""
     n = hi - lo
     if n <= _CHUNK:
-        arr = src.terms(lo, hi)
-        return (float(np.sum(arr)), float(arr[0]), float(arr[-1]),
-                float(arr.min()), float(arr.max()))
+        out = []
+        for src in srcs:
+            arr = src.terms(lo, hi)
+            out.append((float(np.sum(arr)), float(arr[0]), float(arr[-1]),
+                        float(arr.min()), float(arr.max())))
+        return out
     half = n // 2
     mid = lo + half - half % 8
-    sum1, first, _, min1, max1 = _block(src, lo, mid)
-    sum2, _, last, min2, max2 = _block(src, mid, hi)
-    return sum1 + sum2, first, last, min(min1, min2), max(max1, max2)
+    return [(sum1 + sum2, first, last, min(min1, min2), max(max1, max2))
+            for (sum1, first, _, min1, max1), (sum2, _, last, min2, max2)
+            in zip(_summaries(srcs, lo, mid), _summaries(srcs, mid, hi))]
+
+
+def _fill(srcs, lo, hi):
+    """Evaluate block [lo, hi) for those of srcs that have not yet, together."""
+    todo = [src for src in srcs if (lo, hi) not in src._blocks]
+    if todo:
+        for src, summary in zip(todo, _summaries(todo, lo, hi)):
+            src._blocks[(lo, hi)] = summary
+
+
+def _block(src, lo, hi, companions=()):
+    """(sum, first, last, min, max) of src.terms(lo, hi), evaluated once, and
+    together with the companions' blocks [lo, hi) where they miss it too."""
+    _fill([src, *companions], lo, hi)
+    return src._blocks[(lo, hi)]
+
+
+def _companions(src, policy, n_max):
+    """src's unhinted siblings with the same horizon: their blocks coincide
+    with src's, so src's scan can evaluate theirs alongside."""
+    return [s for s in src.siblings
+            if s is not src and s.hint is None and s.effective_n_max(policy) == n_max]
 
 
 def _dyadic_blocks(n_max):
@@ -266,7 +336,7 @@ def _anchor_fit(anchor_ns, anchor_vals, window):
         raise AllTermsZero
     ns, vals = ns[-window:], vals[-window:]
     if ns.size < 3:
-        raise AllTermsZero
+        raise TooFewAnchors
     x = np.log(ns)
     y = np.log(vals)
     xm, ym = x.mean(), y.mean()
@@ -290,8 +360,9 @@ def _fit_block_starts(src, n_max, window):
 def fit_exponent(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY):
     """Fit a_n ~ C n**(-p) on dyadic anchors; returns (p_hat, ci_halfwidth).
 
-    Raises AllTermsZero when fewer than 3 of the last policy.dyadic_window
-    anchors have a positive term.
+    Raises TooFewAnchors when fewer than 3 of the last policy.dyadic_window
+    anchors have a positive term, AllTermsZero (a TooFewAnchors) when none
+    has.
     """
     return _fit_block_starts(src, src.effective_n_max(policy), policy.dyadic_window)
 
@@ -317,51 +388,69 @@ def _power_tail(partial, a_last, n_last, p):
 _HORIZON_FRACTION = 0.1
 
 
-def _dense_scan(src, policy, n_max, exponent=None):
-    """Dense dyadic-block scan: partial sums, anchors, blowup detection.
+class _Scan:
+    """One source's dense dyadic-block scan: partial sums, anchors, blowup
+    detection.
 
     With a known power-law exponent > 1 the scan stops early, after at least
     policy.dyadic_window blocks, at the first block whose last term is positive
     and whose _power_tail sandwich is narrower than
     _HORIZON_FRACTION * policy.tail_tolerance.
     """
-    block_sums = []
-    anchor_ns = []
-    anchor_vals = []
-    partial = 0.0
-    blowup_at = None
-    last_max = None
-    a_last = 0.0
-    n_last = 0
-    for lo, hi in _dyadic_blocks(n_max):
+
+    def __init__(self, src, policy, exponent=None):
+        self.src = src
+        self.policy = policy
+        self.exponent = exponent
+        self.block_sums = []
+        self.anchor_ns = []
+        self.anchor_vals = []
+        self.partial = 0.0
+        self.blowup_at = None
+        self.last_max = None
+        self.a_last = 0.0
+        self.n_last = 0
+        self.done = False
+
+    def add(self, lo, hi):
         # pairwise numpy summation inside the block (deterministic for a fixed
         # block layout), compensated accumulation across blocks
-        block_sum, first, a_last, _, last_max = _block(src, lo, hi)
-        block_sums.append(block_sum)
-        partial = _neumaier(block_sums)
-        anchor_ns.append(lo)
-        anchor_vals.append(first)
-        n_last = hi - 1
-        if partial > policy.blowup_threshold and blowup_at is None:
-            blowup_at = hi - 1
-            break
-        if (
-            exponent is not None
-            and len(block_sums) >= policy.dyadic_window
-            and a_last > 0.0
-            and _power_tail(partial, a_last, n_last, exponent)[1]
+        block_sum, first, self.a_last, _, self.last_max = self.src._blocks[(lo, hi)]
+        self.block_sums.append(block_sum)
+        self.partial = _neumaier(self.block_sums)
+        self.anchor_ns.append(lo)
+        self.anchor_vals.append(first)
+        self.n_last = hi - 1
+        policy = self.policy
+        if self.partial > policy.blowup_threshold:
+            self.blowup_at = hi - 1
+            self.done = True
+        elif (
+            self.exponent is not None
+            and len(self.block_sums) >= policy.dyadic_window
+            and self.a_last > 0.0
+            and _power_tail(self.partial, self.a_last, self.n_last, self.exponent)[1]
             < _HORIZON_FRACTION * policy.tail_tolerance
         ):
+            self.done = True
+
+
+def _dense_scan(src, policy, n_max, exponent=None):
+    """src's _Scan up to n_max.  An unhinted scan runs its companions' scans
+    in step with its own, each to its own stop, so that every block any of
+    them reads is evaluated for all of them at once."""
+    scan = _Scan(src, policy, exponent)
+    scans = [scan]
+    if exponent is None:
+        scans += [_Scan(s, policy) for s in _companions(src, policy, n_max)]
+    for lo, hi in _dyadic_blocks(n_max):
+        if scan.done:
             break
-    return {
-        "partial": partial,
-        "anchor_ns": anchor_ns,
-        "anchor_vals": anchor_vals,
-        "blowup_at": blowup_at,
-        "last_max": last_max,
-        "a_last": a_last,
-        "n_last": n_last,
-    }
+        live = [sc for sc in scans if not sc.done]
+        _fill([sc.src for sc in live], lo, hi)
+        for sc in live:
+            sc.add(lo, hi)
+    return scan
 
 
 def _analyze_with_hint(src, policy):
@@ -374,21 +463,13 @@ def _analyze_with_hint(src, policy):
         scan = _dense_scan(src, policy, upto)
         return SeriesVerdict(
             "converges",
-            sum_estimate=scan["partial"],
+            sum_estimate=scan.partial,
             tail_bound=0.0,
-            evidence={"method": "analytic_hint", "hint": hint.to_dict()},
+            evidence=hint.evidence,
             n_used=upto,
         )
     if hint.kind == "eventually_constant":
-        return SeriesVerdict(
-            "diverges",
-            evidence={
-                "method": "analytic_hint",
-                "hint": hint.to_dict(),
-                "detail": f"terms stay at level {hint.level}",
-            },
-            n_used=0,
-        )
+        return SeriesVerdict("diverges", evidence=hint.evidence, n_used=0)
     # power hint: exact p-series comparison
     p = hint.exponent
     if p <= 1.0:
@@ -396,19 +477,19 @@ def _analyze_with_hint(src, policy):
             "diverges",
             p_hat=p,
             ci_halfwidth=0.0,
-            evidence={"method": "analytic_hint", "hint": hint.to_dict()},
+            evidence=hint.evidence,
             n_used=0,
         )
     scan = _dense_scan(src, policy, n_max, exponent=p)
-    est, bound = _power_tail(scan["partial"], scan["a_last"], scan["n_last"], p)
+    est, bound = _power_tail(scan.partial, scan.a_last, scan.n_last, p)
     return SeriesVerdict(
         "converges",
         sum_estimate=est,
         tail_bound=bound,
         p_hat=p,
         ci_halfwidth=0.0,
-        evidence={"method": "analytic_hint", "hint": hint.to_dict()},
-        n_used=scan["n_last"],
+        evidence=hint.evidence,
+        n_used=scan.n_last,
     )
 
 
@@ -418,48 +499,41 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Se
         return _analyze_with_hint(src, policy)
     n_max = src.effective_n_max(policy)
     scan = _dense_scan(src, policy, n_max)
-    n_used = scan["n_last"]
-    if scan["blowup_at"] is not None:
+    n_used = scan.n_last
+    if scan.blowup_at is not None:
         return SeriesVerdict(
             "diverges",
             evidence={
                 "method": "partial_sum_blowup",
                 "threshold": policy.blowup_threshold,
-                "at_n": scan["blowup_at"],
+                "at_n": scan.blowup_at,
             },
-            n_used=scan["blowup_at"],
+            n_used=scan.blowup_at,
         )
-    if scan["last_max"] == 0.0:
+    if scan.last_max == 0.0:
         # terms have died out within the probed range
         return SeriesVerdict(
             "converges",
-            sum_estimate=scan["partial"],
+            sum_estimate=scan.partial,
             tail_bound=0.0,
-            evidence={"method": "eventually_zero_observed"},
+            evidence=_ZERO_OBSERVED,
             n_used=n_used,
         )
     try:
-        p_hat, ci = _anchor_fit(
-            scan["anchor_ns"], scan["anchor_vals"], policy.dyadic_window
-        )
-    except AllTermsZero:
-        return SeriesVerdict(
-            "converges",
-            sum_estimate=scan["partial"],
-            tail_bound=0.0,
-            evidence={"method": "eventually_zero_observed"},
-            n_used=n_used,
-        )
+        p_hat, ci = _anchor_fit(scan.anchor_ns, scan.anchor_vals, policy.dyadic_window)
+    except TooFewAnchors:
+        # the last block is positive, but too few anchors are to fit a decay
+        return SeriesVerdict("inconclusive", evidence=_TOO_FEW_ANCHORS, n_used=n_used)
     if p_hat + ci <= 1.0 + policy.exponent_margin:
         return SeriesVerdict(
             "diverges",
             p_hat=p_hat,
             ci_halfwidth=ci,
-            evidence={"method": "exponent_fit"},
+            evidence=_EXPONENT_FIT,
             n_used=n_used,
         )
     if p_hat - ci >= 1.0 + policy.exponent_margin:
-        est, bound = _power_tail(scan["partial"], scan["a_last"], n_used, p_hat)
+        est, bound = _power_tail(scan.partial, scan.a_last, n_used, p_hat)
         if bound < policy.tail_tolerance:
             return SeriesVerdict(
                 "converges",
@@ -467,7 +541,7 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Se
                 tail_bound=bound,
                 p_hat=p_hat,
                 ci_halfwidth=ci,
-                evidence={"method": "exponent_fit"},
+                evidence=_EXPONENT_FIT,
                 n_used=n_used,
             )
         return SeriesVerdict(
@@ -481,7 +555,7 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Se
         "inconclusive",
         p_hat=p_hat,
         ci_halfwidth=ci,
-        evidence={"method": "exponent_near_boundary"},
+        evidence=_NEAR_BOUNDARY,
         n_used=n_used,
     )
 
@@ -502,16 +576,17 @@ def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -
                 return NullVerdict("stays_above", level=hint.level)
             return NullVerdict("tends_to_zero")
     n_max = src.effective_n_max(policy)
-    blocks = _dyadic_blocks(n_max)
-    lo, hi = blocks[-1]
-    _, _, _, last_min, last_max = _block(src, lo, hi)
+    lo, hi = _dyadic_blocks(n_max)[-1]
+    # every companion's null test reads this same last block
+    _, _, _, last_min, last_max = _block(src, lo, hi, _companions(src, policy, n_max))
     n_used = hi - 1
     if last_max < policy.null_tolerance:
         return NullVerdict("tends_to_zero", n_used=n_used)
     try:
         p_hat, ci = _fit_block_starts(src, n_max, policy.dyadic_window)
-    except AllTermsZero:
-        return NullVerdict("tends_to_zero", n_used=n_used)
+    except TooFewAnchors:
+        # the last block is not small, but too few anchors are to fit a decay
+        return NullVerdict("inconclusive", n_used=n_used)
     if p_hat - ci > 0.02:
         return NullVerdict("tends_to_zero", p_hat=p_hat, ci_halfwidth=ci, n_used=n_used)
     level = last_min

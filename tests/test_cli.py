@@ -351,3 +351,24 @@ def test_main_maps_accuracy_error_exit_3(capsys, monkeypatch):
     # main rebuilds the parser, which binds the patched handler
     code = cli.main(["series", "--input", "whatever.csv"])
     assert code == cli.EXIT_ACCURACY
+
+
+def test_sweep_repeated_and_after_diagnose_matches_fresh_process(capsys):
+    # the per-family source cache and the shared hint, evidence and params
+    # caches change no output: a sweep run again on the same families, after
+    # a diagnose, or on new families equals one in a fresh process
+    from convlab.registry import default_registry, mode_diagram, soundness_sweep
+
+    script = ("import json; from convlab.registry import *; print(json.dumps("
+              "soundness_sweep(mode_diagram(), default_registry()).to_dict(), "
+              "sort_keys=True))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    want = json.loads(proc.stdout)
+    families = default_registry()
+    assert soundness_sweep(mode_diagram(), families).to_dict() == want
+    assert run(capsys, "diagnose", "--family", "ex31", "--alpha", "2",
+               "--format", "json")[0] == 0
+    assert soundness_sweep(mode_diagram(), families).to_dict() == want
+    assert soundness_sweep(mode_diagram(), default_registry()).to_dict() == want

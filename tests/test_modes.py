@@ -298,3 +298,43 @@ def test_mode_table_matches_reference_dispatch(family):
                     got = generic_term(family, mode, probe, n, params)
                     want = reference_term(family, mode, probe, n, params)
                     assert got == want, (mode, probe_key(probe), n)
+
+
+@pytest.mark.parametrize("family", [f for f in default_registry()
+                                    if f.meta.kind in ("ex31", "ex33")],
+                         ids=lambda f: f.name)
+def test_dist_after_s1d_reads_s1d_blocks_and_agrees(family, monkeypatch):
+    # dist's test-function probes get the very sources s1d scanned, so their
+    # null tests evaluate no new block, and report what a fresh family does
+    from convlab.series import TermSource
+
+    params = ModeParams.defaults(family)
+    check_mode(family, "s1d", params)
+    counted = []
+    terms = TermSource.terms
+
+    def counting(src, lo, hi):
+        counted.append(hi - lo)
+        return terms(src, lo, hi)
+
+    monkeypatch.setattr(TermSource, "terms", counting)
+    after = check_mode(family, "dist", params)
+    monkeypatch.undo()
+    fresh = next(f for f in default_registry() if f.name == family.name)
+    alone = check_mode(fresh, "dist", ModeParams.defaults(fresh))
+    assert after.to_dict() == alone.to_dict()
+    assert max(counted) == 1  # dyadic anchors only
+
+
+@pytest.mark.parametrize("family", default_registry(), ids=lambda f: f.name)
+def test_modes_sharing_a_family_report_what_fresh_families_do(family):
+    # the family's source cache may share a source only between modes whose
+    # terms agree: every mode, run in turn on one family, must report what
+    # it reports on a family of its own (sa_as and as differ in exponent)
+    policy = EnginePolicy(n_max=1 << 14)
+    params = ModeParams.defaults(family, alpha=0.5, p=2.0)
+    for mode in ALL_MODES:
+        shared = check_mode(family, mode, params, policy)
+        fresh = next(f for f in default_registry() if f.name == family.name)
+        alone = check_mode(fresh, mode, ModeParams.defaults(fresh, alpha=0.5, p=2.0), policy)
+        assert shared.to_dict() == alone.to_dict(), mode

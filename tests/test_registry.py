@@ -1,6 +1,7 @@
 """Counterexample catalog, implication diagram, soundness harness."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from convlab.registry import (NODE_MODES, NODES, ImplicationDiagram,
                               mode_diagram, shift_uniform, soundness_sweep,
                               verdict_matches, verify_lipschitz_s2d,
                               verify_truncation_s1star)
-from convlab.series import AnalyticHint, TermSource
+from convlab.series import AnalyticHint, EnginePolicy, TermSource
 
 
 def test_build_family_validation():
@@ -489,3 +490,73 @@ def test_shift_uniform_s2d_hint_is_beta():
             hint = fam.meta.term_source("s2d", ("x", x), params).hint
             assert hint.exponent == beta
         assert fam.meta.certifies("s2d", params)
+
+
+@pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)
+def test_two_atom_chunk_basis_keeps_terms_bit_identical(family, ref):
+    # a family's sources share the latest chunk's (m1, 1 - m1, v2): chunks
+    # taken source by source, repeated, overlapping or of scattered indices
+    # must all give the reference terms to the bit
+    params = ModeParams.defaults(family, alpha=2.0)
+    pairs = [(family.meta.term_source(mode, probe, params), ref[0](mode, probe, params))
+             for mode in ALL_MODES for probe in probes_for(mode, params)]
+    index_sets = [np.arange(lo, hi) for lo, hi in (
+        (1, 9), (1, 9), (1, 8), (5, 13), (100, 8292), (100, 8292), (8292, 9000))]
+    index_sets += [np.array([1, 2, 4, 8]), np.array([1, 3, 5, 8]), np.array([7])]
+    for ns in index_sets:
+        for got, want in pairs:
+            assert got.generator(ns).tobytes() == want.generator(ns).tobytes(), ns
+    for got, want in pairs:
+        for ns in index_sets:
+            assert got.generator(ns).tobytes() == want.generator(ns).tobytes(), ns
+
+
+# ---------------------------------------------------------------------------
+# What a kept report holds
+
+
+def _small_sweep():
+    return soundness_sweep(mode_diagram(), default_registry(), EnginePolicy(n_max=4096))
+
+
+def test_kept_sweep_report_stays_small():
+    # reports share their hints' evidence dicts, the unhinted outcomes'
+    # constant evidence and one params summary per (mode, params); before
+    # that sharing a kept report held about 190 KiB
+    import gc
+    import tracemalloc
+
+    kept = [_small_sweep(), _small_sweep()]  # warm the shared caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept += [_small_sweep() for _ in range(3)]
+        gc.collect()
+        per_report = (tracemalloc.get_traced_memory()[0] - before) / 3
+    finally:
+        tracemalloc.stop()
+    assert per_report < 120 * 1024
+
+
+def _scribble(value):
+    """Change every dict and list inside a to_dict() output in place."""
+    if isinstance(value, dict):
+        for v in value.values():
+            _scribble(v)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for v in value:
+            _scribble(v)
+        value.append("scribbled")
+
+
+def test_to_dict_outputs_share_nothing_with_reports():
+    reports = [_small_sweep(), _small_sweep()]
+    snapshot = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+    for rep in reports[0].verdicts.values():
+        _scribble(rep.to_dict())
+        for verdict in rep.probe_results.values():
+            _scribble(verdict.to_dict())
+    _scribble(reports[1].to_dict())
+    assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == snapshot

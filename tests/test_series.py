@@ -207,6 +207,11 @@ def test_fit_exponent_needs_three_positive_anchors():
 
     vals = np.zeros(64)
     vals[[0, 1]] = 1.0  # positive at anchors 1 and 2 only
+    with pytest.raises(series.TooFewAnchors) as info:
+        fit_exponent(TermSource.from_values(vals))
+    assert not isinstance(info.value, series.AllTermsZero)
+    vals[[0, 1]] = 0.0
+    vals[[2, 6]] = 1.0  # positive off the anchors only
     with pytest.raises(series.AllTermsZero):
         fit_exponent(TermSource.from_values(vals))
 
@@ -346,19 +351,24 @@ def test_chunked_block_matches_whole_block(monkeypatch):
 
 def test_warm_unhinted_scan_reuses_its_heap():
     # a 10**6-term two-atom scan: its per-chunk numpy temporaries must stay
-    # small enough for the allocator to reuse rather than map in afresh
-    fam = ex31(2.0)
-    params = ModeParams.defaults(fam)
-    probe = probes_for("s1d", params)[0]
-    src = probe_source(fam, "s1d", probe, params)
+    # small enough for the allocator to reuse rather than map in afresh.  A
+    # source keeps its block sums, so each warm scan runs on a fresh family.
+    def fresh_source():
+        fam = ex31(2.0)
+        params = ModeParams.defaults(fam)
+        return probe_source(fam, "s1d", probes_for("s1d", params)[0], params)
+
+    src = fresh_source()
     assert src.hint is None
     assert analyze_series(src).n_used == DEFAULT_POLICY.n_max
     if sys.platform.startswith("linux"):
         import resource
 
+        src = fresh_source()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         analyze_series(src)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+    src = fresh_source()
     tracemalloc.start()
     try:
         analyze_series(src)
@@ -366,3 +376,96 @@ def test_warm_unhinted_scan_reuses_its_heap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("values", ([0.5, 0.25], [1.0, 0.0, 1.0], [0.3, 0.2, 0.1],
+                                    [0.0, 0.0, 1.0]))
+def test_short_stream_with_too_few_positive_anchors_is_inconclusive(values):
+    src = TermSource.from_values(values)
+    v = analyze_series(src)
+    assert v.klass == "inconclusive"
+    assert v.evidence == {"method": "too_few_positive_anchors"}
+    assert v.sum_estimate is None and v.tail_bound is None
+    assert null_sequence_test(src).klass == "inconclusive"
+
+
+@pytest.mark.parametrize("values", ([0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]))
+def test_stream_zero_to_its_end_still_converges(values):
+    src = TermSource.from_values(values)
+    v = analyze_series(src)
+    assert v.klass == "converges" and v.tail_bound == 0.0
+    assert v.sum_estimate == sum(values)
+    assert null_sequence_test(src).tends_to_zero
+
+
+class Recorder:
+    """Term streams that log each generator call as (name, lo, hi)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def source(self, name, fn, **kwargs):
+        def gen(ns):
+            self.calls.append((name, int(ns[0]), int(ns[-1]) + 1))
+            return fn(ns)
+
+        return TermSource(gen, **kwargs)
+
+    def terms(self, name):
+        return sum(hi - lo for who, lo, hi in self.calls if who == name)
+
+
+def _mixed_sources(rec):
+    """A hinted, unhinted, blowing-up, capped and finite-length mix."""
+    rng = np.random.default_rng(3)
+    short = rng.random(3000) * np.arange(1, 3001) ** -2.0
+    longer = rng.random(5000) * np.arange(1, 5001) ** -1.1
+    return {
+        "hinted": rec.source("hinted", lambda ns: ns.astype(float) ** -1.5,
+                             hint=AnalyticHint("power", exponent=1.5)),
+        "p2": rec.source("p2", lambda ns: ns.astype(float) ** -2.0),
+        "p12": rec.source("p12", lambda ns: ns.astype(float) ** -1.2),
+        "p05": rec.source("p05", lambda ns: ns.astype(float) ** -0.5),
+        "blowup": rec.source("blowup", lambda ns: np.full(len(ns), 2.0)),
+        "capped": rec.source("capped", lambda ns: ns.astype(float) ** -3.0,
+                             dense_cap=4096),
+        "zeros": rec.source("zeros", lambda ns: (ns < 40) * 1.0),
+        "short": rec.source("short", lambda ns: short[ns - 1], length=short.size),
+        "longer": rec.source("longer", lambda ns: longer[ns - 1], length=longer.size),
+    }
+
+
+@pytest.mark.parametrize("test", (analyze_series, null_sequence_test))
+def test_grouped_scans_equal_ungrouped(test):
+    # every source gets the same verdict, field for field, and evaluates the
+    # same terms, whether or not it scans alongside its siblings
+    policy = EnginePolicy(n_max=50_000, blowup_threshold=1e3)
+    alone, together = Recorder(), Recorder()
+    lone = _mixed_sources(alone)
+    want = {name: test(src, policy) for name, src in lone.items()}
+    grouped = _mixed_sources(together)
+    group = tuple(grouped.values())
+    for src in group:
+        src.siblings = group
+    got = {name: test(src, policy) for name, src in grouped.items()}
+    for name in grouped:
+        assert got[name] == want[name], name
+        assert got[name].to_dict() == want[name].to_dict(), name
+        assert together.terms(name) == alone.terms(name), name
+    # unhinted siblings with one horizon took their chunks in turn: in a
+    # scan the hinted source went alone and the blown-up one had stopped; in
+    # a null test the hinted one read no terms
+    if test is analyze_series:
+        lo, want_names = 8192, ["hinted", "p2", "p12", "p05", "zeros"]
+        assert want["blowup"].klass == "diverges"
+        assert together.terms("p12") == 50_000
+    else:
+        lo, want_names = 32768, ["p2", "p12", "p05", "blowup", "zeros"]
+    assert [who for who, start, end in together.calls
+            if start == lo and end > lo + 1] == want_names
+    # a second pass reads every block from the sources' memos
+    before = len(together.calls)
+    again = {name: test(src, policy) for name, src in grouped.items()}
+    assert again == got
+    assert all(start != lo or end == lo + 1
+               for _, start, end in together.calls[before:])
