@@ -105,7 +105,7 @@ class ModeParams:
     omega_points: tuple = field(default_factory=default_omega_points)
 
     def __post_init__(self):
-        # tuples throughout, so that params can key the per-family caches
+        # tuples throughout, so that params can key _params_summary's cache
         for name in ("epsilons", "x_points", "t_points", "test_functions",
                      "omega_points"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
@@ -151,21 +151,25 @@ class ModeParams:
 class FamilyMeta:
     """Analytic metadata a family ships alongside its members.
 
-    term_source(mode, probe, params) may return a vectorized TermSource
-    (closed-form terms plus hint) for fast certified runs.  Its terms and
-    hint may depend on the mode only through the mode's term kind for the
-    probe's axis and its exponent (ModeSpec.term and ModeSpec.exponent):
-    probe_source hands one source to every mode that agrees on those, so
-    that blocks one mode has evaluated serve the next.  certifies(mode,
-    params) says whether an all-probes-converge outcome may be upgraded to
-    Holds for a universally quantified mode.
+    term_source(kind, value, power) may return a vectorized TermSource
+    (closed-form terms plus hint) for fast certified runs: the terms of one
+    term kind (ModeSpec.axes) at one value of its probe axis, pointwise
+    terms raised to power (ModeSpec.exponent; 1 for every other kind).
+    probe_source hands one source to every mode that asks for the same
+    three, so that blocks one mode has evaluated serve the next.
+
+    decay maps a term kind to the exponent p such that, at every probe
+    value of its axis, the terms are eventually O(n^-p) (math.inf:
+    eventually zero); a kind it lacks decays at no known rate.  It decides
+    when an all-probes-converge outcome of a universally quantified mode
+    may be upgraded to Holds (see certified).
     """
 
     kind: str = ""
     support: tuple = (0.0, 1.0)
     bound: float = 1.0
-    term_source: Callable = lambda mode, probe, params: None
-    certifies: Callable = lambda mode, params: False
+    term_source: Callable = lambda kind, value, power: None
+    decay: dict = field(default_factory=dict)
     shift_sequence: Optional[Callable] = None  # n -> ||X_n - X||_inf, if shift-type
     base_cdf_vec: Optional[Callable] = None  # vectorized limit CDF, if closed-form
     x_probes: Optional[tuple] = None  # preferred CDF probe points
@@ -300,12 +304,10 @@ def mode_spec(mode):
     return MODES[mode]
 
 
-def generic_term(family, mode, probe, n, params):
-    """The n-th term of the sequence behind one probe of a mode: summed for
-    a series mode, tested for tending to zero for a limit mode."""
-    axis, value = probe
-    spec = mode_spec(mode)
-    kind = spec.term(axis)
+def generic_term(family, kind, value, power, n):
+    """The n-th term of one term kind at one probe value, pointwise terms
+    raised to power: summed for a series mode, tested for tending to zero
+    for a limit mode."""
     if kind == "tail":
         return term_cc(family, n, value)
     if kind == "moment":
@@ -320,7 +322,9 @@ def generic_term(family, mode, probe, n, params):
         return term_s2d(family, n, value)
     if kind == "char_gap":
         return term_s3d(family, n, value)
-    return term_sa_as(family, n, spec.exponent(params), value)
+    if kind == "pointwise":
+        return term_sa_as(family, n, power, value)
+    raise ParameterError(f"unknown term kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +346,33 @@ def probe_source(family, mode, probe, params, use_analytic=True):
     """The family's closed-form TermSource for one probe or, without one
     (or with use_analytic False), the generic term-by-term route.
 
-    The family keeps every source it hands out, keyed by all the terms
-    depend on, so modes with the same terms share one source (dist's test
-    functions and s1d's, say) and each block of it is evaluated once."""
+    The family keeps every source it hands out, keyed by the route and by
+    the (kind, value, power) the terms depend on, so modes with the same
+    terms share one source (dist's test functions and s1d's, say) and each
+    block of it is evaluated once."""
     spec = mode_spec(mode)
-    key = (use_analytic, spec.term(probe[0]), probe, spec.exponent(params), params)
+    kind, value, power = spec.term(probe[0]), probe[1], spec.exponent(params)
+    key = (use_analytic, kind, value, power)
     src = family._sources.get(key)
     if src is None:
-        src = family.meta.term_source(mode, probe, params) if use_analytic else None
+        src = family.meta.term_source(kind, value, power) if use_analytic else None
         if src is None:
             src = TermSource.from_scalar(
-                lambda n: generic_term(family, mode, probe, n, params),
+                lambda n: generic_term(family, kind, value, power, n),
                 dense_cap=GENERIC_DENSE_CAP,
             )
         family._sources[key] = src
     return src
+
+
+def certified(family, mode, params):
+    """Whether the family's decay table certifies a mode: on every axis,
+    terms eventually O(n^-decay[kind]), raised to the mode's exponent, must
+    decay faster than n^-1 for a series mode, and at all for a limit mode."""
+    spec = mode_spec(mode)
+    floor = 1.0 if spec.series else 0.0
+    return all(family.meta.decay.get(kind, 0.0) * spec.exponent(params) > floor
+               for _, kind in spec.axes)
 
 
 def probe_key(probe):
@@ -426,7 +442,7 @@ def check_mode(
     Summability modes classify the per-probe term series; limit modes run the
     null-sequence test.  Any diverging probe falsifies the mode.  An
     all-convergent outcome yields Holds only when the mode carries no hidden
-    quantifier or the family's analytic metadata certifies it; otherwise
+    quantifier or the family's decay table certifies it; otherwise
     NotFalsified, keeping quantifier handling honest.
     """
     spec = mode_spec(mode)
@@ -466,7 +482,7 @@ def check_mode(
         verdict_tag, witness = VERDICT_FAILS, probe_key(bad)
     elif inconclusive:
         verdict_tag, witness = VERDICT_INCONCLUSIVE, None
-    elif spec.universal and not family.meta.certifies(mode, params):
+    elif spec.universal and not certified(family, mode, params):
         verdict_tag, witness = VERDICT_NOT_FALSIFIED, None
     else:
         verdict_tag, witness = VERDICT_HOLDS, None

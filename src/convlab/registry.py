@@ -22,7 +22,7 @@ import numpy as np
 
 from . import space
 from .errors import ParameterError
-from .modes import (Family, FamilyMeta, ModeParams, check_mode, mode_spec,
+from .modes import (MODES, Family, FamilyMeta, ModeParams, check_mode,
                     probe_source)
 from .series import DEFAULT_POLICY, AnalyticHint, TermSource, analyze_series
 from .testfuncs import ClampedAffine, ClampedIdentity, Sine
@@ -65,7 +65,7 @@ def _two_atom_source_factory(r, q):
     r: decay exponent of the first atom's mass n^-r; q: decay exponent of
     the second atom's value n^-q (math.inf when it is identically 0).  Each
     term is mean(g) = E g(X_n), or gap(g) = |E g(X_n) - g(0)|, for a g fixed
-    by the mode and probe."""
+    by the term kind and probe value."""
 
     latest = [None, None]  # key and basis of the latest chunk
 
@@ -97,41 +97,38 @@ def _two_atom_source_factory(r, q):
     def gap(g, ns):
         return np.abs(mean(g, ns) - g(0.0))
 
-    def source(mode, probe, params):
-        axis, val = probe
-        term = mode if mode == "trunc_l1" else mode_spec(mode).term(axis)
-
-        if term == "tail":
-            eps = float(val)
+    def source(kind, value, power):
+        if kind == "tail":
+            eps = float(value)
             if eps > 1.0:
                 return _zeros_source()
             return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns),
                               hint=_power(r, constant=1.0))
 
-        if term == "moment":
-            p = float(val)
+        if kind == "moment":
+            p = float(value)
             return TermSource(lambda ns: mean(lambda v: np.abs(v) ** p, ns),
                               hint=_power(min(r, p * q)))
 
-        if term == "sup":
+        if kind == "sup":
             return TermSource(lambda ns: np.maximum(1.0, basis(ns)[2]),
                               hint=_ONE_THROUGHOUT)
 
-        if term == "expect_gap":
-            return TermSource(lambda ns: gap(val, ns))
+        if kind == "expect_gap":
+            return TermSource(lambda ns: gap(value, ns))
 
-        if term == "coupled_gap":
-            return TermSource(lambda ns: mean(lambda v: np.abs(val(v) - val(0.0)), ns))
+        if kind == "coupled_gap":
+            return TermSource(lambda ns: mean(lambda v: np.abs(value(v) - value(0.0)), ns))
 
-        if term == "cdf_gap":
-            x = float(val)
+        if kind == "cdf_gap":
+            x = float(value)
             if x >= 1.0 or x < 0.0:
                 return _zeros_source()
             return TermSource(lambda ns: gap(lambda v: v <= x, ns),
                               hint=_power(r, constant=1.0))
 
-        if term == "char_gap":
-            t = float(val)
+        if kind == "char_gap":
+            t = float(value)
             if t == 0.0:
                 return _zeros_source()
 
@@ -142,20 +139,19 @@ def _two_atom_source_factory(r, q):
             exp = q if abs(g(1.0) - g(0.0)) < 1e-12 and q < math.inf else min(r, q)
             return TermSource(lambda ns: gap(g, ns), hint=_power(exp))
 
-        if term == "pointwise":
-            omega = float(val)
-            a0 = mode_spec(mode).exponent(params)
+        if kind == "pointwise":
+            omega = float(value)
 
             def gen(ns):
                 m1, _, v2 = basis(ns)
-                return np.abs(np.where(omega < m1, 1.0, v2)) ** a0
+                return np.abs(np.where(omega < m1, 1.0, v2)) ** power
 
             if math.isinf(q):
                 return TermSource(gen, hint=_zero(start=math.ceil(omega ** (-1.0 / r))))
-            return TermSource(gen, hint=_power(a0 * q))
+            return TermSource(gen, hint=_power(power * q))
 
-        if term == "trunc_l1":
-            eps = float(val)
+        if kind == "trunc_l1":
+            eps = float(value)
             return TermSource(lambda ns: mean(lambda v: np.abs(v) * (np.abs(v) < eps),
                                               ns), hint=_power(min(r, q)))
 
@@ -167,10 +163,10 @@ def _two_atom_source_factory(r, q):
 def _two_atom_family(kind, name, params, r, q):
     """X_n = 1 with mass n^-r, n^-q with the rest; limit 0.
 
-    What the family certifies follows from (r, q): a summable first-atom
-    mass (r > 1) gives cc and s2d; a summable second atom as well (q > 1)
-    gives the summable expectation modes; sa_as needs a summable pointwise
-    series, alpha * q > 1."""
+    Tail probabilities and CDF gaps decay like the first atom's mass n^-r,
+    the pointwise distance like the second atom's value n^-q, and the
+    expectation and characteristic-function gaps like the slower of the
+    two."""
 
     def member(n):
         # 1.0 / n, not float(n) ** -1.0: the two differ in the last bit
@@ -181,19 +177,11 @@ def _two_atom_family(kind, name, params, r, q):
         return space.RandomVariable((space.Piece(0.0, b, space.Constant(1.0)),
                                      space.Piece(b, 1.0, second)))
 
-    def certifies(mode, mode_params):
-        if mode in ("as", "prob", "dist"):
-            return True
-        if mode in ("cc", "s2d"):
-            return r > 1.0
-        if mode in ("s1d", "s1star", "s3d"):
-            return r > 1.0 and q > 1.0
-        if mode == "sa_as":
-            return q * mode_params.alpha > 1.0
-        return False
-
+    slower = min(r, q)
+    decay = {"tail": r, "cdf_gap": r, "expect_gap": slower, "coupled_gap": slower,
+             "char_gap": slower, "pointwise": q}
     meta = FamilyMeta(kind=kind, support=(0.0, 1.0), bound=1.0,
-                      term_source=_two_atom_source_factory(r, q), certifies=certifies)
+                      term_source=_two_atom_source_factory(r, q), decay=decay)
     return Family(name, params, space.constant_rv(0.0), member, meta)
 
 
@@ -228,25 +216,22 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, holder_at_1):
     def s_of(ns):
         return ns.astype(float) ** -beta
 
-    def source(mode, probe, params):
-        axis, val = probe
-        term = mode if mode == "trunc_l1" else mode_spec(mode).term(axis)
-
-        if term == "tail":
-            eps = float(val)
+    def source(kind, value, power):
+        if kind == "tail":
+            eps = float(value)
             start = 1 if eps > 1.0 else math.ceil(eps ** (-1.0 / beta))
             return TermSource(lambda ns: (s_of(ns) >= eps) * 1.0,
                               hint=_zero(start=start))
 
-        if term in ("moment", "pointwise"):
-            k = float(val) if term == "moment" else mode_spec(mode).exponent(params)
+        if kind in ("moment", "pointwise"):
+            k = float(value) if kind == "moment" else power
             return TermSource(lambda ns: s_of(ns) ** k, hint=_power(beta * k))
 
-        if term == "sup":
+        if kind == "sup":
             return TermSource(s_of, hint=_power(beta))
 
-        if term == "cdf_gap":
-            x = float(val)
+        if kind == "cdf_gap":
+            x = float(value)
             fx = float(base_cdf_vec(np.array([x]))[0])
 
             def gen(ns):
@@ -261,8 +246,8 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, holder_at_1):
             holder = holder_at_1 if abs(x - 1.0) <= 1e-12 else 1.0
             return TermSource(gen, hint=_power(holder * beta))
 
-        if term == "char_gap":
-            t = float(val)
+        if kind == "char_gap":
+            t = float(value)
             if t == 0.0:
                 return _zeros_source()
             phi = base_char(t)
@@ -270,14 +255,14 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, holder_at_1):
                 lambda ns: np.abs(phi) * np.abs(np.exp(1j * t * s_of(ns)) - 1.0),
                 hint=_power(beta))
 
-        if term in ("expect_gap", "coupled_gap"):
-            f = val
+        if kind in ("expect_gap", "coupled_gap"):
+            f = value
             if isinstance(f, Sine):
                 phi1 = base_char(1.0)
 
                 def gen(ns):
                     s = s_of(ns)
-                    if term == "coupled_gap":
+                    if kind == "coupled_gap":
                         half = np.exp(1j * s / 2.0) * phi1
                         return 2.0 * np.sin(s / 2.0) * np.real(half)
                     return np.abs(np.imag((np.exp(1j * s) - 1.0) * phi1))
@@ -293,8 +278,8 @@ def _shift_source_factory(beta, base_cdf_vec, base_char, holder_at_1):
                 return TermSource(lambda ns: f.K * s_of(ns), hint=_power(beta))
             return None
 
-        if term == "trunc_l1":
-            eps = float(val)
+        if kind == "trunc_l1":
+            eps = float(value)
 
             def gen(ns):
                 s = s_of(ns)
@@ -311,22 +296,13 @@ def _shift_family(name, kind, params, base_rv, base_cdf_vec, beta,
                   holder_at_1, x_probes=None):
     """X_n = base_rv + n^-beta for a base variable on [0, 1] whose CDF is
     Lipschitz except at x = 1, where its Hölder exponent is holder_at_1.
-    The CDF-gap series at 1 then decays like n^-(holder_at_1 * beta), which
-    decides s2d."""
+    Tail probabilities are eventually zero, the CDF gap at 1 decays like
+    n^-(holder_at_1 * beta), and every other term like the shift n^-beta."""
     if beta <= 1:
         raise ParameterError("shift family needs beta > 1 for a summable shift")
 
     def member(n):
         return base_rv.shifted(float(n) ** -beta)
-
-    def certifies(mode, mode_params):
-        if mode in ("cc", "s1d", "s1star", "s3d", "as", "prob", "dist"):
-            return True
-        if mode == "sa_as":
-            return beta * mode_params.alpha > 1.0
-        if mode == "s2d":
-            return holder_at_1 * beta > 1.0
-        return False
 
     meta = FamilyMeta(
         kind=kind,
@@ -336,7 +312,8 @@ def _shift_family(name, kind, params, base_rv, base_cdf_vec, beta,
         term_source=_shift_source_factory(
             beta, base_cdf_vec, lambda t: family.limit_char(t), holder_at_1
         ),
-        certifies=certifies,
+        decay={"tail": math.inf, "cdf_gap": holder_at_1 * beta, "expect_gap": beta,
+               "coupled_gap": beta, "char_gap": beta, "pointwise": beta},
         shift_sequence=lambda n: np.asarray(n, dtype=float) ** -beta,
         base_cdf_vec=base_cdf_vec,
         x_probes=x_probes,
@@ -383,15 +360,12 @@ def constant_family(c=0.0):
     _require_finite("const", c=c)
     rv = space.constant_rv(c)
 
-    def source(mode, probe, params):
-        return _zeros_source()
-
     meta = FamilyMeta(
         kind="constant",
         support=(c, c),
         bound=abs(c),
-        term_source=source,
-        certifies=lambda mode, params: True,
+        term_source=lambda kind, value, power: _zeros_source(),
+        decay={kind: math.inf for spec in MODES.values() for _, kind in spec.axes},
         shift_sequence=lambda n: np.zeros_like(np.asarray(n, dtype=float)),
         base_cdf_vec=lambda x: (np.asarray(x, dtype=float) >= c) * 1.0,
     )
@@ -764,7 +738,7 @@ def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY,
     proof_bound_ok = True
     details = {}
     for w in witnesses:
-        src = family.meta.term_source("s2d", ("x", w.x), params)
+        src = family.meta.term_source("cdf_gap", w.x, 1.0)
         terms = src.terms(1, n_check + 1)
         upper = (F(w.x + a_n) - F(w.x)) + (F(w.x) - F(w.x - a_n))
         if not np.all(terms <= upper + slack):
@@ -827,12 +801,12 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
     if fs is None:
         fs = params.test_functions
     cc = check_mode(family, "cc", params, policy)
-    trunc_src = family.meta.term_source("trunc_l1", ("eps", eps), params)
+    trunc_src = family.meta.term_source("trunc_l1", eps, 1.0)
     if trunc_src is None:
         raise ParameterError("family has no truncated-moment term formula")
     trunc_verdict = analyze_series(trunc_src, policy)
     trunc_terms = trunc_src.terms(1, n_check + 1)
-    cc_src = family.meta.term_source("cc", ("eps", eps), params)
+    cc_src = family.meta.term_source("tail", eps, 1.0)
     cc_terms = cc_src.terms(1, n_check + 1)
     s1star_all = True
     splitting_ok = True
@@ -852,7 +826,7 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
     converse_ok = True
     if m_bound > 0:
         f_eps = ClampedIdentity(M=m_bound, eps=eps)
-        src = family.meta.term_source("s1star", ("f", f_eps), params)
+        src = family.meta.term_source("coupled_gap", f_eps, 1.0)
         if src is not None:
             s1star_terms = src.terms(1, min(n_check, 1000) + 1)
             tt = trunc_terms[: len(s1star_terms)]

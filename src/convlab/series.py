@@ -97,8 +97,8 @@ class AnalyticHint:
 
 
 class TooFewAnchors(Exception):
-    """Raised by the anchor fit when fewer than 3 anchors in its window have
-    a positive term, so no decay exponent can be fitted."""
+    """Raised by the anchor fit when fewer anchors than its window have a
+    positive term, too few to fit a decay exponent with any confidence."""
 
 
 class AllTermsZero(TooFewAnchors):
@@ -327,7 +327,8 @@ def _dyadic_blocks(n_max):
 
 
 def _anchor_fit(anchor_ns, anchor_vals, window):
-    """Least-squares decay exponent from log terms at dyadic anchors."""
+    """Least-squares decay exponent from log terms at the last window
+    positive dyadic anchors."""
     ns = np.asarray(anchor_ns, dtype=float)
     vals = np.asarray(anchor_vals, dtype=float)
     pos = vals > 0.0
@@ -335,7 +336,7 @@ def _anchor_fit(anchor_ns, anchor_vals, window):
     if ns.size == 0:
         raise AllTermsZero
     ns, vals = ns[-window:], vals[-window:]
-    if ns.size < 3:
+    if ns.size < window:
         raise TooFewAnchors
     x = np.log(ns)
     y = np.log(vals)
@@ -351,18 +352,20 @@ def _anchor_fit(anchor_ns, anchor_vals, window):
 
 
 def _fit_block_starts(src, n_max, window):
-    """_anchor_fit on the terms at the dyadic block starts 1, 2, 4, ... <= n_max."""
-    anchor_ns = [lo for lo, _ in _dyadic_blocks(n_max)]
-    anchors = np.concatenate([src.terms(n, n + 1) for n in anchor_ns])
-    return _anchor_fit(anchor_ns, anchors, window)
+    """_anchor_fit on the terms at the dyadic block starts 1, 2, 4, ... <= n_max.
+    Each is its block's first term, read from the block memo where the
+    block has been evaluated and evaluated on its own where not."""
+    blocks = _dyadic_blocks(n_max)
+    anchors = [src._blocks[b][1] if b in src._blocks else src.terms(b[0], b[0] + 1)[0]
+               for b in blocks]
+    return _anchor_fit([lo for lo, _ in blocks], anchors, window)
 
 
 def fit_exponent(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY):
     """Fit a_n ~ C n**(-p) on dyadic anchors; returns (p_hat, ci_halfwidth).
 
-    Raises TooFewAnchors when fewer than 3 of the last policy.dyadic_window
-    anchors have a positive term, AllTermsZero (a TooFewAnchors) when none
-    has.
+    Raises TooFewAnchors when fewer than policy.dyadic_window anchors have
+    a positive term, AllTermsZero (a TooFewAnchors) when none has.
     """
     return _fit_block_starts(src, src.effective_n_max(policy), policy.dyadic_window)
 
@@ -389,7 +392,7 @@ _HORIZON_FRACTION = 0.1
 
 
 class _Scan:
-    """One source's dense dyadic-block scan: partial sums, anchors, blowup
+    """One source's dense dyadic-block scan: partial sums and blowup
     detection.
 
     With a known power-law exponent > 1 the scan stops early, after at least
@@ -403,8 +406,6 @@ class _Scan:
         self.policy = policy
         self.exponent = exponent
         self.block_sums = []
-        self.anchor_ns = []
-        self.anchor_vals = []
         self.partial = 0.0
         self.blowup_at = None
         self.last_max = None
@@ -415,11 +416,9 @@ class _Scan:
     def add(self, lo, hi):
         # pairwise numpy summation inside the block (deterministic for a fixed
         # block layout), compensated accumulation across blocks
-        block_sum, first, self.a_last, _, self.last_max = self.src._blocks[(lo, hi)]
+        block_sum, _, self.a_last, _, self.last_max = self.src._blocks[(lo, hi)]
         self.block_sums.append(block_sum)
         self.partial = _neumaier(self.block_sums)
-        self.anchor_ns.append(lo)
-        self.anchor_vals.append(first)
         self.n_last = hi - 1
         policy = self.policy
         if self.partial > policy.blowup_threshold:
@@ -520,7 +519,7 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Se
             n_used=n_used,
         )
     try:
-        p_hat, ci = _anchor_fit(scan.anchor_ns, scan.anchor_vals, policy.dyadic_window)
+        p_hat, ci = _fit_block_starts(src, n_max, policy.dyadic_window)
     except TooFewAnchors:
         # the last block is positive, but too few anchors are to fit a decay
         return SeriesVerdict("inconclusive", evidence=_TOO_FEW_ANCHORS, n_used=n_used)

@@ -42,7 +42,7 @@ def test_criterion_1_two_atom_reproduction():
     # terms are exactly 1/n^2 once the second atom's value drops below eps
     for eps in params.epsilons:
         start = int(math.ceil(eps ** -2.0)) + 1
-        src = fam.meta.term_source("cc", ("eps", eps), params)
+        src = fam.meta.term_source("tail", eps, 1.0)
         ns = np.arange(start, start + 50)
         assert np.max(np.abs(src.terms(start, start + 50)
                              - ns.astype(float) ** -2.0)) < 1e-15
@@ -75,7 +75,7 @@ def test_criterion_2_shifted_singular_density():
 
     rep = check_mode(fam, "slinf", params)
     assert rep.verdict == "holds"
-    src = fam.meta.term_source("slinf", ("all", None), params)
+    src = fam.meta.term_source("sup", None, 1.0)
     ns = np.arange(1, 1001, dtype=float)
     assert np.max(np.abs(src.terms(1, 1001) - ns ** -2.0)) == 0.0
     verdict = rep.probe_results["all"]
@@ -84,20 +84,18 @@ def test_criterion_2_shifted_singular_density():
 
     rep_s2d = check_mode(fam, "s2d", params)
     assert rep_s2d.fails and rep_s2d.witness == "x=1.0"
-    src = fam.meta.term_source("s2d", ("x", 1.0), params)
+    src = fam.meta.term_source("cdf_gap", 1.0, 1.0)
     terms = src.terms(1, 2001)
     want = np.arange(1, 2001, dtype=float) ** -1.0
     rel = np.max(np.abs(terms - want) / want)
     assert rel < 1e-8
     # cross-check the closed form against the CDF route at small n
     for n in (2, 5, 17):
-        slow = generic_term(fam, "s2d", ("x", 1.0), n, params)
+        slow = generic_term(fam, "cdf_gap", 1.0, 1.0, n)
         assert abs(slow - 1.0 / n) < 1e-10
 
     fam_reg = ex32(0.4, 2.0)
-    v = analyze_series(
-        fam_reg.meta.term_source("s2d", ("x", 1.0), ModeParams.defaults(fam_reg))
-    )
+    v = analyze_series(fam_reg.meta.term_source("cdf_gap", 1.0, 1.0))
     assert v.converges
     assert abs(v.p_hat - 1.2) < 1e-12
 
@@ -117,12 +115,12 @@ def test_criterion_3_shrinking_indicator():
         assert len(rep.probe_results) == 17
         assert all(v.converges for v in rep.probe_results.values())
         for omega in params.omega_points[:5]:
-            src = fam.meta.term_source("sa_as", ("omega", omega), params)
+            src = fam.meta.term_source("pointwise", omega, alpha)
             start = int(math.ceil(1.0 / omega)) + 1
             assert np.all(src.terms(start, start + 64) == 0.0)
 
     params = ModeParams.defaults(fam, t_points=(1.0,))
-    src = fam.meta.term_source("s1d", ("f", Sine()), params)
+    src = fam.meta.term_source("expect_gap", Sine(), 1.0)
     ns = np.arange(1, 501, dtype=float)
     # n^-1 * sin(1) vs sin(1)/n: identical up to one rounding of the product
     assert np.max(np.abs(src.terms(1, 501) - math.sin(1.0) / ns)) < 1e-16
@@ -242,22 +240,22 @@ def test_criterion_9_dominance_suite():
     slack_e = 1e-12  # bounds between closed-form terms
     for fam in default_registry():
         params = ModeParams.defaults(fam)
-        slp = fam.meta.term_source("slp", ("p", 1.0), params).terms(1, n_hi + 1)
-        slinf = fam.meta.term_source("slinf", ("all", None), params).terms(
+        slp = fam.meta.term_source("moment", 1.0, 1.0).terms(1, n_hi + 1)
+        slinf = fam.meta.term_source("sup", None, 1.0).terms(
             1, n_hi + 1
         )
         # sup-norm dominance: E|D| <= ||D||_inf
         assert np.all(slp <= slinf + slack_e), fam.name
         # Markov dominance: eps * P(|D| >= eps) <= E|D|
         for eps in params.epsilons:
-            cc = fam.meta.term_source("cc", ("eps", eps), params).terms(
+            cc = fam.meta.term_source("tail", eps, 1.0).terms(
                 1, n_hi + 1
             )
             assert np.all(eps * cc <= slp + slack_q), (fam.name, eps)
         # Lipschitz dominance: |E f gap| <= E|f gap| <= K E|D|, E|f gap| <= 2M
         for f in params.test_functions:
-            s1d_src = fam.meta.term_source("s1d", ("f", f), params)
-            s1s_src = fam.meta.term_source("s1star", ("f", f), params)
+            s1d_src = fam.meta.term_source("expect_gap", f, 1.0)
+            s1s_src = fam.meta.term_source("coupled_gap", f, 1.0)
             if s1d_src is None or s1s_src is None:
                 continue
             s1d = s1d_src.terms(1, n_hi + 1)
@@ -267,15 +265,15 @@ def test_criterion_9_dominance_suite():
             assert np.all(s1s <= 2.0 * f.bound + slack_e), (fam.name, f.name)
         # characteristic terms: bounded by 2, exactly 0 at t=0
         for t in params.t_points:
-            s3d = fam.meta.term_source("s3d", ("t", t), params).terms(
+            s3d = fam.meta.term_source("char_gap", t, 1.0).terms(
                 1, n_hi + 1
             )
             assert np.all(s3d <= 2.0 + slack_e), (fam.name, t)
-        zero = fam.meta.term_source("s3d", ("t", 0.0), params).terms(1, 100)
+        zero = fam.meta.term_source("char_gap", 0.0, 1.0).terms(1, 100)
         assert np.all(zero == 0.0), fam.name
         # quadrature-route spot checks of the same inequalities
         for n in (1, 3, 17, 257):
-            d1 = generic_term(fam, "slp", ("p", 1.0), n, params)
+            d1 = generic_term(fam, "moment", 1.0, 1.0, n)
             for f in params.test_functions:
                 s1s_n = term_s1star(fam, n, f)
                 assert s1s_n <= f.lipschitz * d1 + slack_q, (fam.name, n, f.name)

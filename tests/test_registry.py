@@ -9,7 +9,8 @@ import pytest
 
 from convlab import space
 from convlab.errors import ParameterError
-from convlab.modes import ALL_MODES, ModeParams, mode_spec, probes_for
+from convlab.modes import (ALL_MODES, UNIVERSAL_MODES, ModeParams, certified,
+                           mode_spec, probes_for)
 from convlab.registry import (NODE_MODES, NODES, ImplicationDiagram,
                               LipschitzWitness, build_family, constant_family,
                               default_registry, ex31, ex32, ex33,
@@ -70,7 +71,7 @@ def test_ex33_member_values():
 def test_constant_family_trivial():
     fam = constant_family(0.0)
     assert fam.member(7) is fam.limit
-    src = fam.meta.term_source("cc", ("eps", 0.1), None)
+    src = fam.meta.term_source("tail", 0.1, 1.0)
     assert np.all(src.terms(1, 100) == 0.0)
 
 
@@ -193,7 +194,7 @@ def test_verify_truncation_ex32():
     assert rep.ok
     assert rep.cc_verdict == "holds"
     # truncated terms are exactly the shifts below eps: 1/n^2 for n >= 2
-    src = fam.meta.term_source("trunc_l1", ("eps", 0.5), None)
+    src = fam.meta.term_source("trunc_l1", 0.5, 1.0)
     terms = src.terms(2, 50)
     ns = np.arange(2, 50, dtype=float)
     assert np.max(np.abs(terms - ns ** -2.0)) < 1e-15
@@ -433,6 +434,14 @@ def _probes_with_extras(mode, params):
     return probes + [(a, v) for a in axes for v in _EXTRA_PROBES.get(a, ())]
 
 
+def _term_args(mode, probe, params):
+    """(kind, value, power) of one probe of a mode, trunc_l1 being a kind."""
+    if mode == "trunc_l1":
+        return mode, probe[1], 1.0
+    spec = mode_spec(mode)
+    return spec.term(probe[0]), probe[1], spec.exponent(params)
+
+
 def _source_signature(src):
     if src is None:
         return None
@@ -448,7 +457,7 @@ def test_two_atom_terms_match_reference(family, ref):
         params = ModeParams.defaults(family, alpha=alpha, p=p)
         for mode in ALL_MODES + ("trunc_l1",):
             for probe in _probes_with_extras(mode, params):
-                got = family.meta.term_source(mode, probe, params)
+                got = family.meta.term_source(*_term_args(mode, probe, params))
                 want = ref_source(mode, probe, params)
                 assert _source_signature(got) == _source_signature(want), (mode, probe)
                 checked += 1
@@ -466,7 +475,7 @@ def test_two_atom_members_and_certification_match_reference(family, ref):
             continue
         params = ModeParams(alpha=float(a))
         for mode in ALL_MODES:
-            assert family.meta.certifies(mode, params) == ref_certifies(mode, params), (
+            assert certified(family, mode, params) == ref_certifies(mode, params), (
                 mode, a)
 
 
@@ -475,11 +484,11 @@ def test_ex32_s2d_hint_and_certification_match_reference():
         for beta in (1.01, 1.5, 2.0, 2.5, 4.0, 20.0):
             fam = ex32(alpha, beta)
             params = ModeParams.defaults(fam)
-            hint_exp, certified = _ref_ex32_s2d(alpha, beta)
+            hint_exp, s2d_certified = _ref_ex32_s2d(alpha, beta)
             for x in (0.25, 0.5, 0.75, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-13, 1.0):
-                hint = fam.meta.term_source("s2d", ("x", x), params).hint
+                hint = fam.meta.term_source("cdf_gap", x, 1.0).hint
                 assert hint.kind == "power" and hint.exponent == hint_exp(x), x
-            assert fam.meta.certifies("s2d", params) == certified
+            assert certified(fam, "s2d", params) == s2d_certified
 
 
 def test_shift_uniform_s2d_hint_is_beta():
@@ -487,9 +496,106 @@ def test_shift_uniform_s2d_hint_is_beta():
         fam = shift_uniform(beta)
         params = ModeParams.defaults(fam)
         for x in params.x_points + (1.0,):
-            hint = fam.meta.term_source("s2d", ("x", x), params).hint
+            hint = fam.meta.term_source("cdf_gap", x, 1.0).hint
             assert hint.exponent == beta
-        assert fam.meta.certifies("s2d", params)
+        assert certified(fam, "s2d", params)
+
+
+# Each builder's certification as it was spelt out mode by mode before the
+# decay tables: the derived certification must reproduce it.
+
+
+def _ref_two_atom_certifies(r, q):
+    def certifies(mode, mode_params):
+        if mode in ("as", "prob", "dist"):
+            return True
+        if mode in ("cc", "s2d"):
+            return r > 1.0
+        if mode in ("s1d", "s1star", "s3d"):
+            return r > 1.0 and q > 1.0
+        if mode == "sa_as":
+            return q * mode_params.alpha > 1.0
+        return False
+
+    return certifies
+
+
+def _ref_shift_certifies(beta, holder_at_1):
+    def certifies(mode, mode_params):
+        if mode in ("cc", "s1d", "s1star", "s3d", "as", "prob", "dist"):
+            return True
+        if mode == "sa_as":
+            return beta * mode_params.alpha > 1.0
+        if mode == "s2d":
+            return holder_at_1 * beta > 1.0
+        return False
+
+    return certifies
+
+
+def _ref_const_certifies(mode, mode_params):
+    return True
+
+
+def _certification_cases():
+    """(family, reference, boundary alphas): ex31 at alpha = 1 (q = 1) and
+    q * alpha = 1, ex32 on (1 - alpha) * beta = 1 and beta * alpha = 1."""
+    cases = [(ex31(a), _ref_two_atom_certifies(2.0, 1.0 / a), (a, 1.0 / (1.0 / a)))
+             for a in (1e-300, 1e-3, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.7, 2.0, 49.0, 1e300)]
+    cases.append((ex33(), _ref_two_atom_certifies(1.0, math.inf), ()))
+    for alpha, beta in [(0.5, 2.0), (0.75, 4.0), (0.2, 1.25), (0.4, 2.0), (0.5, 1.01),
+                        (0.1, 1.1), (0.9, 10.0), (0.95, 20.0), (1e-9, 1.5)]:
+        cases.append((ex32(alpha, beta), _ref_shift_certifies(beta, 1.0 - alpha),
+                      (1.0 / beta,)))
+    cases += [(shift_uniform(b), _ref_shift_certifies(b, 1.0), (1.0 / b,))
+              for b in (1.0 + 1e-12, 1.01, 2.0, 3.5, 1e300)]
+    cases += [(constant_family(c), _ref_const_certifies, ()) for c in (0.0, 1.5, -1e16)]
+    return cases
+
+
+_CERTIFICATION_CASES = _certification_cases()
+
+
+@pytest.mark.parametrize("family, ref, boundary", _CERTIFICATION_CASES,
+                         ids=[family.name for family, _, _ in _CERTIFICATION_CASES])
+def test_derived_certification_matches_mode_by_mode_reference(family, ref, boundary):
+    alphas = set(np.linspace(0.05, 3.0, 60).tolist()) | {1e-300, 1.0, 1e300}
+    for a in boundary:
+        alphas |= {a, math.nextafter(a, 0.0), math.nextafter(a, math.inf)}
+    for a in sorted(alphas):
+        if not 0.0 < a < math.inf:
+            continue
+        params = ModeParams(alpha=a)
+        for mode in UNIVERSAL_MODES:
+            assert certified(family, mode, params) == ref(mode, params), (mode, a)
+
+
+_AUDIT_FAMILIES = default_registry() + [ex31(0.5), ex31(1.0), ex32(0.5, 3.0),
+                                        ex32(0.9, 1.5), shift_uniform(1.5),
+                                        constant_family(1.5)]
+
+
+@pytest.mark.parametrize("family", _AUDIT_FAMILIES, ids=lambda f: f.name)
+def test_power_hints_decay_at_least_as_the_table_says(family):
+    # a hint may decay faster than its kind's table entry (a probe off the
+    # Hölder point, t in 2*pi*Z), never slower; nor may a kind with a decay
+    # rate hand out a hint of terms that stay away from 0
+    checked = 0
+    for alpha, p in itertools.product((0.5, 1.0, 2.0), repeat=2):
+        params = ModeParams.defaults(family, alpha=alpha, p=p)
+        for mode in ALL_MODES + ("trunc_l1",):
+            for probe in _probes_with_extras(mode, params):
+                kind, value, power = _term_args(mode, probe, params)
+                src = family.meta.term_source(kind, value, power)
+                hint = None if src is None else src.hint
+                rate = family.meta.decay.get(kind, 0.0) * power
+                if hint is not None and hint.kind == "power":
+                    assert hint.exponent >= rate, (mode, probe)
+                    checked += 1
+                elif hint is not None and hint.kind == "eventually_constant":
+                    assert hint.level == 0.0 or rate == 0.0, (mode, probe)
+    if family.meta.kind != "constant":
+        assert checked > 50
 
 
 @pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)
@@ -498,7 +604,8 @@ def test_two_atom_chunk_basis_keeps_terms_bit_identical(family, ref):
     # taken source by source, repeated, overlapping or of scattered indices
     # must all give the reference terms to the bit
     params = ModeParams.defaults(family, alpha=2.0)
-    pairs = [(family.meta.term_source(mode, probe, params), ref[0](mode, probe, params))
+    pairs = [(family.meta.term_source(*_term_args(mode, probe, params)),
+              ref[0](mode, probe, params))
              for mode in ALL_MODES for probe in probes_for(mode, params)]
     index_sets = [np.arange(lo, hi) for lo, hi in (
         (1, 9), (1, 9), (1, 8), (5, 13), (100, 8292), (100, 8292), (8292, 9000))]

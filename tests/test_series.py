@@ -149,7 +149,7 @@ def test_hinted_power_does_not_stop_inside_plateau():
     # ex31(2) at eps=0.01: terms are 1 up to n = 10^4, then exactly n^-2
     from scipy.special import zeta
 
-    src = ex31(2.0).meta.term_source("cc", ("eps", 0.01), None)
+    src = ex31(2.0).meta.term_source("tail", 0.01, 1.0)
     v = analyze_series(src)
     assert v.converges
     assert v.n_used > 10 ** 4
@@ -198,6 +198,10 @@ def test_fit_exponent_anchors_are_powers_of_two_up_to_horizon(length):
     vals = ns ** -1.3 * (1.5 + np.sin(ns))
     anchor_ns = [2 ** k for k in range(int(math.log2(length)) + 1)]
     policy = EnginePolicy(n_max=10_000, dyadic_window=4)
+    if len(anchor_ns) < 4:  # lengths 4 and 5: three anchors, fewer than the window
+        with pytest.raises(series.TooFewAnchors):
+            fit_exponent(TermSource.from_values(vals), policy)
+        return
     want = series._anchor_fit(anchor_ns, vals[np.array(anchor_ns) - 1], 4)
     assert fit_exponent(TermSource.from_values(vals), policy) == want
 
@@ -379,7 +383,7 @@ def test_warm_unhinted_scan_reuses_its_heap():
 
 
 @pytest.mark.parametrize("values", ([0.5, 0.25], [1.0, 0.0, 1.0], [0.3, 0.2, 0.1],
-                                    [0.0, 0.0, 1.0]))
+                                    [0.0, 0.0, 1.0], [0.5] * 5))
 def test_short_stream_with_too_few_positive_anchors_is_inconclusive(values):
     src = TermSource.from_values(values)
     v = analyze_series(src)
