@@ -9,11 +9,10 @@ families wired into the implication diagram between the modes.
 from .errors import AccuracyError, ConvlabError, ParameterError, RepresentationError
 from .modes import (ALL_MODES, LIMIT_MODES, SERIES_MODES, UNIVERSAL_MODES,
                     Family, FamilyMeta, ModeParams, ModeReport, check_mode)
-from .registry import (ImplicationDiagram, LipschitzWitness, NonEdge,
-                       SweepReport, build_family, default_registry,
-                       expected_verdicts, export_catalog, mode_diagram,
-                       soundness_sweep, verify_lipschitz_s2d,
-                       verify_truncation_s1star)
+from .registry import (ImplicationDiagram, LipschitzWitness, SweepReport,
+                       build_family, default_registry, expected_verdicts,
+                       export_catalog, mode_diagram, soundness_sweep,
+                       verify_lipschitz_s2d, verify_truncation_s1star)
 from .series import (DEFAULT_POLICY, AnalyticHint, EnginePolicy, NullVerdict,
                      SeriesVerdict, TermSource, analyze_series, fit_exponent,
                      load_terms_csv, null_sequence_test)
@@ -28,7 +27,7 @@ __all__ = [
     "AccuracyError", "ConvlabError", "ParameterError", "RepresentationError",
     "ALL_MODES", "LIMIT_MODES", "SERIES_MODES", "UNIVERSAL_MODES",
     "Family", "FamilyMeta", "ModeParams", "ModeReport", "check_mode",
-    "ImplicationDiagram", "LipschitzWitness", "NonEdge", "SweepReport",
+    "ImplicationDiagram", "LipschitzWitness", "SweepReport",
     "build_family", "default_registry", "expected_verdicts", "export_catalog",
     "mode_diagram", "soundness_sweep", "verify_lipschitz_s2d",
     "verify_truncation_s1star",

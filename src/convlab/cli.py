@@ -83,7 +83,8 @@ def cmd_list(args):
         _print_rows(rows, ("family", "kind", "parameters"))
         d = cat["diagram"]
         print(f"\ndiagram: {len(d['nodes'])} modes, {len(d['edges'])} implications "
-              f"(transitively closed), {len(d['non_edges'])} recorded non-implications")
+              f"(transitively closed), {len(d['non_edges'])} non-implications "
+              f"claimed by the expected verdicts")
 
     _emit(catalog, args.format, table)
     return EXIT_OK
@@ -204,6 +205,13 @@ def cmd_matrix(args):
             print(f"coverage gaps ({len(pl['coverage_gaps'])}):")
             for g in pl["coverage_gaps"]:
                 print(f"  {g}")
+        print(f"\nordered pairs: {len(diagram.edges)} implied, "
+              f"{len(pl['witnessed'])} witnessed by a family, {len(pl['open'])} open")
+        targets = {}
+        for a, b in pl["open"]:
+            targets.setdefault(a, []).append(b)
+        for a, bs in targets.items():
+            print(f"  open: {a} -> {', '.join(bs)}")
 
     _emit(payload, args.format, table)
     return EXIT_OK if report.ok else EXIT_VIOLATION

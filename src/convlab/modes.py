@@ -125,7 +125,6 @@ class ModeParams:
         avoiding its jump points, standard eps/t grids, the bounded-Lipschitz
         dictionary, deterministic low-discrepancy omega points."""
         lo, hi = family.meta.support
-        jumps = family.limit_cdf.jump_points
         if family.meta.x_probes is not None:
             cands = list(family.meta.x_probes)
         elif hi - lo < 1e-9:
@@ -135,7 +134,7 @@ class ModeParams:
                      if math.isfinite(x)]
         else:
             cands = [lo + (hi - lo) * k / 10.0 for k in range(1, 10)]
-        xs = tuple(x for x in cands if all(abs(x - j) > 1e-9 for j in jumps))[:9]
+        xs = tuple(filter(family.limit_cdf.is_continuity_point, cands))[:9]
         bound = family.meta.bound
         fs = (
             Sine(),
@@ -267,15 +266,20 @@ def term_s1star(family, n, f):
     return val
 
 
-def term_s2d(family, n, x):
-    """|F_n(x) - F(x)| at a continuity point x of the limit CDF."""
+def require_continuity_point(family, x):
+    """CDF gaps are taken only at continuity points of the limit CDF."""
     lim = family.limit_cdf
     if not lim.is_continuity_point(x):
         jump = min(lim.jump_points, key=lambda j: abs(j - x))
         raise ParameterError(
             f"x={x} is a jump point of the limit CDF (atom at {jump})"
         )
-    return abs(family.member_cdf(n)(x) - lim(x))
+
+
+def term_s2d(family, n, x):
+    """|F_n(x) - F(x)| at a continuity point x of the limit CDF."""
+    require_continuity_point(family, x)
+    return abs(family.member_cdf(n)(x) - family.limit_cdf(x))
 
 
 def term_s3d(family, n, t):
@@ -355,6 +359,8 @@ def probe_source(family, mode, probe, params, use_analytic=True):
     key = (use_analytic, kind, value, power)
     src = family._sources.get(key)
     if src is None:
+        if kind == "cdf_gap":
+            require_continuity_point(family, value)
         src = family.meta.term_source(kind, value, power) if use_analytic else None
         if src is None:
             src = TermSource.from_scalar(

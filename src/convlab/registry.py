@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -442,40 +441,19 @@ _GENERATOR_EDGES = (
     ("linf", "as"),
     ("linf", "l1"),
     ("l1", "prob"),
-)
-
-
-@dataclass(frozen=True)
-class NonEdge:
-    source: str
-    target: str
-    witness: Optional[str]  # family kind exhibiting source-holds, target-fails
-    note: str = ""
-
-    def to_dict(self):
-        return {
-            "source": self.source,
-            "target": self.target,
-            "witness": self.witness,
-            "note": self.note,
-        }
-
-
-_NON_EDGES = (
-    NonEdge("s1d", "s2d", "ex32"),
-    NonEdge("s2d", "s1d", "ex31"),
-    NonEdge("slinf", "s2d", "ex32"),
-    NonEdge("sl1", "s2d", "ex32"),
-    NonEdge("s1as", "s1d", "ex33"),
-    NonEdge("cc", "s1d", "ex31"),
-    NonEdge("cc", "s2d", "ex32"),
-    NonEdge("s2d", "s3d", "ex31"),
-    NonEdge("s3d", "s2d", "ex32"),
-    NonEdge("s1as", "s3d", "ex33"),
-    NonEdge("cc", "s3d", "ex31"),
-    NonEdge("s3d", "prob", None,
-            note="needs a nondegenerate-limit construction; "
-                 "not reproduced in this catalog"),
+    # a convergent series of nonnegative terms has terms that tend to 0
+    ("slinf", "linf"),
+    ("sl1", "l1"),
+    ("s2d", "dist"),
+    # once ess sup |X_n - X| < eps, every later tail probability is 0
+    ("linf", "cc"),
+    # With f_k = clamp(., -k, k): on {|X| < k - 1}, |X_n - X| <= 1 keeps
+    # both values inside (-k, k), and X_n >= X + 1 gives f_k(X_n) >= X + 1
+    # (likewise below), so |f_k(X_n) - f_k(X)| >= min(|X_n - X|, 1).
+    # Summing s1star's terms for f_k and letting k grow, sum_n
+    # min(|X_n - X|, 1) < inf almost surely; its terms then drop below 1
+    # and equal |X_n - X|, which is s1as.
+    ("s1star", "s1as"),
 )
 
 
@@ -483,7 +461,6 @@ _NON_EDGES = (
 class ImplicationDiagram:
     nodes: tuple
     edges: tuple
-    non_edges: tuple
 
     def __post_init__(self):
         for a, b in self.edges:
@@ -507,7 +484,7 @@ class ImplicationDiagram:
         edges = tuple(
             sorted((a, b) for a in self.nodes for b in reach[a] if a != b)
         )
-        return ImplicationDiagram(self.nodes, edges, self.non_edges)
+        return ImplicationDiagram(self.nodes, edges)
 
     def with_edge(self, a, b):
         """Append one edge without re-closing (used to inject false arrows)."""
@@ -519,12 +496,11 @@ class ImplicationDiagram:
         return {
             "nodes": list(self.nodes),
             "edges": [list(e) for e in self.edges],
-            "non_edges": [ne.to_dict() for ne in self.non_edges],
         }
 
 
 def mode_diagram(closed=True):
-    d = ImplicationDiagram(NODES, _GENERATOR_EDGES, _NON_EDGES)
+    d = ImplicationDiagram(NODES, _GENERATOR_EDGES)
     return d.transitive_closure() if closed else d
 
 
@@ -570,10 +546,18 @@ def verdict_matches(expected, actual):
     return actual == expected
 
 
+def _separations(nodes, verdict):
+    """The (a, b) node pairs with a holding and b failing, in node order;
+    verdict maps a node to its verdict."""
+    holds = [n for n in nodes if verdict.get(n) == "holds"]
+    fails = [n for n in nodes if verdict.get(n) == "fails"]
+    return [(a, b) for a in holds for b in fails]
+
+
 @dataclass
 class Violation:
-    kind: str  # "edge" | "non_edge_witness"
-    family: Optional[str]
+    kind: str  # "edge" | "expected"
+    family: str
     source: str
     target: str
     detail: str = ""
@@ -595,6 +579,8 @@ class SweepReport:
     coverage_gaps: list
     family_order: list
     nodes: tuple
+    witnessed: dict  # (source, target) -> first family holding source, failing target
+    open_pairs: list  # (source, target) neither implied nor witnessed
 
     @property
     def ok(self):
@@ -611,6 +597,10 @@ class SweepReport:
             "verdicts": grid,
             "violations": [v.to_dict() for v in self.violations],
             "coverage_gaps": list(self.coverage_gaps),
+            "witnessed": [[a, b, self.witnessed[(a, b)]]
+                          for a in self.nodes for b in self.nodes
+                          if (a, b) in self.witnessed],
+            "open": [list(pair) for pair in self.open_pairs],
         }
 
 
@@ -622,61 +612,44 @@ def node_report(family, node, policy=DEFAULT_POLICY):
 
 
 def soundness_sweep(diagram, families, policy=DEFAULT_POLICY):
-    """Check every family against every diagram arrow.
+    """Check every family against the diagram and derive the relation map.
 
-    An edge A => B is violated by a family with A Holds and B Fails.  Every
-    recorded non-implication must be reproduced by its witness family; a
-    witness that no longer exhibits the two verdicts is itself a violation.
-    Inconclusive engine outcomes are reported as coverage gaps, not
-    violations."""
+    Each family's (holds, fails) node pairs are read once: a pair the
+    diagram implies is an edge violation, any other is witnessed, by the
+    first family that separates it.  An ordered pair neither implied nor
+    witnessed is open.  A family that misses its own expected_verdicts is
+    an `expected` violation.  Inconclusive cells are reported as coverage
+    gaps, not violations."""
     verdicts = {}
     family_order = []
     for fam in families:
         family_order.append(fam.name)
         for node in diagram.nodes:
             verdicts[(fam.name, node)] = node_report(fam, node, policy)
+    implied = set(diagram.edges)
     violations = []
-    gaps = []
+    witnessed = {}
     for fam in families:
-        for a, b in diagram.edges:
-            va = verdicts[(fam.name, a)]
-            vb = verdicts[(fam.name, b)]
-            if va.verdict == "holds" and vb.verdict == "fails":
-                violations.append(
-                    Violation(
-                        "edge", fam.name, a, b,
-                        detail=f"{a} holds but {b} fails (witness probe "
-                               f"{vb.witness})",
-                    )
-                )
-    for ne in diagram.non_edges:
-        if ne.witness is None:
-            gaps.append(
-                f"non-edge {ne.source} -/-> {ne.target} has no catalog witness"
-            )
-            continue
-        candidates = [f for f in families if f.meta.kind == ne.witness]
-        if not candidates:
-            gaps.append(
-                f"non-edge {ne.source} -/-> {ne.target}: witness family "
-                f"{ne.witness!r} not in the swept set"
-            )
-            continue
-        if not any(
-            verdicts[(f.name, ne.source)].verdict == "holds"
-            and verdicts[(f.name, ne.target)].verdict == "fails"
-            for f in candidates
-        ):
-            violations.append(
-                Violation(
-                    "non_edge_witness", ne.witness, ne.source, ne.target,
-                    detail="witness family failed to reproduce holds/fails",
-                )
-            )
-    for (fam, node), rep in verdicts.items():
-        if rep.verdict == "inconclusive":
-            gaps.append(f"{fam}: {node} inconclusive")
-    return SweepReport(verdicts, violations, gaps, family_order, diagram.nodes)
+        got = {node: verdicts[(fam.name, node)].verdict for node in diagram.nodes}
+        for node, want in expected_verdicts(fam).items():
+            if not verdict_matches(want, got[node]):
+                violations.append(Violation(
+                    "expected", fam.name, node, node,
+                    detail=f"expected {want}, got {got[node]}"))
+        for a, b in _separations(diagram.nodes, got):
+            if (a, b) in implied:
+                violations.append(Violation(
+                    "edge", fam.name, a, b,
+                    detail=f"{a} holds but {b} fails (witness probe "
+                           f"{verdicts[(fam.name, b)].witness})"))
+            else:
+                witnessed.setdefault((a, b), fam.name)
+    open_pairs = [(a, b) for a in diagram.nodes for b in diagram.nodes
+                  if a != b and (a, b) not in implied and (a, b) not in witnessed]
+    gaps = [f"{fam}: {node} inconclusive"
+            for (fam, node), rep in verdicts.items() if rep.verdict == "inconclusive"]
+    return SweepReport(verdicts, violations, gaps, family_order, diagram.nodes,
+                       witnessed, open_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +819,12 @@ def export_catalog(families=None):
     the implication diagram (schema documented in the README)."""
     if families is None:
         families = default_registry()
+    # the non-implications the catalog claims: a family expected to hold
+    # the source and fail the target
+    claimed = {}
+    for fam in families:
+        for pair in _separations(NODES, expected_verdicts(fam)):
+            claimed.setdefault(pair, fam.meta.kind)
     return {
         "schema_version": SCHEMA_VERSION,
         "families": [
@@ -855,5 +834,7 @@ def export_catalog(families=None):
             }
             for fam in families
         ],
-        "diagram": mode_diagram().to_dict(),
+        "diagram": {**mode_diagram().to_dict(), "non_edges": [
+            {"source": a, "target": b, "witness": kind}
+            for (a, b), kind in claimed.items()]},
     }

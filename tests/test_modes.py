@@ -19,7 +19,8 @@ from convlab.modes import (ALL_MODES, LIMIT_MODES, MODES, SERIES_MODES,
                            term_s1star, term_s2d, term_s3d, term_sa_as,
                            term_slinf, term_slp, term_trunc_l1,
                            van_der_corput)
-from convlab.registry import NODE_MODES, NODES, default_registry, ex32
+from convlab.registry import (NODE_MODES, NODES, constant_family,
+                              default_registry, ex31, ex32, ex33)
 from convlab.series import EnginePolicy
 
 CROSS_CHECK_NS = (1, 2, 3, 5, 12, 40)
@@ -75,6 +76,21 @@ def test_term_s2d_rejects_jump_points():
     fam = [f for f in registry_families() if f.meta.kind == "ex31"][0]
     with pytest.raises(ParameterError, match="jump point"):
         term_s2d(fam, 5, 0.0)  # the limit has its atom at 0
+
+
+@pytest.mark.parametrize("builder, args", [
+    (ex31, (2.0,)), (ex33, ()), (constant_family, (0.0,)),
+], ids=["ex31", "ex33", "const"])
+@pytest.mark.parametrize("mode", ("s2d", "dist"))
+@pytest.mark.parametrize("use_analytic", (True, False), ids=["analytic", "generic"])
+def test_cdf_gap_at_limit_atom_raises_on_both_routes(builder, args, mode,
+                                                     use_analytic):
+    # the closed-form cdf_gap source at the atom used to carry a power hint
+    # over terms that stay at 1, and so reported holds
+    fam = builder(*args)
+    params = ModeParams.defaults(fam, x_points=(0.0,))
+    with pytest.raises(ParameterError, match="jump point"):
+        check_mode(fam, mode, params, use_analytic=use_analytic)
 
 
 @pytest.mark.parametrize("family", registry_families(), ids=lambda f: f.name)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from convlab import space
+from convlab import registry, space
 from convlab.errors import ParameterError
 from convlab.modes import (ALL_MODES, UNIVERSAL_MODES, ModeParams, certified,
                            mode_spec, probes_for)
@@ -94,9 +94,9 @@ def test_transitive_closure():
     # chains from the generators
     assert ("slinf", "dist") in edges
     assert ("sl1", "prob") in edges
-    # and no arrow along any recorded non-implication
-    for ne in d.non_edges:
-        assert (ne.source, ne.target) not in edges
+    # and no arrow along any non-implication the catalog claims
+    for ne in export_catalog()["diagram"]["non_edges"]:
+        assert (ne["source"], ne["target"]) not in edges
     # closing twice is a no-op
     assert d.transitive_closure().edges == d.edges
 
@@ -112,7 +112,7 @@ def test_with_edge_does_not_reclose():
 
 def test_diagram_rejects_unknown_node():
     with pytest.raises(ParameterError):
-        ImplicationDiagram(("a", "b"), (("a", "zzz"),), ())
+        ImplicationDiagram(("a", "b"), (("a", "zzz"),))
 
 
 def test_node_modes_cover_diagram():
@@ -139,12 +139,18 @@ def test_expected_verdicts_regime_dependence():
     assert "s2d" not in expected_verdicts(ex32(0.4, 2.0))
 
 
-def test_soundness_sweep_clean():
-    report = soundness_sweep(mode_diagram(), default_registry())
+@pytest.fixture(scope="module")
+def seed0_sweep():
+    return soundness_sweep(mode_diagram(), default_registry())
+
+
+def test_soundness_sweep_clean(seed0_sweep):
+    report = seed0_sweep
     assert report.ok
     assert report.violations == []
-    # the one witness-less non-implication is a recorded coverage gap
-    assert any("s3d -/-> prob" in g for g in report.coverage_gaps)
+    assert report.coverage_gaps == []
+    # no catalog family separates s3d from prob
+    assert ("s3d", "prob") in report.open_pairs
 
 
 def test_soundness_sweep_constant_only():
@@ -162,9 +168,11 @@ def test_injected_false_edge_detected():
     assert v.family.startswith("ex31")
 
 
-def test_missing_witness_is_coverage_gap():
+def test_missing_witness_leaves_pair_open():
+    # only ex31 separates s2d from s1d
     report = soundness_sweep(mode_diagram(), [ex32(0.5, 2.0)])
-    assert any("ex31" in g for g in report.coverage_gaps)
+    assert ("s2d", "s1d") in report.open_pairs
+    assert ("s2d", "s1d") not in report.witnessed
 
 
 def test_verify_lipschitz_s2d_uniform():
@@ -224,14 +232,133 @@ def test_export_catalog_schema():
     d = cat["diagram"]
     assert set(d) == {"nodes", "edges", "non_edges"}
     for ne in d["non_edges"]:
-        assert set(ne) == {"source", "target", "witness", "note"}
+        assert set(ne) == {"source", "target", "witness"}
 
 
 def test_non_edge_witnesses_present_in_registry():
+    # the catalog claims every non-implication the diagram once recorded by
+    # hand, each with the family kind recorded for it
+    claimed = {(ne["source"], ne["target"]): ne["witness"]
+               for ne in export_catalog()["diagram"]["non_edges"]}
     kinds = {f.meta.kind for f in default_registry()}
-    for ne in mode_diagram().non_edges:
-        if ne.witness is not None:
-            assert ne.witness in kinds
+    assert set(claimed.values()) <= kinds
+    for a, b, kind in RECORDED_NON_EDGES:
+        assert claimed[(a, b)] == kind
+
+
+# ---------------------------------------------------------------------------
+# The relation map the sweep derives from the verdict grid
+
+# the non-implications the diagram recorded by hand, with their witness kind
+RECORDED_NON_EDGES = (
+    ("s1d", "s2d", "ex32"), ("s2d", "s1d", "ex31"), ("slinf", "s2d", "ex32"),
+    ("sl1", "s2d", "ex32"), ("s1as", "s1d", "ex33"), ("cc", "s1d", "ex31"),
+    ("cc", "s2d", "ex32"), ("s2d", "s3d", "ex31"), ("s3d", "s2d", "ex32"),
+    ("s1as", "s3d", "ex33"), ("cc", "s3d", "ex31"),
+)
+
+SEED0_OPEN = (
+    ("sl1", "slinf"), ("sl1", "linf"),
+    ("s1star", "slinf"), ("s1star", "sl1"), ("s1star", "cc"),
+    ("s1star", "linf"), ("s1star", "l1"),
+    ("s1d", "slinf"), ("s1d", "sl1"), ("s1d", "s1star"), ("s1d", "s1as"),
+    ("s1d", "cc"), ("s1d", "as"), ("s1d", "prob"), ("s1d", "linf"),
+    ("s1d", "l1"),
+    ("s3d", "slinf"), ("s3d", "sl1"), ("s3d", "s1star"), ("s3d", "s1d"),
+    ("s3d", "s1as"), ("s3d", "cc"), ("s3d", "as"), ("s3d", "prob"),
+    ("s3d", "linf"), ("s3d", "l1"),
+    ("s1as", "l1"), ("cc", "l1"), ("as", "l1"), ("prob", "as"),
+    ("prob", "l1"), ("dist", "as"), ("dist", "prob"), ("dist", "l1"),
+    ("linf", "slinf"), ("linf", "sl1"), ("linf", "s1star"), ("linf", "s1d"),
+    ("linf", "s3d"), ("linf", "s1as"), ("l1", "as"),
+    ("s2d", "cc"), ("s2d", "as"), ("s2d", "prob"), ("s2d", "l1"),
+)
+
+
+def test_diagram_has_the_summability_edges():
+    d = mode_diagram(closed=False)
+    for edge in (("slinf", "linf"), ("sl1", "l1"), ("s2d", "dist"),
+                 ("linf", "cc"), ("s1star", "s1as")):
+        assert edge in d.edges
+
+
+def test_seed0_relation_map(seed0_sweep):
+    report = seed0_sweep
+    implied = mode_diagram().edges
+    assert len(implied) == 46
+    assert len(report.witnessed) == 65
+    assert tuple(report.open_pairs) == SEED0_OPEN
+    pairs = [(a, b) for a in NODES for b in NODES if a != b]
+    assert len(pairs) == len(implied) + len(report.witnessed) + len(SEED0_OPEN)
+    out = report.to_dict()
+    assert tuple(map(tuple, out["open"])) == SEED0_OPEN
+    assert {(a, b): f for a, b, f in out["witnessed"]} == report.witnessed
+    for (a, b), name in report.witnessed.items():
+        assert report.verdicts[(name, a)].verdict == "holds"
+        assert report.verdicts[(name, b)].verdict == "fails"
+
+
+def test_recorded_non_edges_are_witnessed(seed0_sweep):
+    report = seed0_sweep
+    families = default_registry()
+    for a, b, kind in RECORDED_NON_EDGES:
+        assert (a, b) in report.witnessed
+        assert any(
+            report.verdicts[(f.name, a)].verdict == "holds"
+            and report.verdicts[(f.name, b)].verdict == "fails"
+            for f in families if f.meta.kind == kind
+        ), (a, b, kind)
+
+
+def _replay(monkeypatch, report):
+    """Make soundness_sweep read its cells from an earlier sweep."""
+    monkeypatch.setattr(registry, "node_report",
+                        lambda family, node, policy=None:
+                        report.verdicts[(family.name, node)])
+
+
+def test_missed_expected_verdict_is_a_violation(seed0_sweep, monkeypatch):
+    _replay(monkeypatch, seed0_sweep)
+    real = registry.expected_verdicts
+
+    def patched(family):
+        out = dict(real(family))
+        if family.meta.kind == "ex33":
+            out["s1d"] = "holds"  # ex33 fails s1d
+        return out
+
+    monkeypatch.setattr(registry, "expected_verdicts", patched)
+    report = soundness_sweep(mode_diagram(), default_registry())
+    assert [(v.kind, v.family, v.target) for v in report.violations] == [
+        ("expected", "ex33", "s1d")]
+    assert not report.ok
+
+
+def _parent_edge_violations(diagram, families, verdicts):
+    """The edge check as a loop over the diagram's arrows."""
+    return [(f.name, a, b) for f in families for a, b in diagram.edges
+            if verdicts[(f.name, a)].verdict == "holds"
+            and verdicts[(f.name, b)].verdict == "fails"]
+
+
+def test_injected_edges_violate_as_the_edge_loop_does(seed0_sweep, monkeypatch):
+    _replay(monkeypatch, seed0_sweep)
+    families = default_registry()
+    closed = mode_diagram()
+    every = closed
+    for pair in seed0_sweep.witnessed:
+        single = closed.with_edge(*pair)
+        got = soundness_sweep(single, families).violations
+        assert all(v.kind == "edge" for v in got)
+        assert [(v.family, v.source, v.target) for v in got] == \
+            _parent_edge_violations(single, families, seed0_sweep.verdicts)
+        every = every.with_edge(*pair)
+    got = soundness_sweep(every, families)
+    assert sorted((v.family, v.source, v.target) for v in got.violations) == \
+        sorted(_parent_edge_violations(every, families, seed0_sweep.verdicts))
+    # every pair a family separates is now an injected arrow
+    assert got.witnessed == {}
+    assert got.open_pairs == seed0_sweep.open_pairs
 
 
 # ---------------------------------------------------------------------------
