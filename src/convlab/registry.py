@@ -172,9 +172,8 @@ def _two_atom_family(kind, name, params, r, q):
         b = 1.0 / float(n) if r == 1.0 else float(n) ** -r
         if b >= 1.0:
             return space.constant_rv(1.0)
-        second = space.Constant(float(n) ** -q)
-        return space.RandomVariable((space.Piece(0.0, b, space.Constant(1.0)),
-                                     space.Piece(b, 1.0, second)))
+        return space.RandomVariable((space.Piece(0.0, b, 0.0, 1.0),
+                                     space.Piece(b, 1.0, 0.0, float(n) ** -q)))
 
     slower = min(r, q)
     decay = {"tail": r, "cdf_gap": r, "expect_gap": slower, "coupled_gap": slower,
@@ -328,8 +327,6 @@ def ex32(alpha, beta):
     _require_finite("ex32", alpha=alpha, beta=beta)
     if not 0.0 < alpha < 1.0:
         raise ParameterError("ex32 needs 0 < alpha < 1")
-    if beta <= 1.0:
-        raise ParameterError("ex32 needs beta > 1")
 
     def base_cdf_vec(x):
         xa = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -798,12 +795,10 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
     m_bound = space.sup_norm(family.limit)
     converse_ok = True
     if m_bound > 0:
-        f_eps = ClampedIdentity(M=m_bound, eps=eps)
-        src = family.meta.term_source("coupled_gap", f_eps, 1.0)
-        if src is not None:
-            s1star_terms = src.terms(1, min(n_check, 1000) + 1)
-            tt = trunc_terms[: len(s1star_terms)]
-            converse_ok = bool(np.all(tt <= s1star_terms + slack))
+        src = probe_source(family, "s1star", ("f", ClampedIdentity(M=m_bound, eps=eps)),
+                           params)
+        s1star_terms = src.terms(1, min(n_check, 1000) + 1)
+        converse_ok = bool(np.all(trunc_terms[: len(s1star_terms)] <= s1star_terms + slack))
     return TruncationReport(
         cc.verdict, trunc_verdict.converges, s1star_all, splitting_ok,
         converse_ok, details,

@@ -101,10 +101,6 @@ class TooFewAnchors(Exception):
     positive term, too few to fit a decay exponent with any confidence."""
 
 
-class AllTermsZero(TooFewAnchors):
-    """Raised by the anchor fit when every anchor term is zero."""
-
-
 class TermSource:
     """A nonnegative sequence a_n, n >= 1, behind every summability mode.
 
@@ -332,10 +328,7 @@ def _anchor_fit(anchor_ns, anchor_vals, window):
     ns = np.asarray(anchor_ns, dtype=float)
     vals = np.asarray(anchor_vals, dtype=float)
     pos = vals > 0.0
-    ns, vals = ns[pos], vals[pos]
-    if ns.size == 0:
-        raise AllTermsZero
-    ns, vals = ns[-window:], vals[-window:]
+    ns, vals = ns[pos][-window:], vals[pos][-window:]
     if ns.size < window:
         raise TooFewAnchors
     x = np.log(ns)
@@ -365,7 +358,7 @@ def fit_exponent(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY):
     """Fit a_n ~ C n**(-p) on dyadic anchors; returns (p_hat, ci_halfwidth).
 
     Raises TooFewAnchors when fewer than policy.dyadic_window anchors have
-    a positive term, AllTermsZero (a TooFewAnchors) when none has.
+    a positive term.
     """
     return _fit_block_starts(src, src.effective_n_max(policy), policy.dyadic_window)
 

@@ -1,18 +1,17 @@
 """Exact random variables on the unit-interval probability space.
 
 The sample space is ((0,1), Borel, Lebesgue).  A random variable is an
-ordered list of half-open pieces [a, b) partitioning (0,1); on each piece the
-value is a constant, an affine function of omega, or the quantile function of
-a declared density, optionally wrapped in a per-piece affine transform, with
-one more affine transform applied to the whole variable.  Since omega is the
-quantile of the uniform density, every piece is stored as A*Q(omega) + B with
-Q a density's quantile, and A = 0 for a constant.  This class of functions is
-closed under shifts, scaling and absolute differences, so CDFs, essential
-suprema, truncated first moments and characteristic functions come out in
-closed form: each density declares the antiderivative of its quantile and
-the characteristic integral of its pieces.  Only general expectations
-E[g(X)] reduce to atom sums plus one-dimensional quadrature of smooth
-integrands, and only they load scipy.integrate.
+ordered list of pieces partitioning (0,1).  Piece(lo, hi, A, B, dens) has
+the value A*Q(omega) + B on [lo, hi), with Q the quantile of the density
+dens: UNIFORM by default, whose quantile is omega itself, so
+Piece(lo, hi, B=c) is the constant c and Piece(lo, hi, a, b) the affine
+a*omega + b.  This class of functions is closed under shifts, scaling and
+absolute differences, so CDFs, essential suprema, truncated first moments
+and characteristic functions come out in closed form: each density declares
+the antiderivative of its quantile and the characteristic integral of its
+pieces.  Only general expectations E[g(X)] reduce to atom sums plus
+one-dimensional quadrature of smooth integrands, and only they load
+scipy.integrate.
 """
 
 from __future__ import annotations
@@ -197,42 +196,20 @@ UNIFORM = Uniform()
 
 
 @dataclass(frozen=True)
-class Constant:
-    value: float
-
-
-@dataclass(frozen=True)
-class AffineInOmega:
-    slope: float
-    intercept: float
-
-
-@dataclass(frozen=True)
-class QuantileOfDensity:
-    density: object  # PowerAtOne or UNIFORM
-
-
-@dataclass(frozen=True)
 class Piece:
-    """One half-open interval [lo, hi) with value scale*expr(omega)+shift."""
+    """One half-open interval [lo, hi) with the value A*Q(omega) + B, Q the
+    quantile of dens.  A piece with A = 0 stores UNIFORM, so char_fn takes
+    the exact atom term for every constant."""
 
     lo: float
     hi: float
-    expr: object
-    scale: float = 1.0
-    shift: float = 0.0
-
-
-@dataclass(frozen=True)
-class _CanonPiece:
-    """Piece with all affine wrapping folded in: value = A*Q(w) + B with Q
-    the quantile of dens; A = 0 is a constant piece, stored as uniform."""
-
-    lo: float
-    hi: float
-    A: float
-    B: float
+    A: float = 0.0
+    B: float = 0.0
     dens: object = UNIFORM
+
+    def __post_init__(self):
+        if self.A == 0.0 and self.dens is not UNIFORM:
+            object.__setattr__(self, "dens", UNIFORM)
 
     def value(self, w):
         if self.A == 0.0:
@@ -243,12 +220,18 @@ class _CanonPiece:
         """Limits of the value at both interval endpoints."""
         return self.value(self.lo), self.value(self.hi)
 
+    def measure_below(self, x):
+        """The measure of {omega in [lo, hi): value <= x}, for A != 0."""
+        mass = self.hi - self.lo
+        w = self.dens.cdf((x - self.B) / self.A)
+        if self.A > 0:
+            return min(max(w - self.lo, 0.0), mass)
+        return min(max(self.hi - w, 0.0), mass)
+
 
 @dataclass(frozen=True)
 class RandomVariable:
     pieces: tuple
-    post_scale: float = 1.0
-    post_shift: float = 0.0
 
     def __post_init__(self):
         pieces = tuple(self.pieces)
@@ -267,80 +250,53 @@ class RandomVariable:
         if abs(prev - 1.0) > 1e-12:
             raise RepresentationError(f"pieces must end at 1, last hi is {prev}")
         object.__setattr__(self, "_starts", tuple(p.lo for p in pieces))
-        object.__setattr__(self, "_canon", tuple(self._canonical(p) for p in pieces))
 
-    def _canonical(self, p):
-        ps, pf = self.post_scale, self.post_shift
-        if isinstance(p.expr, Constant):
-            v = ps * (p.scale * p.expr.value + p.shift) + pf
-            return _CanonPiece(p.lo, p.hi, 0.0, v)
-        if isinstance(p.expr, AffineInOmega):
-            a = ps * p.scale * p.expr.slope
-            b = ps * (p.scale * p.expr.intercept + p.shift) + pf
-            return _CanonPiece(p.lo, p.hi, a, b)
-        if isinstance(p.expr, QuantileOfDensity):
-            a = ps * p.scale
-            b = ps * p.shift + pf
-            return _CanonPiece(p.lo, p.hi, a, b, p.expr.density if a != 0.0 else UNIFORM)
-        raise RepresentationError(f"unknown piece expression {p.expr!r}")
-
-    def canonical_pieces(self):
-        return self._canon
+    def piece_at(self, w):
+        """The piece whose interval holds w."""
+        return self.pieces[bisect_right(self._starts, w) - 1]
 
     def __call__(self, omega):
         w = require_omega(omega)
-        i = bisect_right(self._starts, w) - 1
-        return self._canon[i].value(w)
+        return self.piece_at(w).value(w)
 
     def shifted(self, c):
         """The random variable X + c."""
-        return RandomVariable(self.pieces, self.post_scale, self.post_shift + c)
+        return RandomVariable(tuple(Piece(p.lo, p.hi, p.A, p.B + c, p.dens)
+                                    for p in self.pieces))
 
     def scaled(self, s):
         """The random variable s*X."""
-        return RandomVariable(self.pieces, s * self.post_scale, s * self.post_shift)
+        return RandomVariable(tuple(Piece(p.lo, p.hi, s * p.A, s * p.B, p.dens)
+                                    for p in self.pieces))
 
 
 def constant_rv(c):
-    return RandomVariable((Piece(0.0, 1.0, Constant(float(c))),))
+    return RandomVariable((Piece(0.0, 1.0, 0.0, float(c)),))
 
 
 def uniform_rv():
     """Uniform(0,1): the identity on the sample space."""
-    return RandomVariable((Piece(0.0, 1.0, AffineInOmega(1.0, 0.0)),))
+    return RandomVariable((Piece(0.0, 1.0, 1.0, 0.0),))
 
 
 def density_rv(density: PowerAtOne):
     """The variable distributed with the given density, realised as its
     quantile function of omega."""
-    return RandomVariable((Piece(0.0, 1.0, QuantileOfDensity(density)),))
+    return RandomVariable((Piece(0.0, 1.0, 1.0, 0.0, density),))
 
 
 # ---------------------------------------------------------------------------
 # CDF
 
 
-class _Segment:
-    """A monotone piece A*Q(w) + B on [lo, hi), A != 0."""
-
-    def __init__(self, lo, hi, A, B, dens):
-        self.lo, self.hi, self.A, self.B, self.dens = lo, hi, A, B, dens
-        self.mass = hi - lo
-
-    def measure_below(self, x):
-        w = self.dens.cdf((x - self.B) / self.A)
-        if self.A > 0:
-            return min(max(w - self.lo, 0.0), self.mass)
-        return min(max(self.hi - w, 0.0), self.mass)
-
-
 class Cdf:
-    """Distribution function with explicit atoms and continuous segments."""
+    """Distribution function with explicit atoms and continuous segments,
+    the pieces with A != 0."""
 
     def __init__(self, atoms, segments):
         self.atoms = tuple(sorted(atoms))  # (x, mass), mass > 0
         self.segments = tuple(segments)
-        total = sum(m for _, m in self.atoms) + sum(s.mass for s in self.segments)
+        total = sum(m for _, m in self.atoms) + sum(s.hi - s.lo for s in self.segments)
         if abs(total - 1.0) > _MASS_TOL:
             raise RepresentationError(f"total probability mass is {total}, not 1")
 
@@ -371,17 +327,33 @@ def cdf(rv: RandomVariable) -> Cdf:
     continuous segments evaluated by inverting the piece."""
     atom_masses = {}
     segments = []
-    for cp in rv.canonical_pieces():
-        if cp.A == 0.0:
-            atom_masses[cp.B] = atom_masses.get(cp.B, 0.0) + (cp.hi - cp.lo)
+    for p in rv.pieces:
+        if p.A == 0.0:
+            atom_masses[p.B] = atom_masses.get(p.B, 0.0) + (p.hi - p.lo)
         else:
-            segments.append(_Segment(cp.lo, cp.hi, cp.A, cp.B, cp.dens))
+            segments.append(p)
     atoms = [(x, m) for x, m in atom_masses.items() if m > 0.0]
     return Cdf(atoms, segments)
 
 
 # ---------------------------------------------------------------------------
 # Expectation and friends
+
+
+def _check_accuracy(total, err, tol, what="quadrature error"):
+    """Raise AccuracyError when the summed error bound err exceeds tol."""
+    if err > tol:
+        raise AccuracyError(f"{what} {err:.3e} exceeds tolerance {tol:.3e}",
+                            estimate=total, error=err)
+
+
+def _merged_pieces(rv1, rv2):
+    """(lo, hi, p1, p2) for each interval between consecutive piece
+    boundaries of two variables on the same space, with the piece of each
+    that covers it."""
+    bounds = sorted({p.lo for p in rv1.pieces} | {p.lo for p in rv2.pieces} | {1.0})
+    return [(lo, hi, rv1.piece_at(lo + 1e-15), rv2.piece_at(lo + 1e-15))
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def expectation(rv, g, tol=1e-10):
@@ -391,63 +363,38 @@ def expectation(rv, g, tol=1e-10):
     Raises AccuracyError if the combined quadrature error exceeds the
     tolerance.
     """
-    smooth = [cp for cp in rv.canonical_pieces() if cp.A != 0.0]
+    share = tol / max(1, sum(p.A != 0.0 for p in rv.pieces))
     total = 0.0
     err = 0.0
-    for cp in rv.canonical_pieces():
-        if cp.A == 0.0:
-            total += (cp.hi - cp.lo) * g(cp.B)
+    for p in rv.pieces:
+        if p.A == 0.0:
+            total += (p.hi - p.lo) * g(p.B)
             continue
-        val, e = quad(
-            lambda w, cp=cp: g(cp.value(w)),
-            cp.lo,
-            cp.hi,
-            epsabs=tol / max(1, len(smooth)),
-            epsrel=0.0,
-            limit=200,
-        )
+        val, e = quad(lambda w, p=p: g(p.value(w)), p.lo, p.hi,
+                      epsabs=share, epsrel=0.0, limit=200)
         total += val
         err += e
-    if err > tol:
-        raise AccuracyError(
-            f"quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
-            estimate=total,
-            error=err,
-        )
+    _check_accuracy(total, err, tol)
     return total, err
 
 
 def expectation_joint(rv1, rv2, h, tol=1e-9):
     """E[h(X, Y)] for two variables coupled on the same space, by direct
     quadrature over omega on merged piece boundaries."""
-    bounds = sorted({cp.lo for cp in rv1.canonical_pieces()}
-                    | {cp.lo for cp in rv2.canonical_pieces()} | {1.0})
+    cells = _merged_pieces(rv1, rv2)
+    # one share of tol per interval, and one to spare
+    share = tol / (len(cells) + 1)
     total = 0.0
     err = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi - lo <= 0.0:
+    for lo, hi, p1, p2 in cells:
+        if p1.A == 0.0 and p2.A == 0.0:
+            total += (hi - lo) * h(p1.B, p2.B)
             continue
-        c1 = _piece_at(rv1, lo)
-        c2 = _piece_at(rv2, lo)
-        if c1.A == 0.0 and c2.A == 0.0:
-            total += (hi - lo) * h(c1.B, c2.B)
-            continue
-        val, e = quad(
-            lambda w, c1=c1, c2=c2: h(c1.value(w), c2.value(w)),
-            lo,
-            hi,
-            epsabs=tol / max(1, len(bounds)),
-            epsrel=0.0,
-            limit=200,
-        )
+        val, e = quad(lambda w, p1=p1, p2=p2: h(p1.value(w), p2.value(w)), lo, hi,
+                      epsabs=share, epsrel=0.0, limit=200)
         total += val
         err += e
-    if err > tol:
-        raise AccuracyError(
-            f"quadrature error {err:.3e} exceeds tolerance {tol:.3e}",
-            estimate=total,
-            error=err,
-        )
+    _check_accuracy(total, err, tol)
     return total, err
 
 
@@ -455,8 +402,8 @@ def sup_norm(rv):
     """Essential supremum of |X|, from piece endpoint limits (open-endpoint
     limits, so single points never contribute)."""
     best = 0.0
-    for cp in rv.canonical_pieces():
-        va, vb = cp.endpoint_values()
+    for p in rv.pieces:
+        va, vb = p.endpoint_values()
         best = max(best, abs(va), abs(vb))
     return best
 
@@ -474,18 +421,13 @@ def char_fn(rv, t, tol=1e-10):
         return complex(1.0, 0.0)
     total = 0j
     err = 0.0
-    for cp in rv.canonical_pieces():
-        if not math.isfinite(t * (abs(cp.A) + abs(cp.B))):
+    for p in rv.pieces:
+        if not math.isfinite(t * (abs(p.A) + abs(p.B))):
             raise ParameterError(f"t*X overflows at t={t}")
-        val, e = cp.dens.char_integral(cp.lo, cp.hi, cp.A, cp.B, t)
+        val, e = p.dens.char_integral(p.lo, p.hi, p.A, p.B, t)
         total += val
         err += e
-    if err > tol:
-        raise AccuracyError(
-            f"characteristic function error {err:.3e} exceeds tolerance {tol:.3e}",
-            estimate=total,
-            error=err,
-        )
+    _check_accuracy(total, err, tol, "characteristic function error")
     return total
 
 
@@ -493,31 +435,26 @@ def char_fn(rv, t, tol=1e-10):
 # Absolute difference
 
 
-def _piece_at(rv, w):
-    i = bisect_right(rv._starts, w + 1e-15) - 1
-    return rv.canonical_pieces()[i]
-
-
-def _combine_difference(c1, c2):
-    """Canonical (A, B, dens) of value1 - value2 on a common interval."""
-    if c1.A != 0.0 and c2.A != 0.0 and c1.dens != c2.dens:
+def _combine_difference(p1, p2):
+    """(A, B, dens) of value1 - value2 on a common interval."""
+    if p1.A != 0.0 and p2.A != 0.0 and p1.dens != p2.dens:
         raise RepresentationError("difference of pieces of different densities")
-    return c1.A - c2.A, c1.B - c2.B, (c1.dens if c1.A != 0.0 else c2.dens)
+    return p1.A - p2.A, p1.B - p2.B, (p1.dens if p1.A != 0.0 else p2.dens)
 
 
 def _emit_abs_pieces(a, b, dens, lo, hi, out):
     """Append pieces representing |a*Q(w) + b| on [lo, hi)."""
 
-    def piece(aa, bb, plo, phi):
-        out.append(Piece(plo, phi, QuantileOfDensity(dens), scale=aa, shift=bb))
+    def piece(sign, plo, phi):
+        out.append(Piece(plo, phi, sign * a, sign * b, dens))
 
     v_lo = a * dens.quantile(lo) + b
     v_hi = a * dens.quantile(hi) + b
     if min(v_lo, v_hi) >= 0.0:
-        piece(a, b, lo, hi)
+        piece(1.0, lo, hi)
         return
     if max(v_lo, v_hi) <= 0.0:
-        piece(-a, -b, lo, hi)
+        piece(-1.0, lo, hi)
         return
     w0 = min(max(dens.cdf(-b / a), lo), hi)
     if w0 <= lo or w0 >= hi:  # crossing collapses to an endpoint numerically
@@ -525,27 +462,21 @@ def _emit_abs_pieces(a, b, dens, lo, hi, out):
             sign = 1.0 if v_lo > 0 else -1.0
         else:
             sign = 1.0 if v_hi > 0 else -1.0
-        piece(sign * a, sign * b, lo, hi)
+        piece(sign, lo, hi)
         return
     if v_lo < 0.0:
-        piece(-a, -b, lo, w0)
-        piece(a, b, w0, hi)
+        piece(-1.0, lo, w0)
+        piece(1.0, w0, hi)
     else:
-        piece(a, b, lo, w0)
-        piece(-a, -b, w0, hi)
+        piece(1.0, lo, w0)
+        piece(-1.0, w0, hi)
 
 
 def diff_abs(rv_n, rv_limit):
     """The random variable |X_n - X| as an exact piecewise representation."""
-    bounds = sorted({cp.lo for cp in rv_n.canonical_pieces()}
-                    | {cp.lo for cp in rv_limit.canonical_pieces()} | {1.0})
     out = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi - lo <= 0.0:
-            continue
-        c1 = _piece_at(rv_n, lo)
-        c2 = _piece_at(rv_limit, lo)
-        _emit_abs_pieces(*_combine_difference(c1, c2), lo, hi, out)
+    for lo, hi, p1, p2 in _merged_pieces(rv_n, rv_limit):
+        _emit_abs_pieces(*_combine_difference(p1, p2), lo, hi, out)
     return RandomVariable(tuple(out))
 
 
@@ -555,26 +486,26 @@ def truncated_abs_moment(diff_rv, eps):
     if eps <= 0.0:
         raise ParameterError("eps must be positive")
     total = 0.0
-    for cp in diff_rv.canonical_pieces():
-        if cp.A == 0.0:
-            if cp.B < eps:
-                total += (cp.hi - cp.lo) * cp.B
+    for p in diff_rv.pieces:
+        if p.A == 0.0:
+            if p.B < eps:
+                total += (p.hi - p.lo) * p.B
             continue
         # value is monotone on the piece; find the sub-interval where it is
         # below eps and integrate the value there in closed form
-        w_eps = min(max(cp.dens.cdf((eps - cp.B) / cp.A), cp.lo), cp.hi)
-        v_lo, v_hi = cp.endpoint_values()
+        w_eps = min(max(p.dens.cdf((eps - p.B) / p.A), p.lo), p.hi)
+        v_lo, v_hi = p.endpoint_values()
         increasing = v_hi >= v_lo
         if increasing:
-            a_int, b_int = cp.lo, (w_eps if v_hi >= eps else cp.hi)
+            a_int, b_int = p.lo, (w_eps if v_hi >= eps else p.hi)
             if v_lo >= eps:
                 continue
         else:
-            a_int, b_int = (w_eps if v_lo >= eps else cp.lo), cp.hi
+            a_int, b_int = (w_eps if v_lo >= eps else p.lo), p.hi
             if v_hi >= eps:
                 continue
         if b_int <= a_int:
             continue
-        anti = lambda w: cp.A * cp.dens.quantile_antiderivative(w) + cp.B * w
+        anti = lambda w: p.A * p.dens.quantile_antiderivative(w) + p.B * w
         total += anti(b_int) - anti(a_int)
     return total

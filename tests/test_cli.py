@@ -85,9 +85,11 @@ def test_diagnose_unknown_mode_exit_2(capsys):
 
 
 def test_diagnose_bad_parameter_exit_2(capsys):
-    code, _, err = run(capsys, "diagnose", "--family", "ex32",
-                       "--alpha", "1.5", "--beta", "2")
-    assert code == 2
+    for argv in (("--family", "ex32", "--alpha", "1.5", "--beta", "2"),
+                 ("--family", "ex32", "--alpha", "0.5", "--beta", "1"),
+                 ("--family", "shift_uniform", "--beta", "1")):
+        code, _, err = run(capsys, "diagnose", *argv)
+        assert code == 2
 
 
 @pytest.mark.parametrize("argv", [

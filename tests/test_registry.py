@@ -208,6 +208,24 @@ def test_verify_truncation_ex32():
     assert np.max(np.abs(terms - ns ** -2.0)) < 1e-15
 
 
+def test_verify_truncation_converse_compares_terms():
+    # with M + eps < 2 the shift factory has no clamped-identity source, so
+    # the converse terms come from the generic route
+    fam = ex32(0.5, 2.0)
+    closed_form = fam.meta.term_source
+
+    def tripled_trunc(kind, value, power):
+        src = closed_form(kind, value, power)
+        if kind != "trunc_l1":
+            return src
+        return TermSource(lambda ns: 3.0 * src.generator(ns), hint=src.hint)
+
+    fam.meta.term_source = tripled_trunc
+    rep = verify_truncation_s1star(fam, eps=0.5)
+    assert rep.splitting_ok
+    assert not rep.converse_ok
+
+
 def test_verify_truncation_ex31_hypothesis_fails():
     rep = verify_truncation_s1star(ex31(2.0), eps=0.5, n_check=2000)
     assert not rep.truncated_summable
@@ -501,8 +519,8 @@ def _ref_ex31(alpha):
         if b >= 1.0:
             return space.constant_rv(1.0)
         return space.RandomVariable((
-            space.Piece(0.0, b, space.Constant(1.0)),
-            space.Piece(b, 1.0, space.Constant(float(n) ** -q)),
+            space.Piece(0.0, b, 0.0, 1.0),
+            space.Piece(b, 1.0, 0.0, float(n) ** -q),
         ))
 
     def certifies(mode, params):
@@ -524,8 +542,8 @@ def _ref_ex33():
         if b >= 1.0:
             return space.constant_rv(1.0)
         return space.RandomVariable((
-            space.Piece(0.0, b, space.Constant(1.0)),
-            space.Piece(b, 1.0, space.Constant(0.0)),
+            space.Piece(0.0, b, 0.0, 1.0),
+            space.Piece(b, 1.0, 0.0, 0.0),
         ))
 
     def certifies(mode, params):

@@ -14,11 +14,10 @@ from scipy.integrate import quad
 
 from convlab import space
 from convlab.errors import (AccuracyError, ParameterError, RepresentationError)
-from convlab.space import (AffineInOmega, Constant, Piece, PowerAtOne,
-                           QuantileOfDensity, RandomVariable, cdf, char_fn,
-                           constant_rv, density_rv, diff_abs, expectation,
-                           expectation_joint, require_omega, sup_norm,
-                           truncated_abs_moment, uniform_rv)
+from convlab.space import (UNIFORM, Piece, PowerAtOne, RandomVariable, cdf,
+                           char_fn, constant_rv, density_rv, diff_abs,
+                           expectation, expectation_joint, require_omega,
+                           sup_norm, truncated_abs_moment, uniform_rv)
 
 
 def test_require_omega_bounds():
@@ -90,13 +89,12 @@ def test_affine_char_fn_exact_without_quadrature(monkeypatch, t, a, b):
 @pytest.mark.parametrize("t", (0.5, 5.0, 50.0))
 def test_mixed_char_fn_vs_quadrature_oracle(monkeypatch, t):
     rv = RandomVariable((
-        Piece(0.0, 0.3, Constant(2.0)),
-        Piece(0.3, 0.6, AffineInOmega(4.0, -1.0)),
-        Piece(0.6, 1.0, QuantileOfDensity(PowerAtOne(0.5)), scale=2.0,
-              shift=0.5),
+        Piece(0.0, 0.3, 0.0, 2.0),
+        Piece(0.3, 0.6, 4.0, -1.0),
+        Piece(0.6, 1.0, 2.0, 0.5, PowerAtOne(0.5)),
     ))
     oracle = 0.0j
-    for cp in rv.canonical_pieces():
+    for cp in rv.pieces:
         for part, unit in ((math.cos, 1.0), (math.sin, 1.0j)):
             val, _ = quad(lambda w, cp=cp: part(t * cp.value(w)), cp.lo, cp.hi,
                           epsabs=1e-14, epsrel=0.0, limit=500)
@@ -146,12 +144,11 @@ def test_power_char_fn_vs_quadrature_oracle(alpha, ends, scale, negative_scale,
     lo, hi = sorted(ends)
     A = -scale if negative_scale else scale
     t = -t if negative_t else t
-    pieces = [Piece(lo, hi, QuantileOfDensity(PowerAtOne(alpha)), scale=A,
-                    shift=shift)]
+    pieces = [Piece(lo, hi, A, shift, PowerAtOne(alpha))]
     if lo > 0.0:
-        pieces.insert(0, Piece(0.0, lo, Constant(0.0)))
+        pieces.insert(0, Piece(0.0, lo))
     if hi < 1.0:
-        pieces.append(Piece(hi, 1.0, Constant(0.0)))
+        pieces.append(Piece(hi, 1.0))
     # the zero atoms add their mass exactly
     oracle = _power_piece_oracle(alpha, lo, hi, A, shift, t) + lo + (1.0 - hi)
 
@@ -236,13 +233,11 @@ def test_density_rv_cdf():
 
 def test_partition_validation():
     with pytest.raises(RepresentationError):
-        RandomVariable((Piece(0.0, 0.4, Constant(1.0)),))  # does not reach 1
+        RandomVariable((Piece(0.0, 0.4, B=1.0),))  # does not reach 1
     with pytest.raises(RepresentationError):
-        RandomVariable(
-            (Piece(0.0, 0.5, Constant(1.0)), Piece(0.6, 1.0, Constant(0.0)))
-        )  # gap
+        RandomVariable((Piece(0.0, 0.5, B=1.0), Piece(0.6, 1.0)))  # gap
     with pytest.raises(RepresentationError):
-        RandomVariable((Piece(0.5, 0.5, Constant(1.0)),))  # empty piece
+        RandomVariable((Piece(0.5, 0.5, B=1.0),))  # empty piece
 
 
 def test_shift_scale():
@@ -272,8 +267,8 @@ def test_diff_abs_sign_split():
 
 def test_diff_abs_two_atoms():
     rv = RandomVariable(
-        (Piece(0.0, 1.0 / 9.0, Constant(1.0)),
-         Piece(1.0 / 9.0, 1.0, Constant(3.0 ** -0.5)))
+        (Piece(0.0, 1.0 / 9.0, B=1.0),
+         Piece(1.0 / 9.0, 1.0, B=3.0 ** -0.5))
     )
     d = diff_abs(rv, constant_rv(0.0))
     c = cdf(d)
@@ -292,7 +287,7 @@ def test_diff_abs_mixed_kinds_rejected():
 def test_diff_abs_affine_minus_affine_constant():
     u = uniform_rv()
     d = diff_abs(u.shifted(0.01), u)
-    assert len(d.canonical_pieces()) == 1
+    assert len(d.pieces) == 1
     assert cdf(d).atoms == ((0.01, 1.0),)
     assert cdf(d).segments == ()
 
@@ -331,7 +326,7 @@ def test_expectation_joint_matches_diff_abs():
 @settings(max_examples=150, deadline=None)
 def test_truncated_abs_moment_two_atoms(split, v1, v2, eps):
     rv = RandomVariable(
-        (Piece(0.0, split, Constant(v1)), Piece(split, 1.0, Constant(v2)))
+        (Piece(0.0, split, B=v1), Piece(split, 1.0, B=v2))
     )
     got = truncated_abs_moment(rv, eps)
     want = split * v1 * (v1 < eps) + (1.0 - split) * v2 * (v2 < eps)
@@ -367,27 +362,18 @@ def test_truncated_abs_moment_quantile_piece():
 
 
 def reference_cdf(rv, x):
-    """P(X <= x) with constant, affine and quantile pieces kept apart: an
-    affine piece is inverted in omega directly, a quantile piece through its
-    density's CDF."""
+    """P(X <= x) with uniform and other pieces kept apart: a UNIFORM piece
+    is inverted in omega directly, any other through its density's CDF."""
     atoms, below = {}, []
-    ps, pf = rv.post_scale, rv.post_shift
     for p in rv.pieces:
-        e, mass = p.expr, p.hi - p.lo
-        if isinstance(e, Constant):
-            a, b = 0.0, ps * (p.scale * e.value + p.shift) + pf
-        elif isinstance(e, AffineInOmega):
-            a = ps * p.scale * e.slope
-            b = ps * (p.scale * e.intercept + p.shift) + pf
-        else:
-            a, b = ps * p.scale, ps * p.shift + pf
-        if a == 0.0:
-            atoms[b] = atoms.get(b, 0.0) + mass
+        mass = p.hi - p.lo
+        if p.A == 0.0:
+            atoms[p.B] = atoms.get(p.B, 0.0) + mass
             continue
-        w = (x - b) / a
-        if isinstance(e, QuantileOfDensity):
-            w = e.density.cdf(w)
-        if a > 0:
+        w = (x - p.B) / p.A
+        if p.dens is not UNIFORM:
+            w = p.dens.cdf(w)
+        if p.A > 0:
             below.append(min(max(w - p.lo, 0.0), mass))
         else:
             below.append(min(max(p.hi - w, 0.0), mass))
@@ -397,21 +383,20 @@ def reference_cdf(rv, x):
 
 
 finite = st.floats(-3.0, 3.0)
-piece_exprs = st.one_of(
-    st.builds(Constant, finite),
-    st.builds(AffineInOmega, finite, finite),
-    st.builds(QuantileOfDensity, st.builds(PowerAtOne, st.floats(0.05, 0.95))),
-)
+densities = st.one_of(st.just(UNIFORM),
+                      st.builds(PowerAtOne, st.floats(0.05, 0.95)))
 
 
 @st.composite
-def piecewise_rvs(draw):
+def piecewise_rvs(draw, dens=densities):
+    """Random variables of up to five pieces (A, B, dens), about half of
+    them constants (A = 0); dens draws each piece's density."""
     cuts = draw(st.lists(st.sampled_from([k / 16.0 for k in range(1, 16)]),
                          max_size=4, unique=True))
     bounds = [0.0] + sorted(cuts) + [1.0]
-    pieces = tuple(Piece(lo, hi, draw(piece_exprs), draw(finite), draw(finite))
-                   for lo, hi in zip(bounds, bounds[1:]))
-    return RandomVariable(pieces, draw(finite), draw(finite))
+    slopes = st.one_of(st.just(0.0), finite)
+    return RandomVariable(tuple(Piece(lo, hi, draw(slopes), draw(finite), draw(dens))
+                                for lo, hi in zip(bounds, bounds[1:])))
 
 
 @given(rv=piecewise_rvs(), xs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8))
@@ -420,6 +405,39 @@ def test_cdf_matches_two_kind_reference(rv, xs):
     c = cdf(rv)
     for x in xs + [rv(w) for w in (0.03, 0.5, 0.97)]:
         assert c(x) == reference_cdf(rv, x)
+
+
+omegas = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 min_size=1, max_size=8)
+
+
+@given(rv=piecewise_rvs(), c=finite, s=finite, ws=omegas)
+@settings(max_examples=200, deadline=None)
+def test_shifted_and_scaled_pointwise(rv, c, s, ws):
+    shifted, scaled = rv.shifted(c), rv.scaled(s)
+    for w in ws:
+        assert abs(shifted(w) - (rv(w) + c)) <= 1e-12
+        assert abs(scaled(w) - s * rv(w)) <= 1e-12
+
+
+shared_density = st.shared(densities, key="diff_abs")
+
+
+@given(x=piecewise_rvs(shared_density), y=piecewise_rvs(shared_density), ws=omegas)
+@settings(max_examples=200, deadline=None)
+def test_diff_abs_pointwise(x, y, ws):
+    d = diff_abs(x, y)
+    for w in ws:
+        assert abs(d(w) - abs(x(w) - y(w))) <= 1e-12
+
+
+def test_constant_piece_stores_uniform():
+    dens = PowerAtOne(0.5)
+    assert Piece(0.0, 1.0, 0.0, 2.0, dens).dens is UNIFORM
+    assert Piece(0.0, 1.0, 1.0, 2.0, dens).dens == dens
+    assert density_rv(dens).scaled(0.0).pieces[0].dens is UNIFORM
+    assert char_fn(density_rv(dens).scaled(0.0).shifted(2.0), 1.0) == char_fn(
+        constant_rv(2.0), 1.0)
 
 
 def test_cdf_mass_check():
