@@ -24,8 +24,9 @@ import sys
 from .errors import AccuracyError, ConvlabError, ParameterError
 from .modes import (ALL_MODES, ModeParams, check_mode, probe_key,
                     probe_source, probes_for)
-from .registry import (NODE_MODES, build_family, default_registry,
-                       export_catalog, mode_diagram, soundness_sweep)
+from .registry import (_BUILDERS, NODE_MODES, SCHEMA_VERSION, build_family,
+                       default_registry, export_catalog, mode_diagram,
+                       soundness_sweep)
 from .series import DEFAULT_POLICY, analyze_series, load_terms_csv
 
 EXIT_OK = 0
@@ -117,10 +118,13 @@ def _dump_terms(fh, path, family, modes, count):
 
 
 def cmd_diagnose(args):
+    policy = _policy_from(args)
     if args.dump_count < 1:
         raise ParameterError(f"--dump-count must be at least 1, got {args.dump_count}")
+    if args.dump_count > policy.n_max:
+        raise ParameterError(f"--dump-count must be at most the horizon "
+                             f"n_max={policy.n_max}, got {args.dump_count}")
     family = _family_from_args(args)
-    policy = _policy_from(args)
     modes = args.modes.split(",") if args.modes else list(ALL_MODES)
     # open the dump file first, so an unwritable path fails before any work
     dump = contextlib.nullcontext()
@@ -144,7 +148,7 @@ def cmd_diagnose(args):
         if fh is not None:
             _dump_terms(fh, args.dump_terms, family, dump_specs, args.dump_count)
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "family": family.describe(),
         "reports": [r.to_dict() for r in reports],
     }
@@ -221,7 +225,8 @@ def cmd_series(args):
     policy = _policy_from(args)
     src = load_terms_csv(args.input)
     verdict = analyze_series(src, policy)
-    payload = {"schema_version": 1, "input": args.input, "verdict": verdict.to_dict()}
+    payload = {"schema_version": SCHEMA_VERSION, "input": args.input,
+               "verdict": verdict.to_dict()}
     if args.show_policy:
         payload["policy"] = policy.to_dict()
 
@@ -258,7 +263,7 @@ def build_parser():
 
     p_diag = sub.add_parser("diagnose", help="classify modes for one family")
     p_diag.add_argument("--family", required=True,
-                        help="family kind: ex31, ex32, ex33, shift_uniform, const")
+                        help=f"family kind: {', '.join(sorted(_BUILDERS))}")
     p_diag.add_argument("--alpha", type=float, default=None)
     p_diag.add_argument("--beta", type=float, default=None)
     p_diag.add_argument("--c", type=float, default=None)

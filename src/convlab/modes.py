@@ -162,6 +162,10 @@ class FamilyMeta:
     eventually zero); a kind it lacks decays at no known rate.  It decides
     when an all-probes-converge outcome of a universally quantified mode
     may be upgraded to Holds (see certified).
+
+    expected maps a diagram node to the verdict the family claims, "holds"
+    or "fails"; the soundness sweep checks each claim.  kind is the key the
+    family's builder is registered under.
     """
 
     kind: str = ""
@@ -169,8 +173,7 @@ class FamilyMeta:
     bound: float = 1.0
     term_source: Callable = lambda kind, value, power: None
     decay: dict = field(default_factory=dict)
-    shift_sequence: Optional[Callable] = None  # n -> ||X_n - X||_inf, if shift-type
-    base_cdf_vec: Optional[Callable] = None  # vectorized limit CDF, if closed-form
+    expected: dict = field(default_factory=dict)  # diagram node -> claimed verdict
     x_probes: Optional[tuple] = None  # preferred CDF probe points
 
 

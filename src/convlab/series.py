@@ -516,7 +516,9 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Se
     except TooFewAnchors:
         # the last block is positive, but too few anchors are to fit a decay
         return SeriesVerdict("inconclusive", evidence=_TOO_FEW_ANCHORS, n_used=n_used)
-    if p_hat + ci <= 1.0 + policy.exponent_margin:
+    # divergence needs an interval that reaches 1; one wholly inside
+    # (1, 1 + exponent_margin] is near the boundary
+    if p_hat - ci <= 1.0 and p_hat + ci <= 1.0 + policy.exponent_margin:
         return SeriesVerdict(
             "diverges",
             p_hat=p_hat,
@@ -581,8 +583,10 @@ def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -
         return NullVerdict("inconclusive", n_used=n_used)
     if p_hat - ci > 0.02:
         return NullVerdict("tends_to_zero", p_hat=p_hat, ci_halfwidth=ci, n_used=n_used)
+    # a flat fit whose interval reaches 0, with terms above the tolerance
     level = last_min
-    if abs(p_hat) <= 0.02 and ci <= 0.02 and level > policy.null_tolerance:
+    if (abs(p_hat) <= 0.02 and ci <= 0.02 and p_hat - ci <= 0.0
+            and level > policy.null_tolerance):
         return NullVerdict(
             "stays_above", level=level, p_hat=p_hat, ci_halfwidth=ci, n_used=n_used
         )

@@ -21,6 +21,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AccuracyError, ParameterError, RepresentationError
 
 _MASS_TOL = 1e-9
@@ -69,12 +71,9 @@ class PowerAtOne:
         return (1.0 - self.alpha) * (1.0 - u) ** (-self.alpha)
 
     def cdf(self, x):
-        """F(x) = 1 - (1-x)^(1-alpha) on (0,1); also the quantile inverse."""
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        return 1.0 - (1.0 - x) ** (1.0 - self.alpha)
+        """F(x) = 1 - (1-x)^(1-alpha) on (0,1), elementwise for an array x;
+        also the quantile inverse."""
+        return 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** (1.0 - self.alpha)
 
     def quantile(self, w):
         """Q(w) = 1 - (1-w)^(1/(1-alpha)), defined on [0,1]."""
@@ -173,7 +172,7 @@ class Uniform:
     """The uniform density on (0,1): its quantile is the identity."""
 
     def cdf(self, x):
-        return min(max(x, 0.0), 1.0)
+        return np.clip(x, 0.0, 1.0)
 
     def quantile(self, w):
         return w
@@ -221,12 +220,10 @@ class Piece:
         return self.value(self.lo), self.value(self.hi)
 
     def measure_below(self, x):
-        """The measure of {omega in [lo, hi): value <= x}, for A != 0."""
-        mass = self.hi - self.lo
+        """The measure of {omega in [lo, hi): value <= x}, for A != 0,
+        elementwise for an array x."""
         w = self.dens.cdf((x - self.B) / self.A)
-        if self.A > 0:
-            return min(max(w - self.lo, 0.0), mass)
-        return min(max(self.hi - w, 0.0), mass)
+        return np.clip(w - self.lo if self.A > 0 else self.hi - w, 0.0, self.hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -305,10 +302,10 @@ class Cdf:
         return tuple(x for x, _ in self.atoms)
 
     def __call__(self, x):
-        """P(X <= x)."""
-        total = sum(m for ax, m in self.atoms if ax <= x)
+        """P(X <= x), elementwise for an array x."""
+        total = sum(m * (ax <= x) for ax, m in self.atoms)
         total += sum(s.measure_below(x) for s in self.segments)
-        return min(total, 1.0)
+        return np.minimum(total, 1.0)
 
     def prob_at(self, x, tol=1e-12):
         """Mass of the atom at x (0 if none)."""
@@ -456,7 +453,7 @@ def _emit_abs_pieces(a, b, dens, lo, hi, out):
     if max(v_lo, v_hi) <= 0.0:
         piece(-1.0, lo, hi)
         return
-    w0 = min(max(dens.cdf(-b / a), lo), hi)
+    w0 = min(max(float(dens.cdf(-b / a)), lo), hi)
     if w0 <= lo or w0 >= hi:  # crossing collapses to an endpoint numerically
         if abs(v_lo) >= abs(v_hi):
             sign = 1.0 if v_lo > 0 else -1.0
@@ -493,7 +490,7 @@ def truncated_abs_moment(diff_rv, eps):
             continue
         # value is monotone on the piece; find the sub-interval where it is
         # below eps and integrate the value there in closed form
-        w_eps = min(max(p.dens.cdf((eps - p.B) / p.A), p.lo), p.hi)
+        w_eps = min(max(float(p.dens.cdf((eps - p.B) / p.A)), p.lo), p.hi)
         v_lo, v_hi = p.endpoint_values()
         increasing = v_hi >= v_lo
         if increasing:

@@ -345,6 +345,36 @@ def test_dump_count_below_one_exit_2(capsys, tmp_path, count):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("count", ("4097", "1000000000000"))
+def test_dump_count_above_the_horizon_exit_2(capsys, tmp_path, count):
+    path = tmp_path / "terms.csv"
+    code, out, err = run(capsys, "diagnose", "--family", "const", "--modes", "cc",
+                         "--n-max", "4096", "--dump-terms", str(path),
+                         "--dump-count", count)
+    assert code == cli.EXIT_PARAMETER
+    assert "--dump-count must be at most the horizon n_max=4096" in err
+    assert out == ""
+    assert not path.exists()
+
+
+def test_every_listed_family_diagnoses_by_its_kind(capsys):
+    _, out, _ = run(capsys, "list", "--format", "json")
+    families = json.loads(out)["families"]
+    for fam in families:
+        argv = ["--family", fam["kind"]]
+        for key, value in fam["params"].items():
+            argv += ["--" + key, repr(float(value))]
+        code, out, err = run(capsys, "diagnose", *argv, "--modes", "cc",
+                             "--format", "json")
+        assert code == 0, err
+        got = json.loads(out)["family"]
+        assert got == {k: fam[k] for k in ("name", "kind", "params")}
+    with pytest.raises(SystemExit):
+        cli.main(["diagnose", "--help"])
+    help_text = capsys.readouterr().out
+    assert all(fam["kind"] in help_text for fam in families)
+
+
 def test_main_maps_accuracy_error_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "cmd_series",

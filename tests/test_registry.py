@@ -9,8 +9,8 @@ import pytest
 
 from convlab import registry, space
 from convlab.errors import ParameterError
-from convlab.modes import (ALL_MODES, UNIVERSAL_MODES, ModeParams, certified,
-                           mode_spec, probes_for)
+from convlab.modes import (ALL_MODES, UNIVERSAL_MODES, Family, FamilyMeta,
+                           ModeParams, certified, mode_spec, probes_for)
 from convlab.registry import (NODE_MODES, NODES, ImplicationDiagram,
                               LipschitzWitness, build_family, constant_family,
                               default_registry, ex31, ex32, ex33,
@@ -139,6 +139,96 @@ def test_expected_verdicts_regime_dependence():
     assert "s2d" not in expected_verdicts(ex32(0.4, 2.0))
 
 
+def _ref_expected_verdicts(family):
+    """The claims as a kind-keyed chain spelt them out before each builder
+    declared its own."""
+    kind = family.meta.kind
+    p = family.params
+    if kind == "ex31":
+        out = {"cc": "holds", "s2d": "holds"}
+        if p["alpha"] > 1.0:
+            out["s1d"] = "fails"
+            out["s3d"] = "fails"
+        return out
+    if kind == "ex32":
+        out = {
+            "slinf": "holds", "sl1": "holds", "s1star": "holds",
+            "s1d": "holds", "s3d": "holds", "cc": "holds",
+        }
+        if (1.0 - p["alpha"]) * p["beta"] <= 1.0:
+            out["s2d"] = "fails"
+        return out
+    if kind == "ex33":
+        return {"s1as": "holds", "as": "holds", "s1d": "fails", "s3d": "fails"}
+    if kind == "const":
+        return {n: "holds" for n in NODES}
+    if kind == "shift_uniform":
+        return {"slinf": "holds", "s2d": "holds"}
+    return {}
+
+
+def _claim_grid():
+    """Families on both sides of each regime boundary: alpha = 1 for ex31,
+    (1 - alpha) * beta = 1 for ex32."""
+    one = (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, math.inf))
+    fams = [ex31(a) for a in (1e-3, 0.5, *one, 2.0, 50.0)]
+    for beta in (1.25, 2.0, 4.0, 10.0):
+        edge = 1.0 - 1.0 / beta
+        fams += [ex32(a, beta) for a in (0.05, math.nextafter(edge, 0.0), edge,
+                                         math.nextafter(edge, 1.0), 0.95)]
+    fams += [ex33(), shift_uniform(1.5), shift_uniform(),
+             constant_family(), constant_family(-2.5)]
+    return fams
+
+
+def test_declared_claims_match_the_kind_chain():
+    fams = _claim_grid()
+    sides = {(f.meta.kind, "s2d" in expected_verdicts(f), "s1d" in expected_verdicts(f))
+             for f in fams}
+    # both sides of each boundary are on the grid
+    assert {("ex31", True, False), ("ex31", True, True),
+            ("ex32", False, True), ("ex32", True, True)} <= sides
+    for f in fams:
+        got = expected_verdicts(f)
+        assert got == _ref_expected_verdicts(f), f.name
+        assert list(got) == list(_ref_expected_verdicts(f)), f.name
+
+
+def test_expected_verdicts_hands_out_a_copy():
+    fam = ex33()
+    expected_verdicts(fam)["s1d"] = "holds"
+    assert expected_verdicts(fam)["s1d"] == "fails"
+
+
+@pytest.mark.parametrize("family", default_registry(), ids=lambda f: f.name)
+def test_kind_and_params_rebuild_the_family(family):
+    again = build_family(family.meta.kind, **family.params)
+    assert again.name == family.name
+    assert again.describe() == family.describe()
+
+
+def test_family_names_are_built_from_kind_and_params():
+    assert registry.family_name("ex33", {}) == "ex33"
+    assert ex32(0.5, 2).name == "ex32(alpha=0.5,beta=2)"
+    assert constant_family().name == "const(c=0)"
+    assert shift_uniform().params == {"beta": 2.0}
+    # every builder is registered under the kind its families report
+    assert {k: build.__name__ for k, build in registry._BUILDERS.items()} == {
+        "ex31": "ex31", "ex33": "ex33", "ex32": "ex32",
+        "shift_uniform": "shift_uniform", "const": "constant_family"}
+
+
+def test_boundary_witnesses_violate_no_edge():
+    # ex31(0.9615): the s1d fit, p = 1.0401 +- 3e-5, lies inside the margin
+    # band above 1; ex31(50): the dist fit, p = 0.0155 +- 1e-4, is not flat
+    report = soundness_sweep(mode_diagram(), [ex31(0.9615), ex31(50.0)])
+    assert report.violations == []
+    assert sorted(report.coverage_gaps) == [
+        "ex31(alpha=0.9615): s1d inconclusive",
+        "ex31(alpha=0.9615): s1star inconclusive",
+        "ex31(alpha=50): dist inconclusive"]
+
+
 @pytest.fixture(scope="module")
 def seed0_sweep():
     return soundness_sweep(mode_diagram(), default_registry())
@@ -194,6 +284,61 @@ def test_verify_lipschitz_bad_witness_constant():
 def test_verify_lipschitz_requires_shift_family():
     with pytest.raises(ParameterError):
         verify_lipschitz_s2d(ex31(2.0), [LipschitzWitness(0.5, 1.0, 0.1)])
+
+
+def test_verify_lipschitz_reads_the_families_sup_norms():
+    # ex32: power-law sup norms n^-beta; the density stays below 1 on [0.4, 0.6]
+    rep = verify_lipschitz_s2d(ex32(0.4, 2.0), [LipschitzWitness(0.5, 1.0, 0.1)])
+    assert rep.ok
+    # const: sup norms that vanish, so every CDF gap is 0
+    rep = verify_lipschitz_s2d(constant_family(0.0), [LipschitzWitness(0.5, 1.0, 0.1)])
+    assert rep.ok
+
+
+def test_verify_lipschitz_needs_summable_sup_norms():
+    base = space.uniform_rv()
+
+    def slow_sup(kind, value, power):
+        if kind == "sup":
+            return TermSource(lambda ns: ns.astype(float) ** -0.5,
+                              hint=AnalyticHint("power", exponent=0.5))
+        return None
+
+    fam = Family("slow", {}, base, lambda n: base.shifted(n ** -0.5),
+                 FamilyMeta(term_source=slow_sup))
+    for family in (fam, ex33(), Family("bare", {}, base, lambda n: base, FamilyMeta())):
+        with pytest.raises(ParameterError, match="summable sup norms"):
+            verify_lipschitz_s2d(family, [LipschitzWitness(0.5, 1.0, 0.1)])
+
+
+def _ref_base_cdf_vec(alpha):
+    """The shift families' base CDFs as each builder once wrote them."""
+    if alpha is None:
+        return lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+
+    def base_cdf_vec(x):
+        xa = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        return 1.0 - (1.0 - xa) ** (1.0 - alpha)
+
+    return base_cdf_vec
+
+
+_SHIFT_CASES = [(ex32(0.5, 2.0), 0.5), (ex32(0.4, 2.0), 0.4), (ex32(0.6123, 1.7), 0.6123),
+                (shift_uniform(2.0), None), (shift_uniform(1.3), None)]
+
+
+@pytest.mark.parametrize("family, alpha", _SHIFT_CASES,
+                         ids=[family.name for family, _ in _SHIFT_CASES])
+def test_shift_cdf_gaps_match_the_base_cdf_reference(family, alpha):
+    F = _ref_base_cdf_vec(alpha)
+    beta = family.params["beta"]
+    for x in (-0.5, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5, 3.0):
+        fx = float(F(np.array([x]))[0])
+        for lo, hi in ((1, 8193), (8193, 16386)):
+            ns = np.arange(lo, hi)
+            want = np.abs(F(x - ns.astype(float) ** -beta) - fx)
+            got = family.meta.term_source("cdf_gap", x, 1.0).generator(ns)
+            assert got.tobytes() == want.tobytes(), x
 
 
 def test_verify_truncation_ex32():
@@ -739,7 +884,7 @@ def test_power_hints_decay_at_least_as_the_table_says(family):
                     checked += 1
                 elif hint is not None and hint.kind == "eventually_constant":
                     assert hint.level == 0.0 or rate == 0.0, (mode, probe)
-    if family.meta.kind != "constant":
+    if family.meta.kind != "const":
         assert checked > 50
 
 

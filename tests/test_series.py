@@ -241,6 +241,26 @@ def test_null_sequence_basic():
     assert abs(v.level - 0.5) < 1e-12
 
 
+def test_fit_inside_the_margin_above_one_is_inconclusive():
+    # p = 1.03: the fit's interval lies wholly in (1, 1 + exponent_margin],
+    # so it shows neither divergence nor a summable tail
+    v = analyze_series(power_source(1.03))
+    assert v.klass == "inconclusive"
+    assert v.evidence == {"method": "exponent_near_boundary"}
+    assert 1.0 < v.p_hat - v.ci_halfwidth
+    assert v.p_hat + v.ci_halfwidth <= 1.0 + DEFAULT_POLICY.exponent_margin
+    # an interval reaching 1 still diverges
+    assert analyze_series(power_source(1.0)).diverges
+
+
+def test_slowly_decaying_stream_does_not_stay_above():
+    # n^-0.01 tends to 0: a fit that is flat within 0.02 but whose interval
+    # stays above 0 is inconclusive, not stays_above
+    v = null_sequence_test(power_source(0.01))
+    assert v.klass == "inconclusive"
+    assert v.p_hat - v.ci_halfwidth > 0.0
+
+
 def test_null_sequence_hints():
     assert null_sequence_test(
         power_source(0.3, hint=AnalyticHint("power", exponent=0.3))

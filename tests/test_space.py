@@ -407,6 +407,21 @@ def test_cdf_matches_two_kind_reference(rv, xs):
         assert c(x) == reference_cdf(rv, x)
 
 
+@given(rv=piecewise_rvs(), xs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_cdf_of_an_array_is_the_cdf_of_each_element(rv, xs):
+    c = cdf(rv)
+    xs = xs + [rv(w) for w in (0.03, 0.5, 0.97)]
+    with np.errstate(over="ignore"):  # x / A overflows to inf for a tiny slope A
+        got = c(np.array(xs))
+    assert got.shape == (len(xs),)
+    want = np.array([c(x) for x in xs])
+    if all(p.dens is UNIFORM for p in rv.pieces):
+        assert got.tobytes() == want.tobytes()
+    else:  # numpy's vector pow may differ from the scalar one in the last bit
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
 omegas = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                  min_size=1, max_size=8)
 
