@@ -368,7 +368,7 @@ def probe_source(family, mode, probe, params, use_analytic=True):
         if src is None:
             src = TermSource.from_scalar(
                 lambda n: generic_term(family, kind, value, power, n),
-                dense_cap=GENERIC_DENSE_CAP,
+                horizon=GENERIC_DENSE_CAP,
             )
         family._sources[key] = src
     return src
@@ -462,31 +462,25 @@ def check_mode(
         raise ParameterError(f"empty probe set for mode {mode!r}")
     sources = [probe_source(family, mode, probe, params, use_analytic)
                for probe in probes]
-    # the unhinted probes scan their blocks together (TermSource.siblings)
-    unhinted = tuple(dict.fromkeys(src for src in sources if src.hint is None))
-    for src in unhinted:
-        src.siblings = unhinted
     results = {}
     bad = None
     inconclusive = False
-    try:
-        for probe, src in zip(probes, sources):
-            if spec.series:
-                verdict = analyze_series(src, policy)
-                ok = verdict.converges
-                failed = verdict.diverges
-            else:
-                verdict = null_sequence_test(src, policy)
-                ok = verdict.tends_to_zero
-                failed = verdict.klass == "stays_above"
-            results[probe_key(probe)] = verdict
-            if failed and bad is None:
-                bad = probe
-            elif not ok and not failed:
-                inconclusive = True
-    finally:
-        for src in unhinted:
-            src.siblings = ()
+    # each engine call gets the mode's sources, so that its unhinted probes
+    # scan their blocks together
+    for probe, src in zip(probes, sources):
+        if spec.series:
+            verdict = analyze_series(src, policy, sources)
+            ok = verdict.converges
+            failed = verdict.diverges
+        else:
+            verdict = null_sequence_test(src, policy, sources)
+            ok = verdict.tends_to_zero
+            failed = verdict.klass == "stays_above"
+        results[probe_key(probe)] = verdict
+        if failed and bad is None:
+            bad = probe
+        elif not ok and not failed:
+            inconclusive = True
     if bad is not None:
         verdict_tag, witness = VERDICT_FAILS, probe_key(bad)
     elif inconclusive:

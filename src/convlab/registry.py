@@ -23,7 +23,7 @@ import numpy as np
 from . import space
 from .errors import ParameterError
 from .modes import (MODES, Family, FamilyMeta, ModeParams, check_mode,
-                    probe_source)
+                    probe_key, probe_source)
 from .series import DEFAULT_POLICY, AnalyticHint, TermSource, analyze_series
 from .testfuncs import ClampedAffine, ClampedIdentity, Sine
 
@@ -665,60 +665,48 @@ class LipschitzS2dReport:
 
 def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY,
                          n_check=2000, slack=1e-12):
-    """Precondition: summable sup norms a_n = ess sup |X_n - X|, which the
-    family's own `sup` term source gives, with a hint that is a power law
-    n^-p, p > 1, or eventually zero; otherwise ParameterError.
+    """Precondition: summable sup norms a_n = ess sup |X_n - X|, the terms
+    slinf scans, with a hint that is a power law n^-p, p > 1, or eventually
+    zero; otherwise ParameterError, as for an empty witness list.
 
     With F(x - a_n) <= F_n(x) <= F(x + a_n) and a limit CDF F locally
     Lipschitz at each probed continuity point: the sup-norm series
     converges, each CDF-gap term is dominated by that two-sided sandwich,
     each CDF-gap series converges, and the finite-prefix plus Lipschitz-tail
-    bound dominates the whole gap series."""
-    sup = family.meta.term_source("sup", None, 1.0)
-    hint = None if sup is None else sup.hint
+    bound dominates the whole gap series.  Both series and their sums are
+    check_mode's: slinf, and s2d at the witnesses' x."""
+    params = ModeParams.defaults(family, x_points=[w.x for w in witnesses])
+    sup = probe_source(family, "slinf", ("all", None), params)
+    hint = sup.hint
     if hint is None or not (hint.kind == "eventually_zero" or (
             hint.kind == "power" and hint.exponent > 1.0)):
         raise ParameterError(
             f"verify_lipschitz_s2d needs summable sup norms; {family.name} has no "
             f"power-law or eventually-zero hint on them")
-    F = family.limit_cdf
-    params = ModeParams.defaults(family)
     slinf = check_mode(family, "slinf", params, policy)
-    witnesses_ok = all(w.grid_ok(F) for w in witnesses)
+    s2d = check_mode(family, "s2d", params, policy)
+    F = family.limit_cdf
     a_n = sup.terms(1, n_check + 1)
-    # the sup norms past n_check: the integral test with the power law's
-    # local constant, or the terms up to where they vanish
-    if hint.kind == "power":
-        remainder = a_n[-1] * n_check / (hint.exponent - 1.0)
-    else:
-        remainder = float(np.sum(sup.terms(n_check + 1, hint.start + 1)))
+    sup_sum = slinf.probe_results["all"]
     sandwich_ok = True
-    series_converge = True
     proof_bound_ok = True
-    details = {}
     for w in witnesses:
-        src = probe_source(family, "s2d", ("x", w.x), params)
-        terms = src.terms(1, n_check + 1)
+        terms = probe_source(family, "s2d", ("x", w.x), params).terms(1, n_check + 1)
         fx = F(w.x)
         upper = (F(w.x + a_n) - fx) + (fx - F(w.x - a_n))
-        if not np.all(terms <= upper + slack):
-            sandwich_ok = False
-        verdict = analyze_series(src, policy)
-        details[f"x={w.x!r}"] = verdict.to_dict()
-        if not verdict.converges:
-            series_converge = False
-        # finite prefix up to the first index with a_n < delta, then the
-        # Lipschitz bound on both sandwich sides
+        sandwich_ok &= bool(np.all(terms <= upper + slack))
+        # the whole gap series against its prefix up to the first index with
+        # a_n < delta, then the Lipschitz bound on both sandwich sides
         below = np.nonzero(a_n < w.delta)[0]
         n0 = int(below[0]) if below.size else n_check
-        lhs = float(np.sum(terms))
-        tail = float(np.sum(2.0 * w.K * a_n[n0:])) + 2.0 * w.K * remainder
-        rhs = float(np.sum(terms[:n0])) + tail
-        if lhs > rhs + 1e-9:
-            proof_bound_ok = False
+        sup_from_n0 = sup_sum.sum_estimate + sup_sum.tail_bound - float(np.sum(a_n[:n0]))
+        rhs = float(np.sum(terms[:n0])) + 2.0 * w.K * sup_from_n0
+        gap = s2d.probe_results[probe_key(("x", w.x))]
+        proof_bound_ok &= gap.converges and gap.sum_estimate + gap.tail_bound <= rhs + 1e-9
     return LipschitzS2dReport(
-        slinf.verdict, witnesses_ok, sandwich_ok, series_converge,
-        proof_bound_ok, details,
+        slinf.verdict, all(w.grid_ok(F) for w in witnesses), sandwich_ok,
+        all(v.converges for v in s2d.probe_results.values()), proof_bound_ok,
+        {k: v.to_dict() for k, v in s2d.probe_results.items()},
     )
 
 
@@ -744,33 +732,28 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
     every bounded Lipschitz expectation gap to be summable; the splitting
     bound K*truncated + 2M*tail-probability dominates term-wise, and for a
     bounded limit the clamped-identity function turns the truncated moment
-    back into a distributional term (the converse direction)."""
+    back into a distributional term (the converse direction).  cc and the
+    gap series are check_mode's scans; an empty fs raises ParameterError."""
     if eps <= 0:
         raise ParameterError("eps must be positive")
     params = ModeParams.defaults(family, epsilons=(eps,))
-    if fs is None:
-        fs = params.test_functions
-    cc = check_mode(family, "cc", params, policy)
+    if fs is not None:
+        params = replace(params, test_functions=fs)
     trunc_src = family.meta.term_source("trunc_l1", eps, 1.0)
     if trunc_src is None:
         raise ParameterError("family has no truncated-moment term formula")
+    cc = check_mode(family, "cc", params, policy)
+    s1star = check_mode(family, "s1star", params, policy)
     trunc_verdict = analyze_series(trunc_src, policy)
     trunc_terms = trunc_src.terms(1, n_check + 1)
-    cc_src = family.meta.term_source("tail", eps, 1.0)
-    cc_terms = cc_src.terms(1, n_check + 1)
-    s1star_all = True
+    cc_terms = probe_source(family, "cc", ("eps", eps), params).terms(1, n_check + 1)
     splitting_ok = True
-    details = {"truncated": trunc_verdict.to_dict()}
-    for f in fs:
-        src = probe_source(family, "s1star", ("f", f), params)
-        verdict = analyze_series(src, policy)
-        details[f"f={f.name}"] = verdict.to_dict()
-        if not verdict.converges:
-            s1star_all = False
-        terms = src.terms(1, n_check + 1)
+    for f in params.test_functions:
+        terms = probe_source(family, "s1star", ("f", f), params).terms(1, n_check + 1)
         bound = f.lipschitz * trunc_terms + 2.0 * f.bound * cc_terms
-        if not np.all(terms <= bound + slack):
-            splitting_ok = False
+        splitting_ok &= bool(np.all(terms <= bound + slack))
+    details = {"truncated": trunc_verdict.to_dict(),
+               **{k: v.to_dict() for k, v in s1star.probe_results.items()}}
     # converse direction with the truncation function of the bounded limit
     m_bound = space.sup_norm(family.limit)
     converse_ok = True
@@ -780,7 +763,8 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
         s1star_terms = src.terms(1, min(n_check, 1000) + 1)
         converse_ok = bool(np.all(trunc_terms[: len(s1star_terms)] <= s1star_terms + slack))
     return TruncationReport(
-        cc.verdict, trunc_verdict.converges, s1star_all, splitting_ok,
+        cc.verdict, trunc_verdict.converges,
+        all(v.converges for v in s1star.probe_results.values()), splitting_ok,
         converse_ok, details,
     )
 

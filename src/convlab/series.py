@@ -105,33 +105,28 @@ class TermSource:
     """A nonnegative sequence a_n, n >= 1, behind every summability mode.
 
     The generator maps a numpy integer array to a float array; the engine
-    always passes it an ascending run of consecutive indices.  dense_cap
-    limits how far the engine evaluates terms densely; expensive generators
-    (per-term quadrature) set it low and rely on hints or anchor fits.
+    always passes it an ascending run of consecutive indices.  horizon caps
+    how far the engine evaluates terms: a finite stream sets its length, and
+    expensive generators (per-term quadrature) set it low and rely on hints
+    or anchor fits.
 
     A source remembers the summary of each dyadic block it has evaluated,
     so a second scan of it (another mode's probe on the same terms) costs
-    no terms.  siblings, set by check_mode for the length of one mode's
-    check, names the mode's other unhinted sources: a block that one of
-    them misses is then evaluated for every sibling whose own scan would
-    read it next, chunk by chunk, so a generator can share per-chunk work
-    between them.
+    no terms.
     """
 
-    def __init__(self, generator, hint=None, dense_cap=None, length=None):
+    def __init__(self, generator, hint=None, horizon=None):
         self.generator = generator
         self.hint = hint
-        self.dense_cap = dense_cap
-        self.length = length
-        self.siblings = ()
+        self.horizon = horizon
         self._blocks = {}  # (lo, hi) -> (sum, first, last, min, max)
 
     @classmethod
-    def from_scalar(cls, fn, dense_cap):
+    def from_scalar(cls, fn, horizon):
         def gen(ns):
             return np.array([float(fn(int(n))) for n in ns], dtype=float)
 
-        return cls(gen, dense_cap=dense_cap)
+        return cls(gen, horizon=horizon)
 
     @classmethod
     def from_values(cls, values):
@@ -142,7 +137,7 @@ class TermSource:
         def gen(ns):
             return arr[np.asarray(ns, dtype=int) - 1]
 
-        return cls(gen, length=arr.size)
+        return cls(gen, horizon=arr.size)
 
     def terms(self, lo, hi):
         """Terms for n in [lo, hi), clamped at tiny negative quadrature noise.
@@ -164,11 +159,7 @@ class TermSource:
         return np.maximum(vals, 0.0)
 
     def effective_n_max(self, policy):
-        n = policy.n_max
-        if self.length is not None:
-            n = min(n, self.length)
-        if self.dense_cap is not None:
-            n = min(n, self.dense_cap)
+        n = policy.n_max if self.horizon is None else min(policy.n_max, self.horizon)
         return max(n, 2)
 
 
@@ -304,10 +295,11 @@ def _block(src, lo, hi, companions=()):
     return src._blocks[(lo, hi)]
 
 
-def _companions(src, policy, n_max):
-    """src's unhinted siblings with the same horizon: their blocks coincide
-    with src's, so src's scan can evaluate theirs alongside."""
-    return [s for s in src.siblings
+def _companions(src, policy, n_max, group):
+    """The other unhinted sources of src's group with src's horizon: their
+    blocks coincide with src's, so src's scan can evaluate theirs
+    alongside."""
+    return [s for s in dict.fromkeys(group)
             if s is not src and s.hint is None and s.effective_n_max(policy) == n_max]
 
 
@@ -427,14 +419,12 @@ class _Scan:
             self.done = True
 
 
-def _dense_scan(src, policy, n_max, exponent=None):
+def _dense_scan(src, policy, n_max, exponent=None, group=()):
     """src's _Scan up to n_max.  An unhinted scan runs its companions' scans
     in step with its own, each to its own stop, so that every block any of
     them reads is evaluated for all of them at once."""
     scan = _Scan(src, policy, exponent)
-    scans = [scan]
-    if exponent is None:
-        scans += [_Scan(s, policy) for s in _companions(src, policy, n_max)]
+    scans = [scan] + [_Scan(s, policy) for s in _companions(src, policy, n_max, group)]
     for lo, hi in _dyadic_blocks(n_max):
         if scan.done:
             break
@@ -485,12 +475,18 @@ def _analyze_with_hint(src, policy):
     )
 
 
-def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> SeriesVerdict:
-    """Classify sum a_n as convergent/divergent/inconclusive with evidence."""
+def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
+                   group=()) -> SeriesVerdict:
+    """Classify sum a_n as convergent/divergent/inconclusive with evidence.
+
+    group names the sources checked alongside src (one mode's probes): an
+    unhinted scan evaluates each block it misses for every unhinted member
+    with its horizon whose own scan would read it next, chunk by chunk, so a
+    generator can share per-chunk work between them."""
     if src.hint is not None:
         return _analyze_with_hint(src, policy)
     n_max = src.effective_n_max(policy)
-    scan = _dense_scan(src, policy, n_max)
+    scan = _dense_scan(src, policy, n_max, group=group)
     n_used = scan.n_last
     if scan.blowup_at is not None:
         return SeriesVerdict(
@@ -554,8 +550,10 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Se
     )
 
 
-def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> NullVerdict:
-    """Decide whether a_n -> 0: the test behind the classical limit modes."""
+def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
+                       group=()) -> NullVerdict:
+    """Decide whether a_n -> 0: the test behind the classical limit modes.
+    group is as for analyze_series."""
     hint = src.hint
     if hint is not None:
         if hint.kind == "power":
@@ -572,7 +570,7 @@ def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -
     n_max = src.effective_n_max(policy)
     lo, hi = _dyadic_blocks(n_max)[-1]
     # every companion's null test reads this same last block
-    _, _, _, last_min, last_max = _block(src, lo, hi, _companions(src, policy, n_max))
+    _, _, _, last_min, last_max = _block(src, lo, hi, _companions(src, policy, n_max, group))
     n_used = hi - 1
     if last_max < policy.null_tolerance:
         return NullVerdict("tends_to_zero", n_used=n_used)

@@ -221,8 +221,11 @@ class Piece:
 
     def measure_below(self, x):
         """The measure of {omega in [lo, hi): value <= x}, for A != 0,
-        elementwise for an array x."""
-        w = self.dens.cdf((x - self.B) / self.A)
+        elementwise for an array x.  For a tiny slope A, x / A may overflow
+        to inf, which the clip reads right."""
+        with np.errstate(over="ignore"):
+            q = (x - self.B) / self.A
+        w = self.dens.cdf(q)
         return np.clip(w - self.lo if self.A > 0 else self.hi - w, 0.0, self.hi - self.lo)
 
 

@@ -354,6 +354,34 @@ def test_dist_after_s1d_reads_s1d_blocks_and_agrees(family, monkeypatch):
     assert counted == []  # the null tests read s1d's blocks, anchors included
 
 
+def test_a_modes_unhinted_probes_scan_together(monkeypatch):
+    # ex31(2)'s three expect_gap sources have no hint: check_mode hands each
+    # scan the mode's sources, so they take every chunk in turn
+    from convlab.modes import probe_source
+    from convlab.series import TermSource
+
+    family = ex31(2.0)
+    params = ModeParams.defaults(family)
+    sources = [probe_source(family, "s1d", ("f", f), params)
+               for f in params.test_functions]
+    assert len(set(map(id, sources))) == 3
+    assert all(src.hint is None for src in sources)
+    calls = []
+    terms = TermSource.terms
+
+    def recording(src, lo, hi):
+        calls.append((src, lo, hi))
+        return terms(src, lo, hi)
+
+    monkeypatch.setattr(TermSource, "terms", recording)
+    check_mode(family, "s1d", params)
+    assert len(calls) > 3 and len(calls) % 3 == 0
+    for i in range(0, len(calls), 3):
+        chunk = calls[i:i + 3]
+        assert [src for src, _, _ in chunk] == sources
+        assert len({(lo, hi) for _, lo, hi in chunk}) == 1
+
+
 @pytest.mark.parametrize("family", default_registry(), ids=lambda f: f.name)
 def test_modes_sharing_a_family_report_what_fresh_families_do(family):
     # the family's source cache may share a source only between modes whose

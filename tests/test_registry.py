@@ -295,6 +295,35 @@ def test_verify_lipschitz_reads_the_families_sup_norms():
     assert rep.ok
 
 
+def test_verify_lipschitz_bounds_the_whole_gap_series():
+    # CDF gaps that obey the sandwich up to n_check = 2000 and then stay
+    # far above it: the gap series sums to about 5.6, the bound to about 0.6
+    fam = shift_uniform(2.0)
+    closed_form = fam.meta.term_source
+
+    def heavy_tail(kind, value, power):
+        src = closed_form(kind, value, power)
+        if kind != "cdf_gap":
+            return src
+        return TermSource(lambda ns: np.where(ns > 2000, 100.0 * ns.astype(float) ** -1.5,
+                                              src.generator(ns)),
+                          hint=AnalyticHint("power", exponent=1.5))
+
+    fam.meta.term_source = heavy_tail
+    rep = verify_lipschitz_s2d(fam, [LipschitzWitness(0.5, 1.0, 0.1)], n_check=2000)
+    assert rep.witnesses_ok and rep.sandwich_ok and rep.series_converge
+    assert rep.details["x=0.5"]["sum_estimate"] > 5.0
+    assert not rep.proof_bound_ok
+    assert not rep.ok
+
+
+def test_verifiers_refuse_an_empty_probe_set():
+    with pytest.raises(ParameterError, match="empty probe set"):
+        verify_lipschitz_s2d(shift_uniform(2.0), [])
+    with pytest.raises(ParameterError, match="empty probe set"):
+        verify_truncation_s1star(ex32(0.5, 2.0), eps=0.5, fs=())
+
+
 def test_verify_lipschitz_needs_summable_sup_norms():
     base = space.uniform_rv()
 

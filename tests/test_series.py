@@ -325,7 +325,7 @@ def test_dense_cap_limits_scan():
         calls.append(n)
         return 1.0 / n ** 2
 
-    src = TermSource.from_scalar(slow, dense_cap=256)
+    src = TermSource.from_scalar(slow, horizon=256)
     analyze_series(src)
     assert max(calls) <= 256
 
@@ -451,31 +451,29 @@ def _mixed_sources(rec):
         "p05": rec.source("p05", lambda ns: ns.astype(float) ** -0.5),
         "blowup": rec.source("blowup", lambda ns: np.full(len(ns), 2.0)),
         "capped": rec.source("capped", lambda ns: ns.astype(float) ** -3.0,
-                             dense_cap=4096),
+                             horizon=4096),
         "zeros": rec.source("zeros", lambda ns: (ns < 40) * 1.0),
-        "short": rec.source("short", lambda ns: short[ns - 1], length=short.size),
-        "longer": rec.source("longer", lambda ns: longer[ns - 1], length=longer.size),
+        "short": rec.source("short", lambda ns: short[ns - 1], horizon=short.size),
+        "longer": rec.source("longer", lambda ns: longer[ns - 1], horizon=longer.size),
     }
 
 
 @pytest.mark.parametrize("test", (analyze_series, null_sequence_test))
 def test_grouped_scans_equal_ungrouped(test):
     # every source gets the same verdict, field for field, and evaluates the
-    # same terms, whether or not it scans alongside its siblings
+    # same terms, whether or not it scans alongside the rest of its group
     policy = EnginePolicy(n_max=50_000, blowup_threshold=1e3)
     alone, together = Recorder(), Recorder()
     lone = _mixed_sources(alone)
     want = {name: test(src, policy) for name, src in lone.items()}
     grouped = _mixed_sources(together)
     group = tuple(grouped.values())
-    for src in group:
-        src.siblings = group
-    got = {name: test(src, policy) for name, src in grouped.items()}
+    got = {name: test(src, policy, group) for name, src in grouped.items()}
     for name in grouped:
         assert got[name] == want[name], name
         assert got[name].to_dict() == want[name].to_dict(), name
         assert together.terms(name) == alone.terms(name), name
-    # unhinted siblings with one horizon took their chunks in turn: in a
+    # unhinted members with one horizon took their chunks in turn: in a
     # scan the hinted source went alone and the blown-up one had stopped; in
     # a null test the hinted one read no terms
     if test is analyze_series:
@@ -488,7 +486,7 @@ def test_grouped_scans_equal_ungrouped(test):
             if start == lo and end > lo + 1] == want_names
     # a second pass reads every block from the sources' memos
     before = len(together.calls)
-    again = {name: test(src, policy) for name, src in grouped.items()}
+    again = {name: test(src, policy, group) for name, src in grouped.items()}
     assert again == got
     assert all(start != lo or end == lo + 1
                for _, start, end in together.calls[before:])
