@@ -12,7 +12,9 @@ It also provides the null-sequence test backing the classical limit modes.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -130,7 +132,9 @@ class TermSource:
 
     @classmethod
     def from_values(cls, values):
-        arr = np.asarray(list(values), dtype=float)
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        arr = np.asarray(values, dtype=float)
         if arr.size < 2:
             raise ParameterError(f"need at least 2 terms, got {arr.size}")
 
@@ -592,10 +596,48 @@ def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
 
 
 def load_terms_csv(path):
-    """Read a term stream: one nonnegative decimal per line, header optional."""
+    """Read a term stream: one nonnegative decimal per line, header optional.
+
+    numpy's C reader parses the stream.  The line reader decides every file
+    the fast reader cannot take whole, so the terms and the messages are
+    the line reader's."""
+    try:
+        values = _read_terms_fast(path)
+    except (OSError, ValueError, csv.Error):
+        values = None
+    if values is None or not np.all((values >= 0) & (values < np.inf)):
+        values = _read_terms_by_line(path)
+    return TermSource.from_values(values)
+
+
+def _read_terms_fast(path):
+    """The first column as a float array, or None where loadtxt must not
+    run: a stream with no row to read (loadtxt warns), or a path that is
+    not a regular file (a pipe would be read twice)."""
+    # absolute, so that numpy's DataSource never reads the name as a URL
+    name = os.path.abspath(path)
+    if not os.path.isfile(name):
+        return None
+    with open(name, encoding="utf-8-sig") as fh:
+        first = fh.readline()
+        cell = (next(csv.reader([first]), None) or [""])[0].strip()
+        try:
+            float(cell or 0)
+            header = False
+        except ValueError:
+            header = True  # the line reader's rule: line 1 may be a header
+        if not any(line.strip() for line in itertools.chain([] if header else [first], fh)):
+            return None
+    return np.loadtxt(name, skiprows=int(header), encoding="utf-8-sig", delimiter=",",
+                      usecols=0, comments=None, quotechar='"', ndmin=1)
+
+
+def _read_terms_by_line(path):
+    """The reference reader: the terms as a list, or a ParameterError that
+    names the first bad line."""
     values = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or not row[0].strip():
                     continue
@@ -611,8 +653,8 @@ def load_terms_csv(path):
                 if v < 0:
                     raise ParameterError(f"line {lineno}: negative term {v}")
                 values.append(v)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
     if not values:
         raise ParameterError(f"no terms found in {path}")
-    return TermSource.from_values(values)
+    return values

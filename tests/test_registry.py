@@ -10,7 +10,8 @@ import pytest
 from convlab import registry, space
 from convlab.errors import ParameterError
 from convlab.modes import (ALL_MODES, UNIVERSAL_MODES, Family, FamilyMeta,
-                           ModeParams, certified, mode_spec, probes_for)
+                           ModeParams, certified, mode_spec, probe_source,
+                           probes_for)
 from convlab.registry import (NODE_MODES, NODES, ImplicationDiagram,
                               LipschitzWitness, build_family, constant_family,
                               default_registry, ex31, ex32, ex33,
@@ -18,7 +19,8 @@ from convlab.registry import (NODE_MODES, NODES, ImplicationDiagram,
                               mode_diagram, shift_uniform, soundness_sweep,
                               verdict_matches, verify_lipschitz_s2d,
                               verify_truncation_s1star)
-from convlab.series import AnalyticHint, EnginePolicy, TermSource
+from convlab.series import (AnalyticHint, EnginePolicy, TermSource,
+                            analyze_series)
 
 
 def test_build_family_validation():
@@ -986,3 +988,23 @@ def test_to_dict_outputs_share_nothing_with_reports():
             _scribble(verdict.to_dict())
     _scribble(reports[1].to_dict())
     assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == snapshot
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the tail model fits one power law at the last term; "
+                   "these terms mix n^-2 and n^-(1/alpha) (ROADMAP item 6)")
+@pytest.mark.parametrize("alpha, hinted", [(0.6, True), (0.95, False)])
+def test_two_power_first_moment_interval_holds_the_exact_sum(alpha, hinted):
+    from scipy.special import zeta
+
+    # sl1 on ex31: E|X_n| = n^-2 + (1 - n^-2) n^-q with q = 1/alpha
+    q = 1.0 / alpha
+    exact = zeta(2.0) + zeta(q) - zeta(2.0 + q)
+    fam = ex31(alpha)
+    params = ModeParams.defaults(fam, p=1.0)
+    src = probe_source(fam, "slp", probes_for("slp", params)[0], params)
+    if not hinted:
+        src = TermSource(src.generator, horizon=src.horizon)
+    v = analyze_series(src)
+    assert v.converges
+    assert abs(v.sum_estimate - exact) <= v.tail_bound

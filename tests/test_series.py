@@ -4,9 +4,15 @@ Oracles: exact p-series behavior, sum(1/n^2) = pi^2/6, geometric sums, and
 hand-built finite term streams.
 """
 
+import gzip
+import importlib.util
 import math
+import os
 import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +23,9 @@ from convlab.errors import ParameterError
 from convlab.modes import ModeParams, probe_source, probes_for
 from convlab.registry import ex31
 from convlab.series import (DEFAULT_POLICY, AnalyticHint, EnginePolicy,
-                            TermSource, _power_tail, analyze_series,
-                            fit_exponent, load_terms_csv, null_sequence_test)
+                            TermSource, _power_tail, _read_terms_by_line,
+                            analyze_series, fit_exponent, load_terms_csv,
+                            null_sequence_test)
 
 
 def power_source(p, hint=None):
@@ -316,6 +323,141 @@ def test_harmonic_csv_roundtrip(tmp_path):
     v = analyze_series(load_terms_csv(path))
     assert v.diverges
     assert abs(v.p_hat - 1.0) < 0.02
+
+
+def test_byte_order_mark_is_not_a_header(tmp_path):
+    path = tmp_path / "bom.csv"
+    for text in ("\ufeff0.5\n0.25\n", "\ufeffterm\n0.5\n0.25\n"):
+        path.write_text(text, encoding="utf-8")
+        src = load_terms_csv(path)
+        assert src.horizon == 2
+        assert list(src.terms(1, 3)) == [0.5, 0.25]
+
+
+# every corner of the CSV dialect the two readers must agree on
+CSV_CORPUS = {
+    "plain": "0.5\n0.25\n0.125\n",
+    "header": "term\n0.5\n0.25\n",
+    "header_only": "term\n",
+    "empty": "",
+    "blank_lines_only": "\n\n  \n\t\n",
+    "blank_first_line": "\nterm\n0.5\n0.25\n",
+    "blank_first_line_no_header": "\n0.5\n0.25\n",
+    "header_then_blank_lines": "term\n\n \n",
+    "header_on_line_2": "0.5\nterm\n0.25\n",
+    "one_term": "term\n0.5\n",
+    "crlf": "term\r\n0.5\r\n0.25\r\n",
+    "lone_cr": "0.5\r0.25\r",
+    "tabs_and_spaces": "\t0.5 ,x\n  0.25\t\n 0.125 \n",
+    "blank_lines_between": "0.5\n   \n\n0.25\n",
+    "blank_first_cell": "0.5\n,3\n0.25\n",
+    "leading_plus": "+0.5\n+0.25\n",
+    "quoted": '"term"\n"0.5"\n" 0.25 "\n',
+    "quote_after_space": ' "0.5"\n0.25\n',
+    "quote_inside_cell": '0.5\n0.25"x"\n',
+    "quoted_newline": '"0.5\n"\n0.25\n',
+    "quoted_header_over_two_lines": '"ab\n0.5"\n0.25\n0.125\n',
+    "unclosed_quote_in_column_2": '0.5,"x\n0.25\n0.125\n',
+    "extra_columns": "term,other\n0.5,1\n0.25,x,y\n",
+    "underscore": "1_000\n0.5\n",
+    "negative_zero": "-0.0\n0.5\n",
+    "negative": "0.5\n-0.25\n",
+    "hex_header": "0x1p-1\n0.5\n0.25\n",
+    "hex": "0.5\n0x1p-1\n",
+    "nan": "0.5\nNaN\n",
+    "infinity": "0.5\nInfinity\n",
+    "infinity_line_1": "Infinity\n0.5\n",
+    "comment_header": "# terms\n0.5\n0.25\n",
+    "comment_line": "0.5\n# note\n0.25\n",
+    "semicolons": "0.5;1\n0.25;2\n",
+    "fortran_exponent": "0.5\n1.0D-1\n",
+    "fullwidth_digits": "\uff10.\uff15\n0.25\n",
+    "no_break_space": "\xa00.5\n0.25\xa0\n",
+    "nul": "0.5\x00\n0.25\n",
+    "bom": "\ufeff0.5\n0.25\n",
+    "bom_header": "\ufeffterm\n0.5\n0.25\n",
+    "long_cell": "0.5\n" + "x" * 200_000 + "\n",
+    "binary": bytes(range(256)) * 4,
+    "latin1": b"0.5\n\xe90.25\n",
+    "bad_byte_past_first_chunk": b"0.5\n" * 5000 + b"\xff\n",
+}
+
+
+def _load_outcome(read):
+    """The terms' bytes, or the ParameterError message."""
+    try:
+        src = read()
+    except ParameterError as exc:
+        return str(exc)
+    return src.generator(np.arange(1, src.horizon + 1)).tobytes()
+
+
+def _assert_readers_agree(path):
+    want = _load_outcome(lambda: TermSource.from_values(_read_terms_by_line(path)))
+    assert _load_outcome(lambda: load_terms_csv(path)) == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(CSV_CORPUS))
+def test_fast_reader_agrees_with_line_reader(tmp_path, name):
+    body = CSV_CORPUS[name]
+    path = tmp_path / f"{name}.csv"
+    if isinstance(body, str):
+        path.write_text(body, encoding="utf-8", newline="")
+    else:
+        path.write_bytes(body)
+    _assert_readers_agree(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_compressed_name_is_read_as_plain_bytes(tmp_path):
+    # numpy's DataSource would decompress it; the stream's bytes are not UTF-8
+    path = tmp_path / "terms.csv.gz"
+    path.write_bytes(gzip.compress(b"0.5\n0.25\n"))
+    with pytest.raises(ParameterError, match="cannot read"):
+        load_terms_csv(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_named_pipe_is_read_once(tmp_path):
+    fifo = tmp_path / "terms.pipe"
+    os.mkfifo(fifo)
+    loaded = []
+    reader = threading.Thread(target=lambda: loaded.append(load_terms_csv(fifo)),
+                              daemon=True)
+    reader.start()
+    deadline = time.monotonic() + 30
+    while True:  # the write end opens once the reader has opened the pipe
+        try:
+            fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+            break
+        except OSError:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    with os.fdopen(fd, "w") as fh:
+        fh.write("term\n0.5\n0.25\n0.125\n")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert list(loaded[0].terms(1, 4)) == [0.5, 0.25, 0.125]
+
+
+def _perfbench_gen():
+    # gen.py is plain Python with no convlab import; load it by path
+    gen_py = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", gen_py)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(10))
+def test_fast_reader_agrees_on_benchmark_streams(tmp_path, seed):
+    gen = _perfbench_gen()
+    for i, (kind, param) in enumerate(gen.stream_specs(seed)):
+        path = tmp_path / f"stream{i}.csv"
+        path.write_text(gen.csv_text(gen.stream_terms(seed, i, kind, param)))
+        _assert_readers_agree(path)
 
 
 def test_dense_cap_limits_scan():
