@@ -3,7 +3,7 @@
 The engine decides whether a nonnegative series converges using dyadic
 partial sums, a decay-exponent fit at dyadic anchors (Cauchy condensation in
 numerical form), and integral-test tail sandwiches.  Closed-form knowledge
-travels as an analytic hint, turning extrapolation into exact comparison.
+travels as a term law, turning extrapolation into exact comparison.
 
 Run: python demos/series_engine.py
 """
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from convlab import AnalyticHint, EnginePolicy, TermSource, analyze_series
+from convlab import EnginePolicy, TermLaw, TermSource, analyze_series
 
 
 def show(label, verdict):
@@ -44,17 +44,19 @@ def main():
     print("this series converges, but its fitted exponent sits inside the")
     print("decision margin around 1, so the engine declines to guess")
 
-    print("\n== analytic hints upgrade the verdict ==")
-    hinted = TermSource(
+    print("\n== term laws upgrade the verdict ==")
+    vanishing = TermSource(
         lambda ns: (ns <= 100).astype(float) * 0.5,
-        hint=AnalyticHint("eventually_zero", start=100),
+        law=TermLaw(math.inf, start=100),
     )
-    show("terms vanish after n=100", analyze_series(hinted))
+    show("terms vanish after n=100", analyze_series(vanishing))
+    stated = TermSource(lambda ns: ns.astype(float) ** -1.2, law=TermLaw(1.2))
+    show("sum n^-1.2, law n^-1.2", analyze_series(stated))
 
     geom = TermSource(lambda ns: 0.5 ** ns.astype(float))
     show("sum 2^(-n)", analyze_series(geom))
 
-    print("\n== the horizon is a policy, not a constant ==")
+    print("\n== the horizon is the engine's one setting ==")
     for n_max in (10_000, 1_000_000):
         v = analyze_series(power(2.0), EnginePolicy(n_max=n_max))
         show(f"sum n^-2, n_max={n_max}", v)

@@ -151,7 +151,7 @@ class FamilyMeta:
     """Analytic metadata a family ships alongside its members.
 
     term_source(kind, value, power) may return a vectorized TermSource
-    (closed-form terms plus hint) for fast certified runs: the terms of one
+    (closed-form terms plus law) for fast certified runs: the terms of one
     term kind (ModeSpec.axes) at one value of its probe axis, pointwise
     terms raised to power (ModeSpec.exponent; 1 for every other kind).
     probe_source hands one source to every mode that asks for the same
@@ -465,7 +465,7 @@ def check_mode(
     results = {}
     bad = None
     inconclusive = False
-    # each engine call gets the mode's sources, so that its unhinted probes
+    # each engine call gets the mode's sources, so that its lawless probes
     # scan their blocks together
     for probe, src in zip(probes, sources):
         if spec.series:

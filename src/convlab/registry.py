@@ -6,7 +6,7 @@ The three parameterized families are the classical unit-interval
 constructions: a two-atom family with masses 1/n^2, a density with an
 integrable blow-up at 1 shifted by n^(-beta), and the shrinking-indicator
 family with mass 1/n.  Each family ships closed-form vectorized term
-formulas and analytic hints, so the series engine can certify Holds
+formulas, each with its TermLaw, so the series engine can certify Holds
 verdicts instead of extrapolating; the representation-exact generic term
 generators in `modes` remain available and are cross-checked in tests.
 """
@@ -24,29 +24,19 @@ from . import space
 from .errors import ParameterError
 from .modes import (MODES, Family, FamilyMeta, ModeParams, check_mode,
                     probe_key, probe_source)
-from .series import DEFAULT_POLICY, AnalyticHint, TermSource, analyze_series
+from .series import DEFAULT_POLICY, TermLaw, TermSource, analyze_series
 from .testfuncs import ClampedAffine, ClampedIdentity, Sine
 
 SCHEMA_VERSION = 1
 
 
-# Hints are immutable: one per exponent or start serves every source, and
-# every verdict resting on it shares its evidence dict.
-@functools.lru_cache(maxsize=256)
-def _power(p, constant=None):
-    return AnalyticHint("power", exponent=float(p), constant=constant)
+# Laws are immutable: one per (exponent, level, start) serves every source,
+# and every verdict resting on it shares its evidence dict.
+_law = functools.lru_cache(maxsize=256)(TermLaw)
 
 
-@functools.lru_cache(maxsize=256)
-def _zero(start=1):
-    return AnalyticHint("eventually_zero", start=int(start))
-
-
-_ONE_THROUGHOUT = AnalyticHint("eventually_constant", level=1.0)
-
-
-def _zeros_source(start=1):
-    return TermSource(lambda ns: np.zeros(len(ns)), hint=_zero(start))
+def _zeros_source():
+    return TermSource(lambda ns: np.zeros(len(ns)), law=_law(math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +98,7 @@ def _two_atom_source_factory(r, q):
 
     def basis(ns):
         """(m1, 1 - m1, v2) at ns: the first atom's mass, the second's, and
-        the second atom's value.  A mode's unhinted probes are scanned chunk
+        the second atom's value.  A mode's lawless probes are scanned chunk
         by chunk in turn, so the latest chunk's basis is kept for the next
         probe's call, keyed by its first index and length when ns is a run
         of consecutive indices."""
@@ -140,16 +130,16 @@ def _two_atom_source_factory(r, q):
             if eps > 1.0:
                 return _zeros_source()
             return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns),
-                              hint=_power(r, constant=1.0))
+                              law=_law(r, 1.0))
 
         if kind == "moment":
             p = float(value)
             return TermSource(lambda ns: mean(lambda v: np.abs(v) ** p, ns),
-                              hint=_power(min(r, p * q)))
+                              law=_law(min(r, p * q)))
 
         if kind == "sup":
             return TermSource(lambda ns: np.maximum(1.0, basis(ns)[2]),
-                              hint=_ONE_THROUGHOUT)
+                              law=_law(0.0, 1.0))
 
         if kind == "expect_gap":
             return TermSource(lambda ns: gap(value, ns))
@@ -161,8 +151,7 @@ def _two_atom_source_factory(r, q):
             x = float(value)
             if x >= 1.0 or x < 0.0:
                 return _zeros_source()
-            return TermSource(lambda ns: gap(lambda v: v <= x, ns),
-                              hint=_power(r, constant=1.0))
+            return TermSource(lambda ns: gap(lambda v: v <= x, ns), law=_law(r, 1.0))
 
         if kind == "char_gap":
             t = float(value)
@@ -174,7 +163,7 @@ def _two_atom_source_factory(r, q):
 
             # at t in 2*pi*Z the first atom drops out of the gap
             exp = q if abs(g(1.0) - g(0.0)) < 1e-12 and q < math.inf else min(r, q)
-            return TermSource(lambda ns: gap(g, ns), hint=_power(exp))
+            return TermSource(lambda ns: gap(g, ns), law=_law(exp))
 
         if kind == "pointwise":
             omega = float(value)
@@ -183,14 +172,18 @@ def _two_atom_source_factory(r, q):
                 m1, _, v2 = basis(ns)
                 return np.abs(np.where(omega < m1, 1.0, v2)) ** power
 
-            if math.isinf(q):
-                return TermSource(gen, hint=_zero(start=math.ceil(omega ** (-1.0 / r))))
-            return TermSource(gen, hint=_power(power * q))
+            # past the plateau omega < n^-r the terms are v2^power, all 0
+            # for n >= 2 when the exponent is inf, q's or an overflowed
+            # power * q's
+            if math.isinf(power * q):
+                start = math.ceil(omega ** (-1.0 / r))
+                return TermSource(gen, law=_law(math.inf, start=start))
+            return TermSource(gen, law=_law(power * q))
 
         if kind == "trunc_l1":
             eps = float(value)
             return TermSource(lambda ns: mean(lambda v: np.abs(v) * (np.abs(v) < eps),
-                                              ns), hint=_power(min(r, q)))
+                                              ns), law=_law(min(r, q)))
 
         return None
 
@@ -267,14 +260,14 @@ def _shift_source_factory(dens, beta, holder_at_1):
             eps = float(value)
             start = 1 if eps > 1.0 else math.ceil(eps ** (-1.0 / beta))
             return TermSource(lambda ns: (s_of(ns) >= eps) * 1.0,
-                              hint=_zero(start=start))
+                              law=_law(math.inf, start=start))
 
         if kind in ("moment", "pointwise"):
             k = float(value) if kind == "moment" else power
-            return TermSource(lambda ns: s_of(ns) ** k, hint=_power(beta * k))
+            return TermSource(lambda ns: s_of(ns) ** k, law=_law(beta * k))
 
         if kind == "sup":
-            return TermSource(s_of, hint=_power(beta))
+            return TermSource(s_of, law=_law(beta))
 
         if kind == "cdf_gap":
             x = float(value)
@@ -286,13 +279,13 @@ def _shift_source_factory(dens, beta, holder_at_1):
                 return np.abs(F(x - s_of(ns)) - fx)
 
             if x <= 0.0:
-                return TermSource(gen, hint=_zero())
+                return TermSource(gen, law=_law(math.inf))
             if x > 1.0:
                 gap = x - 1.0
                 start = 1 if gap >= 1.0 else math.ceil(gap ** (-1.0 / beta))
-                return TermSource(gen, hint=_zero(start=start))
+                return TermSource(gen, law=_law(math.inf, start=start))
             holder = holder_at_1 if abs(x - 1.0) <= 1e-12 else 1.0
-            return TermSource(gen, hint=_power(holder * beta))
+            return TermSource(gen, law=_law(holder * beta))
 
         if kind == "char_gap":
             t = float(value)
@@ -301,7 +294,7 @@ def _shift_source_factory(dens, beta, holder_at_1):
             phi = base_char(t)
             return TermSource(
                 lambda ns: np.abs(phi) * np.abs(np.exp(1j * t * s_of(ns)) - 1.0),
-                hint=_power(beta))
+                law=_law(beta))
 
         if kind in ("expect_gap", "coupled_gap"):
             f = value
@@ -315,15 +308,15 @@ def _shift_source_factory(dens, beta, holder_at_1):
                         return 2.0 * np.sin(s / 2.0) * np.real(half)
                     return np.abs(np.imag((np.exp(1j * s) - 1.0) * phi1))
 
-                return TermSource(gen, hint=_power(beta))
+                return TermSource(gen, law=_law(beta))
             if isinstance(f, ClampedIdentity):
                 if f.M + f.eps < 2.0:
                     return None
-                return TermSource(s_of, hint=_power(beta))
+                return TermSource(s_of, law=_law(beta))
             if isinstance(f, ClampedAffine):
                 if f.K * max(abs(0.0 - f.x0), abs(2.0 - f.x0)) > f.M:
                     return None
-                return TermSource(lambda ns: f.K * s_of(ns), hint=_power(beta))
+                return TermSource(lambda ns: f.K * s_of(ns), law=_law(beta))
             return None
 
         if kind == "trunc_l1":
@@ -333,7 +326,7 @@ def _shift_source_factory(dens, beta, holder_at_1):
                 s = s_of(ns)
                 return np.where(s < eps, s, 0.0)
 
-            return TermSource(gen, hint=_power(beta))
+            return TermSource(gen, law=_law(beta))
 
         return None
 
@@ -666,8 +659,9 @@ class LipschitzS2dReport:
 def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY,
                          n_check=2000, slack=1e-12):
     """Precondition: summable sup norms a_n = ess sup |X_n - X|, the terms
-    slinf scans, with a hint that is a power law n^-p, p > 1, or eventually
-    zero; otherwise ParameterError, as for an empty witness list.
+    slinf scans, with a law of exponent above 1 (a power law n^-p, p > 1,
+    or eventually zero); otherwise ParameterError, as for an empty witness
+    list.
 
     With F(x - a_n) <= F_n(x) <= F(x + a_n) and a limit CDF F locally
     Lipschitz at each probed continuity point: the sup-norm series
@@ -677,12 +671,10 @@ def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY,
     check_mode's: slinf, and s2d at the witnesses' x."""
     params = ModeParams.defaults(family, x_points=[w.x for w in witnesses])
     sup = probe_source(family, "slinf", ("all", None), params)
-    hint = sup.hint
-    if hint is None or not (hint.kind == "eventually_zero" or (
-            hint.kind == "power" and hint.exponent > 1.0)):
+    if sup.law is None or not sup.law.exponent > 1.0:
         raise ParameterError(
             f"verify_lipschitz_s2d needs summable sup norms; {family.name} has no "
-            f"power-law or eventually-zero hint on them")
+            f"law of exponent above 1 on them")
     slinf = check_mode(family, "slinf", params, policy)
     s2d = check_mode(family, "s2d", params, policy)
     F = family.limit_cdf

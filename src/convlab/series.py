@@ -1,12 +1,14 @@
 """Numerical classification of nonnegative-term series.
 
 The engine answers "is sum a_n finite?" with quantified evidence: exact
-comparison when an analytic hint is attached, otherwise dyadic partial sums
+comparison when the source states a TermLaw, otherwise dyadic partial sums
 (deterministic, compensated across blocks) plus a decay-exponent fit on
 dyadic anchors, which is Cauchy condensation in numerical form.  Boundary
 cases near exponent 1 are reported Inconclusive rather than guessed.
 
 It also provides the null-sequence test backing the classical limit modes.
+The engine's rules are the module constants below; its one setting is the
+horizon, EnginePolicy.n_max.
 """
 
 from __future__ import annotations
@@ -23,33 +25,34 @@ import numpy as np
 
 from .errors import ParameterError
 
+# The engine rules.  EnginePolicy.to_dict() prints them beside n_max.
+DYADIC_WINDOW = 8  # dyadic anchors in a decay-exponent fit
+EXPONENT_MARGIN = 0.05  # a fitted interval inside (1, 1 + this] is near the boundary
+TAIL_TOLERANCE = 1e-6  # widest tail sandwich a fitted `converges` may carry
+BLOWUP_THRESHOLD = 1e6  # a partial sum above this diverges
+NULL_TOLERANCE = 1e-8  # scanned terms below this count as zero in the null test
+
 
 @dataclass(frozen=True)
 class EnginePolicy:
+    """The engine's one setting: n_max, the horizon of every scan."""
+
     n_max: int = 1_000_000
-    dyadic_window: int = 8
-    exponent_margin: float = 0.05
-    tail_tolerance: float = 1e-6
-    blowup_threshold: float = 1e6
-    null_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if min(self.n_max, self.dyadic_window) < 1 or min(
-            self.exponent_margin, self.tail_tolerance,
-            self.blowup_threshold, self.null_tolerance,
-        ) <= 0:
-            raise ParameterError("all policy fields must be positive")
-        if self.n_max < 2 ** self.dyadic_window:
-            raise ParameterError("n_max must be at least 2**dyadic_window")
+        if self.n_max < 2 ** DYADIC_WINDOW:
+            raise ParameterError(
+                f"n_max must be at least 2**{DYADIC_WINDOW} = {2 ** DYADIC_WINDOW}, "
+                f"got {self.n_max}")
 
     def to_dict(self):
         return {
             "n_max": self.n_max,
-            "dyadic_window": self.dyadic_window,
-            "exponent_margin": self.exponent_margin,
-            "tail_tolerance": self.tail_tolerance,
-            "blowup_threshold": self.blowup_threshold,
-            "null_tolerance": self.null_tolerance,
+            "dyadic_window": DYADIC_WINDOW,
+            "exponent_margin": EXPONENT_MARGIN,
+            "tail_tolerance": TAIL_TOLERANCE,
+            "blowup_threshold": BLOWUP_THRESHOLD,
+            "null_tolerance": NULL_TOLERANCE,
         }
 
 
@@ -57,43 +60,69 @@ DEFAULT_POLICY = EnginePolicy()
 
 
 @dataclass(frozen=True)
-class AnalyticHint:
-    """Closed-form knowledge about the term sequence.
+class TermLaw:
+    """Closed-form knowledge about a term sequence: a_n ~ level * n**-exponent,
+    the exponent in the units of FamilyMeta.decay.
 
-    kind "power": a_n ~ constant * n**(-exponent) (exact asymptotics).
-    kind "eventually_zero": a_n = 0 for all n > start.
-    kind "eventually_constant": a_n = level for all n > start.
+    exponent math.inf: a_n = 0 for every n > start; the one law with a
+    start, and the one without a level.
+    exponent 0: the terms stay at a constant level (level, where known).
+    0 < exponent < inf: the terms decay at exactly this power rate, with
+    level the constant where known.
     """
 
-    kind: str
-    exponent: Optional[float] = None
-    constant: Optional[float] = None
+    exponent: float
     level: Optional[float] = None
     start: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("power", "eventually_zero", "eventually_constant"):
-            raise ParameterError(f"unknown hint kind {self.kind!r}")
-        if self.kind == "power" and self.exponent is None:
-            raise ParameterError("power hint needs an exponent")
-        if self.kind == "eventually_constant" and self.level is None:
-            raise ParameterError("eventually_constant hint needs a level")
+        object.__setattr__(self, "exponent", float(self.exponent))
+        object.__setattr__(self, "start", int(self.start))
+        if not self.exponent >= 0.0:
+            raise ParameterError(
+                f"a term law needs an exponent in [0, inf], got {self.exponent}")
+        if self.exponent == math.inf:
+            if self.level is not None:
+                raise ParameterError(f"a zero law has no level, got {self.level}")
+            if self.start < 1:
+                raise ParameterError(f"a term law needs start >= 1, got {self.start}")
+            return
+        if self.level is not None and not 0.0 < self.level < math.inf:
+            raise ParameterError(
+                f"a term law needs a positive finite level, got {self.level}")
+        if self.start != 1:
+            raise ParameterError(
+                f"only a zero law (exponent inf) reads a start, got start={self.start}")
 
     def to_dict(self):
-        d = {"kind": self.kind}
-        for k in ("exponent", "constant", "level"):
-            if getattr(self, k) is not None:
-                d[k] = getattr(self, k)
+        """The law as the evidence prints it, by the kind names it has
+        always had: eventually_zero, eventually_constant or power."""
+        if self.exponent == math.inf:
+            d = {"kind": "eventually_zero"}
+        elif self.exponent == 0.0:
+            d = {"kind": "eventually_constant"}
+        else:
+            d = {"kind": "power", "exponent": self.exponent}
+        if self.level is not None:
+            d["level" if self.exponent == 0.0 else "constant"] = self.level
         if self.start != 1:
             d["start"] = self.start
         return d
 
     @cached_property
+    def rate(self):
+        """The p_hat and ci_halfwidth of a verdict on this law: a power law
+        states its exponent exactly, a zero or constant law no rate."""
+        if 0.0 < self.exponent < math.inf:
+            return {"p_hat": self.exponent, "ci_halfwidth": 0.0}
+        return {}
+
+    @cached_property
     def evidence(self):
-        """The evidence dict of every verdict resting on this hint, built
+        """The evidence dict of every verdict resting on this law, built
         once and shared by those verdicts (their to_dict() copies it)."""
         d = {"method": "analytic_hint", "hint": self.to_dict()}
-        if self.kind == "eventually_constant" and self.level != 0.0:
+        if self.exponent == 0.0 and self.level is not None:
             d["detail"] = f"terms stay at level {self.level}"
         return d
 
@@ -109,7 +138,7 @@ class TermSource:
     The generator maps a numpy integer array to a float array; the engine
     always passes it an ascending run of consecutive indices.  horizon caps
     how far the engine evaluates terms: a finite stream sets its length, and
-    expensive generators (per-term quadrature) set it low and rely on hints
+    expensive generators (per-term quadrature) set it low and rely on laws
     or anchor fits.
 
     A source remembers the summary of each dyadic block it has evaluated,
@@ -117,9 +146,9 @@ class TermSource:
     no terms.
     """
 
-    def __init__(self, generator, hint=None, horizon=None):
+    def __init__(self, generator, law=None, horizon=None):
         self.generator = generator
-        self.hint = hint
+        self.law = law
         self.horizon = horizon
         self._blocks = {}  # (lo, hi) -> (sum, first, last, min, max)
 
@@ -178,7 +207,7 @@ def fresh(value):
     return value
 
 
-# evidence of the unhinted outcomes that carry no figures, shared by every
+# evidence of the lawless outcomes that carry no figures, shared by every
 # verdict with that outcome
 _EXPONENT_FIT = {"method": "exponent_fit"}
 _NEAR_BOUNDARY = {"method": "exponent_near_boundary"}
@@ -256,7 +285,7 @@ def _neumaier(values):
 # two-atom mean).  At 2**13 each is 64 KiB and glibc's heap reuses them from
 # call to call.  At 2**16 each is 512 KiB, and glibc gives every freed one
 # back to the kernel (by munmap or by trimming the heap), so each chunk
-# faults in zeroed pages again: a warm unhinted 10**6-term scan then takes
+# faults in zeroed pages again: a warm lawless 10**6-term scan then takes
 # ~12,500 minor faults instead of none.  Below 2**13 the Python overhead per
 # call dominates.  _summaries keeps the sums bit-identical for any _CHUNK of
 # at least 128, numpy's pairwise block size.
@@ -300,11 +329,11 @@ def _block(src, lo, hi, companions=()):
 
 
 def _companions(src, policy, n_max, group):
-    """The other unhinted sources of src's group with src's horizon: their
+    """The other lawless sources of src's group with src's horizon: their
     blocks coincide with src's, so src's scan can evaluate theirs
     alongside."""
     return [s for s in dict.fromkeys(group)
-            if s is not src and s.hint is None and s.effective_n_max(policy) == n_max]
+            if s is not src and s.law is None and s.effective_n_max(policy) == n_max]
 
 
 def _dyadic_blocks(n_max):
@@ -340,23 +369,23 @@ def _anchor_fit(anchor_ns, anchor_vals, window):
     return p_hat, ci
 
 
-def _fit_block_starts(src, n_max, window):
+def _fit_block_starts(src, n_max):
     """_anchor_fit on the terms at the dyadic block starts 1, 2, 4, ... <= n_max.
     Each is its block's first term, read from the block memo where the
     block has been evaluated and evaluated on its own where not."""
     blocks = _dyadic_blocks(n_max)
     anchors = [src._blocks[b][1] if b in src._blocks else src.terms(b[0], b[0] + 1)[0]
                for b in blocks]
-    return _anchor_fit([lo for lo, _ in blocks], anchors, window)
+    return _anchor_fit([lo for lo, _ in blocks], anchors, DYADIC_WINDOW)
 
 
 def fit_exponent(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY):
     """Fit a_n ~ C n**(-p) on dyadic anchors; returns (p_hat, ci_halfwidth).
 
-    Raises TooFewAnchors when fewer than policy.dyadic_window anchors have
-    a positive term.
+    Raises TooFewAnchors when fewer than DYADIC_WINDOW anchors have a
+    positive term.
     """
-    return _fit_block_starts(src, src.effective_n_max(policy), policy.dyadic_window)
+    return _fit_block_starts(src, src.effective_n_max(policy))
 
 
 def _power_tail(partial, a_last, n_last, p):
@@ -374,9 +403,9 @@ def _power_tail(partial, a_last, n_last, p):
     return partial + tail_low, tail_up - tail_low
 
 
-# A hinted power series stops scanning once its tail sandwich is this fraction
-# of policy.tail_tolerance: the verdict is already settled by the hint, and
-# further terms only refine sum_estimate.
+# A power-law series stops scanning once its tail sandwich is this fraction
+# of TAIL_TOLERANCE: the verdict is already settled by the law, and further
+# terms only refine sum_estimate.
 _HORIZON_FRACTION = 0.1
 
 
@@ -385,14 +414,13 @@ class _Scan:
     detection.
 
     With a known power-law exponent > 1 the scan stops early, after at least
-    policy.dyadic_window blocks, at the first block whose last term is positive
-    and whose _power_tail sandwich is narrower than
-    _HORIZON_FRACTION * policy.tail_tolerance.
+    DYADIC_WINDOW blocks, at the first block whose last term is positive and
+    whose _power_tail sandwich is narrower than
+    _HORIZON_FRACTION * TAIL_TOLERANCE.
     """
 
-    def __init__(self, src, policy, exponent=None):
+    def __init__(self, src, exponent=None):
         self.src = src
-        self.policy = policy
         self.exponent = exponent
         self.block_sums = []
         self.partial = 0.0
@@ -409,26 +437,25 @@ class _Scan:
         self.block_sums.append(block_sum)
         self.partial = _neumaier(self.block_sums)
         self.n_last = hi - 1
-        policy = self.policy
-        if self.partial > policy.blowup_threshold:
+        if self.partial > BLOWUP_THRESHOLD:
             self.blowup_at = hi - 1
             self.done = True
         elif (
             self.exponent is not None
-            and len(self.block_sums) >= policy.dyadic_window
+            and len(self.block_sums) >= DYADIC_WINDOW
             and self.a_last > 0.0
             and _power_tail(self.partial, self.a_last, self.n_last, self.exponent)[1]
-            < _HORIZON_FRACTION * policy.tail_tolerance
+            < _HORIZON_FRACTION * TAIL_TOLERANCE
         ):
             self.done = True
 
 
 def _dense_scan(src, policy, n_max, exponent=None, group=()):
-    """src's _Scan up to n_max.  An unhinted scan runs its companions' scans
+    """src's _Scan up to n_max.  A lawless scan runs its companions' scans
     in step with its own, each to its own stop, so that every block any of
     them reads is evaluated for all of them at once."""
-    scan = _Scan(src, policy, exponent)
-    scans = [scan] + [_Scan(s, policy) for s in _companions(src, policy, n_max, group)]
+    scan = _Scan(src, exponent)
+    scans = [scan] + [_Scan(s) for s in _companions(src, policy, n_max, group)]
     for lo, hi in _dyadic_blocks(n_max):
         if scan.done:
             break
@@ -439,56 +466,36 @@ def _dense_scan(src, policy, n_max, exponent=None, group=()):
     return scan
 
 
-def _analyze_with_hint(src, policy):
-    hint = src.hint
+def _analyze_with_law(src, policy):
+    """Exact comparison with the source's law: an exponent of at most 1
+    diverges with no term evaluated, and any other law converges, its sum
+    read from a dense scan to the law's start (zero law) or to the power
+    law's tight-sandwich horizon."""
+    law = src.law
+    if law.exponent <= 1.0:
+        return SeriesVerdict("diverges", evidence=law.evidence, **law.rate)
     n_max = src.effective_n_max(policy)
-    if hint.kind == "eventually_zero" or (
-        hint.kind == "eventually_constant" and hint.level == 0.0
-    ):
-        upto = min(max(hint.start, 1), n_max)
+    if law.exponent == math.inf:
+        upto = min(law.start, n_max)
         scan = _dense_scan(src, policy, upto)
-        return SeriesVerdict(
-            "converges",
-            sum_estimate=scan.partial,
-            tail_bound=0.0,
-            evidence=hint.evidence,
-            n_used=upto,
-        )
-    if hint.kind == "eventually_constant":
-        return SeriesVerdict("diverges", evidence=hint.evidence, n_used=0)
-    # power hint: exact p-series comparison
-    p = hint.exponent
-    if p <= 1.0:
-        return SeriesVerdict(
-            "diverges",
-            p_hat=p,
-            ci_halfwidth=0.0,
-            evidence=hint.evidence,
-            n_used=0,
-        )
-    scan = _dense_scan(src, policy, n_max, exponent=p)
-    est, bound = _power_tail(scan.partial, scan.a_last, scan.n_last, p)
-    return SeriesVerdict(
-        "converges",
-        sum_estimate=est,
-        tail_bound=bound,
-        p_hat=p,
-        ci_halfwidth=0.0,
-        evidence=hint.evidence,
-        n_used=scan.n_last,
-    )
+        return SeriesVerdict("converges", sum_estimate=scan.partial, tail_bound=0.0,
+                             evidence=law.evidence, n_used=upto)
+    scan = _dense_scan(src, policy, n_max, exponent=law.exponent)
+    est, bound = _power_tail(scan.partial, scan.a_last, scan.n_last, law.exponent)
+    return SeriesVerdict("converges", sum_estimate=est, tail_bound=bound,
+                         evidence=law.evidence, n_used=scan.n_last, **law.rate)
 
 
 def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
                    group=()) -> SeriesVerdict:
     """Classify sum a_n as convergent/divergent/inconclusive with evidence.
 
-    group names the sources checked alongside src (one mode's probes): an
-    unhinted scan evaluates each block it misses for every unhinted member
+    group names the sources checked alongside src (one mode's probes): a
+    lawless scan evaluates each block it misses for every lawless member
     with its horizon whose own scan would read it next, chunk by chunk, so a
     generator can share per-chunk work between them."""
-    if src.hint is not None:
-        return _analyze_with_hint(src, policy)
+    if src.law is not None:
+        return _analyze_with_law(src, policy)
     n_max = src.effective_n_max(policy)
     scan = _dense_scan(src, policy, n_max, group=group)
     n_used = scan.n_last
@@ -497,7 +504,7 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
             "diverges",
             evidence={
                 "method": "partial_sum_blowup",
-                "threshold": policy.blowup_threshold,
+                "threshold": BLOWUP_THRESHOLD,
                 "at_n": scan.blowup_at,
             },
             n_used=scan.blowup_at,
@@ -512,13 +519,13 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
             n_used=n_used,
         )
     try:
-        p_hat, ci = _fit_block_starts(src, n_max, policy.dyadic_window)
+        p_hat, ci = _fit_block_starts(src, n_max)
     except TooFewAnchors:
         # the last block is positive, but too few anchors are to fit a decay
         return SeriesVerdict("inconclusive", evidence=_TOO_FEW_ANCHORS, n_used=n_used)
     # divergence needs an interval that reaches 1; one wholly inside
-    # (1, 1 + exponent_margin] is near the boundary
-    if p_hat - ci <= 1.0 and p_hat + ci <= 1.0 + policy.exponent_margin:
+    # (1, 1 + EXPONENT_MARGIN] is near the boundary
+    if p_hat - ci <= 1.0 and p_hat + ci <= 1.0 + EXPONENT_MARGIN:
         return SeriesVerdict(
             "diverges",
             p_hat=p_hat,
@@ -526,9 +533,9 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
             evidence=_EXPONENT_FIT,
             n_used=n_used,
         )
-    if p_hat - ci >= 1.0 + policy.exponent_margin:
+    if p_hat - ci >= 1.0 + EXPONENT_MARGIN:
         est, bound = _power_tail(scan.partial, scan.a_last, n_used, p_hat)
-        if bound < policy.tail_tolerance:
+        if bound < TAIL_TOLERANCE:
             return SeriesVerdict(
                 "converges",
                 sum_estimate=est,
@@ -557,29 +564,21 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
 def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
                        group=()) -> NullVerdict:
     """Decide whether a_n -> 0: the test behind the classical limit modes.
-    group is as for analyze_series."""
-    hint = src.hint
-    if hint is not None:
-        if hint.kind == "power":
-            if hint.exponent > 0:
-                return NullVerdict("tends_to_zero", p_hat=hint.exponent, ci_halfwidth=0.0)
-            if hint.exponent < 0:
-                return NullVerdict("stays_above")
-        elif hint.kind == "eventually_zero":
-            return NullVerdict("tends_to_zero")
-        elif hint.kind == "eventually_constant":
-            if hint.level > policy.null_tolerance:
-                return NullVerdict("stays_above", level=hint.level)
-            return NullVerdict("tends_to_zero")
+    group is as for analyze_series; a source with a law reads no term."""
+    law = src.law
+    if law is not None:
+        if law.exponent > 0.0:
+            return NullVerdict("tends_to_zero", **law.rate)
+        return NullVerdict("stays_above", level=law.level)
     n_max = src.effective_n_max(policy)
     lo, hi = _dyadic_blocks(n_max)[-1]
     # every companion's null test reads this same last block
     _, _, _, last_min, last_max = _block(src, lo, hi, _companions(src, policy, n_max, group))
     n_used = hi - 1
-    if last_max < policy.null_tolerance:
+    if last_max < NULL_TOLERANCE:
         return NullVerdict("tends_to_zero", n_used=n_used)
     try:
-        p_hat, ci = _fit_block_starts(src, n_max, policy.dyadic_window)
+        p_hat, ci = _fit_block_starts(src, n_max)
     except TooFewAnchors:
         # the last block is not small, but too few anchors are to fit a decay
         return NullVerdict("inconclusive", n_used=n_used)
@@ -588,7 +587,7 @@ def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
     # a flat fit whose interval reaches 0, with terms above the tolerance
     level = last_min
     if (abs(p_hat) <= 0.02 and ci <= 0.02 and p_hat - ci <= 0.0
-            and level > policy.null_tolerance):
+            and level > NULL_TOLERANCE):
         return NullVerdict(
             "stays_above", level=level, p_hat=p_hat, ci_halfwidth=ci, n_used=n_used
         )

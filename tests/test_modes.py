@@ -365,7 +365,7 @@ def test_a_modes_unhinted_probes_scan_together(monkeypatch):
     sources = [probe_source(family, "s1d", ("f", f), params)
                for f in params.test_functions]
     assert len(set(map(id, sources))) == 3
-    assert all(src.hint is None for src in sources)
+    assert all(src.law is None for src in sources)
     calls = []
     terms = TermSource.terms
 

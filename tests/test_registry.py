@@ -19,8 +19,7 @@ from convlab.registry import (NODE_MODES, NODES, ImplicationDiagram,
                               mode_diagram, shift_uniform, soundness_sweep,
                               verdict_matches, verify_lipschitz_s2d,
                               verify_truncation_s1star)
-from convlab.series import (AnalyticHint, EnginePolicy, TermSource,
-                            analyze_series)
+from convlab.series import EnginePolicy, TermLaw, TermSource, analyze_series
 
 
 def test_build_family_validation():
@@ -309,7 +308,7 @@ def test_verify_lipschitz_bounds_the_whole_gap_series():
             return src
         return TermSource(lambda ns: np.where(ns > 2000, 100.0 * ns.astype(float) ** -1.5,
                                               src.generator(ns)),
-                          hint=AnalyticHint("power", exponent=1.5))
+                          law=TermLaw(1.5))
 
     fam.meta.term_source = heavy_tail
     rep = verify_lipschitz_s2d(fam, [LipschitzWitness(0.5, 1.0, 0.1)], n_check=2000)
@@ -332,7 +331,7 @@ def test_verify_lipschitz_needs_summable_sup_norms():
     def slow_sup(kind, value, power):
         if kind == "sup":
             return TermSource(lambda ns: ns.astype(float) ** -0.5,
-                              hint=AnalyticHint("power", exponent=0.5))
+                              law=TermLaw(0.5))
         return None
 
     fam = Family("slow", {}, base, lambda n: base.shifted(n ** -0.5),
@@ -394,7 +393,7 @@ def test_verify_truncation_converse_compares_terms():
         src = closed_form(kind, value, power)
         if kind != "trunc_l1":
             return src
-        return TermSource(lambda ns: 3.0 * src.generator(ns), hint=src.hint)
+        return TermSource(lambda ns: 3.0 * src.generator(ns), law=src.law)
 
     fam.meta.term_source = tripled_trunc
     rep = verify_truncation_s1star(fam, eps=0.5)
@@ -557,7 +556,7 @@ def test_injected_edges_violate_as_the_edge_loop_does(seed0_sweep, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Reference formulas: the two-atom and shift families as each mode once spelt
-# them out.  The builders derive the same terms, hints, members and
+# them out.  The builders derive the same terms, laws, members and
 # certification from (r, q) and from the base CDF's Hölder exponent at 1.
 
 
@@ -566,11 +565,10 @@ def _ref_two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
         return np.minimum(nsf**-r, 1.0)
 
     def power(p):
-        return AnalyticHint("power", exponent=float(p))
+        return TermLaw(float(p))
 
-    def zeros(start=1):
-        return TermSource(lambda ns: np.zeros(len(ns)),
-                          hint=AnalyticHint("eventually_zero", start=int(start)))
+    def zeros():
+        return TermSource(lambda ns: np.zeros(len(ns)), law=TermLaw(math.inf))
 
     def source(mode, probe, params):
         axis, val = probe
@@ -586,8 +584,7 @@ def _ref_two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                 m1 = m1_of(nsf)
                 return m1 * (v1 >= eps) + (1.0 - m1) * (np.abs(v2_of(nsf) - c) >= eps)
 
-            return TermSource(gen, hint=AnalyticHint("power", exponent=float(r),
-                                                     constant=1.0))
+            return TermSource(gen, law=TermLaw(float(r), level=1.0))
 
         if term == "moment":
             p = float(val)
@@ -597,7 +594,7 @@ def _ref_two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                 m1 = m1_of(nsf)
                 return m1 * abs(v1 - c) ** p + (1.0 - m1) * np.abs(v2_of(nsf) - c) ** p
 
-            return TermSource(gen, hint=power(r if math.isinf(q) else min(r, p * q)))
+            return TermSource(gen, law=power(r if math.isinf(q) else min(r, p * q)))
 
         if term == "sup":
 
@@ -605,8 +602,7 @@ def _ref_two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                 nsf = ns.astype(float)
                 return np.maximum(np.full(len(ns), abs(v1 - c)), np.abs(v2_of(nsf) - c))
 
-            return TermSource(gen, hint=AnalyticHint("eventually_constant",
-                                                     level=float(abs(v1 - c))))
+            return TermSource(gen, law=TermLaw(0.0, level=float(abs(v1 - c))))
 
         if term in ("expect_gap", "coupled_gap"):
             f = val
@@ -635,8 +631,7 @@ def _ref_two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                 fn = m1 * (v1 <= x) + (1.0 - m1) * (v2_of(nsf) <= x)
                 return np.abs(fn - float(c <= x))
 
-            return TermSource(gen, hint=AnalyticHint("power", exponent=float(r),
-                                                     constant=1.0))
+            return TermSource(gen, law=TermLaw(float(r), level=1.0))
 
         if term == "char_gap":
             t = float(val)
@@ -654,7 +649,7 @@ def _ref_two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                 exp = r if math.isinf(q) else q
             else:
                 exp = min(r, q)
-            return TermSource(gen, hint=power(exp))
+            return TermSource(gen, law=power(exp))
 
         if term == "pointwise":
             omega = float(val)
@@ -666,9 +661,9 @@ def _ref_two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                 return np.abs(vals - c) ** a0
 
             if math.isinf(q):
-                return TermSource(gen, hint=AnalyticHint(
-                    "eventually_zero", start=math.ceil(omega ** (-1.0 / r))))
-            return TermSource(gen, hint=power(a0 * q))
+                return TermSource(gen, law=TermLaw(
+                    math.inf, start=math.ceil(omega ** (-1.0 / r))))
+            return TermSource(gen, law=power(a0 * q))
 
         if term == "trunc_l1":
             eps = float(val)
@@ -680,7 +675,7 @@ def _ref_two_atom_source_factory(r, v2_of, q, v1=1.0, c=0.0):
                 return m1 * abs(v1 - c) * (abs(v1 - c) < eps) + (1.0 - m1) * d2 * (
                     d2 < eps)
 
-            return TermSource(gen, hint=power(r if math.isinf(q) else min(r, q)))
+            return TermSource(gen, law=power(r if math.isinf(q) else min(r, q)))
 
         return None
 
@@ -766,8 +761,8 @@ def _term_args(mode, probe, params):
 def _source_signature(src):
     if src is None:
         return None
-    hint = None if src.hint is None else src.hint.to_dict()
-    return hint, src.terms(1, 2 ** 12).tobytes()
+    law = None if src.law is None else src.law.to_dict()
+    return law, src.terms(1, 2 ** 12).tobytes()
 
 
 @pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)
@@ -807,8 +802,8 @@ def test_ex32_s2d_hint_and_certification_match_reference():
             params = ModeParams.defaults(fam)
             hint_exp, s2d_certified = _ref_ex32_s2d(alpha, beta)
             for x in (0.25, 0.5, 0.75, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-13, 1.0):
-                hint = fam.meta.term_source("cdf_gap", x, 1.0).hint
-                assert hint.kind == "power" and hint.exponent == hint_exp(x), x
+                law = fam.meta.term_source("cdf_gap", x, 1.0).law
+                assert law == TermLaw(hint_exp(x)), x
             assert certified(fam, "s2d", params) == s2d_certified
 
 
@@ -817,8 +812,8 @@ def test_shift_uniform_s2d_hint_is_beta():
         fam = shift_uniform(beta)
         params = ModeParams.defaults(fam)
         for x in params.x_points + (1.0,):
-            hint = fam.meta.term_source("cdf_gap", x, 1.0).hint
-            assert hint.exponent == beta
+            law = fam.meta.term_source("cdf_gap", x, 1.0).law
+            assert law.exponent == beta
         assert certified(fam, "s2d", params)
 
 
@@ -898,9 +893,9 @@ _AUDIT_FAMILIES = default_registry() + [ex31(0.5), ex31(1.0), ex32(0.5, 3.0),
 
 @pytest.mark.parametrize("family", _AUDIT_FAMILIES, ids=lambda f: f.name)
 def test_power_hints_decay_at_least_as_the_table_says(family):
-    # a hint may decay faster than its kind's table entry (a probe off the
-    # Hölder point, t in 2*pi*Z), never slower; nor may a kind with a decay
-    # rate hand out a hint of terms that stay away from 0
+    # a law may decay faster than its kind's table entry (a probe off the
+    # Hölder point, t in 2*pi*Z, an eventually zero probe), never slower; so
+    # a kind with a decay rate hands out no law of terms that stay at a level
     checked = 0
     for alpha, p in itertools.product((0.5, 1.0, 2.0), repeat=2):
         params = ModeParams.defaults(family, alpha=alpha, p=p)
@@ -908,13 +903,11 @@ def test_power_hints_decay_at_least_as_the_table_says(family):
             for probe in _probes_with_extras(mode, params):
                 kind, value, power = _term_args(mode, probe, params)
                 src = family.meta.term_source(kind, value, power)
-                hint = None if src is None else src.hint
+                law = None if src is None else src.law
                 rate = family.meta.decay.get(kind, 0.0) * power
-                if hint is not None and hint.kind == "power":
-                    assert hint.exponent >= rate, (mode, probe)
-                    checked += 1
-                elif hint is not None and hint.kind == "eventually_constant":
-                    assert hint.level == 0.0 or rate == 0.0, (mode, probe)
+                if law is not None:
+                    assert law.exponent >= rate, (mode, probe)
+                    checked += 0.0 < law.exponent < math.inf  # power laws
     if family.meta.kind != "const":
         assert checked > 50
 
@@ -948,7 +941,7 @@ def _small_sweep():
 
 
 def test_kept_sweep_report_stays_small():
-    # reports share their hints' evidence dicts, the unhinted outcomes'
+    # reports share their laws' evidence dicts, the lawless outcomes'
     # constant evidence and one params summary per (mode, params); before
     # that sharing a kept report held about 190 KiB
     import gc

@@ -1,4 +1,4 @@
-"""Series engine: classification, hints, tails, CSV input, null sequences.
+"""Series engine: classification, term laws, tails, CSV input, null sequences.
 
 Oracles: exact p-series behavior, sum(1/n^2) = pi^2/6, geometric sums, and
 hand-built finite term streams.
@@ -22,15 +22,15 @@ from hypothesis import strategies as st
 from convlab.errors import ParameterError
 from convlab.modes import ModeParams, probe_source, probes_for
 from convlab.registry import ex31
-from convlab.series import (DEFAULT_POLICY, AnalyticHint, EnginePolicy,
-                            TermSource, _power_tail, _read_terms_by_line,
-                            analyze_series, fit_exponent, load_terms_csv,
-                            null_sequence_test)
+from convlab.series import (DEFAULT_POLICY, DYADIC_WINDOW, EXPONENT_MARGIN,
+                            TAIL_TOLERANCE, EnginePolicy, TermLaw, TermSource,
+                            _power_tail, _read_terms_by_line, analyze_series,
+                            fit_exponent, load_terms_csv, null_sequence_test)
 
 
-def power_source(p, hint=None):
+def power_source(p, law=None):
     return TermSource(
-        lambda ns, p=p: ns.astype(float) ** -p, hint=hint
+        lambda ns, p=p: ns.astype(float) ** -p, law=law
     )
 
 
@@ -38,9 +38,12 @@ def test_policy_validation():
     with pytest.raises(ParameterError):
         EnginePolicy(n_max=0)
     with pytest.raises(ParameterError):
-        EnginePolicy(exponent_margin=-1.0)
-    with pytest.raises(ParameterError):
-        EnginePolicy(n_max=10, dyadic_window=8)  # n_max < 2**window
+        EnginePolicy(n_max=10)  # n_max < 2**DYADIC_WINDOW
+    assert EnginePolicy(n_max=2 ** DYADIC_WINDOW).n_max == 256
+    # the engine rules stay in the printed policy beside its one setting
+    assert EnginePolicy(n_max=4096).to_dict() == {
+        "n_max": 4096, "dyadic_window": 8, "exponent_margin": 0.05,
+        "tail_tolerance": 1e-6, "blowup_threshold": 1e6, "null_tolerance": 1e-8}
 
 
 def test_calibration_grid():
@@ -56,7 +59,7 @@ def test_basel_sum_estimate():
     v = analyze_series(power_source(2.0))
     assert v.converges
     assert abs(v.sum_estimate - math.pi ** 2 / 6.0) < 1e-6
-    assert v.tail_bound < DEFAULT_POLICY.tail_tolerance
+    assert v.tail_bound < TAIL_TOLERANCE
 
 
 def test_harmonic_diverges_with_fitted_exponent():
@@ -112,7 +115,7 @@ def test_tiny_negative_noise_clamped():
 def test_hint_eventually_zero():
     src = TermSource(
         lambda ns: (ns <= 5).astype(float),
-        hint=AnalyticHint("eventually_zero", start=5),
+        law=TermLaw(math.inf, start=5),
     )
     v = analyze_series(src)
     assert v.converges
@@ -123,17 +126,17 @@ def test_hint_eventually_zero():
 def test_hint_eventually_constant_diverges():
     src = TermSource(
         lambda ns: np.ones(len(ns)),
-        hint=AnalyticHint("eventually_constant", level=1.0),
+        law=TermLaw(0.0, level=1.0),
     )
     assert analyze_series(src).diverges
 
 
 def test_hint_power_boundary():
     assert analyze_series(
-        power_source(1.0, hint=AnalyticHint("power", exponent=1.0))
+        power_source(1.0, law=TermLaw(1.0))
     ).diverges
     v = analyze_series(
-        power_source(1.2, hint=AnalyticHint("power", exponent=1.2))
+        power_source(1.2, law=TermLaw(1.2))
     )
     assert v.converges
     # oracle: zeta(1.2)
@@ -143,10 +146,10 @@ def test_hint_power_boundary():
 
 
 def test_hinted_power_stops_at_tight_sandwich():
-    v = analyze_series(power_source(2.0, hint=AnalyticHint("power", exponent=2.0)))
+    v = analyze_series(power_source(2.0, law=TermLaw(2.0)))
     assert v.converges
     assert v.n_used < 2 ** 13
-    assert v.tail_bound < 0.1 * DEFAULT_POLICY.tail_tolerance
+    assert v.tail_bound < 0.1 * TAIL_TOLERANCE
     # oracle: the interval holds pi^2/6
     assert v.sum_estimate - 1e-12 <= math.pi ** 2 / 6.0
     assert math.pi ** 2 / 6.0 <= v.sum_estimate + v.tail_bound + 1e-12
@@ -171,12 +174,53 @@ def test_power_tail_huge_exponent_is_finite():
 
 
 def test_hint_validation():
-    with pytest.raises(ParameterError):
-        AnalyticHint("power")
-    with pytest.raises(ParameterError):
-        AnalyticHint("nope")
-    with pytest.raises(ParameterError):
-        AnalyticHint("eventually_constant")
+    # a law states nonnegative terms: no negative exponent or level, and no
+    # start before n = 1
+    for bad in (dict(exponent=-1.0), dict(exponent=2.0, level=-1.0),
+                dict(exponent=0.0, level=0.0), dict(exponent=math.inf, start=0)):
+        with pytest.raises(ParameterError):
+            TermLaw(**bad)
+
+
+@pytest.mark.parametrize("law", (
+    dict(exponent=math.nan), dict(exponent=2.0, level=math.nan),
+    dict(exponent=2.0, level=math.inf), dict(exponent=0.0, level=-math.inf)))
+def test_law_rejects_nan_exponent_and_non_finite_level(law):
+    # a NaN exponent used to give `converges` with a nan sum_estimate
+    with pytest.raises(ParameterError, match="term law needs"):
+        TermLaw(**law)
+
+
+def test_law_reads_start_and_level_where_the_engine_does():
+    # a zero law scans to its start and has no level; nothing reads the
+    # start of a power or constant law, so a start past 1 would only show
+    # in the evidence
+    for exponent, level in ((2.0, None), (0.0, 1.0)):
+        with pytest.raises(ParameterError, match="only a zero law"):
+            TermLaw(exponent, level=level, start=10 ** 9)
+    with pytest.raises(ParameterError, match="zero law has no level"):
+        TermLaw(math.inf, level=1.0)
+    assert TermLaw(math.inf, start=10 ** 9).to_dict() == {
+        "kind": "eventually_zero", "start": 10 ** 9}
+
+
+def test_constant_law_decides_null_test_without_a_scan():
+    calls = []
+
+    def gen(ns):
+        calls.append(len(ns))
+        return np.ones(len(ns))
+
+    src = TermSource(gen, law=TermLaw(0.0))
+    v = null_sequence_test(src)
+    assert v.klass == "stays_above" and v.n_used == 0 and v.level is None
+    s = analyze_series(src)
+    assert s.klass == "diverges" and s.n_used == 0
+    assert calls == []
+    with_level = TermSource(gen, law=TermLaw(0.0, level=0.5))
+    assert null_sequence_test(with_level).to_dict() == {
+        "class": "stays_above", "n_used": 0, "level": 0.5}
+    assert calls == []
 
 
 @given(p=st.floats(1.3, 3.0))
@@ -197,19 +241,22 @@ def test_fit_exponent():
     assert ci < 1e-3
 
 
-@pytest.mark.parametrize("length", (4, 5, 8, 9, 1000, 1024, 1025, 4095))
+@pytest.mark.parametrize("length", (4, 5, 8, 9, 64, 127, 128, 129,
+                                    1000, 1024, 1025, 4095))
 def test_fit_exponent_anchors_are_powers_of_two_up_to_horizon(length):
     from convlab import series
 
     ns = np.arange(1, length + 1, dtype=float)
     vals = ns ** -1.3 * (1.5 + np.sin(ns))
     anchor_ns = [2 ** k for k in range(int(math.log2(length)) + 1)]
-    policy = EnginePolicy(n_max=10_000, dyadic_window=4)
-    if len(anchor_ns) < 4:  # lengths 4 and 5: three anchors, fewer than the window
+    policy = EnginePolicy(n_max=10_000)
+    # lengths up to 127 have too few anchors, 64 and 127 one too few, and 128
+    # and 129 exactly the window
+    if len(anchor_ns) < DYADIC_WINDOW:
         with pytest.raises(series.TooFewAnchors):
             fit_exponent(TermSource.from_values(vals), policy)
         return
-    want = series._anchor_fit(anchor_ns, vals[np.array(anchor_ns) - 1], 4)
+    want = series._anchor_fit(anchor_ns, vals[np.array(anchor_ns) - 1], DYADIC_WINDOW)
     assert fit_exponent(TermSource.from_values(vals), policy) == want
 
 
@@ -249,13 +296,13 @@ def test_null_sequence_basic():
 
 
 def test_fit_inside_the_margin_above_one_is_inconclusive():
-    # p = 1.03: the fit's interval lies wholly in (1, 1 + exponent_margin],
+    # p = 1.03: the fit's interval lies wholly in (1, 1 + EXPONENT_MARGIN],
     # so it shows neither divergence nor a summable tail
     v = analyze_series(power_source(1.03))
     assert v.klass == "inconclusive"
     assert v.evidence == {"method": "exponent_near_boundary"}
     assert 1.0 < v.p_hat - v.ci_halfwidth
-    assert v.p_hat + v.ci_halfwidth <= 1.0 + DEFAULT_POLICY.exponent_margin
+    assert v.p_hat + v.ci_halfwidth <= 1.0 + EXPONENT_MARGIN
     # an interval reaching 1 still diverges
     assert analyze_series(power_source(1.0)).diverges
 
@@ -270,12 +317,12 @@ def test_slowly_decaying_stream_does_not_stay_above():
 
 def test_null_sequence_hints():
     assert null_sequence_test(
-        power_source(0.3, hint=AnalyticHint("power", exponent=0.3))
+        power_source(0.3, law=TermLaw(0.3))
     ).tends_to_zero
     v = null_sequence_test(
         TermSource(
             lambda ns: np.ones(len(ns)),
-            hint=AnalyticHint("eventually_constant", level=1.0),
+            law=TermLaw(0.0, level=1.0),
         )
     )
     assert v.klass == "stays_above"
@@ -524,7 +571,7 @@ def test_warm_unhinted_scan_reuses_its_heap():
         return probe_source(fam, "s1d", probes_for("s1d", params)[0], params)
 
     src = fresh_source()
-    assert src.hint is None
+    assert src.law is None
     assert analyze_series(src).n_used == DEFAULT_POLICY.n_max
     if sys.platform.startswith("linux"):
         import resource
@@ -581,17 +628,17 @@ class Recorder:
 
 
 def _mixed_sources(rec):
-    """A hinted, unhinted, blowing-up, capped and finite-length mix."""
+    """A lawful, lawless, blowing-up, capped and finite-length mix."""
     rng = np.random.default_rng(3)
     short = rng.random(3000) * np.arange(1, 3001) ** -2.0
     longer = rng.random(5000) * np.arange(1, 5001) ** -1.1
     return {
         "hinted": rec.source("hinted", lambda ns: ns.astype(float) ** -1.5,
-                             hint=AnalyticHint("power", exponent=1.5)),
+                             law=TermLaw(1.5)),
         "p2": rec.source("p2", lambda ns: ns.astype(float) ** -2.0),
         "p12": rec.source("p12", lambda ns: ns.astype(float) ** -1.2),
         "p05": rec.source("p05", lambda ns: ns.astype(float) ** -0.5),
-        "blowup": rec.source("blowup", lambda ns: np.full(len(ns), 2.0)),
+        "blowup": rec.source("blowup", lambda ns: np.full(len(ns), 200.0)),
         "capped": rec.source("capped", lambda ns: ns.astype(float) ** -3.0,
                              horizon=4096),
         "zeros": rec.source("zeros", lambda ns: (ns < 40) * 1.0),
@@ -604,7 +651,7 @@ def _mixed_sources(rec):
 def test_grouped_scans_equal_ungrouped(test):
     # every source gets the same verdict, field for field, and evaluates the
     # same terms, whether or not it scans alongside the rest of its group
-    policy = EnginePolicy(n_max=50_000, blowup_threshold=1e3)
+    policy = EnginePolicy(n_max=50_000)
     alone, together = Recorder(), Recorder()
     lone = _mixed_sources(alone)
     want = {name: test(src, policy) for name, src in lone.items()}
@@ -615,9 +662,9 @@ def test_grouped_scans_equal_ungrouped(test):
         assert got[name] == want[name], name
         assert got[name].to_dict() == want[name].to_dict(), name
         assert together.terms(name) == alone.terms(name), name
-    # unhinted members with one horizon took their chunks in turn: in a
-    # scan the hinted source went alone and the blown-up one had stopped; in
-    # a null test the hinted one read no terms
+    # lawless members with one horizon took their chunks in turn: in a
+    # scan the hinted source (the one with a law) went alone and the blown-up
+    # one had stopped; in a null test the hinted one read no terms
     if test is analyze_series:
         lo, want_names = 8192, ["hinted", "p2", "p12", "p05", "zeros"]
         assert want["blowup"].klass == "diverges"
