@@ -9,16 +9,14 @@ Subcommands:
 Exit codes: 0 success, 1 unexpected failure, 2 bad parameters, 3 requested
 accuracy not met, 4 diagram violation found by `matrix`.
 
-CONVLAB_NMAX overrides the engine's n_max (same effect as --n-max).
+--n-max sets the series engine's horizon n_max, its one setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
-import os
 import sys
 
 from .errors import AccuracyError, ConvlabError, ParameterError
@@ -27,7 +25,7 @@ from .modes import (ALL_MODES, ModeParams, check_mode, probe_key,
 from .registry import (_BUILDERS, NODE_MODES, SCHEMA_VERSION, build_family,
                        default_registry, export_catalog, mode_diagram,
                        soundness_sweep)
-from .series import DEFAULT_POLICY, analyze_series, load_terms_csv
+from .series import DEFAULT_POLICY, EnginePolicy, analyze_series, load_terms_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -35,21 +33,9 @@ EXIT_PARAMETER = 2
 EXIT_ACCURACY = 3
 EXIT_VIOLATION = 4
 
-NMAX_ENV = "CONVLAB_NMAX"
-
 
 def _policy_from(args):
-    n_max = getattr(args, "n_max", None)
-    if n_max is None and os.environ.get(NMAX_ENV):
-        try:
-            n_max = int(os.environ[NMAX_ENV])
-        except ValueError:
-            raise ParameterError(
-                f"{NMAX_ENV} must be an integer, got {os.environ[NMAX_ENV]!r}"
-            )
-    if n_max is None:
-        return DEFAULT_POLICY
-    return dataclasses.replace(DEFAULT_POLICY, n_max=n_max)
+    return DEFAULT_POLICY if args.n_max is None else EnginePolicy(n_max=args.n_max)
 
 
 def _emit(payload, fmt, table_fn):
@@ -249,13 +235,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_nmax=True):
+    def common(p):
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--show-policy", action="store_true",
                        help="include the engine policy in the output")
-        if with_nmax:
-            p.add_argument("--n-max", type=int, default=None,
-                           help=f"series engine horizon (env: {NMAX_ENV})")
+        p.add_argument("--n-max", type=int, default=None,
+                       help="series engine horizon")
 
     p_list = sub.add_parser("list", help="show the family catalog and diagram")
     common(p_list)

@@ -90,10 +90,6 @@ def van_der_corput(i):
     return x
 
 
-def default_omega_points(count=17):
-    return tuple(van_der_corput(i) for i in range(1, count + 1))
-
-
 @dataclass(frozen=True)
 class ModeParams:
     epsilons: tuple = (0.5, 0.1, 0.01)
@@ -102,7 +98,8 @@ class ModeParams:
     x_points: tuple = ()
     t_points: tuple = (0.5, 1.0, 2.0, 5.0)
     test_functions: tuple = ()
-    omega_points: tuple = field(default_factory=default_omega_points)
+    # the first 17 van der Corput points
+    omega_points: tuple = tuple(van_der_corput(i) for i in range(1, 18))
 
     def __post_init__(self):
         # tuples throughout, so that params can key _params_summary's cache

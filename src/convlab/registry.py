@@ -500,9 +500,8 @@ class ImplicationDiagram:
         return {"nodes": list(self.nodes), "edges": [list(e) for e in self.edges]}
 
 
-def mode_diagram(closed=True):
-    d = ImplicationDiagram(NODES, _GENERATOR_EDGES)
-    return d.transitive_closure() if closed else d
+def mode_diagram():
+    return ImplicationDiagram(NODES, _GENERATOR_EDGES).transitive_closure()
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +632,13 @@ class LipschitzWitness:
     K: float
     delta: float
 
-    def grid_ok(self, cdf, n_grid=41, tol=1e-12):
-        us = np.linspace(self.x - self.delta, self.x + self.delta, n_grid)
+    def grid_ok(self, cdf):
+        """cdf is K-Lipschitz on 41 points spanning [x - delta, x + delta]."""
+        us = np.linspace(self.x - self.delta, self.x + self.delta, 41)
         vals = cdf(us)
         dv = np.abs(np.subtract.outer(vals, vals))
         du = np.abs(np.subtract.outer(us, us))
-        return bool(np.all(dv <= self.K * du + tol))
+        return bool(np.all(dv <= self.K * du + 1e-12))
 
 
 @dataclass
@@ -656,8 +656,7 @@ class LipschitzS2dReport:
             self.witnesses_ok, self.sandwich_ok, self.series_converge, self.proof_bound_ok))
 
 
-def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY,
-                         n_check=2000, slack=1e-12):
+def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY):
     """Precondition: summable sup norms a_n = ess sup |X_n - X|, the terms
     slinf scans, with a law of exponent above 1 (a power law n^-p, p > 1,
     or eventually zero); otherwise ParameterError, as for an empty witness
@@ -665,10 +664,11 @@ def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY,
 
     With F(x - a_n) <= F_n(x) <= F(x + a_n) and a limit CDF F locally
     Lipschitz at each probed continuity point: the sup-norm series
-    converges, each CDF-gap term is dominated by that two-sided sandwich,
-    each CDF-gap series converges, and the finite-prefix plus Lipschitz-tail
-    bound dominates the whole gap series.  Both series and their sums are
-    check_mode's: slinf, and s2d at the witnesses' x."""
+    converges, each of the first 2000 CDF-gap terms is dominated by that
+    two-sided sandwich (to 1e-12), each CDF-gap series converges, and the
+    finite-prefix plus Lipschitz-tail bound dominates the whole gap series.
+    Both series and their sums are check_mode's: slinf, and s2d at the
+    witnesses' x."""
     params = ModeParams.defaults(family, x_points=[w.x for w in witnesses])
     sup = probe_source(family, "slinf", ("all", None), params)
     if sup.law is None or not sup.law.exponent > 1.0:
@@ -678,19 +678,19 @@ def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY,
     slinf = check_mode(family, "slinf", params, policy)
     s2d = check_mode(family, "s2d", params, policy)
     F = family.limit_cdf
-    a_n = sup.terms(1, n_check + 1)
+    a_n = sup.terms(1, 2001)
     sup_sum = slinf.probe_results["all"]
     sandwich_ok = True
     proof_bound_ok = True
     for w in witnesses:
-        terms = probe_source(family, "s2d", ("x", w.x), params).terms(1, n_check + 1)
+        terms = probe_source(family, "s2d", ("x", w.x), params).terms(1, 2001)
         fx = F(w.x)
         upper = (F(w.x + a_n) - fx) + (fx - F(w.x - a_n))
-        sandwich_ok &= bool(np.all(terms <= upper + slack))
+        sandwich_ok &= bool(np.all(terms <= upper + 1e-12))
         # the whole gap series against its prefix up to the first index with
         # a_n < delta, then the Lipschitz bound on both sandwich sides
         below = np.nonzero(a_n < w.delta)[0]
-        n0 = int(below[0]) if below.size else n_check
+        n0 = int(below[0]) if below.size else a_n.size
         sup_from_n0 = sup_sum.sum_estimate + sup_sum.tail_bound - float(np.sum(a_n[:n0]))
         rhs = float(np.sum(terms[:n0])) + 2.0 * w.K * sup_from_n0
         gap = s2d.probe_results[probe_key(("x", w.x))]
@@ -718,14 +718,14 @@ class TruncationReport:
             self.converse_ok))
 
 
-def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
-                             n_check=10000, slack=1e-9):
+def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY):
     """Complete convergence plus a summable truncated first moment force
     every bounded Lipschitz expectation gap to be summable; the splitting
-    bound K*truncated + 2M*tail-probability dominates term-wise, and for a
-    bounded limit the clamped-identity function turns the truncated moment
-    back into a distributional term (the converse direction).  cc and the
-    gap series are check_mode's scans; an empty fs raises ParameterError."""
+    bound K*truncated + 2M*tail-probability dominates each of the first 10^4
+    terms (to 1e-9), and for a bounded limit the clamped-identity function
+    turns the truncated moment back into a distributional term over the
+    first 1000 (the converse direction).  cc and the gap series are
+    check_mode's scans; an empty fs raises ParameterError."""
     if eps <= 0:
         raise ParameterError("eps must be positive")
     params = ModeParams.defaults(family, epsilons=(eps,))
@@ -737,13 +737,13 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
     cc = check_mode(family, "cc", params, policy)
     s1star = check_mode(family, "s1star", params, policy)
     trunc_verdict = analyze_series(trunc_src, policy)
-    trunc_terms = trunc_src.terms(1, n_check + 1)
-    cc_terms = probe_source(family, "cc", ("eps", eps), params).terms(1, n_check + 1)
+    trunc_terms = trunc_src.terms(1, 10001)
+    cc_terms = probe_source(family, "cc", ("eps", eps), params).terms(1, 10001)
     splitting_ok = True
     for f in params.test_functions:
-        terms = probe_source(family, "s1star", ("f", f), params).terms(1, n_check + 1)
+        terms = probe_source(family, "s1star", ("f", f), params).terms(1, 10001)
         bound = f.lipschitz * trunc_terms + 2.0 * f.bound * cc_terms
-        splitting_ok &= bool(np.all(terms <= bound + slack))
+        splitting_ok &= bool(np.all(terms <= bound + 1e-9))
     details = {"truncated": trunc_verdict.to_dict(),
                **{k: v.to_dict() for k, v in s1star.probe_results.items()}}
     # converse direction with the truncation function of the bounded limit
@@ -752,8 +752,8 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
     if m_bound > 0:
         src = probe_source(family, "s1star", ("f", ClampedIdentity(M=m_bound, eps=eps)),
                            params)
-        s1star_terms = src.terms(1, min(n_check, 1000) + 1)
-        converse_ok = bool(np.all(trunc_terms[: len(s1star_terms)] <= s1star_terms + slack))
+        s1star_terms = src.terms(1, 1001)
+        converse_ok = bool(np.all(trunc_terms[:1000] <= s1star_terms + 1e-9))
     return TruncationReport(
         cc.verdict, trunc_verdict.converges,
         all(v.converges for v in s1star.probe_results.values()), splitting_ok,
@@ -765,11 +765,11 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY,
 # Machine-readable catalog export
 
 
-def export_catalog(families=None):
-    """JSON-serializable catalog: families, parameters, golden verdicts, and
-    the implication diagram (schema documented in the README)."""
-    if families is None:
-        families = default_registry()
+def export_catalog():
+    """JSON-serializable catalog of the default registry: families,
+    parameters, golden verdicts, and the implication diagram (schema
+    documented in the README)."""
+    families = default_registry()
     # the non-implications the catalog claims: a family expected to hold
     # the source and fail the target
     claimed = {}

@@ -470,16 +470,18 @@ def _analyze_with_law(src, policy):
     """Exact comparison with the source's law: an exponent of at most 1
     diverges with no term evaluated, and any other law converges, its sum
     read from a dense scan to the law's start (zero law) or to the power
-    law's tight-sandwich horizon."""
+    law's tight-sandwich horizon.  A zero law whose start lies past the
+    horizon is inconclusive: its nonzero terms are not all in reach."""
     law = src.law
     if law.exponent <= 1.0:
         return SeriesVerdict("diverges", evidence=law.evidence, **law.rate)
     n_max = src.effective_n_max(policy)
     if law.exponent == math.inf:
-        upto = min(law.start, n_max)
-        scan = _dense_scan(src, policy, upto)
+        if law.start > n_max:
+            return SeriesVerdict("inconclusive", evidence=law.evidence)
+        scan = _dense_scan(src, policy, law.start)
         return SeriesVerdict("converges", sum_estimate=scan.partial, tail_bound=0.0,
-                             evidence=law.evidence, n_used=upto)
+                             evidence=law.evidence, n_used=law.start)
     scan = _dense_scan(src, policy, n_max, exponent=law.exponent)
     est, bound = _power_tail(scan.partial, scan.a_last, scan.n_last, law.exponent)
     return SeriesVerdict("converges", sum_estimate=est, tail_bound=bound,

@@ -310,16 +310,17 @@ class Cdf:
         total += sum(s.measure_below(x) for s in self.segments)
         return np.minimum(total, 1.0)
 
-    def prob_at(self, x, tol=1e-12):
-        """Mass of the atom at x (0 if none)."""
-        return sum(m for ax, m in self.atoms if abs(ax - x) <= tol)
+    def prob_at(self, x):
+        """Mass of the atom within 1e-12 of x (0 if none)."""
+        return sum(m for ax, m in self.atoms if abs(ax - x) <= 1e-12)
 
     def prob_below(self, x):
         """P(X < x), the left limit of the CDF at x."""
         return self(x) - self.prob_at(x)
 
-    def is_continuity_point(self, x, tol=1e-9):
-        return all(abs(ax - x) > tol for ax, _ in self.atoms)
+    def is_continuity_point(self, x):
+        """No atom lies within 1e-9 of x."""
+        return all(abs(ax - x) > 1e-9 for ax, _ in self.atoms)
 
 
 def cdf(rv: RandomVariable) -> Cdf:

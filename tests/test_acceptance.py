@@ -160,7 +160,7 @@ def test_criterion_5_lipschitz_criterion():
     converges under the finite-prefix + Lipschitz-tail bound."""
     fam = shift_uniform(2.0)
     ws = [LipschitzWitness(x=x, K=1.0, delta=0.1) for x in (0.25, 0.5, 0.75)]
-    rep = verify_lipschitz_s2d(fam, ws, slack=1e-12)
+    rep = verify_lipschitz_s2d(fam, ws)
     assert rep.slinf_verdict == "holds"
     assert rep.witnesses_ok
     assert rep.sandwich_ok
@@ -177,7 +177,7 @@ def test_criterion_6_truncation_criterion():
     bounded-Lipschitz expectation gaps; the splitting bound dominates
     term-wise for n <= 10^4 with slack <= 1e-9."""
     fam = ex32(0.5, 2.0)
-    rep = verify_truncation_s1star(fam, eps=0.5, n_check=10_000, slack=1e-9)
+    rep = verify_truncation_s1star(fam, eps=0.5)
     assert rep.cc_verdict == "holds"
     assert rep.truncated_summable
     assert rep.s1star_all_summable

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import convlab.cli as cli
 from convlab.errors import AccuracyError
-from convlab.registry import NODES
+from convlab.registry import NODES, ex31
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -185,6 +185,31 @@ def test_series_subcommand(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"]["class"] == "converges"
+    code, out, _ = run(capsys, "series", "--input", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        f"{path}: converges (n_used=5000)",
+        "  sum_estimate = 1.64493",
+        "  tail_bound = 3.9992e-08",
+        "  p_hat = 2",
+        "  ci_halfwidth = 1e-09",
+        "  evidence: {'method': 'exponent_fit'}",
+    ]
+
+
+def test_matrix_table_lists_coverage_gaps_and_the_policy(capsys, monkeypatch):
+    # ex31(1)'s s1d and s1star gap series sit at the exponent-1 boundary:
+    # honest coverage gaps
+    monkeypatch.setattr(cli, "default_registry", lambda: [ex31(1.0)])
+    code, out, _ = run(capsys, "matrix", "--n-max", "4096", "--show-policy")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("coverage gaps (2):")
+    assert lines[start + 1:start + 3] == ["  ex31(alpha=1): s1star inconclusive",
+                                          "  ex31(alpha=1): s1d inconclusive"]
+    assert lines[-1] == (
+        "policy: n_max=4096, dyadic_window=8, exponent_margin=0.05, "
+        "tail_tolerance=1e-06, blowup_threshold=1000000.0, null_tolerance=1e-08")
 
 
 def test_series_malformed_exit_2(capsys, tmp_path):
@@ -298,27 +323,6 @@ def test_diagnose_huge_exponent_no_overflow(capsys):
                        "--beta", "1e300", "--modes", "s3d")
     assert code in (0, 2)
     assert "Traceback" not in err
-
-
-def test_env_nmax_override(capsys, monkeypatch):
-    monkeypatch.setenv(cli.NMAX_ENV, "70000")
-    code, out, _ = run(capsys, "list", "--format", "json", "--show-policy")
-    assert code == 0
-    assert json.loads(out)["policy"]["n_max"] == 70000
-    monkeypatch.setenv(cli.NMAX_ENV, "not-a-number")
-    code, _, err = run(capsys, "diagnose", "--family", "const",
-                       "--modes", "slinf")
-    assert code == 2
-    assert cli.NMAX_ENV in err
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.NMAX_ENV, "70000")
-    code, out, _ = run(capsys, "diagnose", "--family", "const",
-                       "--modes", "slinf", "--n-max", "4096",
-                       "--format", "json", "--show-policy")
-    assert code == 0
-    assert json.loads(out)["policy"]["n_max"] == 4096
 
 
 def test_dump_terms_bit_stable(capsys, tmp_path):

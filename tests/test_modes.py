@@ -15,12 +15,13 @@ from convlab.errors import ParameterError
 from convlab.modes import (ALL_MODES, LIMIT_MODES, MODES, SERIES_MODES,
                            UNIVERSAL_MODES, Family, FamilyMeta, ModeParams,
                            _params_summary, check_mode, generic_term,
-                           probe_key, probes_for, term_cc, term_s1d,
+                           probe_key, probe_source, probes_for, term_cc, term_s1d,
                            term_s1star, term_s2d, term_s3d, term_sa_as,
                            term_slinf, term_slp, term_trunc_l1,
                            van_der_corput)
 from convlab.registry import (NODE_MODES, NODES, constant_family,
-                              default_registry, ex31, ex32, ex33)
+                              default_registry, ex31, ex32, ex33,
+                              shift_uniform)
 from convlab.series import EnginePolicy
 
 CROSS_CHECK_NS = (1, 2, 3, 5, 12, 40)
@@ -191,6 +192,22 @@ def test_x_probe_override_reaches_failure_point():
     fam = [f for f in registry_families() if f.name.startswith("ex32(alpha=0.5")][0]
     params = ModeParams.defaults(fam)
     assert 1.0 in params.x_points
+
+
+def test_zero_law_past_the_horizon_leaves_the_probe_inconclusive():
+    # shift_uniform(1.01)'s CDF gap at x = 1 + 1e-7 is nonzero while the
+    # shift n^-1.01 exceeds 1e-7, up to n = 8524974: past n_max, so a sum to
+    # the horizon is not the series' sum
+    fam = shift_uniform(1.01)
+    params = ModeParams.defaults(fam, x_points=(1.0000001,))
+    src = probe_source(fam, "s2d", ("x", 1.0000001), params)
+    assert src.law.exponent == math.inf and src.law.start == 8524975
+    assert src.terms(10 ** 6 + 1, 10 ** 6 + 2)[0] > 0.0
+    rep = check_mode(fam, "s2d", params)
+    assert rep.verdict == "inconclusive" and rep.witness is None
+    v = rep.probe_results["x=1.0000001"]
+    assert (v.klass, v.sum_estimate, v.tail_bound, v.n_used) == (
+        "inconclusive", None, None, 0)
 
 
 def test_limit_modes_on_registry():

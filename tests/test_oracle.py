@@ -25,19 +25,25 @@ from convlab.modes import ModeParams, check_mode, mode_spec, probe_key, probes_f
 from convlab.registry import NODE_MODES, ex31, ex32, node_report, shift_uniform
 from convlab.testfuncs import ClampedAffine, ClampedIdentity
 
-# every plateau of the families below ends before this index
-_PLATEAU_CAP = 1 << 21
+# every plateau of the families below ends before this index; the longest,
+# ex31(4)'s tail at eps = 0.01, ends at 10^8
+_PLATEAU_CAP = 1 << 28
+_PLATEAU_CHUNK = 1 << 20
 
 
 def _plateau(on_plateau):
-    """The length n0 of the plateau: on_plateau maps the float array of
-    n = 1, 2, ... to the generator's own comparison, true from n = 1 to n0
-    and false from there on."""
-    ns = np.arange(1, _PLATEAU_CAP, dtype=np.int64).astype(float)
-    flags = on_plateau(ns)
-    n0 = int(np.count_nonzero(flags))
-    assert flags[:n0].all() and not flags[-1], "the plateau must end before the cap"
-    return n0
+    """The length n0 of the plateau: on_plateau maps a float array of
+    indices n to the generator's own comparison, true from n = 1 to n0 and
+    false from there on.  It is read chunk by chunk up to the chunk where
+    the plateau ends."""
+    for lo in range(1, _PLATEAU_CAP, _PLATEAU_CHUNK):
+        ns = np.arange(lo, lo + _PLATEAU_CHUNK, dtype=np.int64).astype(float)
+        flags = on_plateau(ns)
+        k = int(np.count_nonzero(flags))
+        if k < len(flags):
+            assert flags[:k].all(), "the plateau must be one run from n = 1"
+            return lo - 1 + k
+    raise AssertionError("the plateau must end before the cap")
 
 
 def _after_plateau(n0, s):
@@ -48,12 +54,20 @@ def _after_plateau(n0, s):
 def _two_atom_sum(alpha, kind, value):
     """ex31: X_n = 1 with mass n^-2, v = n^(-1/alpha) otherwise.  Tail and
     CDF-gap terms are 1 while v lies beyond the probe value, then the first
-    atom's mass n^-2."""
+    atom's mass n^-2.  The p-th moment is n^-2 + v^p - n^-2 v^p, a mixture of
+    two powers, and the clamped test functions' gaps are their slopes times
+    the first moment, since both atoms lie in their linear ranges."""
     q = 1.0 / alpha
     if kind == "tail":
         n0 = _plateau(lambda ns: ns ** -q >= value)
     elif kind == "cdf_gap":
         n0 = _plateau(lambda ns: ~(ns ** -q <= value))
+    elif kind == "moment" or isinstance(value, (ClampedIdentity, ClampedAffine)):
+        pq = value * q if kind == "moment" else q
+        if pq <= 1.0:
+            return None
+        slope = value.K if isinstance(value, ClampedAffine) else 1.0
+        return slope * float(zeta(2.0) + zeta(pq) - zeta(2.0 + pq))
     else:
         return None
     return n0 + _after_plateau(n0, 2.0)
@@ -61,17 +75,17 @@ def _two_atom_sum(alpha, kind, value):
 
 def _shift_sum(family, kind, value, power):
     """X_n = X + s with s = n^-beta: |X_n - X| = s, so sup, moment and
-    pointwise terms are powers of s.  For the uniform base, tails are 1
-    while s >= eps, CDF gaps are x while s >= x and s after, and the
+    pointwise terms are powers of s, and tails are 1 while s >= eps.  For
+    the uniform base, CDF gaps are x while s >= x and s after, and the
     clamped test functions' gaps are their slopes times s."""
     beta = family.params["beta"]
     if kind in ("sup", "moment", "pointwise"):
         k = {"sup": 1.0, "moment": value, "pointwise": power}[kind]
         return float(zeta(beta * k))
-    if family.meta.kind != "shift_uniform":
-        return None
     if kind == "tail":
         return float(_plateau(lambda ns: ns ** -beta >= value))
+    if family.meta.kind != "shift_uniform":
+        return None
     if kind == "cdf_gap":
         n0 = _plateau(lambda ns: value - ns ** -beta <= 0.0)
         return value * n0 + _after_plateau(n0, beta)
@@ -90,7 +104,7 @@ def _exact_sum(family, kind, value, power):
 
 
 _FAMILIES = ([shift_uniform(b) for b in (1.2, 1.5, 2.0, 3.0)]
-             + [ex31(a) for a in (1.5, 2.0, 2.5, 3.0)]
+             + [ex31(a) for a in (0.6, 0.8, 1.5, 2.0, 2.5, 3.0, 4.0)]
              + [ex32(0.5, 2.0), ex32(0.4, 2.0)])
 _SERIES_NODES = [node for node, (mode, _) in NODE_MODES.items() if mode_spec(mode).series]
 
@@ -112,22 +126,45 @@ def _cases():
     return cases
 
 
-# The ex31(3) tail at eps = 0.01 is 1 up to n = 10^6 = n_max, then n^-2.
-# Its power law's tail model extrapolates C*n^-2 from the last term, 1, and
-# reports [1999999, +1.0].
+# The ex31(3) tail at eps = 0.01 is 1 up to n = 10^6 = n_max, then n^-2;
+# ex31(4)'s is 1 up to n = 10^8.  The power law's tail model extrapolates
+# C*n^-2 from the last term, 1, and reports [1999999, +1.0] for both.
 _PLATEAU_TO_HORIZON = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="the tail model extrapolates the power law from a term still on "
-           "the plateau, which ends at n_max (ROADMAP item 2)")
+           "the plateau, which ends at or past n_max (ROADMAP item 2)")
+# ex31 with alpha < 1: the first moment n^-2 + n^-q - n^-(2+q) mixes two
+# powers.  Its law states the slower one, and the tail model extrapolates
+# that single power from the last term (sl1).  The clamped test functions'
+# gaps have no law, and the fit reads one power where there are two
+# (s1d, s1star).
+_HINTED_MIXTURE = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a single power law's tail model misses a two-power mixture "
+           "(ROADMAP item 3)")
+_FITTED_MIXTURE = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a single fitted power misses a two-power mixture (ROADMAP item 6)")
+
+
+def _known_miss(family, node, probe):
+    if family.meta.kind != "ex31":
+        return ()
+    alpha = family.params["alpha"]
+    if node == "cc" and probe == ("eps", 0.01) and alpha >= 3.0:
+        return (_PLATEAU_TO_HORIZON,)
+    if alpha < 1.0 and node == "sl1":
+        return (_HINTED_MIXTURE,)
+    if alpha < 1.0 and node in ("s1d", "s1star"):
+        return (_FITTED_MIXTURE,)
+    return ()
 
 
 def _params(cases):
-    out = []
-    for family, node, probe, exact in cases:
-        case_id = f"{family.name}-{node}-{probe_key(probe)}"
-        marks = (_PLATEAU_TO_HORIZON,) if case_id == "ex31(alpha=3)-cc-eps=0.01" else ()
-        out.append(pytest.param(family, node, probe, exact, id=case_id, marks=marks))
-    return out
+    return [pytest.param(family, node, probe, exact,
+                         id=f"{family.name}-{node}-{probe_key(probe)}",
+                         marks=_known_miss(family, node, probe))
+            for family, node, probe, exact in cases]
 
 
 _CASES = _cases()

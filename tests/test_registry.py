@@ -3,23 +3,27 @@
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from convlab import registry, space
+from convlab import registry, space, testfuncs
 from convlab.errors import ParameterError
-from convlab.modes import (ALL_MODES, UNIVERSAL_MODES, Family, FamilyMeta,
-                           ModeParams, certified, mode_spec, probe_source,
+from convlab.modes import (ALL_MODES, GENERIC_DENSE_CAP, UNIVERSAL_MODES,
+                           Family, FamilyMeta, ModeParams, certified,
+                           check_mode, generic_term, mode_spec, probe_source,
                            probes_for)
-from convlab.registry import (NODE_MODES, NODES, ImplicationDiagram,
-                              LipschitzWitness, build_family, constant_family,
+from convlab.registry import (_GENERATOR_EDGES, NODE_MODES, NODES,
+                              ImplicationDiagram, LipschitzWitness,
+                              build_family, constant_family,
                               default_registry, ex31, ex32, ex33,
                               expected_verdicts, export_catalog, node_report,
                               mode_diagram, shift_uniform, soundness_sweep,
                               verdict_matches, verify_lipschitz_s2d,
                               verify_truncation_s1star)
 from convlab.series import EnginePolicy, TermLaw, TermSource, analyze_series
+from convlab.testfuncs import ClampedAffine
 
 
 def test_build_family_validation():
@@ -77,7 +81,7 @@ def test_constant_family_trivial():
 
 
 def test_diagram_nodes_and_generators():
-    d = mode_diagram(closed=False)
+    d = ImplicationDiagram(NODES, _GENERATOR_EDGES)
     assert set(d.nodes) == set(NODES)
     for edge in (("slinf", "sl1"), ("sl1", "cc"), ("cc", "as"),
                  ("as", "prob"), ("prob", "dist"), ("linf", "l1")):
@@ -297,8 +301,9 @@ def test_verify_lipschitz_reads_the_families_sup_norms():
 
 
 def test_verify_lipschitz_bounds_the_whole_gap_series():
-    # CDF gaps that obey the sandwich up to n_check = 2000 and then stay
-    # far above it: the gap series sums to about 5.6, the bound to about 0.6
+    # CDF gaps that obey the sandwich over the 2000 terms the verifier
+    # compares and then stay far above it: the gap series sums to about 5.6,
+    # the bound to about 0.6
     fam = shift_uniform(2.0)
     closed_form = fam.meta.term_source
 
@@ -311,7 +316,7 @@ def test_verify_lipschitz_bounds_the_whole_gap_series():
                           law=TermLaw(1.5))
 
     fam.meta.term_source = heavy_tail
-    rep = verify_lipschitz_s2d(fam, [LipschitzWitness(0.5, 1.0, 0.1)], n_check=2000)
+    rep = verify_lipschitz_s2d(fam, [LipschitzWitness(0.5, 1.0, 0.1)])
     assert rep.witnesses_ok and rep.sandwich_ok and rep.series_converge
     assert rep.details["x=0.5"]["sum_estimate"] > 5.0
     assert not rep.proof_bound_ok
@@ -371,6 +376,38 @@ def test_shift_cdf_gaps_match_the_base_cdf_reference(family, alpha):
             assert got.tobytes() == want.tobytes(), x
 
 
+@dataclass(frozen=True)
+class _Cube(testfuncs.TestFunction):
+    """A bounded Lipschitz test function no family has a closed form for."""
+
+    name: str = "cube"
+    bound: float = 8.0
+    lipschitz: float = 12.0
+
+    def __call__(self, x):
+        return np.clip(x, -2.0, 2.0) ** 3
+
+
+def test_shift_factory_falls_back_to_the_generic_route():
+    # a clamped affine function that clamps on the shifted support [0, 2],
+    # and a test function class the factory does not know: the family
+    # states no terms, and probe_source hands out the generic route's
+    # lawless source
+    fam = shift_uniform(2.0)
+    fs = (ClampedAffine(K=2.0, M=1.0), _Cube())
+    params = ModeParams.defaults(fam, test_functions=fs)
+    for f in fs:
+        assert fam.meta.term_source("expect_gap", f, 1.0) is None
+        src = probe_source(fam, "s1d", ("f", f), params)
+        assert src.law is None and src.horizon == GENERIC_DENSE_CAP
+        want = [generic_term(fam, "expect_gap", f, 1.0, n) for n in (1, 2, 3)]
+        assert src.terms(1, 4).tolist() == want
+    rep = check_mode(fam, "s1d", params)
+    assert rep.verdict == "holds"
+    for v in rep.probe_results.values():
+        assert v.converges and v.n_used == GENERIC_DENSE_CAP
+
+
 def test_verify_truncation_ex32():
     fam = ex32(0.5, 2.0)
     rep = verify_truncation_s1star(fam, eps=0.5)
@@ -402,7 +439,7 @@ def test_verify_truncation_converse_compares_terms():
 
 
 def test_verify_truncation_ex31_hypothesis_fails():
-    rep = verify_truncation_s1star(ex31(2.0), eps=0.5, n_check=2000)
+    rep = verify_truncation_s1star(ex31(2.0), eps=0.5)
     assert not rep.truncated_summable
     assert not rep.ok
     # the splitting bound itself still holds term-wise
@@ -469,7 +506,7 @@ SEED0_OPEN = (
 
 
 def test_diagram_has_the_summability_edges():
-    d = mode_diagram(closed=False)
+    d = ImplicationDiagram(NODES, _GENERATOR_EDGES)
     for edge in (("slinf", "linf"), ("sl1", "l1"), ("s2d", "dist"),
                  ("linf", "cc"), ("s1star", "s1as")):
         assert edge in d.edges

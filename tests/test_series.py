@@ -123,6 +123,27 @@ def test_hint_eventually_zero():
     assert abs(v.sum_estimate - 5.0) < 1e-12
 
 
+def test_zero_law_starting_past_the_horizon_is_inconclusive():
+    # the terms are 1 up to n = 5000: a sum to the horizon 4096 would miss
+    # the last 904 and still claim tail_bound 0
+    calls = []
+
+    def gen(ns):
+        calls.append(len(ns))
+        return (ns <= 5000).astype(float)
+
+    law = TermLaw(math.inf, start=5000)
+    for src, policy in ((TermSource(gen, law=law), EnginePolicy(n_max=4096)),
+                        (TermSource(gen, law=law, horizon=4096), DEFAULT_POLICY)):
+        assert analyze_series(src, policy).to_dict() == {
+            "class": "inconclusive", "n_used": 0,
+            "evidence": {"method": "analytic_hint",
+                         "hint": {"kind": "eventually_zero", "start": 5000}}}
+    assert calls == []
+    v = analyze_series(TermSource(gen, law=law), EnginePolicy(n_max=8192))
+    assert v.converges and (v.sum_estimate, v.tail_bound, v.n_used) == (5000.0, 0.0, 5000)
+
+
 def test_hint_eventually_constant_diverges():
     src = TermSource(
         lambda ns: np.ones(len(ns)),
@@ -305,6 +326,21 @@ def test_fit_inside_the_margin_above_one_is_inconclusive():
     assert v.p_hat + v.ci_halfwidth <= 1.0 + EXPONENT_MARGIN
     # an interval reaching 1 still diverges
     assert analyze_series(power_source(1.0)).diverges
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the fit over the last dyadic anchors reads a steeper power than "
+           "the drifting local slope 1 + 2/ln n (ROADMAP item 6)")
+def test_log_squared_series_interval_holds_its_sum():
+    # sum 1/(n ln^2(n+1)) converges: its terms to 10^6 sum to 3.3153531, and
+    # the rest to more than the integral of 1/(x ln^2 x) from 10^6 + 2, so
+    # the sum is at least 3.3877355.  The engine reports converges with
+    # [3.3431326, +5.2e-9].
+    src = TermSource(
+        lambda ns: 1.0 / (ns.astype(float) * np.log(ns.astype(float) + 1.0) ** 2))
+    v = analyze_series(src)
+    assert not v.converges or v.sum_estimate + v.tail_bound >= 3.3877355
 
 
 def test_slowly_decaying_stream_does_not_stay_above():
