@@ -13,9 +13,9 @@ from .registry import (ImplicationDiagram, LipschitzWitness, SweepReport,
                        build_family, default_registry, expected_verdicts,
                        export_catalog, mode_diagram, soundness_sweep,
                        verify_lipschitz_s2d, verify_truncation_s1star)
-from .series import (DEFAULT_POLICY, EnginePolicy, NullVerdict, SeriesVerdict,
-                     TermLaw, TermSource, analyze_series, fit_exponent,
-                     load_terms_csv, null_sequence_test)
+from .series import (DEFAULT_POLICY, EnginePolicy, TermLaw, TermSource, Verdict,
+                     analyze_series, fit_exponent, load_terms_csv,
+                     null_sequence_test)
 from .space import (Cdf, Piece, PowerAtOne, RandomVariable, cdf, char_fn,
                     constant_rv, density_rv, diff_abs, expectation,
                     expectation_joint, sup_norm, uniform_rv)
@@ -31,8 +31,8 @@ __all__ = [
     "build_family", "default_registry", "expected_verdicts", "export_catalog",
     "mode_diagram", "soundness_sweep", "verify_lipschitz_s2d",
     "verify_truncation_s1star",
-    "DEFAULT_POLICY", "EnginePolicy", "NullVerdict", "SeriesVerdict",
-    "TermLaw", "TermSource", "analyze_series", "fit_exponent",
+    "DEFAULT_POLICY", "EnginePolicy", "TermLaw", "TermSource", "Verdict",
+    "analyze_series", "fit_exponent",
     "load_terms_csv", "null_sequence_test",
     "Cdf", "Piece", "PowerAtOne", "RandomVariable", "cdf", "char_fn",
     "constant_rv", "density_rv", "diff_abs", "expectation",

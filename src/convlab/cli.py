@@ -38,12 +38,15 @@ def _policy_from(args):
     return DEFAULT_POLICY if args.n_max is None else EnginePolicy(n_max=args.n_max)
 
 
-def _emit(payload, fmt, table_fn):
-    if fmt == "json":
+def _emit(args, payload, table_fn):
+    """Print payload, with the engine policy under --show-policy."""
+    if args.show_policy:
+        payload["policy"] = _policy_from(args).to_dict()
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
         return
     table_fn(payload)
-    if "policy" in payload:
+    if args.show_policy:
         print("policy: " + ", ".join(f"{k}={v}" for k, v in payload["policy"].items()))
 
 
@@ -58,8 +61,6 @@ def _print_rows(rows, header):
 
 def cmd_list(args):
     catalog = export_catalog()
-    if args.show_policy:
-        catalog["policy"] = _policy_from(args).to_dict()
 
     def table(cat):
         rows = [
@@ -73,7 +74,7 @@ def cmd_list(args):
               f"(transitively closed), {len(d['non_edges'])} non-implications "
               f"claimed by the expected verdicts")
 
-    _emit(catalog, args.format, table)
+    _emit(args, catalog, table)
     return EXIT_OK
 
 
@@ -87,18 +88,21 @@ def _family_from_args(args):
 
 
 def _dump_terms(fh, path, family, modes, count):
-    """Per-term CSV: mode, probe, n, term.  Deterministic ordering."""
+    """Per-term CSV: mode, probe, n, term.  Deterministic ordering.  Closes
+    fh: a short dump stays in the write buffer, so a full disk shows only
+    when the file closes."""
     import csv
 
     try:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "probe", "n", "term"])
-        for mode, tag, params in modes:
-            for probe in probes_for(tag, params):
-                vals = probe_source(family, tag, probe, params).terms(1, count + 1)
-                key = probe_key(probe)
-                for n, v in enumerate(vals, start=1):
-                    writer.writerow([mode, key, n, repr(float(v))])
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(["mode", "probe", "n", "term"])
+            for mode, tag, params in modes:
+                for probe in probes_for(tag, params):
+                    vals = probe_source(family, tag, probe, params).terms(1, count + 1)
+                    key = probe_key(probe)
+                    for n, v in enumerate(vals, start=1):
+                        writer.writerow([mode, key, n, repr(float(v))])
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 
@@ -138,8 +142,6 @@ def cmd_diagnose(args):
         "family": family.describe(),
         "reports": [r.to_dict() for r in reports],
     }
-    if args.show_policy:
-        payload["policy"] = policy.to_dict()
 
     def table(pl):
         print(f"family: {pl['family']['name']}")
@@ -149,7 +151,7 @@ def cmd_diagnose(args):
         ]
         _print_rows(rows, ("mode", "verdict", "witness"))
 
-    _emit(payload, args.format, table)
+    _emit(args, payload, table)
     return EXIT_OK
 
 
@@ -170,8 +172,6 @@ def cmd_matrix(args):
         diagram = diagram.with_edge(a, b)
     report = soundness_sweep(diagram, default_registry(), policy)
     payload = report.to_dict()
-    if args.show_policy:
-        payload["policy"] = policy.to_dict()
 
     def table(pl):
         nodes = pl["nodes"]
@@ -203,7 +203,7 @@ def cmd_matrix(args):
         for a, bs in targets.items():
             print(f"  open: {a} -> {', '.join(bs)}")
 
-    _emit(payload, args.format, table)
+    _emit(args, payload, table)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -213,8 +213,6 @@ def cmd_series(args):
     verdict = analyze_series(src, policy)
     payload = {"schema_version": SCHEMA_VERSION, "input": args.input,
                "verdict": verdict.to_dict()}
-    if args.show_policy:
-        payload["policy"] = policy.to_dict()
 
     def table(pl):
         v = pl["verdict"]
@@ -224,7 +222,7 @@ def cmd_series(args):
                 print(f"  {k} = {v[k]:.6g}")
         print(f"  evidence: {v['evidence']}")
 
-    _emit(payload, args.format, table)
+    _emit(args, payload, table)
     return EXIT_OK
 
 

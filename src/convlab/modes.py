@@ -77,6 +77,9 @@ VERDICT_FAILS = "fails"
 VERDICT_NOT_FALSIFIED = "not_falsified"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# the engine verdict classes by which a probe falsifies its mode
+_FAILING = frozenset({"diverges", "stays_above"})
+
 
 def van_der_corput(i):
     """The i-th base-2 van der Corput point, in (0,1) for i >= 1."""
@@ -459,24 +462,18 @@ def check_mode(
         raise ParameterError(f"empty probe set for mode {mode!r}")
     sources = [probe_source(family, mode, probe, params, use_analytic)
                for probe in probes]
+    test = analyze_series if spec.series else null_sequence_test
     results = {}
     bad = None
     inconclusive = False
     # each engine call gets the mode's sources, so that its lawless probes
     # scan their blocks together
     for probe, src in zip(probes, sources):
-        if spec.series:
-            verdict = analyze_series(src, policy, sources)
-            ok = verdict.converges
-            failed = verdict.diverges
-        else:
-            verdict = null_sequence_test(src, policy, sources)
-            ok = verdict.tends_to_zero
-            failed = verdict.klass == "stays_above"
+        verdict = test(src, policy, sources)
         results[probe_key(probe)] = verdict
-        if failed and bad is None:
-            bad = probe
-        elif not ok and not failed:
+        if verdict.klass in _FAILING:
+            bad = bad or probe
+        elif verdict.klass == "inconclusive":
             inconclusive = True
     if bad is not None:
         verdict_tag, witness = VERDICT_FAILS, probe_key(bad)

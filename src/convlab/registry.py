@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -641,22 +641,22 @@ class LipschitzWitness:
         return bool(np.all(dv <= self.K * du + 1e-12))
 
 
-@dataclass
-class LipschitzS2dReport:
-    slinf_verdict: str
-    witnesses_ok: bool
-    sandwich_ok: bool
-    series_converge: bool
-    proof_bound_ok: bool
-    details: dict = field(default_factory=dict)
+@dataclass(frozen=True)
+class CriterionReport:
+    """A criterion check: premise is the verdict of the mode the criterion
+    rests on, checks maps each check's name to its outcome, and details
+    holds the per-probe verdicts the checks read."""
+
+    premise: str
+    checks: dict
+    details: dict
 
     @property
     def ok(self):
-        return self.slinf_verdict == "holds" and all((
-            self.witnesses_ok, self.sandwich_ok, self.series_converge, self.proof_bound_ok))
+        return self.premise == "holds" and all(self.checks.values())
 
 
-def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY):
+def verify_lipschitz_s2d(family, witnesses):
     """Precondition: summable sup norms a_n = ess sup |X_n - X|, the terms
     slinf scans, with a law of exponent above 1 (a power law n^-p, p > 1,
     or eventually zero); otherwise ParameterError, as for an empty witness
@@ -668,15 +668,16 @@ def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY):
     two-sided sandwich (to 1e-12), each CDF-gap series converges, and the
     finite-prefix plus Lipschitz-tail bound dominates the whole gap series.
     Both series and their sums are check_mode's: slinf, and s2d at the
-    witnesses' x."""
+    witnesses' x.  The premise is slinf's verdict; the checks are
+    witnesses, sandwich, series_converge and proof_bound."""
     params = ModeParams.defaults(family, x_points=[w.x for w in witnesses])
     sup = probe_source(family, "slinf", ("all", None), params)
     if sup.law is None or not sup.law.exponent > 1.0:
         raise ParameterError(
             f"verify_lipschitz_s2d needs summable sup norms; {family.name} has no "
             f"law of exponent above 1 on them")
-    slinf = check_mode(family, "slinf", params, policy)
-    s2d = check_mode(family, "s2d", params, policy)
+    slinf = check_mode(family, "slinf", params)
+    s2d = check_mode(family, "s2d", params)
     F = family.limit_cdf
     a_n = sup.terms(1, 2001)
     sup_sum = slinf.probe_results["all"]
@@ -695,48 +696,32 @@ def verify_lipschitz_s2d(family, witnesses, policy=DEFAULT_POLICY):
         rhs = float(np.sum(terms[:n0])) + 2.0 * w.K * sup_from_n0
         gap = s2d.probe_results[probe_key(("x", w.x))]
         proof_bound_ok &= gap.converges and gap.sum_estimate + gap.tail_bound <= rhs + 1e-9
-    return LipschitzS2dReport(
-        slinf.verdict, all(w.grid_ok(F) for w in witnesses), sandwich_ok,
-        all(v.converges for v in s2d.probe_results.values()), proof_bound_ok,
-        {k: v.to_dict() for k, v in s2d.probe_results.items()},
-    )
+    checks = {"witnesses": all(w.grid_ok(F) for w in witnesses), "sandwich": sandwich_ok,
+              "series_converge": all(v.converges for v in s2d.probe_results.values()),
+              "proof_bound": proof_bound_ok}
+    return CriterionReport(slinf.verdict, checks,
+                           {k: v.to_dict() for k, v in s2d.probe_results.items()})
 
 
-@dataclass
-class TruncationReport:
-    cc_verdict: str
-    truncated_summable: bool
-    s1star_all_summable: bool
-    splitting_ok: bool
-    converse_ok: bool
-    details: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return self.cc_verdict == "holds" and all((
-            self.truncated_summable, self.s1star_all_summable, self.splitting_ok,
-            self.converse_ok))
-
-
-def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY):
+def verify_truncation_s1star(family, eps):
     """Complete convergence plus a summable truncated first moment force
     every bounded Lipschitz expectation gap to be summable; the splitting
     bound K*truncated + 2M*tail-probability dominates each of the first 10^4
     terms (to 1e-9), and for a bounded limit the clamped-identity function
     turns the truncated moment back into a distributional term over the
-    first 1000 (the converse direction).  cc and the gap series are
-    check_mode's scans; an empty fs raises ParameterError."""
+    first 1000 (the converse direction).  cc and the gap series, over the
+    default test functions, are check_mode's scans.  The premise is cc's
+    verdict; the checks are truncated_summable, s1star_summable, splitting
+    and converse."""
     if eps <= 0:
         raise ParameterError("eps must be positive")
     params = ModeParams.defaults(family, epsilons=(eps,))
-    if fs is not None:
-        params = replace(params, test_functions=fs)
     trunc_src = family.meta.term_source("trunc_l1", eps, 1.0)
     if trunc_src is None:
         raise ParameterError("family has no truncated-moment term formula")
-    cc = check_mode(family, "cc", params, policy)
-    s1star = check_mode(family, "s1star", params, policy)
-    trunc_verdict = analyze_series(trunc_src, policy)
+    cc = check_mode(family, "cc", params)
+    s1star = check_mode(family, "s1star", params)
+    trunc_verdict = analyze_series(trunc_src)
     trunc_terms = trunc_src.terms(1, 10001)
     cc_terms = probe_source(family, "cc", ("eps", eps), params).terms(1, 10001)
     splitting_ok = True
@@ -754,11 +739,10 @@ def verify_truncation_s1star(family, eps, fs=None, policy=DEFAULT_POLICY):
                            params)
         s1star_terms = src.terms(1, 1001)
         converse_ok = bool(np.all(trunc_terms[:1000] <= s1star_terms + 1e-9))
-    return TruncationReport(
-        cc.verdict, trunc_verdict.converges,
-        all(v.converges for v in s1star.probe_results.values()), splitting_ok,
-        converse_ok, details,
-    )
+    checks = {"truncated_summable": trunc_verdict.converges,
+              "s1star_summable": all(v.converges for v in s1star.probe_results.values()),
+              "splitting": splitting_ok, "converse": converse_ok}
+    return CriterionReport(cc.verdict, checks, details)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import csv
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -216,14 +216,21 @@ _TOO_FEW_ANCHORS = {"method": "too_few_positive_anchors"}
 
 
 @dataclass(frozen=True, slots=True)
-class SeriesVerdict:
-    klass: str  # "converges" | "diverges" | "inconclusive"
+class Verdict:
+    """The outcome of one engine call.  klass is "converges", "diverges" or
+    "inconclusive" from analyze_series, and "tends_to_zero", "stays_above" or
+    "inconclusive" from null_sequence_test.  A null-test verdict has no
+    evidence, sum or tail bound; level is the null test's level where the
+    terms stay above it."""
+
+    klass: str
     sum_estimate: Optional[float] = None
     tail_bound: Optional[float] = None
-    evidence: dict = field(default_factory=dict)
+    evidence: Optional[dict] = None
     p_hat: Optional[float] = None
     ci_halfwidth: Optional[float] = None
     n_used: int = 0
+    level: Optional[float] = None
 
     @property
     def converges(self):
@@ -233,49 +240,38 @@ class SeriesVerdict:
     def diverges(self):
         return self.klass == "diverges"
 
-    def to_dict(self):
-        d = {"class": self.klass, "n_used": self.n_used,
-             "evidence": fresh(self.evidence)}
-        for k in ("sum_estimate", "tail_bound", "p_hat", "ci_halfwidth"):
-            v = getattr(self, k)
-            if v is not None:
-                d[k] = v
-        return d
-
-
-@dataclass(frozen=True, slots=True)
-class NullVerdict:
-    klass: str  # "tends_to_zero" | "stays_above" | "inconclusive"
-    level: Optional[float] = None
-    p_hat: Optional[float] = None
-    ci_halfwidth: Optional[float] = None
-    n_used: int = 0
-
     @property
     def tends_to_zero(self):
         return self.klass == "tends_to_zero"
 
     def to_dict(self):
         d = {"class": self.klass, "n_used": self.n_used}
-        for k in ("level", "p_hat", "ci_halfwidth"):
+        if self.evidence is not None:
+            d["evidence"] = fresh(self.evidence)
+        for k in ("sum_estimate", "tail_bound", "level", "p_hat", "ci_halfwidth"):
             v = getattr(self, k)
             if v is not None:
                 d[k] = v
         return d
 
 
+def _neumaier_add(s, c, v):
+    """One step of Neumaier's compensated sum: the running sum s and its
+    compensation c after adding v."""
+    t = s + v
+    if abs(s) >= abs(v):
+        c += (s - t) + v
+    else:
+        c += (v - t) + s
+    return t, c
+
+
 def _neumaier(values):
-    """Compensated sum of a short list of block sums; order-independent
-    rounding error."""
-    s = 0.0
-    c = 0.0
+    """Compensated sum of a list of block sums, step for step as a _Scan
+    accumulates it; order-independent rounding error."""
+    s = c = 0.0
     for v in values:
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
+        s, c = _neumaier_add(s, c, v)
     return s + c
 
 
@@ -369,23 +365,19 @@ def _anchor_fit(anchor_ns, anchor_vals, window):
     return p_hat, ci
 
 
-def _fit_block_starts(src, n_max):
-    """_anchor_fit on the terms at the dyadic block starts 1, 2, 4, ... <= n_max.
-    Each is its block's first term, read from the block memo where the
-    block has been evaluated and evaluated on its own where not."""
-    blocks = _dyadic_blocks(n_max)
-    anchors = [src._blocks[b][1] if b in src._blocks else src.terms(b[0], b[0] + 1)[0]
-               for b in blocks]
-    return _anchor_fit([lo for lo, _ in blocks], anchors, DYADIC_WINDOW)
-
-
 def fit_exponent(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY):
-    """Fit a_n ~ C n**(-p) on dyadic anchors; returns (p_hat, ci_halfwidth).
+    """Fit a_n ~ C n**(-p) on the terms at the dyadic block starts 1, 2, 4,
+    ... up to the source's horizon; returns (p_hat, ci_halfwidth).  Each
+    anchor is its block's first term, read from the block memo where the
+    block has been evaluated and evaluated on its own where not.
 
     Raises TooFewAnchors when fewer than DYADIC_WINDOW anchors have a
     positive term.
     """
-    return _fit_block_starts(src, src.effective_n_max(policy))
+    blocks = _dyadic_blocks(src.effective_n_max(policy))
+    anchors = [src._blocks[b][1] if b in src._blocks else src.terms(b[0], b[0] + 1)[0]
+               for b in blocks]
+    return _anchor_fit([lo for lo, _ in blocks], anchors, DYADIC_WINDOW)
 
 
 def _power_tail(partial, a_last, n_last, p):
@@ -422,7 +414,8 @@ class _Scan:
     def __init__(self, src, exponent=None):
         self.src = src
         self.exponent = exponent
-        self.block_sums = []
+        self.blocks = 0
+        self.s = self.c = 0.0  # the running compensated sum of the block sums
         self.partial = 0.0
         self.blowup_at = None
         self.last_max = None
@@ -434,15 +427,16 @@ class _Scan:
         # pairwise numpy summation inside the block (deterministic for a fixed
         # block layout), compensated accumulation across blocks
         block_sum, _, self.a_last, _, self.last_max = self.src._blocks[(lo, hi)]
-        self.block_sums.append(block_sum)
-        self.partial = _neumaier(self.block_sums)
+        self.blocks += 1
+        self.s, self.c = _neumaier_add(self.s, self.c, block_sum)
+        self.partial = self.s + self.c
         self.n_last = hi - 1
         if self.partial > BLOWUP_THRESHOLD:
             self.blowup_at = hi - 1
             self.done = True
         elif (
             self.exponent is not None
-            and len(self.block_sums) >= DYADIC_WINDOW
+            and self.blocks >= DYADIC_WINDOW
             and self.a_last > 0.0
             and _power_tail(self.partial, self.a_last, self.n_last, self.exponent)[1]
             < _HORIZON_FRACTION * TAIL_TOLERANCE
@@ -474,22 +468,22 @@ def _analyze_with_law(src, policy):
     horizon is inconclusive: its nonzero terms are not all in reach."""
     law = src.law
     if law.exponent <= 1.0:
-        return SeriesVerdict("diverges", evidence=law.evidence, **law.rate)
+        return Verdict("diverges", evidence=law.evidence, **law.rate)
     n_max = src.effective_n_max(policy)
     if law.exponent == math.inf:
         if law.start > n_max:
-            return SeriesVerdict("inconclusive", evidence=law.evidence)
+            return Verdict("inconclusive", evidence=law.evidence)
         scan = _dense_scan(src, policy, law.start)
-        return SeriesVerdict("converges", sum_estimate=scan.partial, tail_bound=0.0,
-                             evidence=law.evidence, n_used=law.start)
+        return Verdict("converges", sum_estimate=scan.partial, tail_bound=0.0,
+                       evidence=law.evidence, n_used=law.start)
     scan = _dense_scan(src, policy, n_max, exponent=law.exponent)
     est, bound = _power_tail(scan.partial, scan.a_last, scan.n_last, law.exponent)
-    return SeriesVerdict("converges", sum_estimate=est, tail_bound=bound,
-                         evidence=law.evidence, n_used=scan.n_last, **law.rate)
+    return Verdict("converges", sum_estimate=est, tail_bound=bound,
+                   evidence=law.evidence, n_used=scan.n_last, **law.rate)
 
 
 def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
-                   group=()) -> SeriesVerdict:
+                   group=()) -> Verdict:
     """Classify sum a_n as convergent/divergent/inconclusive with evidence.
 
     group names the sources checked alongside src (one mode's probes): a
@@ -502,7 +496,7 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
     scan = _dense_scan(src, policy, n_max, group=group)
     n_used = scan.n_last
     if scan.blowup_at is not None:
-        return SeriesVerdict(
+        return Verdict(
             "diverges",
             evidence={
                 "method": "partial_sum_blowup",
@@ -513,7 +507,7 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
         )
     if scan.last_max == 0.0:
         # terms have died out within the probed range
-        return SeriesVerdict(
+        return Verdict(
             "converges",
             sum_estimate=scan.partial,
             tail_bound=0.0,
@@ -521,14 +515,14 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
             n_used=n_used,
         )
     try:
-        p_hat, ci = _fit_block_starts(src, n_max)
+        p_hat, ci = fit_exponent(src, policy)
     except TooFewAnchors:
         # the last block is positive, but too few anchors are to fit a decay
-        return SeriesVerdict("inconclusive", evidence=_TOO_FEW_ANCHORS, n_used=n_used)
+        return Verdict("inconclusive", evidence=_TOO_FEW_ANCHORS, n_used=n_used)
     # divergence needs an interval that reaches 1; one wholly inside
     # (1, 1 + EXPONENT_MARGIN] is near the boundary
     if p_hat - ci <= 1.0 and p_hat + ci <= 1.0 + EXPONENT_MARGIN:
-        return SeriesVerdict(
+        return Verdict(
             "diverges",
             p_hat=p_hat,
             ci_halfwidth=ci,
@@ -538,7 +532,7 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
     if p_hat - ci >= 1.0 + EXPONENT_MARGIN:
         est, bound = _power_tail(scan.partial, scan.a_last, n_used, p_hat)
         if bound < TAIL_TOLERANCE:
-            return SeriesVerdict(
+            return Verdict(
                 "converges",
                 sum_estimate=est,
                 tail_bound=bound,
@@ -547,14 +541,14 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
                 evidence=_EXPONENT_FIT,
                 n_used=n_used,
             )
-        return SeriesVerdict(
+        return Verdict(
             "inconclusive",
             p_hat=p_hat,
             ci_halfwidth=ci,
             evidence={"method": "tail_above_tolerance", "tail_bound": bound},
             n_used=n_used,
         )
-    return SeriesVerdict(
+    return Verdict(
         "inconclusive",
         p_hat=p_hat,
         ci_halfwidth=ci,
@@ -564,36 +558,36 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
 
 
 def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
-                       group=()) -> NullVerdict:
+                       group=()) -> Verdict:
     """Decide whether a_n -> 0: the test behind the classical limit modes.
     group is as for analyze_series; a source with a law reads no term."""
     law = src.law
     if law is not None:
         if law.exponent > 0.0:
-            return NullVerdict("tends_to_zero", **law.rate)
-        return NullVerdict("stays_above", level=law.level)
+            return Verdict("tends_to_zero", **law.rate)
+        return Verdict("stays_above", level=law.level)
     n_max = src.effective_n_max(policy)
     lo, hi = _dyadic_blocks(n_max)[-1]
     # every companion's null test reads this same last block
     _, _, _, last_min, last_max = _block(src, lo, hi, _companions(src, policy, n_max, group))
     n_used = hi - 1
     if last_max < NULL_TOLERANCE:
-        return NullVerdict("tends_to_zero", n_used=n_used)
+        return Verdict("tends_to_zero", n_used=n_used)
     try:
-        p_hat, ci = _fit_block_starts(src, n_max)
+        p_hat, ci = fit_exponent(src, policy)
     except TooFewAnchors:
         # the last block is not small, but too few anchors are to fit a decay
-        return NullVerdict("inconclusive", n_used=n_used)
+        return Verdict("inconclusive", n_used=n_used)
     if p_hat - ci > 0.02:
-        return NullVerdict("tends_to_zero", p_hat=p_hat, ci_halfwidth=ci, n_used=n_used)
+        return Verdict("tends_to_zero", p_hat=p_hat, ci_halfwidth=ci, n_used=n_used)
     # a flat fit whose interval reaches 0, with terms above the tolerance
     level = last_min
     if (abs(p_hat) <= 0.02 and ci <= 0.02 and p_hat - ci <= 0.0
             and level > NULL_TOLERANCE):
-        return NullVerdict(
+        return Verdict(
             "stays_above", level=level, p_hat=p_hat, ci_halfwidth=ci, n_used=n_used
         )
-    return NullVerdict("inconclusive", p_hat=p_hat, ci_halfwidth=ci, n_used=n_used)
+    return Verdict("inconclusive", p_hat=p_hat, ci_halfwidth=ci, n_used=n_used)
 
 
 def load_terms_csv(path):

@@ -161,11 +161,9 @@ def test_criterion_5_lipschitz_criterion():
     fam = shift_uniform(2.0)
     ws = [LipschitzWitness(x=x, K=1.0, delta=0.1) for x in (0.25, 0.5, 0.75)]
     rep = verify_lipschitz_s2d(fam, ws)
-    assert rep.slinf_verdict == "holds"
-    assert rep.witnesses_ok
-    assert rep.sandwich_ok
-    assert rep.series_converge
-    assert rep.proof_bound_ok
+    assert rep.premise == "holds"
+    assert rep.checks == {"witnesses": True, "sandwich": True,
+                          "series_converge": True, "proof_bound": True}
     assert rep.ok
 
     report(5, "locally-Lipschitz criterion verified on the uniform shift "
@@ -178,11 +176,9 @@ def test_criterion_6_truncation_criterion():
     term-wise for n <= 10^4 with slack <= 1e-9."""
     fam = ex32(0.5, 2.0)
     rep = verify_truncation_s1star(fam, eps=0.5)
-    assert rep.cc_verdict == "holds"
-    assert rep.truncated_summable
-    assert rep.s1star_all_summable
-    assert rep.splitting_ok
-    assert rep.converse_ok
+    assert rep.premise == "holds"
+    assert rep.checks == {"truncated_summable": True, "s1star_summable": True,
+                          "splitting": True, "converse": True}
     assert rep.ok
 
     report(6, "truncated-moment criterion verified on the shifted density family "

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convlab.cli as cli
-from convlab.errors import AccuracyError
+from convlab.errors import AccuracyError, RepresentationError
 from convlab.registry import NODES, ex31
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -275,6 +275,17 @@ def test_dump_terms_unwritable_fails_before_any_mode(capsys, tmp_path, monkeypat
     assert f"cannot write {path}" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_dump_terms_full_disk_at_close_exit_2(capsys):
+    # one term per probe stays in the write buffer, so the write fails only
+    # when the file closes
+    code, out, err = run(capsys, "diagnose", "--family", "ex33", "--modes", "cc",
+                         "--dump-terms", "/dev/full", "--dump-count", "1")
+    assert code == cli.EXIT_PARAMETER
+    assert out == ""
+    assert "cannot write /dev/full" in err
+
+
 @pytest.mark.parametrize("c", ("1e16", "-1e16", "1e308", "-1.7976931348623157e308"))
 def test_point_mass_beyond_float_resolution_has_x_probes(capsys, c):
     code, out, err = run(capsys, "diagnose", "--family", "const", f"--c={c}",
@@ -387,6 +398,16 @@ def test_main_maps_accuracy_error_exit_3(capsys, monkeypatch):
     # main rebuilds the parser, which binds the patched handler
     code = cli.main(["series", "--input", "whatever.csv"])
     assert code == cli.EXIT_ACCURACY
+
+
+def test_main_maps_other_convlab_errors_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "cmd_series",
+        lambda args: (_ for _ in ()).throw(RepresentationError("bad piece")),
+    )
+    code, out, err = run(capsys, "series", "--input", "whatever.csv")
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err == "error: bad piece\n"
 
 
 def test_sweep_repeated_and_after_diagnose_matches_fresh_process(capsys):

@@ -23,6 +23,7 @@ from convlab.registry import (NODE_MODES, NODES, constant_family,
                               default_registry, ex31, ex32, ex33,
                               shift_uniform)
 from convlab.series import EnginePolicy
+from convlab.testfuncs import ClampedAffine, ClampedIdentity
 
 CROSS_CHECK_NS = (1, 2, 3, 5, 12, 40)
 
@@ -411,3 +412,31 @@ def test_modes_sharing_a_family_report_what_fresh_families_do(family):
         fresh = next(f for f in default_registry() if f.name == family.name)
         alone = check_mode(fresh, mode, ModeParams.defaults(fresh, alpha=0.5, p=2.0), policy)
         assert shared.to_dict() == alone.to_dict(), mode
+
+
+def test_generic_terms_check_their_arguments():
+    fam = ex31(2.0)
+    with pytest.raises(ParameterError, match="index n must be >= 1"):
+        fam.member(0)
+    with pytest.raises(ParameterError, match="eps must be positive"):
+        term_cc(fam, 1, 0.0)
+    with pytest.raises(ParameterError, match="p must be positive"):
+        term_slp(fam, 1, -1.0)
+    with pytest.raises(ParameterError, match="alpha must be positive"):
+        term_sa_as(fam, 1, 0.0, 0.5)
+
+
+def test_mode_report_holds_and_fails_read_its_verdict():
+    holds = check_mode(constant_family(0.0), "cc")
+    fails = check_mode(ex33(), "s1d")
+    assert (holds.holds, holds.fails) == (True, False)
+    assert (fails.holds, fails.fails) == (False, True)
+
+
+@pytest.mark.parametrize("make", [lambda: ClampedIdentity(M=0.0),
+                                  lambda: ClampedIdentity(eps=-1.0),
+                                  lambda: ClampedAffine(K=0.0),
+                                  lambda: ClampedAffine(M=-1.0)])
+def test_clamped_test_functions_need_positive_parameters(make):
+    with pytest.raises(ParameterError, match="needs"):
+        make()

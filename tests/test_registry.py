@@ -275,14 +275,14 @@ def test_verify_lipschitz_s2d_uniform():
     ws = [LipschitzWitness(x=x, K=1.0, delta=0.1) for x in (0.25, 0.5, 0.75)]
     rep = verify_lipschitz_s2d(fam, ws)
     assert rep.ok
-    assert rep.slinf_verdict == "holds"
+    assert rep.premise == "holds"
 
 
 def test_verify_lipschitz_bad_witness_constant():
     # a Lipschitz constant that is too small fails the witness grid test
     fam = shift_uniform(2.0)
     rep = verify_lipschitz_s2d(fam, [LipschitzWitness(x=0.5, K=0.1, delta=0.1)])
-    assert not rep.witnesses_ok
+    assert not rep.checks["witnesses"]
     assert not rep.ok
 
 
@@ -317,17 +317,16 @@ def test_verify_lipschitz_bounds_the_whole_gap_series():
 
     fam.meta.term_source = heavy_tail
     rep = verify_lipschitz_s2d(fam, [LipschitzWitness(0.5, 1.0, 0.1)])
-    assert rep.witnesses_ok and rep.sandwich_ok and rep.series_converge
+    assert rep.checks["witnesses"] and rep.checks["sandwich"]
+    assert rep.checks["series_converge"]
     assert rep.details["x=0.5"]["sum_estimate"] > 5.0
-    assert not rep.proof_bound_ok
+    assert not rep.checks["proof_bound"]
     assert not rep.ok
 
 
 def test_verifiers_refuse_an_empty_probe_set():
     with pytest.raises(ParameterError, match="empty probe set"):
         verify_lipschitz_s2d(shift_uniform(2.0), [])
-    with pytest.raises(ParameterError, match="empty probe set"):
-        verify_truncation_s1star(ex32(0.5, 2.0), eps=0.5, fs=())
 
 
 def test_verify_lipschitz_needs_summable_sup_norms():
@@ -412,7 +411,7 @@ def test_verify_truncation_ex32():
     fam = ex32(0.5, 2.0)
     rep = verify_truncation_s1star(fam, eps=0.5)
     assert rep.ok
-    assert rep.cc_verdict == "holds"
+    assert rep.premise == "holds"
     # truncated terms are exactly the shifts below eps: 1/n^2 for n >= 2
     src = fam.meta.term_source("trunc_l1", 0.5, 1.0)
     terms = src.terms(2, 50)
@@ -434,16 +433,28 @@ def test_verify_truncation_converse_compares_terms():
 
     fam.meta.term_source = tripled_trunc
     rep = verify_truncation_s1star(fam, eps=0.5)
-    assert rep.splitting_ok
-    assert not rep.converse_ok
+    assert rep.checks["splitting"]
+    assert not rep.checks["converse"]
 
 
 def test_verify_truncation_ex31_hypothesis_fails():
     rep = verify_truncation_s1star(ex31(2.0), eps=0.5)
-    assert not rep.truncated_summable
+    assert not rep.checks["truncated_summable"]
     assert not rep.ok
     # the splitting bound itself still holds term-wise
-    assert rep.splitting_ok
+    assert rep.checks["splitting"]
+
+
+def test_verify_truncation_needs_a_truncated_moment_formula():
+    base = space.uniform_rv()
+    bare = Family("bare", {}, base, lambda n: base, FamilyMeta())
+    with pytest.raises(ParameterError, match="no truncated-moment term formula"):
+        verify_truncation_s1star(bare, eps=0.5)
+
+
+def test_term_source_factories_state_no_terms_for_an_unknown_kind():
+    for fam in (ex31(2.0), shift_uniform(2.0)):
+        assert fam.meta.term_source("no_such_kind", 0.5, 1.0) is None
 
 
 def test_verify_truncation_constant():

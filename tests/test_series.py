@@ -256,6 +256,22 @@ def test_subcritical_powers_diverge(p):
     assert analyze_series(power_source(p)).diverges
 
 
+def test_terms_of_an_empty_range_are_empty():
+    assert power_source(2.0).terms(5, 5).size == 0
+
+
+def test_null_verdicts_carry_no_evidence():
+    # one Verdict type serves both tests; a null test's verdict has no
+    # evidence, and its class answers only for its own test
+    v = null_sequence_test(power_source(1.0))
+    assert v.tends_to_zero and not v.converges and not v.diverges
+    assert v.evidence is None and "evidence" not in v.to_dict()
+    v = null_sequence_test(power_source(1.0, law=TermLaw(0.0, level=2.0)))
+    assert v.to_dict() == {"class": "stays_above", "n_used": 0, "level": 2.0}
+    assert analyze_series(power_source(2.0)).to_dict()["evidence"] == {
+        "method": "exponent_fit"}
+
+
 def test_fit_exponent():
     p_hat, ci = fit_exponent(power_source(1.7))
     assert abs(p_hat - 1.7) < 1e-6

@@ -240,6 +240,16 @@ def test_partition_validation():
         RandomVariable((Piece(0.5, 0.5, B=1.0),))  # empty piece
 
 
+def test_random_variable_needs_a_piece():
+    with pytest.raises(RepresentationError, match="at least one piece"):
+        RandomVariable(())
+
+
+def test_cdf_needs_total_mass_one():
+    with pytest.raises(RepresentationError, match="total probability mass is 0.5"):
+        space.Cdf([(0.0, 0.5)], [])
+
+
 def test_shift_scale():
     u = uniform_rv()
     v = u.shifted(2.0).scaled(3.0)
@@ -282,6 +292,27 @@ def test_diff_abs_mixed_kinds_rejected():
     for rv1 in (uniform_rv(), density_rv(PowerAtOne(0.3))):
         with pytest.raises(RepresentationError):
             diff_abs(rv1, density_rv(PowerAtOne(0.5)))
+
+
+def test_diff_abs_crossing_rounded_onto_an_end_keeps_the_larger_ends_sign():
+    # -4.9 w + 2.744 vanishes at w = 0.56, the piece's right end, but rounds
+    # to -4.4e-16 there: the crossing collapses onto the end, and the piece
+    # stays whole with the sign of its value 2.548 at the left end
+    X = RandomVariable((Piece(0.0, 0.04, B=0.0), Piece(0.04, 0.56, -4.9, 2.744),
+                        Piece(0.56, 1.0, B=0.0)))
+    d = diff_abs(X, constant_rv(0.0))
+    assert [(p.lo, p.hi, p.A, p.B) for p in d.pieces if p.A != 0.0] == [
+        (0.04, 0.56, -4.9, 2.744)]
+
+
+def test_truncated_abs_moment_skips_pieces_at_or_above_eps():
+    # a decreasing and an increasing piece wholly above eps = 0.65, and one
+    # that falls to 0.65 only at its right end (in floats just below it,
+    # while (eps - B) / A rounds onto the end): none is below eps
+    D = RandomVariable((Piece(0.0, 0.46, -1.0, 2.0), Piece(0.46, 0.88, -1.7, 2.146),
+                        Piece(0.88, 1.0, 1.0, 0.0)))
+    assert D.pieces[1].endpoint_values()[1] < 0.65
+    assert truncated_abs_moment(D, 0.65) == 0.0
 
 
 def test_diff_abs_affine_minus_affine_constant():
