@@ -124,6 +124,17 @@ def _two_atom_source_factory(r, q):
     def gap(g, ns):
         return np.abs(mean(g, ns) - g(0.0))
 
+    def gap_law(g):
+        """With the second atom at 0, both gaps of g are exactly
+        m1 * |g(1) - g(0)|: level c at rate r, the zero law at c = 0.  For a
+        finite q they mix n^-r and n^-q, which one law cannot state."""
+        if not math.isinf(q):
+            return None
+        c = abs(float(g(1.0)) - float(g(0.0)))
+        if c == 0.0:
+            return _law(math.inf)
+        return _law(r, c) if math.isfinite(c) else None
+
     def source(kind, value, power):
         if kind == "tail":
             eps = float(value)
@@ -142,10 +153,11 @@ def _two_atom_source_factory(r, q):
                               law=_law(0.0, 1.0))
 
         if kind == "expect_gap":
-            return TermSource(lambda ns: gap(value, ns))
+            return TermSource(lambda ns: gap(value, ns), law=gap_law(value))
 
         if kind == "coupled_gap":
-            return TermSource(lambda ns: mean(lambda v: np.abs(value(v) - value(0.0)), ns))
+            return TermSource(lambda ns: mean(lambda v: np.abs(value(v) - value(0.0)), ns),
+                              law=gap_law(value))
 
         if kind == "cdf_gap":
             x = float(value)
@@ -182,8 +194,9 @@ def _two_atom_source_factory(r, q):
 
         if kind == "trunc_l1":
             eps = float(value)
+            # the first atom, at 1, is truncated away unless eps > 1
             return TermSource(lambda ns: mean(lambda v: np.abs(v) * (np.abs(v) < eps),
-                                              ns), law=_law(min(r, q)))
+                                              ns), law=_law(min(r, q) if eps > 1.0 else q))
 
         return None
 

@@ -126,6 +126,26 @@ class TermLaw:
             d["detail"] = f"terms stay at level {self.level}"
         return d
 
+    # The verdicts that read no term follow from the law alone, so each is
+    # built once and shared, like the evidence.
+
+    @cached_property
+    def divergent(self):
+        """analyze_series's verdict on an exponent of at most 1."""
+        return Verdict("diverges", evidence=self.evidence, **self.rate)
+
+    @cached_property
+    def out_of_reach(self):
+        """analyze_series's verdict on a zero law starting past the horizon."""
+        return Verdict("inconclusive", evidence=self.evidence)
+
+    @cached_property
+    def null_verdict(self):
+        """null_sequence_test's verdict on this law."""
+        if self.exponent > 0.0:
+            return Verdict("tends_to_zero", **self.rate)
+        return Verdict("stays_above", level=self.level)
+
 
 class TooFewAnchors(Exception):
     """Raised by the anchor fit when fewer anchors than its window have a
@@ -468,11 +488,11 @@ def _analyze_with_law(src, policy):
     horizon is inconclusive: its nonzero terms are not all in reach."""
     law = src.law
     if law.exponent <= 1.0:
-        return Verdict("diverges", evidence=law.evidence, **law.rate)
+        return law.divergent
     n_max = src.effective_n_max(policy)
     if law.exponent == math.inf:
         if law.start > n_max:
-            return Verdict("inconclusive", evidence=law.evidence)
+            return law.out_of_reach
         scan = _dense_scan(src, policy, law.start)
         return Verdict("converges", sum_estimate=scan.partial, tail_bound=0.0,
                        evidence=law.evidence, n_used=law.start)
@@ -561,11 +581,8 @@ def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
                        group=()) -> Verdict:
     """Decide whether a_n -> 0: the test behind the classical limit modes.
     group is as for analyze_series; a source with a law reads no term."""
-    law = src.law
-    if law is not None:
-        if law.exponent > 0.0:
-            return Verdict("tends_to_zero", **law.rate)
-        return Verdict("stays_above", level=law.level)
+    if src.law is not None:
+        return src.law.null_verdict
     n_max = src.effective_n_max(policy)
     lo, hi = _dyadic_blocks(n_max)[-1]
     # every companion's null test reads this same last block

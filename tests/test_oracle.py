@@ -23,6 +23,7 @@ from scipy.special import zeta
 
 from convlab.modes import ModeParams, check_mode, mode_spec, probe_key, probes_for
 from convlab.registry import NODE_MODES, ex31, ex32, node_report, shift_uniform
+from convlab.series import analyze_series
 from convlab.testfuncs import ClampedAffine, ClampedIdentity
 
 # every plateau of the families below ends before this index; the longest,
@@ -191,6 +192,20 @@ def test_converging_interval_holds_the_exact_sum(family, node, probe, exact):
     slack = 2.3e-16 * v.n_used + 8.0 * math.ulp(exact)
     assert v.sum_estimate - slack <= exact, (v.sum_estimate, exact)
     assert exact <= v.sum_estimate + v.tail_bound + slack, (
+        v.sum_estimate, v.tail_bound, exact)
+
+
+@pytest.mark.parametrize("alpha, exact", [
+    (0.4, zeta(2.5) - zeta(4.5)),
+    (0.25, zeta(4.0) - zeta(6.0)),
+])
+def test_truncated_moment_interval_holds_the_exact_sum(alpha, exact):
+    # at eps = 0.5 the first atom, at 1, is truncated away: the terms are
+    # (1 - n^-2) n^-q with q = 1/alpha, and 0 at n = 1, where n^-q = 1
+    v = analyze_series(ex31(alpha).meta.term_source("trunc_l1", 0.5, 1.0))
+    assert v.converges, v.to_dict()
+    slack = 2.3e-16 * v.n_used + 8.0 * math.ulp(exact)
+    assert v.sum_estimate - slack <= exact <= v.sum_estimate + v.tail_bound + slack, (
         v.sum_estimate, v.tail_bound, exact)
 
 

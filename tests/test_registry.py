@@ -387,6 +387,52 @@ class _Cube(testfuncs.TestFunction):
         return np.clip(x, -2.0, 2.0) ** 3
 
 
+@dataclass(frozen=True)
+class _Tent(testfuncs.TestFunction):
+    """1 - |2x - 1| clamped at 0: equal at 0 and at 1."""
+
+    name: str = "tent"
+    bound: float = 1.0
+    lipschitz: float = 2.0
+
+    def __call__(self, x):
+        return np.maximum(1.0 - np.abs(2.0 * np.asarray(x, dtype=float) - 1.0), 0.0)
+
+
+def test_ex33_gap_laws_are_exact():
+    # the second atom is 0, so both gaps of g are |g(1) - g(0)| n^-1
+    fam = ex33()
+    ns = np.arange(1, 1 << 14)
+    for kind in ("expect_gap", "coupled_gap"):
+        for f in ModeParams.defaults(fam).test_functions:
+            c = abs(float(f(1.0)) - float(f(0.0)))
+            src = fam.meta.term_source(kind, f, 1.0)
+            assert c > 0.0 and src.law == TermLaw(1.0, level=c), (kind, f.name)
+            assert np.max(np.abs(src.terms(1, 1 << 14) - c / ns)) <= 1e-15, (kind, f.name)
+        src = fam.meta.term_source(kind, _Tent(), 1.0)
+        assert src.law == TermLaw(math.inf)
+        assert not np.any(src.terms(1, 1 << 14))
+
+
+def test_ex33_gap_modes_read_no_term(monkeypatch):
+    calls = []
+    terms = TermSource.terms
+
+    def counting(src, lo, hi):
+        calls.append((lo, hi))
+        return terms(src, lo, hi)
+
+    monkeypatch.setattr(TermSource, "terms", counting)
+    fam = ex33()
+    for mode in ("s1d", "s1star"):
+        rep = check_mode(fam, mode)
+        assert rep.fails and rep.witness == "f=sine"
+        for v in rep.probe_results.values():
+            assert v.diverges and v.n_used == 0 and v.p_hat == 1.0
+            assert v.evidence["method"] == "analytic_hint"
+    assert calls == []
+
+
 def test_shift_factory_falls_back_to_the_generic_route():
     # a clamped affine function that clamps on the shifted support [0, 2],
     # and a test function class the factory does not know: the family
@@ -443,6 +489,17 @@ def test_verify_truncation_ex31_hypothesis_fails():
     assert not rep.ok
     # the splitting bound itself still holds term-wise
     assert rep.checks["splitting"]
+
+
+def test_verify_truncation_ex33_truncates_the_first_atom_away():
+    # at eps = 0.5 the atom at 1 is truncated away and the other atom is 0,
+    # so every truncated term is 0
+    src = ex33().meta.term_source("trunc_l1", 0.5, 1.0)
+    assert src.law == TermLaw(math.inf)
+    assert not np.any(src.terms(1, 10001))
+    v = analyze_series(src)
+    assert v.converges and (v.sum_estimate, v.tail_bound) == (0.0, 0.0)
+    assert verify_truncation_s1star(ex33(), eps=0.5).checks["truncated_summable"]
 
 
 def test_verify_truncation_needs_a_truncated_moment_formula():
@@ -813,19 +870,43 @@ def _source_signature(src):
     return law, src.terms(1, 2 ** 12).tobytes()
 
 
+def _two_atom_law_since_reference(family, kind, value):
+    """The laws that differ from the reference's, else None: with the second
+    atom at 0 both gaps are |g(1) - g(0)| n^-r exactly, and at eps <= 1
+    trunc_l1 drops the first atom, leaving the rate q."""
+    r, q = (1.0, math.inf) if family.meta.kind == "ex33" else (2.0, 1.0 / family.params["alpha"])
+    if kind in ("expect_gap", "coupled_gap") and math.isinf(q):
+        c = abs(float(value(1.0)) - float(value(0.0)))
+        return TermLaw(math.inf) if c == 0.0 else TermLaw(r, level=c)
+    if kind == "trunc_l1" and value <= 1.0:
+        return TermLaw(q)
+    return None
+
+
 @pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)
 def test_two_atom_terms_match_reference(family, ref):
     ref_source = ref[0]
-    checked = 0
+    checked = changed = 0
     for alpha, p in itertools.product((0.5, 1.0, 2.0), repeat=2):
         params = ModeParams.defaults(family, alpha=alpha, p=p)
         for mode in ALL_MODES + ("trunc_l1",):
             for probe in _probes_with_extras(mode, params):
-                got = family.meta.term_source(*_term_args(mode, probe, params))
+                args = _term_args(mode, probe, params)
+                got = family.meta.term_source(*args)
                 want = ref_source(mode, probe, params)
-                assert _source_signature(got) == _source_signature(want), (mode, probe)
+                got_law, got_terms = _source_signature(got)
+                want_law, want_terms = _source_signature(want)
+                assert got_terms == want_terms, (mode, probe)
+                new_law = _two_atom_law_since_reference(family, *args[:2])
+                if new_law is not None and new_law.to_dict() != want_law:
+                    want_law = new_law.to_dict()
+                    changed += 1
+                assert got_law == want_law, (mode, probe)
                 checked += 1
     assert checked > 700
+    # at each of the 9 (alpha, p): ex33's 9 gap probes (s1d, s1star, dist) and
+    # its 5 trunc_l1 probes at eps <= 1, ex31(0.25)'s 5 trunc_l1 probes there
+    assert changed == {"ex33": 9 * 14, "ex31(alpha=0.25)": 9 * 5}.get(family.name, 0)
 
 
 @pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)
@@ -989,9 +1070,10 @@ def _small_sweep():
 
 
 def test_kept_sweep_report_stays_small():
-    # reports share their laws' evidence dicts, the lawless outcomes'
-    # constant evidence and one params summary per (mode, params); before
-    # that sharing a kept report held about 190 KiB
+    # reports share their laws' evidence dicts and the verdicts that read no
+    # term, the lawless outcomes' constant evidence and one params summary
+    # per (mode, params); before that sharing a kept report held about
+    # 190 KiB, and about 100 KiB with a verdict per law-only probe
     import gc
     import tracemalloc
 
@@ -1005,7 +1087,20 @@ def test_kept_sweep_report_stays_small():
         per_report = (tracemalloc.get_traced_memory()[0] - before) / 3
     finally:
         tracemalloc.stop()
-    assert per_report < 120 * 1024
+    assert per_report < 90 * 1024
+
+
+def test_sweeps_share_the_verdicts_that_read_no_term():
+    # a verdict with n_used 0 follows from its law alone: every sweep hands
+    # out the law's one Verdict object
+    a, b = _small_sweep(), _small_sweep()
+    shared = 0
+    for cell, rep in a.verdicts.items():
+        for key, v in rep.probe_results.items():
+            w = b.verdicts[cell].probe_results[key]
+            assert (v is w) == (v.n_used == 0), (cell, key)
+            shared += v is w
+    assert shared > 200
 
 
 def _scribble(value):
