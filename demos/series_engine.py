@@ -54,11 +54,19 @@ def main():
     print("\n== term laws upgrade the verdict ==")
     vanishing = TermSource(
         lambda ns: (ns <= 100).astype(float) * 0.5,
-        law=TermLaw(math.inf, start=100),
+        law=TermLaw(start=101),
     )
     show("terms vanish after n=100", analyze_series(vanishing))
-    stated = TermSource(lambda ns: ns.astype(float) ** -1.2, law=TermLaw(1.2))
-    show("sum n^-1.2, law n^-1.2", analyze_series(stated))
+    rate = TermSource(lambda ns: ns.astype(float) ** -1.2, law=TermLaw(None, ((None, 1.2),)))
+    show("sum n^-1.2, rate n^-1.2", analyze_series(rate))
+    exact = TermSource(lambda ns: ns.astype(float) ** -1.2, law=TermLaw(terms=((1.0, 1.2),)))
+    show("sum n^-1.2, law n^-1.2", analyze_series(exact))
+    print("a rate law still scans and extrapolates one power; a law that")
+    print("states the terms exactly reads none, and sums them as zeta(1.2)")
+    mixed = TermSource(lambda ns: ns.astype(float) ** -2.0 - ns.astype(float) ** -4.0 / 2.0,
+                       law=TermLaw(terms=((1.0, 2.0), (-0.5, 4.0))))
+    show("sum n^-2 - n^-4/2", analyze_series(mixed))
+    print(f"(true value: zeta(2) - zeta(4)/2 = {math.pi ** 2 / 6 - math.pi ** 4 / 180:.8f})")
 
     geom = TermSource(lambda ns: 0.5 ** ns.astype(float))
     show("sum 2^(-n)", analyze_series(geom))

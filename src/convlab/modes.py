@@ -396,11 +396,16 @@ def probe_key(probe):
 
 @dataclass(slots=True)
 class ModeReport:
+    """One mode's verdict on a family.  probe_verdicts holds the engine's
+    verdicts in probe order, beside probe_keys, their keys; every report of
+    one (mode, params) shares its probe_keys and params_used."""
+
     family: str
     mode: str
     verdict: str
     witness: Optional[str] = None
-    probe_results: dict = field(default_factory=dict)
+    probe_verdicts: tuple = ()
+    probe_keys: tuple = ()
     params_used: dict = field(default_factory=dict)
 
     @property
@@ -411,6 +416,11 @@ class ModeReport:
     def fails(self):
         return self.verdict == VERDICT_FAILS
 
+    @property
+    def probe_results(self):
+        """{probe key: verdict}, in probe order: a new dict on each read."""
+        return dict(zip(self.probe_keys, self.probe_verdicts))
+
     def to_dict(self):
         return {
             "family": self.family,
@@ -418,8 +428,15 @@ class ModeReport:
             "verdict": self.verdict,
             "witness": self.witness,
             "params": fresh(self.params_used),
-            "probes": {k: v.to_dict() for k, v in self.probe_results.items()},
+            "probes": {k: v.to_dict() for k, v in zip(self.probe_keys, self.probe_verdicts)},
         }
+
+
+@functools.lru_cache(maxsize=256)
+def _probe_keys(mode, params):
+    """The keys of a mode's probes, in probe order; one tuple shared by
+    every report of (mode, params)."""
+    return tuple(probe_key(probe) for probe in probes_for(mode, params))
 
 
 @functools.lru_cache(maxsize=256)
@@ -463,21 +480,14 @@ def check_mode(
     sources = [probe_source(family, mode, probe, params, use_analytic)
                for probe in probes]
     test = analyze_series if spec.series else null_sequence_test
-    results = {}
-    bad = None
-    inconclusive = False
     # each engine call gets the mode's sources, so that its lawless probes
     # scan their blocks together
-    for probe, src in zip(probes, sources):
-        verdict = test(src, policy, sources)
-        results[probe_key(probe)] = verdict
-        if verdict.klass in _FAILING:
-            bad = bad or probe
-        elif verdict.klass == "inconclusive":
-            inconclusive = True
+    results = tuple(test(src, policy, sources) for src in sources)
+    keys = _probe_keys(mode, params)
+    bad = next((key for key, v in zip(keys, results) if v.klass in _FAILING), None)
     if bad is not None:
-        verdict_tag, witness = VERDICT_FAILS, probe_key(bad)
-    elif inconclusive:
+        verdict_tag, witness = VERDICT_FAILS, bad
+    elif any(v.klass == "inconclusive" for v in results):
         verdict_tag, witness = VERDICT_INCONCLUSIVE, None
     elif spec.universal and not certified(family, mode, params):
         verdict_tag, witness = VERDICT_NOT_FALSIFIED, None
@@ -488,6 +498,7 @@ def check_mode(
         mode=mode,
         verdict=verdict_tag,
         witness=witness,
-        probe_results=results,
+        probe_verdicts=results,
+        probe_keys=keys,
         params_used=_params_summary(mode, params),
     )

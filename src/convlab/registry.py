@@ -25,18 +25,36 @@ from .errors import ParameterError
 from .modes import (MODES, Family, FamilyMeta, ModeParams, check_mode,
                     probe_key, probe_source)
 from .series import DEFAULT_POLICY, TermLaw, TermSource, analyze_series
-from .testfuncs import ClampedAffine, ClampedIdentity, Sine
+from .testfuncs import ClampedIdentity, Sine
 
 SCHEMA_VERSION = 1
 
 
-# Laws are immutable: one per (exponent, level, start) serves every source,
-# and every verdict resting on it shares its evidence dict.
+# Laws are immutable: one per (start, terms, remainder) serves every source,
+# and every verdict resting on it shares its evidence dict and the verdicts
+# that read no term.
 _law = functools.lru_cache(maxsize=256)(TermLaw)
 
 
+def _zero_past(n):
+    """The law of terms that are 0 past n."""
+    return _law(n + 1)
+
+
+def _rate(p, level=None):
+    """The law of terms that decay like level * n^-p from some n on; at
+    p = inf, of terms that are 0 past n = 1."""
+    return _law(None, ((level, p),)) if p < math.inf else _zero_past(1)
+
+
+def _exact(*terms, remainder=None):
+    """The law of terms that are sum c * n^-p over the (c, p) terms from
+    n = 1 on, within C * n^-p_r for remainder (C, p_r)."""
+    return _law(1, terms, remainder)
+
+
 def _zeros_source():
-    return TermSource(lambda ns: np.zeros(len(ns)), law=_law(math.inf))
+    return TermSource(lambda ns: np.zeros(len(ns)), law=_zero_past(1))
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +66,17 @@ _BUILDERS = {}  # kind -> registered builder, in definition order
 
 
 def family_name(kind, params):
-    """kind(name=value,...) with %g values, or the bare kind."""
+    """kind(name=value,...), or the bare kind.  A value is written with %g
+    where that reads back as the value, and with repr where it does not, so
+    that two families of one kind never share a name."""
     if not params:
         return kind
-    return f"{kind}({','.join(f'{k}={v:g}' for k, v in params.items())})"
+
+    def text(v):
+        short = f"{v:g}"
+        return short if float(short) == v else repr(v)
+
+    return f"{kind}({','.join(f'{k}={text(v)}' for k, v in params.items())})"
 
 
 def _builder(kind):
@@ -125,15 +150,28 @@ def _two_atom_source_factory(r, q):
         return np.abs(mean(g, ns) - g(0.0))
 
     def gap_law(g):
-        """With the second atom at 0, both gaps of g are exactly
-        m1 * |g(1) - g(0)|: level c at rate r, the zero law at c = 0.  For a
-        finite q they mix n^-r and n^-q, which one law cannot state."""
-        if not math.isinf(q):
+        """Both gaps of g are m1 * |g(1) - g(0)| + m2 * |g(v2) - g(0)|.
+        With the second atom at 0 that is exactly c * n^-r, c = |g(1) - g(0)|
+        (the zero law at c = 0).  For a finite q, g states g(v) - g(0) as a
+        power series in v on [0, 1], where it is nondecreasing, and m2 = 1 -
+        n^-r turns each of its terms a * v2^j into a * (n^-jq - n^-(r+jq));
+        the series' rest, times m2 <= 1, is the law's remainder.  A power
+        jq that overflows to inf adds nothing: m2 is 0 at n = 1, v2^j 0
+        after."""
+        c = float(g(1.0)) - float(g(0.0))
+        if math.isinf(q):
+            if c == 0.0:
+                return _zero_past(1)
+            return _exact((abs(c), r)) if math.isfinite(c) else None
+        series = g.power_series(1.0)
+        if series is None:
             return None
-        c = abs(float(g(1.0)) - float(g(0.0)))
-        if c == 0.0:
-            return _law(math.inf)
-        return _law(r, c) if math.isfinite(c) else None
+        terms, rest = series
+        mixed = [pair for a, j in terms if j * q < math.inf
+                 for pair in ((a, j * q), (-a, r + j * q))]
+        if rest is not None and rest[1] * q < math.inf:
+            return _exact((c, r), *mixed, remainder=(rest[0], rest[1] * q))
+        return _exact((c, r), *mixed)
 
     def source(kind, value, power):
         if kind == "tail":
@@ -141,16 +179,20 @@ def _two_atom_source_factory(r, q):
             if eps > 1.0:
                 return _zeros_source()
             return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns),
-                              law=_law(r, 1.0))
+                              law=_rate(r, 1.0))
 
         if kind == "moment":
+            # m1 + m2 * v2^p = n^-r + n^-pq - n^-(r+pq); at pq = inf the
+            # second atom's part is 0, m2 being 0 at n = 1
             p = float(value)
+            pq = p * q
+            mixed = ((1.0, pq), (-1.0, r + pq)) if pq < math.inf else ()
             return TermSource(lambda ns: mean(lambda v: np.abs(v) ** p, ns),
-                              law=_law(min(r, p * q)))
+                              law=_exact((1.0, r), *mixed))
 
         if kind == "sup":
             return TermSource(lambda ns: np.maximum(1.0, basis(ns)[2]),
-                              law=_law(0.0, 1.0))
+                              law=_rate(0.0, 1.0))
 
         if kind == "expect_gap":
             return TermSource(lambda ns: gap(value, ns), law=gap_law(value))
@@ -163,7 +205,7 @@ def _two_atom_source_factory(r, q):
             x = float(value)
             if x >= 1.0 or x < 0.0:
                 return _zeros_source()
-            return TermSource(lambda ns: gap(lambda v: v <= x, ns), law=_law(r, 1.0))
+            return TermSource(lambda ns: gap(lambda v: v <= x, ns), law=_rate(r, 1.0))
 
         if kind == "char_gap":
             t = float(value)
@@ -175,7 +217,7 @@ def _two_atom_source_factory(r, q):
 
             # at t in 2*pi*Z the first atom drops out of the gap
             exp = q if abs(g(1.0) - g(0.0)) < 1e-12 and q < math.inf else min(r, q)
-            return TermSource(lambda ns: gap(g, ns), law=_law(exp))
+            return TermSource(lambda ns: gap(g, ns), law=_rate(exp))
 
         if kind == "pointwise":
             omega = float(value)
@@ -188,15 +230,14 @@ def _two_atom_source_factory(r, q):
             # for n >= 2 when the exponent is inf, q's or an overflowed
             # power * q's
             if math.isinf(power * q):
-                start = math.ceil(omega ** (-1.0 / r))
-                return TermSource(gen, law=_law(math.inf, start=start))
-            return TermSource(gen, law=_law(power * q))
+                return TermSource(gen, law=_zero_past(math.ceil(omega ** (-1.0 / r))))
+            return TermSource(gen, law=_rate(power * q))
 
         if kind == "trunc_l1":
             eps = float(value)
             # the first atom, at 1, is truncated away unless eps > 1
             return TermSource(lambda ns: mean(lambda v: np.abs(v) * (np.abs(v) < eps),
-                                              ns), law=_law(min(r, q) if eps > 1.0 else q))
+                                              ns), law=_rate(min(r, q) if eps > 1.0 else q))
 
         return None
 
@@ -271,16 +312,17 @@ def _shift_source_factory(dens, beta, holder_at_1):
     def source(kind, value, power):
         if kind == "tail":
             eps = float(value)
-            start = 1 if eps > 1.0 else math.ceil(eps ** (-1.0 / beta))
-            return TermSource(lambda ns: (s_of(ns) >= eps) * 1.0,
-                              law=_law(math.inf, start=start))
+            last = 1 if eps > 1.0 else math.ceil(eps ** (-1.0 / beta))
+            return TermSource(lambda ns: (s_of(ns) >= eps) * 1.0, law=_zero_past(last))
 
         if kind in ("moment", "pointwise"):
+            # s^k = n^-(beta k) exactly; at beta k = inf, 1 at n = 1 and 0 after
             k = float(value) if kind == "moment" else power
-            return TermSource(lambda ns: s_of(ns) ** k, law=_law(beta * k))
+            law = _exact((1.0, beta * k)) if beta * k < math.inf else _zero_past(1)
+            return TermSource(lambda ns: s_of(ns) ** k, law=law)
 
         if kind == "sup":
-            return TermSource(s_of, law=_law(beta))
+            return TermSource(s_of, law=_exact((1.0, beta)))
 
         if kind == "cdf_gap":
             x = float(value)
@@ -292,13 +334,13 @@ def _shift_source_factory(dens, beta, holder_at_1):
                 return np.abs(F(x - s_of(ns)) - fx)
 
             if x <= 0.0:
-                return TermSource(gen, law=_law(math.inf))
+                return TermSource(gen, law=_zero_past(1))
             if x > 1.0:
                 gap = x - 1.0
-                start = 1 if gap >= 1.0 else math.ceil(gap ** (-1.0 / beta))
-                return TermSource(gen, law=_law(math.inf, start=start))
+                last = 1 if gap >= 1.0 else math.ceil(gap ** (-1.0 / beta))
+                return TermSource(gen, law=_zero_past(last))
             holder = holder_at_1 if abs(x - 1.0) <= 1e-12 else 1.0
-            return TermSource(gen, law=_law(holder * beta))
+            return TermSource(gen, law=_rate(holder * beta))
 
         if kind == "char_gap":
             t = float(value)
@@ -307,7 +349,7 @@ def _shift_source_factory(dens, beta, holder_at_1):
             phi = base_char(t)
             return TermSource(
                 lambda ns: np.abs(phi) * np.abs(np.exp(1j * t * s_of(ns)) - 1.0),
-                law=_law(beta))
+                law=_rate(beta))
 
         if kind in ("expect_gap", "coupled_gap"):
             f = value
@@ -321,16 +363,13 @@ def _shift_source_factory(dens, beta, holder_at_1):
                         return 2.0 * np.sin(s / 2.0) * np.real(half)
                     return np.abs(np.imag((np.exp(1j * s) - 1.0) * phi1))
 
-                return TermSource(gen, law=_law(beta))
-            if isinstance(f, ClampedIdentity):
-                if f.M + f.eps < 2.0:
-                    return None
-                return TermSource(s_of, law=_law(beta))
-            if isinstance(f, ClampedAffine):
-                if f.K * max(abs(0.0 - f.x0), abs(2.0 - f.x0)) > f.M:
-                    return None
-                return TermSource(lambda ns: f.K * s_of(ns), law=_law(beta))
-            return None
+                return TermSource(gen, law=_rate(beta))
+            # X_n and X lie in [0, 2]: where f is f(0) + c * v there, both
+            # gaps are c * s = c * n^-beta exactly
+            c = f.slope_on(2.0)
+            if c is None:
+                return None
+            return TermSource(lambda ns: c * s_of(ns), law=_exact((c, beta)))
 
         if kind == "trunc_l1":
             eps = float(value)
@@ -339,7 +378,7 @@ def _shift_source_factory(dens, beta, holder_at_1):
                 s = s_of(ns)
                 return np.where(s < eps, s, 0.0)
 
-            return TermSource(gen, law=_law(beta))
+            return TermSource(gen, law=_rate(beta))
 
         return None
 
@@ -503,6 +542,12 @@ class ImplicationDiagram:
         edges = tuple(sorted((a, b) for a in self.nodes for b in reach[a] if a != b))
         return ImplicationDiagram(self.nodes, edges)
 
+    @functools.cached_property
+    def pairs(self):
+        """Every ordered pair of distinct nodes, in node order, mapped to
+        itself: one tuple per pair, which every sweep's report shares."""
+        return {(a, b): (a, b) for a in self.nodes for b in self.nodes if a != b}
+
     def with_edge(self, a, b):
         """Append one edge without re-closing (used to inject false arrows)."""
         if (a, b) in self.edges:
@@ -626,9 +671,9 @@ def soundness_sweep(diagram, families, policy=DEFAULT_POLICY):
                     detail=f"{a} holds but {b} fails (witness probe "
                            f"{verdicts[(fam.name, b)].witness})"))
             else:
-                witnessed.setdefault((a, b), fam.name)
-    open_pairs = [(a, b) for a in diagram.nodes for b in diagram.nodes
-                  if a != b and (a, b) not in implied and (a, b) not in witnessed]
+                witnessed.setdefault(diagram.pairs[a, b], fam.name)
+    open_pairs = [pair for pair in diagram.pairs
+                  if pair not in implied and pair not in witnessed]
     gaps = [f"{fam}: {node} inconclusive"
             for (fam, node), rep in verdicts.items() if rep.verdict == "inconclusive"]
     return SweepReport(verdicts, violations, gaps, family_order, diagram.nodes,

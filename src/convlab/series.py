@@ -59,60 +59,149 @@ class EnginePolicy:
 DEFAULT_POLICY = EnginePolicy()
 
 
+# Bernoulli numbers B_2, B_4, ..., B_18 over (2j)!: the Euler-Maclaurin
+# corrections of hurwitz_zeta
+_EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+     43867 / 798), start=1))
+_EM_HEAD = 10  # terms hurwitz_zeta sums directly
+
+
+def hurwitz_zeta(s, a):
+    """zeta(s, a), the sum of (a + k)**-s over k >= 0, for each s > 1 of the
+    sequence s and one a >= 1, as a float array.
+
+    Euler-Maclaurin: _EM_HEAD terms summed directly, then the integral, the
+    half term and the Bernoulli corrections at x = a + _EM_HEAD >= 11, where
+    the first correction left out is below 1e-18 of the sum for every s > 1.
+    A huge s underflows the powers of x to 0 and leaves the head alone."""
+    s = np.asarray(s, dtype=float)
+    head = np.sum((float(a) + np.arange(_EM_HEAD, dtype=float))[:, None] ** -s, axis=0)
+    x = float(a + _EM_HEAD)
+    xs = x ** -s
+    total = head + x * xs / (s - 1.0) + 0.5 * xs
+    t = xs * (s / x)  # (s)_(2j-1) * x**(-s-2j+1), rising factorial, at j = 1
+    for j, coeff in enumerate(_EM_COEFFS, start=1):
+        total += coeff * t
+        # one factor at a time: for a huge s, t is 0 and the product of the
+        # two factors overflows, and 0 * inf would be nan
+        t = t * ((s + 2 * j - 1) / x) * ((s + 2 * j) / x)
+    return total
+
+
+_LAW_VERDICTS = 64  # distinct verdicts a TermLaw keeps to hand out again
+
+
 @dataclass(frozen=True)
 class TermLaw:
-    """Closed-form knowledge about a term sequence: a_n ~ level * n**-exponent,
-    the exponent in the units of FamilyMeta.decay.
+    """Closed-form knowledge about a term sequence, exponents in the units
+    of FamilyMeta.decay.
 
-    exponent math.inf: a_n = 0 for every n > start; the one law with a
-    start, and the one without a level.
-    exponent 0: the terms stay at a constant level (level, where known).
-    0 < exponent < inf: the terms decay at exactly this power rate, with
-    level the constant where known.
+    From n = start on, a_n = sum(c * n**-p for c, p in terms) + R_n, where
+    |R_n| <= C * n**-p_r for remainder (C, p_r), and R_n = 0 without one.
+    With no terms and no remainder this is the zero law: a_n = 0 from start
+    on.  The engine sums the terms before start and takes the rest from the
+    law as Hurwitz zeta values, so a law with start 1 reads no term.  Terms
+    of one exponent are merged, and terms are kept by rising exponent.
+
+    start None: a rate law.  Its one term (level, exponent) holds only
+    eventually, from an index the law does not know, and level is None where
+    the constant is not known either.  The engine reads the sum from the
+    terms then, with a one-power tail past the last one it reads.
     """
 
-    exponent: float
-    level: Optional[float] = None
-    start: int = 1
+    start: Optional[int] = 1
+    terms: tuple = ()
+    remainder: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "exponent", float(self.exponent))
-        object.__setattr__(self, "start", int(self.start))
-        if not self.exponent >= 0.0:
-            raise ParameterError(
-                f"a term law needs an exponent in [0, inf], got {self.exponent}")
-        if self.exponent == math.inf:
-            if self.level is not None:
-                raise ParameterError(f"a zero law has no level, got {self.level}")
+        if self.start is None:
+            if len(self.terms) != 1 or self.remainder is not None:
+                raise ParameterError(
+                    "a rate law (start None) states one term and no remainder")
+            ((level, p),) = self.terms
+            if level is not None and not 0.0 < level < math.inf:
+                raise ParameterError(
+                    f"a term law needs a positive finite level, got {level}")
+            terms = ((None if level is None else float(level), _law_exponent(p)),)
+        else:
             if self.start < 1:
                 raise ParameterError(f"a term law needs start >= 1, got {self.start}")
-            return
-        if self.level is not None and not 0.0 < self.level < math.inf:
-            raise ParameterError(
-                f"a term law needs a positive finite level, got {self.level}")
-        if self.start != 1:
-            raise ParameterError(
-                f"only a zero law (exponent inf) reads a start, got start={self.start}")
+            object.__setattr__(self, "start", int(self.start))
+            merged = {}
+            for c, p in self.terms:
+                if c is None or not math.isfinite(c):
+                    raise ParameterError(
+                        f"a term law from a start needs finite constants, got {c}")
+                p = _law_exponent(p)
+                merged[p] = merged.get(p, 0.0) + float(c)
+            terms = tuple((c, p) for p, c in sorted(merged.items()) if c != 0.0)
+            if self.remainder is not None:
+                bound, p = self.remainder
+                if not 0.0 < bound < math.inf:
+                    raise ParameterError(
+                        f"a term law needs a positive finite remainder bound, got {bound}")
+                object.__setattr__(self, "remainder", (float(bound), _law_exponent(p)))
+        object.__setattr__(self, "terms", terms)
+
+    @cached_property
+    def exponent(self):
+        """The rate of the slowest part: the leading term's exponent, or
+        the remainder's where that is smaller; inf for the zero law."""
+        rates = [p for _, p in self.terms[:1]]
+        if self.remainder is not None:
+            rates.append(self.remainder[1])
+        return min(rates, default=math.inf)
+
+    @property
+    def level(self):
+        """The leading term's constant, None where unknown or absent."""
+        return self.terms[0][0] if self.terms else None
+
+    @cached_property
+    def diverges(self):
+        """Whether the law alone makes the sum infinite: its leading term
+        has an exponent of at most 1 and a positive constant (unknown in a
+        rate law), and the remainder decays strictly faster."""
+        if not self.terms:
+            return False
+        c, p = self.terms[0]
+        return (p <= 1.0 and (c is None or c > 0.0)
+                and (self.remainder is None or self.remainder[1] > p))
 
     def to_dict(self):
-        """The law as the evidence prints it, by the kind names it has
-        always had: eventually_zero, eventually_constant or power."""
-        if self.exponent == math.inf:
+        """The law as the evidence prints it.  One term keeps the kind
+        names it has always had, power or eventually_constant, and the zero
+        law is eventually_zero, with start the last n whose term the scan
+        reads, as it has always been printed; more terms, or a remainder,
+        are a power_sum."""
+        if not self.terms and self.remainder is None:
             d = {"kind": "eventually_zero"}
-        elif self.exponent == 0.0:
-            d = {"kind": "eventually_constant"}
+            if self.start != 2:
+                d["start"] = self.start - 1
+            return d
+        if len(self.terms) == 1 and self.remainder is None:
+            c, p = self.terms[0]
+            if p == 0.0:
+                d = {"kind": "eventually_constant"}
+                if c is not None:
+                    d["level"] = c
+            else:
+                d = {"kind": "power", "exponent": p}
+                if c is not None:
+                    d["constant"] = c
         else:
-            d = {"kind": "power", "exponent": self.exponent}
-        if self.level is not None:
-            d["level" if self.exponent == 0.0 else "constant"] = self.level
-        if self.start != 1:
-            d["start"] = self.start
+            d = {"kind": "power_sum", "terms": [list(t) for t in self.terms]}
+            if self.remainder is not None:
+                d["remainder"] = list(self.remainder)
+        if self.start not in (None, 1):
+            d["exact_from"] = self.start
         return d
 
     @cached_property
     def rate(self):
-        """The p_hat and ci_halfwidth of a verdict on this law: a power law
-        states its exponent exactly, a zero or constant law no rate."""
+        """The p_hat and ci_halfwidth of a verdict on this law: its
+        exponent exactly where it is a positive power, else no rate."""
         if 0.0 < self.exponent < math.inf:
             return {"p_hat": self.exponent, "ci_halfwidth": 0.0}
         return {}
@@ -126,18 +215,42 @@ class TermLaw:
             d["detail"] = f"terms stay at level {self.level}"
         return d
 
-    # The verdicts that read no term follow from the law alone, so each is
-    # built once and shared, like the evidence.
+    @cached_property
+    def tail(self):
+        """(lower end, width) of the interval holding the sum of the terms
+        from start on: sum c * zeta(p, start), within C * zeta(p_r, start)."""
+        rates = [p for _, p in self.terms]
+        if self.remainder is not None:
+            rates.append(self.remainder[1])
+        if not rates:
+            return 0.0, 0.0
+        zetas = hurwitz_zeta(rates, self.start).tolist()
+        mid = math.fsum(c * z for (c, _), z in zip(self.terms, zetas))
+        half = self.remainder[0] * zetas[-1] if self.remainder is not None else 0.0
+        return mid - half, 2.0 * half
+
+    # A verdict on a law follows from the law and the few figures its terms
+    # give, so each distinct one is built once and shared, like the
+    # evidence: every probe, and every sweep, reaching it gets that object.
+    # A law that many sources share (one two-atom tail law serves every
+    # ex31) keeps at most _LAW_VERDICTS of them.
 
     @cached_property
-    def divergent(self):
-        """analyze_series's verdict on an exponent of at most 1."""
-        return Verdict("diverges", evidence=self.evidence, **self.rate)
+    def _verdicts(self):
+        return {}
 
-    @cached_property
-    def out_of_reach(self):
-        """analyze_series's verdict on a zero law starting past the horizon."""
-        return Verdict("inconclusive", evidence=self.evidence)
+    def verdict(self, klass, sum_estimate=None, tail_bound=None, n_used=0):
+        """analyze_series's verdict of this class on this law, with these
+        figures; a verdict that decides carries the law's rate."""
+        key = (klass, sum_estimate, tail_bound, n_used)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            rate = self.rate if klass != "inconclusive" else {}
+            verdict = Verdict(klass, sum_estimate, tail_bound, self.evidence,
+                              n_used=n_used, **rate)
+            if len(self._verdicts) < _LAW_VERDICTS:
+                self._verdicts[key] = verdict
+        return verdict
 
     @cached_property
     def null_verdict(self):
@@ -145,6 +258,14 @@ class TermLaw:
         if self.exponent > 0.0:
             return Verdict("tends_to_zero", **self.rate)
         return Verdict("stays_above", level=self.level)
+
+
+def _law_exponent(p):
+    """p as a law's exponent: a float in [0, inf)."""
+    p = float(p)
+    if not 0.0 <= p < math.inf:
+        raise ParameterError(f"a term law needs exponents in [0, inf), got {p}")
+    return p
 
 
 class TooFewAnchors(Exception):
@@ -415,7 +536,7 @@ def _power_tail(partial, a_last, n_last, p):
     return partial + tail_low, tail_up - tail_low
 
 
-# A power-law series stops scanning once its tail sandwich is this fraction
+# A rate-law series stops scanning once its tail sandwich is this fraction
 # of TAIL_TOLERANCE: the verdict is already settled by the law, and further
 # terms only refine sum_estimate.
 _HORIZON_FRACTION = 0.1
@@ -425,7 +546,7 @@ class _Scan:
     """One source's dense dyadic-block scan: partial sums and blowup
     detection.
 
-    With a known power-law exponent > 1 the scan stops early, after at least
+    With a rate law's exponent > 1 the scan stops early, after at least
     DYADIC_WINDOW blocks, at the first block whose last term is positive and
     whose _power_tail sandwich is narrower than
     _HORIZON_FRACTION * TAIL_TOLERANCE.
@@ -481,25 +602,29 @@ def _dense_scan(src, policy, n_max, exponent=None, group=()):
 
 
 def _analyze_with_law(src, policy):
-    """Exact comparison with the source's law: an exponent of at most 1
-    diverges with no term evaluated, and any other law converges, its sum
-    read from a dense scan to the law's start (zero law) or to the power
-    law's tight-sandwich horizon.  A zero law whose start lies past the
-    horizon is inconclusive: its nonzero terms are not all in reach."""
+    """Exact comparison with the source's law.  A law that diverges reads
+    no term.  A law from a start sums the terms before it densely and adds
+    the law's zeta tail; one that decides nothing, or whose start lies past
+    the horizon, is inconclusive.  A rate law is summed from a dense scan to
+    its tight-sandwich horizon, and a one-power tail from the last term; a
+    scan that finds every term 0 is inconclusive, since the law's terms lie
+    past it."""
     law = src.law
-    if law.exponent <= 1.0:
-        return law.divergent
+    if law.diverges:
+        return law.verdict("diverges")
     n_max = src.effective_n_max(policy)
-    if law.exponent == math.inf:
-        if law.start > n_max:
-            return law.out_of_reach
-        scan = _dense_scan(src, policy, law.start)
-        return Verdict("converges", sum_estimate=scan.partial, tail_bound=0.0,
-                       evidence=law.evidence, n_used=law.start)
-    scan = _dense_scan(src, policy, n_max, exponent=law.exponent)
-    est, bound = _power_tail(scan.partial, scan.a_last, scan.n_last, law.exponent)
-    return Verdict("converges", sum_estimate=est, tail_bound=bound,
-                   evidence=law.evidence, n_used=scan.n_last, **law.rate)
+    if law.start is None:
+        scan = _dense_scan(src, policy, n_max, exponent=law.exponent)
+        if scan.partial == 0.0:
+            return law.verdict("inconclusive", n_used=scan.n_last)
+        est, bound = _power_tail(scan.partial, scan.a_last, scan.n_last, law.exponent)
+        return law.verdict("converges", est, bound, scan.n_last)
+    n_used = law.start - 1
+    if law.exponent <= 1.0 or n_used > n_max:
+        return law.verdict("inconclusive")
+    head = _dense_scan(src, policy, n_used).partial if n_used else 0.0
+    low, width = law.tail
+    return law.verdict("converges", head + low, width, n_used)
 
 
 def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,

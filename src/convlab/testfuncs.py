@@ -7,6 +7,7 @@ arrays as well as scalars.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,24 @@ class TestFunction:
     def __call__(self, x):
         raise NotImplementedError
 
+    def slope_on(self, hi):
+        """c > 0 where g(v) = g(0) + c * v on [0, hi], else None."""
+        return None
+
+    def power_series(self, hi):
+        """g(v) - g(0) on [0, hi] as (terms, remainder): the sum of c * v**p
+        over the (c, p) terms plus a rest of size at most C * v**p_r, where
+        remainder is (C, p_r) or None for no rest.  g is nondecreasing on
+        [0, hi], so the sum is nonnegative there.  None where the function
+        states no such form on [0, hi]; a linear one states its slope."""
+        c = self.slope_on(hi)
+        return None if c is None else (((c, 1.0),), None)
+
+
+# Taylor terms of sin that Sine.power_series states: the rest, at most
+# v**19 / 19! <= 8.3e-18 on [0, 1], is below a float's resolution of the sum
+_SINE_TERMS = 9
+
 
 @dataclass(frozen=True)
 class Sine(TestFunction):
@@ -32,6 +51,17 @@ class Sine(TestFunction):
 
     def __call__(self, x):
         return np.sin(x)
+
+    def power_series(self, hi):
+        """The alternating Taylor series of sin on [0, hi], hi <= 1: its
+        terms fall in size there, so the first term left out bounds the
+        rest."""
+        if hi > 1.0:
+            return None
+        terms = tuple(((-1.0) ** k / math.factorial(2 * k + 1), 2.0 * k + 1.0)
+                      for k in range(_SINE_TERMS))
+        last = 2 * _SINE_TERMS + 1
+        return terms, (1.0 / math.factorial(last), float(last))
 
 
 @dataclass(frozen=True)
@@ -60,6 +90,10 @@ class ClampedIdentity(TestFunction):
         c = self.M + self.eps
         return np.clip(x, -c, c)
 
+    def slope_on(self, hi):
+        """1, where [0, hi] lies inside the unclamped range."""
+        return 1.0 if hi <= self.M + self.eps else None
+
 
 @dataclass(frozen=True)
 class ClampedAffine(TestFunction):
@@ -83,3 +117,7 @@ class ClampedAffine(TestFunction):
 
     def __call__(self, x):
         return np.clip(self.K * (np.asarray(x, dtype=float) - self.x0), -self.M, self.M)
+
+    def slope_on(self, hi):
+        """K, where [0, hi] lies inside the unclamped range."""
+        return self.K if self.K * max(abs(self.x0), abs(hi - self.x0)) <= self.M else None

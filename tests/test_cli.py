@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import convlab.cli as cli
 from convlab.errors import AccuracyError, RepresentationError
 from convlab.registry import NODES, ex31
+from convlab.series import TermSource
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -198,9 +199,19 @@ def test_series_subcommand(capsys, tmp_path):
 
 
 def test_matrix_table_lists_coverage_gaps_and_the_policy(capsys, monkeypatch):
-    # ex31(1)'s s1d and s1star gap series sit at the exponent-1 boundary:
-    # honest coverage gaps
-    monkeypatch.setattr(cli, "default_registry", lambda: [ex31(1.0)])
+    # ex31(1)'s s1d and s1star gap series, read without their laws, sit at
+    # the exponent-1 boundary of the fit: honest coverage gaps
+    family = ex31(1.0)
+    closed_form = family.meta.term_source
+
+    def lawless_gaps(kind, value, power):
+        src = closed_form(kind, value, power)
+        if kind in ("expect_gap", "coupled_gap"):
+            return TermSource(src.generator)
+        return src
+
+    family.meta.term_source = lawless_gaps
+    monkeypatch.setattr(cli, "default_registry", lambda: [family])
     code, out, _ = run(capsys, "matrix", "--n-max", "4096", "--show-policy")
     assert code == 0
     lines = out.splitlines()

@@ -24,7 +24,7 @@ from scipy.special import zeta
 from convlab.modes import ModeParams, check_mode, mode_spec, probe_key, probes_for
 from convlab.registry import NODE_MODES, ex31, ex32, node_report, shift_uniform
 from convlab.series import analyze_series
-from convlab.testfuncs import ClampedAffine, ClampedIdentity
+from convlab.testfuncs import ClampedAffine, ClampedIdentity, Sine
 
 # every plateau of the families below ends before this index; the longest,
 # ex31(4)'s tail at eps = 0.01, ends at 10^8
@@ -57,7 +57,9 @@ def _two_atom_sum(alpha, kind, value):
     CDF-gap terms are 1 while v lies beyond the probe value, then the first
     atom's mass n^-2.  The p-th moment is n^-2 + v^p - n^-2 v^p, a mixture of
     two powers, and the clamped test functions' gaps are their slopes times
-    the first moment, since both atoms lie in their linear ranges."""
+    the first moment, since both atoms lie in their linear ranges.  The sine
+    gap is n^-2 sin(1) + (1 - n^-2) sin(v), summed term by term of sin's
+    Taylor series, whose terms past v^29 / 29! add below 1e-30."""
     q = 1.0 / alpha
     if kind == "tail":
         n0 = _plateau(lambda ns: ns ** -q >= value)
@@ -69,6 +71,10 @@ def _two_atom_sum(alpha, kind, value):
             return None
         slope = value.K if isinstance(value, ClampedAffine) else 1.0
         return slope * float(zeta(2.0) + zeta(pq) - zeta(2.0 + pq))
+    elif isinstance(value, Sine) and q > 1.0:
+        return math.sin(1.0) * float(zeta(2.0)) + math.fsum(
+            (-1.0) ** k / math.factorial(j) * float(zeta(j * q) - zeta(2.0 + j * q))
+            for k, j in ((k, 2 * k + 1) for k in range(15)))
     else:
         return None
     return n0 + _after_plateau(n0, 2.0)
@@ -105,7 +111,7 @@ def _exact_sum(family, kind, value, power):
 
 
 _FAMILIES = ([shift_uniform(b) for b in (1.2, 1.5, 2.0, 3.0)]
-             + [ex31(a) for a in (0.6, 0.8, 1.5, 2.0, 2.5, 3.0, 4.0)]
+             + [ex31(a) for a in (0.5, 0.6, 0.8, 0.95, 1.5, 2.0, 2.5, 3.0, 4.0)]
              + [ex32(0.5, 2.0), ex32(0.4, 2.0)])
 _SERIES_NODES = [node for node, (mode, _) in NODE_MODES.items() if mode_spec(mode).series]
 
@@ -134,30 +140,13 @@ _PLATEAU_TO_HORIZON = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="the tail model extrapolates the power law from a term still on "
            "the plateau, which ends at or past n_max (ROADMAP item 2)")
-# ex31 with alpha < 1: the first moment n^-2 + n^-q - n^-(2+q) mixes two
-# powers.  Its law states the slower one, and the tail model extrapolates
-# that single power from the last term (sl1).  The clamped test functions'
-# gaps have no law, and the fit reads one power where there are two
-# (s1d, s1star).
-_HINTED_MIXTURE = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="a single power law's tail model misses a two-power mixture "
-           "(ROADMAP item 3)")
-_FITTED_MIXTURE = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="a single fitted power misses a two-power mixture (ROADMAP item 6)")
 
 
 def _known_miss(family, node, probe):
     if family.meta.kind != "ex31":
         return ()
-    alpha = family.params["alpha"]
-    if node == "cc" and probe == ("eps", 0.01) and alpha >= 3.0:
+    if node == "cc" and probe == ("eps", 0.01) and family.params["alpha"] >= 3.0:
         return (_PLATEAU_TO_HORIZON,)
-    if alpha < 1.0 and node == "sl1":
-        return (_HINTED_MIXTURE,)
-    if alpha < 1.0 and node in ("s1d", "s1star"):
-        return (_FITTED_MIXTURE,)
     return ()
 
 

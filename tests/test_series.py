@@ -26,12 +26,18 @@ from convlab.series import (DEFAULT_POLICY, DYADIC_WINDOW, EXPONENT_MARGIN,
                             TAIL_TOLERANCE, EnginePolicy, TermLaw, TermSource,
                             _power_tail, _read_terms_by_line, analyze_series,
                             fit_exponent, load_terms_csv, null_sequence_test)
+from convlab.testfuncs import ClampedAffine
 
 
 def power_source(p, law=None):
     return TermSource(
         lambda ns, p=p: ns.astype(float) ** -p, law=law
     )
+
+
+def rate(p, level=None):
+    """The rate law level * n^-p, which holds only eventually."""
+    return TermLaw(None, ((level, p),))
 
 
 def test_policy_validation():
@@ -115,7 +121,7 @@ def test_tiny_negative_noise_clamped():
 def test_hint_eventually_zero():
     src = TermSource(
         lambda ns: (ns <= 5).astype(float),
-        law=TermLaw(math.inf, start=5),
+        law=TermLaw(start=6),
     )
     v = analyze_series(src)
     assert v.converges
@@ -132,7 +138,7 @@ def test_zero_law_starting_past_the_horizon_is_inconclusive():
         calls.append(len(ns))
         return (ns <= 5000).astype(float)
 
-    law = TermLaw(math.inf, start=5000)
+    law = TermLaw(start=5001)
     for src, policy in ((TermSource(gen, law=law), EnginePolicy(n_max=4096)),
                         (TermSource(gen, law=law, horizon=4096), DEFAULT_POLICY)):
         assert analyze_series(src, policy).to_dict() == {
@@ -147,17 +153,17 @@ def test_zero_law_starting_past_the_horizon_is_inconclusive():
 def test_hint_eventually_constant_diverges():
     src = TermSource(
         lambda ns: np.ones(len(ns)),
-        law=TermLaw(0.0, level=1.0),
+        law=rate(0.0, 1.0),
     )
     assert analyze_series(src).diverges
 
 
 def test_hint_power_boundary():
     assert analyze_series(
-        power_source(1.0, law=TermLaw(1.0))
+        power_source(1.0, law=rate(1.0))
     ).diverges
     v = analyze_series(
-        power_source(1.2, law=TermLaw(1.2))
+        power_source(1.2, law=rate(1.2))
     )
     assert v.converges
     # oracle: zeta(1.2)
@@ -167,7 +173,7 @@ def test_hint_power_boundary():
 
 
 def test_hinted_power_stops_at_tight_sandwich():
-    v = analyze_series(power_source(2.0, law=TermLaw(2.0)))
+    v = analyze_series(power_source(2.0, law=rate(2.0)))
     assert v.converges
     assert v.n_used < 2 ** 13
     assert v.tail_bound < 0.1 * TAIL_TOLERANCE
@@ -195,34 +201,136 @@ def test_power_tail_huge_exponent_is_finite():
 
 
 def test_hint_validation():
-    # a law states nonnegative terms: no negative exponent or level, and no
-    # start before n = 1
-    for bad in (dict(exponent=-1.0), dict(exponent=2.0, level=-1.0),
-                dict(exponent=0.0, level=0.0), dict(exponent=math.inf, start=0)):
+    # a rate law states nonnegative terms: no negative exponent or level; no
+    # law starts before n = 1, and a law from a start knows its constants
+    for bad in (dict(start=None, terms=((None, -1.0),)),
+                dict(start=1, terms=((1.0, -1.0),)), dict(start=0),
+                dict(start=None, terms=((-1.0, 2.0),)),
+                dict(start=None, terms=((0.0, 0.0),)),
+                dict(start=None, terms=((1.0, 2.0), (1.0, 3.0))),
+                dict(start=None, terms=((1.0, 2.0),), remainder=(1.0, 3.0)),
+                dict(start=None, terms=()),
+                dict(start=1, terms=((None, 2.0),)),
+                dict(start=1, terms=((1.0, 2.0),), remainder=(0.0, 3.0)),
+                dict(start=1, terms=((1.0, 2.0),), remainder=(-1.0, 3.0))):
         with pytest.raises(ParameterError):
             TermLaw(**bad)
 
 
 @pytest.mark.parametrize("law", (
-    dict(exponent=math.nan), dict(exponent=2.0, level=math.nan),
-    dict(exponent=2.0, level=math.inf), dict(exponent=0.0, level=-math.inf)))
+    dict(start=None, terms=((None, math.nan),)), dict(start=None, terms=((math.nan, 2.0),)),
+    dict(start=None, terms=((math.inf, 2.0),)), dict(start=None, terms=((-math.inf, 0.0),)),
+    dict(terms=((math.nan, 2.0),)), dict(terms=((1.0, math.inf),)),
+    dict(terms=((1.0, 2.0),), remainder=(1.0, math.nan)),
+    dict(terms=((1.0, 2.0),), remainder=(math.inf, 3.0))))
 def test_law_rejects_nan_exponent_and_non_finite_level(law):
     # a NaN exponent used to give `converges` with a nan sum_estimate
-    with pytest.raises(ParameterError, match="term law needs"):
+    with pytest.raises(ParameterError, match="term law"):
         TermLaw(**law)
 
 
-def test_law_reads_start_and_level_where_the_engine_does():
-    # a zero law scans to its start and has no level; nothing reads the
-    # start of a power or constant law, so a start past 1 would only show
-    # in the evidence
-    for exponent, level in ((2.0, None), (0.0, 1.0)):
-        with pytest.raises(ParameterError, match="only a zero law"):
-            TermLaw(exponent, level=level, start=10 ** 9)
-    with pytest.raises(ParameterError, match="zero law has no level"):
-        TermLaw(math.inf, level=1.0)
-    assert TermLaw(math.inf, start=10 ** 9).to_dict() == {
-        "kind": "eventually_zero", "start": 10 ** 9}
+def test_law_merges_its_terms_by_exponent():
+    # n^-2 + n^-2 - n^-4 + 0 n^-3 is 2 n^-2 - n^-4; terms of one exponent
+    # that cancel drop out
+    law = TermLaw(terms=((-1.0, 4.0), (1.0, 2.0), (0.0, 3.0), (1.0, 2.0)))
+    assert law.terms == ((2.0, 2.0), (-1.0, 4.0))
+    assert (law.exponent, law.level) == (2.0, 2.0)
+    assert TermLaw(terms=((1.0, 5.0), (-1.0, 5.0))) == TermLaw()
+    assert law.to_dict() == {"kind": "power_sum", "terms": [[2.0, 2.0], [-1.0, 4.0]]}
+
+
+def test_zero_law_prints_the_last_term_its_scan_reads():
+    # a_n = 0 from start on: the evidence has always named the last n the
+    # scan reads, start - 1, and left it out at 1
+    assert TermLaw(start=10 ** 9).to_dict() == {
+        "kind": "eventually_zero", "start": 10 ** 9 - 1}
+    assert TermLaw(start=2).to_dict() == {"kind": "eventually_zero"}
+    assert TermLaw(start=3, terms=((1.0, 2.0),)).to_dict() == {
+        "kind": "power", "exponent": 2.0, "constant": 1.0, "exact_from": 3}
+
+
+def test_law_from_a_start_sums_the_terms_before_it_and_zeta_after():
+    # 1 up to n = 4, then exactly n^-2 - n^-3: the sum is 4 + zeta(2, 5) -
+    # zeta(3, 5), and the scan reads the first 4 terms only
+    from scipy.special import zeta
+
+    calls = []
+
+    def gen(ns):
+        calls.append((int(ns[0]), int(ns[-1])))
+        nsf = ns.astype(float)
+        return np.where(ns < 5, 1.0, nsf ** -2.0 - nsf ** -3.0)
+
+    law = TermLaw(start=5, terms=((1.0, 2.0), (-1.0, 3.0)))
+    v = analyze_series(TermSource(gen, law=law))
+    exact = 4.0 + zeta(2.0, 5.0) - zeta(3.0, 5.0)
+    assert v.converges and v.n_used == 4 and v.tail_bound == 0.0
+    assert abs(v.sum_estimate - exact) <= 4.0 * math.ulp(exact)
+    assert (v.p_hat, v.ci_halfwidth) == (2.0, 0.0)
+    assert max(hi for _, hi in calls) == 4
+    # past the horizon the law's start leaves the sum out of reach
+    far = TermLaw(start=5000, terms=((1.0, 2.0),))
+    v = analyze_series(TermSource(gen, law=far), EnginePolicy(n_max=4096))
+    assert v.klass == "inconclusive" and v.n_used == 0 and v is far.verdict("inconclusive")
+
+
+def test_law_remainder_widens_the_interval_around_the_zeta_sum():
+    # n^-2 within 0.5 n^-3 either way: the sum lies within 0.5 zeta(3) of zeta(2)
+    from scipy.special import zeta
+
+    law = TermLaw(terms=((1.0, 2.0),), remainder=(0.5, 3.0))
+    v = analyze_series(TermSource(lambda ns: np.full(len(ns), np.nan), law=law))
+    assert v.converges and v.n_used == 0
+    assert abs(v.sum_estimate - (zeta(2.0) - 0.5 * zeta(3.0))) <= 1e-15
+    assert abs(v.tail_bound - zeta(3.0)) <= 1e-15
+    assert law.to_dict() == {"kind": "power_sum", "terms": [[1.0, 2.0]],
+                             "remainder": [0.5, 3.0]}
+
+
+@pytest.mark.parametrize("law, klass", [
+    # the leading term decides when it is positive and the rest is faster
+    (TermLaw(terms=((1.0, 0.5), (-1.0, 2.5), (1.0, 2.0))), "diverges"),
+    (TermLaw(terms=((2.0, 1.0),), remainder=(1.0, 1.5)), "diverges"),
+    (TermLaw(terms=((1.0, 0.0),)), "diverges"),
+    # a remainder no faster than the leading term, or a negative leading
+    # constant, decides nothing
+    (TermLaw(terms=((1.0, 0.5),), remainder=(1.0, 0.5)), "inconclusive"),
+    (TermLaw(terms=((-1.0, 0.5), (2.0, 3.0))), "inconclusive"),
+    (TermLaw(terms=((1.0, 2.0), (1.0, 1.0))), "diverges"),
+    (TermLaw(terms=((1.0, 2.0),), remainder=(1.0, 1.0)), "inconclusive"),
+])
+def test_law_alone_decides_divergence_only_from_its_leading_term(law, klass):
+    def gen(ns):
+        raise AssertionError("a law from n = 1 reads no term")
+
+    v = analyze_series(TermSource(gen, law=law))
+    assert v.klass == klass and v.n_used == 0
+    assert v is analyze_series(TermSource(gen, law=law))  # built once, by the law
+
+
+@pytest.mark.parametrize("a", (1, 2, 7, 1000, 10 ** 6 + 1))
+def test_hurwitz_zeta_matches_scipy(a):
+    from scipy.special import zeta
+
+    from convlab.series import hurwitz_zeta
+
+    s = np.concatenate([1.0 + np.logspace(-9, 0, 60), np.linspace(2.0, 60.0, 59)])
+    want = zeta(s, float(a))
+    got = hurwitz_zeta(s, a)
+    keep = want > 1e-290
+    assert np.all(np.abs(got - want)[keep] <= 1e-15 * want[keep])
+    # a huge exponent leaves the first term alone, with no nan on the way
+    assert hurwitz_zeta([1e300, 1e15], 1).tolist() == [1.0, 1.0]
+    assert hurwitz_zeta([1e300], 2).tolist() == [0.0]
+
+
+def test_rate_law_whose_terms_are_zero_to_the_horizon_is_inconclusive():
+    # ex31(0.9)'s truncated moment at eps = 1e-7 keeps the second atom only
+    # once n^-(1/0.9) < 1e-7, from n ~ 2e6 on: every term to 10^6 is 0, yet
+    # the series sums to about 1.8, so [0, +0] would not hold it
+    v = analyze_series(ex31(0.9).meta.term_source("trunc_l1", 1e-7, 1.0))
+    assert v.klass == "inconclusive" and v.sum_estimate is None
+    assert v.n_used == DEFAULT_POLICY.n_max
 
 
 def test_constant_law_decides_null_test_without_a_scan():
@@ -232,13 +340,13 @@ def test_constant_law_decides_null_test_without_a_scan():
         calls.append(len(ns))
         return np.ones(len(ns))
 
-    src = TermSource(gen, law=TermLaw(0.0))
+    src = TermSource(gen, law=rate(0.0))
     v = null_sequence_test(src)
     assert v.klass == "stays_above" and v.n_used == 0 and v.level is None
     s = analyze_series(src)
     assert s.klass == "diverges" and s.n_used == 0
     assert calls == []
-    with_level = TermSource(gen, law=TermLaw(0.0, level=0.5))
+    with_level = TermSource(gen, law=rate(0.0, 0.5))
     assert null_sequence_test(with_level).to_dict() == {
         "class": "stays_above", "n_used": 0, "level": 0.5}
     assert calls == []
@@ -266,7 +374,7 @@ def test_null_verdicts_carry_no_evidence():
     v = null_sequence_test(power_source(1.0))
     assert v.tends_to_zero and not v.converges and not v.diverges
     assert v.evidence is None and "evidence" not in v.to_dict()
-    v = null_sequence_test(power_source(1.0, law=TermLaw(0.0, level=2.0)))
+    v = null_sequence_test(power_source(1.0, law=rate(0.0, 2.0)))
     assert v.to_dict() == {"class": "stays_above", "n_used": 0, "level": 2.0}
     assert analyze_series(power_source(2.0)).to_dict()["evidence"] == {
         "method": "exponent_fit"}
@@ -369,12 +477,12 @@ def test_slowly_decaying_stream_does_not_stay_above():
 
 def test_null_sequence_hints():
     assert null_sequence_test(
-        power_source(0.3, law=TermLaw(0.3))
+        power_source(0.3, law=rate(0.3))
     ).tends_to_zero
     v = null_sequence_test(
         TermSource(
             lambda ns: np.ones(len(ns)),
-            law=TermLaw(0.0, level=1.0),
+            law=rate(0.0, 1.0),
         )
     )
     assert v.klass == "stays_above"
@@ -613,13 +721,18 @@ def test_chunked_block_matches_whole_block(monkeypatch):
                 float(np.sum(vals)), vals[0], vals[-1], vals.min(), vals.max()), (cap, n)
 
 
+# clamped inside [0, 1], so no one power series states its two-atom gaps,
+# which have no law and are scanned
+_CLAMPED_INSIDE = ClampedAffine(K=2.0, M=0.5)
+
+
 def test_warm_unhinted_scan_reuses_its_heap():
     # a 10**6-term two-atom scan: its per-chunk numpy temporaries must stay
     # small enough for the allocator to reuse rather than map in afresh.  A
     # source keeps its block sums, so each warm scan runs on a fresh family.
     def fresh_source():
         fam = ex31(2.0)
-        params = ModeParams.defaults(fam)
+        params = ModeParams.defaults(fam, test_functions=(_CLAMPED_INSIDE,))
         return probe_source(fam, "s1d", probes_for("s1d", params)[0], params)
 
     src = fresh_source()
@@ -686,7 +799,7 @@ def _mixed_sources(rec):
     longer = rng.random(5000) * np.arange(1, 5001) ** -1.1
     return {
         "hinted": rec.source("hinted", lambda ns: ns.astype(float) ** -1.5,
-                             law=TermLaw(1.5)),
+                             law=rate(1.5)),
         "p2": rec.source("p2", lambda ns: ns.astype(float) ** -2.0),
         "p12": rec.source("p12", lambda ns: ns.astype(float) ** -1.2),
         "p05": rec.source("p05", lambda ns: ns.astype(float) ** -0.5),
@@ -731,3 +844,16 @@ def test_grouped_scans_equal_ungrouped(test):
     assert again == got
     assert all(start != lo or end == lo + 1
                for _, start, end in together.calls[before:])
+
+
+def test_a_law_shared_by_many_sources_keeps_a_bounded_number_of_verdicts():
+    # one rate law, 200 sources with 200 different sums: the first verdicts
+    # are handed out again, and the law keeps no more than its cap
+    from convlab import series
+
+    law = rate(2.0)
+    policy = EnginePolicy(n_max=256)
+    got = [analyze_series(power_source(2.0 + k / 1000.0, law=law), policy) for k in range(200)]
+    assert len({v.sum_estimate for v in got}) == 200
+    assert analyze_series(power_source(2.0, law=law), policy) is got[0]
+    assert len(law._verdicts) == series._LAW_VERDICTS
