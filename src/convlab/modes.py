@@ -477,12 +477,9 @@ def check_mode(
     probes = probes_for(mode, params)
     if not probes:
         raise ParameterError(f"empty probe set for mode {mode!r}")
-    sources = [probe_source(family, mode, probe, params, use_analytic)
-               for probe in probes]
     test = analyze_series if spec.series else null_sequence_test
-    # each engine call gets the mode's sources, so that its lawless probes
-    # scan their blocks together
-    results = tuple(test(src, policy, sources) for src in sources)
+    results = tuple(test(probe_source(family, mode, probe, params, use_analytic), policy)
+                    for probe in probes)
     keys = _probe_keys(mode, params)
     bad = next((key for key, v in zip(keys, results) if v.klass in _FAILING), None)
     if bad is not None:

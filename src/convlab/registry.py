@@ -119,28 +119,13 @@ def _two_atom_source_factory(r, q):
     term is mean(g) = E g(X_n), or gap(g) = |E g(X_n) - g(0)|, for a g fixed
     by the term kind and probe value."""
 
-    latest = [None, None]  # key and basis of the latest chunk
-
     def basis(ns):
         """(m1, 1 - m1, v2) at ns: the first atom's mass, the second's, and
-        the second atom's value.  A mode's lawless probes are scanned chunk
-        by chunk in turn, so the latest chunk's basis is kept for the next
-        probe's call, keyed by its first index and length when ns is a run
-        of consecutive indices."""
-        consecutive = len(ns) and ns[-1] - ns[0] == len(ns) - 1
-        key = (int(ns[0]), len(ns)) if consecutive else None
-        if key is not None and key == latest[0]:
-            return latest[1]
+        the second atom's value."""
         nsf = ns.astype(float)
         m1 = np.minimum(nsf**-r, 1.0)
         # n^-inf is 0 for every n, but pow gives 1 ** -inf = 1
-        v2 = np.zeros(len(nsf)) if math.isinf(q) else nsf**-q
-        b = (m1, 1.0 - m1, v2)
-        for arr in b:  # shared by the sources: no caller may write to it
-            arr.flags.writeable = False
-        if key is not None:
-            latest[:] = key, b
-        return b
+        return m1, 1.0 - m1, np.zeros(len(nsf)) if math.isinf(q) else nsf**-q
 
     def mean(g, ns):
         m1, m2, v2 = basis(ns)
@@ -276,6 +261,10 @@ def ex31(alpha):
     distributionally in the summable senses."""
     if alpha <= 0:
         raise ParameterError("ex31 needs alpha > 0")
+    if 2.0 ** (-1.0 / alpha) == 1.0:
+        raise ParameterError(
+            f"ex31 needs alpha below about 1.2487e16, got {alpha:g}: past it "
+            "2**(-1/alpha) rounds to 1, and the members do not decay in floats")
     expected = {"cc": "holds", "s2d": "holds"}
     if alpha > 1.0:
         expected.update(s1d="fails", s3d="fails")

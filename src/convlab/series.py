@@ -408,8 +408,8 @@ def _neumaier_add(s, c, v):
 
 
 def _neumaier(values):
-    """Compensated sum of a list of block sums, step for step as a _Scan
-    accumulates it; order-independent rounding error."""
+    """Compensated sum of a list of block sums, step for step as
+    _dense_scan accumulates it; order-independent rounding error."""
     s = c = 0.0
     for v in values:
         s, c = _neumaier_add(s, c, v)
@@ -424,53 +424,34 @@ def _neumaier(values):
 # back to the kernel (by munmap or by trimming the heap), so each chunk
 # faults in zeroed pages again: a warm lawless 10**6-term scan then takes
 # ~12,500 minor faults instead of none.  Below 2**13 the Python overhead per
-# call dominates.  _summaries keeps the sums bit-identical for any _CHUNK of
+# call dominates.  _summary keeps the sums bit-identical for any _CHUNK of
 # at least 128, numpy's pairwise block size.
 _CHUNK = 1 << 13
 
 
-def _summaries(srcs, lo, hi):
-    """[(sum, first, last, min, max) of src.terms(lo, hi) for src in srcs],
-    generated at most _CHUNK terms at a time, every source's chunk in turn
-    before the next chunk.  A longer range is halved where numpy's pairwise
-    summation halves a contiguous array, so each sum is np.sum of the whole
+def _summary(src, lo, hi):
+    """(sum, first, last, min, max) of src.terms(lo, hi), generated at most
+    _CHUNK terms at a time.  A longer range is halved where numpy's pairwise
+    summation halves a contiguous array, so the sum is np.sum of the whole
     block to the bit."""
     n = hi - lo
     if n <= _CHUNK:
-        out = []
-        for src in srcs:
-            arr = src.terms(lo, hi)
-            out.append((float(np.sum(arr)), float(arr[0]), float(arr[-1]),
-                        float(arr.min()), float(arr.max())))
-        return out
+        arr = src.terms(lo, hi)
+        return (float(np.sum(arr)), float(arr[0]), float(arr[-1]),
+                float(arr.min()), float(arr.max()))
     half = n // 2
     mid = lo + half - half % 8
-    return [(sum1 + sum2, first, last, min(min1, min2), max(max1, max2))
-            for (sum1, first, _, min1, max1), (sum2, _, last, min2, max2)
-            in zip(_summaries(srcs, lo, mid), _summaries(srcs, mid, hi))]
+    sum1, first, _, min1, max1 = _summary(src, lo, mid)
+    sum2, _, last, min2, max2 = _summary(src, mid, hi)
+    return sum1 + sum2, first, last, min(min1, min2), max(max1, max2)
 
 
-def _fill(srcs, lo, hi):
-    """Evaluate block [lo, hi) for those of srcs that have not yet, together."""
-    todo = [src for src in srcs if (lo, hi) not in src._blocks]
-    if todo:
-        for src, summary in zip(todo, _summaries(todo, lo, hi)):
-            src._blocks[(lo, hi)] = summary
-
-
-def _block(src, lo, hi, companions=()):
-    """(sum, first, last, min, max) of src.terms(lo, hi), evaluated once, and
-    together with the companions' blocks [lo, hi) where they miss it too."""
-    _fill([src, *companions], lo, hi)
-    return src._blocks[(lo, hi)]
-
-
-def _companions(src, policy, n_max, group):
-    """The other lawless sources of src's group with src's horizon: their
-    blocks coincide with src's, so src's scan can evaluate theirs
-    alongside."""
-    return [s for s in dict.fromkeys(group)
-            if s is not src and s.law is None and s.effective_n_max(policy) == n_max]
+def _block(src, lo, hi):
+    """(sum, first, last, min, max) of src.terms(lo, hi), evaluated once."""
+    summary = src._blocks.get((lo, hi))
+    if summary is None:
+        summary = src._blocks[(lo, hi)] = _summary(src, lo, hi)
+    return summary
 
 
 def _dyadic_blocks(n_max):
@@ -542,63 +523,31 @@ def _power_tail(partial, a_last, n_last, p):
 _HORIZON_FRACTION = 0.1
 
 
-class _Scan:
-    """One source's dense dyadic-block scan: partial sums and blowup
-    detection.
+def _dense_scan(src, n_max, exponent=None):
+    """src's dense dyadic-block scan up to n_max, as (partial, a_last,
+    n_last, last_max, blowup_at): the partial sum of the blocks read, the
+    last term, its index and the last block's largest term, and the index
+    where the partial sum blew up, None where it did not.  Pairwise numpy
+    summation inside a block (deterministic for a fixed block layout),
+    compensated accumulation across blocks.
 
     With a rate law's exponent > 1 the scan stops early, after at least
     DYADIC_WINDOW blocks, at the first block whose last term is positive and
     whose _power_tail sandwich is narrower than
     _HORIZON_FRACTION * TAIL_TOLERANCE.
     """
-
-    def __init__(self, src, exponent=None):
-        self.src = src
-        self.exponent = exponent
-        self.blocks = 0
-        self.s = self.c = 0.0  # the running compensated sum of the block sums
-        self.partial = 0.0
-        self.blowup_at = None
-        self.last_max = None
-        self.a_last = 0.0
-        self.n_last = 0
-        self.done = False
-
-    def add(self, lo, hi):
-        # pairwise numpy summation inside the block (deterministic for a fixed
-        # block layout), compensated accumulation across blocks
-        block_sum, _, self.a_last, _, self.last_max = self.src._blocks[(lo, hi)]
-        self.blocks += 1
-        self.s, self.c = _neumaier_add(self.s, self.c, block_sum)
-        self.partial = self.s + self.c
-        self.n_last = hi - 1
-        if self.partial > BLOWUP_THRESHOLD:
-            self.blowup_at = hi - 1
-            self.done = True
-        elif (
-            self.exponent is not None
-            and self.blocks >= DYADIC_WINDOW
-            and self.a_last > 0.0
-            and _power_tail(self.partial, self.a_last, self.n_last, self.exponent)[1]
-            < _HORIZON_FRACTION * TAIL_TOLERANCE
-        ):
-            self.done = True
-
-
-def _dense_scan(src, policy, n_max, exponent=None, group=()):
-    """src's _Scan up to n_max.  A lawless scan runs its companions' scans
-    in step with its own, each to its own stop, so that every block any of
-    them reads is evaluated for all of them at once."""
-    scan = _Scan(src, exponent)
-    scans = [scan] + [_Scan(s) for s in _companions(src, policy, n_max, group)]
-    for lo, hi in _dyadic_blocks(n_max):
-        if scan.done:
+    s = c = 0.0
+    for k, (lo, hi) in enumerate(_dyadic_blocks(n_max), start=1):
+        block_sum, _, a_last, _, last_max = _block(src, lo, hi)
+        s, c = _neumaier_add(s, c, block_sum)
+        partial, n_last = s + c, hi - 1
+        if partial > BLOWUP_THRESHOLD:
+            return partial, a_last, n_last, last_max, n_last
+        if (exponent is not None and k >= DYADIC_WINDOW and a_last > 0.0
+                and _power_tail(partial, a_last, n_last, exponent)[1]
+                < _HORIZON_FRACTION * TAIL_TOLERANCE):
             break
-        live = [sc for sc in scans if not sc.done]
-        _fill([sc.src for sc in live], lo, hi)
-        for sc in live:
-            sc.add(lo, hi)
-    return scan
+    return partial, a_last, n_last, last_max, None
 
 
 def _analyze_with_law(src, policy):
@@ -614,47 +563,40 @@ def _analyze_with_law(src, policy):
         return law.verdict("diverges")
     n_max = src.effective_n_max(policy)
     if law.start is None:
-        scan = _dense_scan(src, policy, n_max, exponent=law.exponent)
-        if scan.partial == 0.0:
-            return law.verdict("inconclusive", n_used=scan.n_last)
-        est, bound = _power_tail(scan.partial, scan.a_last, scan.n_last, law.exponent)
-        return law.verdict("converges", est, bound, scan.n_last)
+        partial, a_last, n_last, _, _ = _dense_scan(src, n_max, law.exponent)
+        if partial == 0.0:
+            return law.verdict("inconclusive", n_used=n_last)
+        est, bound = _power_tail(partial, a_last, n_last, law.exponent)
+        return law.verdict("converges", est, bound, n_last)
     n_used = law.start - 1
     if law.exponent <= 1.0 or n_used > n_max:
         return law.verdict("inconclusive")
-    head = _dense_scan(src, policy, n_used).partial if n_used else 0.0
+    head = _dense_scan(src, n_used)[0] if n_used else 0.0
     low, width = law.tail
     return law.verdict("converges", head + low, width, n_used)
 
 
-def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
-                   group=()) -> Verdict:
-    """Classify sum a_n as convergent/divergent/inconclusive with evidence.
-
-    group names the sources checked alongside src (one mode's probes): a
-    lawless scan evaluates each block it misses for every lawless member
-    with its horizon whose own scan would read it next, chunk by chunk, so a
-    generator can share per-chunk work between them."""
+def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Verdict:
+    """Classify sum a_n as convergent/divergent/inconclusive with evidence."""
     if src.law is not None:
         return _analyze_with_law(src, policy)
-    n_max = src.effective_n_max(policy)
-    scan = _dense_scan(src, policy, n_max, group=group)
-    n_used = scan.n_last
-    if scan.blowup_at is not None:
+    partial, a_last, n_used, last_max, blowup_at = _dense_scan(
+        src, src.effective_n_max(policy))
+    if blowup_at is not None:
         return Verdict(
             "diverges",
             evidence={
                 "method": "partial_sum_blowup",
                 "threshold": BLOWUP_THRESHOLD,
-                "at_n": scan.blowup_at,
+                "at_n": blowup_at,
             },
-            n_used=scan.blowup_at,
+            n_used=blowup_at,
         )
-    if scan.last_max == 0.0:
+    if last_max == 0.0:
         # terms have died out within the probed range
         return Verdict(
             "converges",
-            sum_estimate=scan.partial,
+            sum_estimate=partial,
             tail_bound=0.0,
             evidence=_ZERO_OBSERVED,
             n_used=n_used,
@@ -675,7 +617,7 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
             n_used=n_used,
         )
     if p_hat - ci >= 1.0 + EXPONENT_MARGIN:
-        est, bound = _power_tail(scan.partial, scan.a_last, n_used, p_hat)
+        est, bound = _power_tail(partial, a_last, n_used, p_hat)
         if bound < TAIL_TOLERANCE:
             return Verdict(
                 "converges",
@@ -702,16 +644,13 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
     )
 
 
-def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY,
-                       group=()) -> Verdict:
+def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Verdict:
     """Decide whether a_n -> 0: the test behind the classical limit modes.
-    group is as for analyze_series; a source with a law reads no term."""
+    A source with a law reads no term."""
     if src.law is not None:
         return src.law.null_verdict
-    n_max = src.effective_n_max(policy)
-    lo, hi = _dyadic_blocks(n_max)[-1]
-    # every companion's null test reads this same last block
-    _, _, _, last_min, last_max = _block(src, lo, hi, _companions(src, policy, n_max, group))
+    lo, hi = _dyadic_blocks(src.effective_n_max(policy))[-1]
+    _, _, _, last_min, last_max = _block(src, lo, hi)
     n_used = hi - 1
     if last_max < NULL_TOLERANCE:
         return Verdict("tends_to_zero", n_used=n_used)

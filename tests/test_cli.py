@@ -340,6 +340,25 @@ def test_diagnose_fuzzed_family_parameters_exit_cleanly(family, modes):
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
 
 
+@pytest.mark.parametrize("alpha", ["1.25e16", "1e308"])
+def test_diagnose_ex31_alpha_past_float_decay_exit_2(capsys, alpha):
+    # 2**(-1/alpha) rounds to 1 there, so no member decays in floats; the
+    # CLI names the bound rather than certify modes of X_n = 1
+    code, out, err = run(capsys, "diagnose", "--family", "ex31", "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert "alpha below about 1.2487e16" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["1e15", "1e16"])
+def test_diagnose_ex31_alpha_below_the_bound_still_diagnoses(capsys, alpha):
+    code, out, _ = run(capsys, "diagnose", "--family", "ex31", "--alpha", alpha,
+                       "--modes", "cc,as", "--format", "json")
+    assert code == 0
+    assert [r["verdict"] for r in json.loads(out)["reports"]] == ["holds", "holds"]
+
+
 def test_diagnose_huge_exponent_no_overflow(capsys):
     code, _, err = run(capsys, "diagnose", "--family", "ex32", "--alpha", "0.5",
                        "--beta", "1e300", "--modes", "s3d")

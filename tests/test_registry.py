@@ -265,6 +265,38 @@ def test_boundary_witnesses_violate_no_edge():
     assert got["ex31(alpha=50)", "dist"] == "holds"
 
 
+def _parameter_grid():
+    """Each builder over its parameter range, edges included: 62 families."""
+    fams = [ex31(a) for a in (0.3, 0.5, 0.6, 0.8, 0.9, 0.95, 0.97, 1.0, 1.5, 2.0,
+                              3.0, 10.0, 50.0, 100.0)]
+    fams += [ex32(a, b) for a in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)
+             for b in (1.2, 2.0, 3.0, 5.0, 10.0)]
+    fams += [ex32(0.5, 2.0 - 1e-9), ex32(0.5, 2.0 + 1e-9)]
+    fams += [shift_uniform(b) for b in (1.0 + 1e-9, 1.01, 1.2, 1.5, 2.0, 5.0, 20.0)]
+    fams += [constant_family(c) for c in (-1.0, 0.0, 0.7)] + [ex33()]
+    return fams
+
+
+def test_parameter_grid_sweeps_clean():
+    # the builders across their ranges: every family has its own name,
+    # none breaks an edge or misses its expected verdicts, every cell is
+    # decided, and the grid witnesses 73 non-implications and leaves 37 open
+    fams = _parameter_grid()
+    assert len({fam.name for fam in fams}) == len(fams) == 62
+    try:
+        report = soundness_sweep(mode_diagram(), fams)
+    finally:
+        # the families share laws, and each law keeps only its first
+        # _LAW_VERDICTS verdicts: later tests get laws with room to share
+        registry._law.cache_clear()
+    assert report.violations == []
+    assert report.coverage_gaps == []
+    assert (len(report.witnessed), len(report.open_pairs)) == (73, 37)
+    # past the bound 2**(-1/alpha) is 1 in floats: no member would decay
+    with pytest.raises(ParameterError, match="1.2487e16"):
+        ex31(1e308)
+
+
 @pytest.fixture(scope="module")
 def seed0_sweep():
     return soundness_sweep(mode_diagram(), default_registry())
@@ -1038,7 +1070,7 @@ def _certification_cases():
     """(family, reference, boundary alphas): ex31 at alpha = 1 (q = 1) and
     q * alpha = 1, ex32 on (1 - alpha) * beta = 1 and beta * alpha = 1."""
     cases = [(ex31(a), _ref_two_atom_certifies(2.0, 1.0 / a), (a, 1.0 / (1.0 / a)))
-             for a in (1e-300, 1e-3, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.7, 2.0, 49.0, 1e300)]
+             for a in (1e-300, 1e-3, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.7, 2.0, 49.0, 1e16)]
     cases.append((ex33(), _ref_two_atom_certifies(1.0, math.inf), ()))
     for alpha, beta in [(0.5, 2.0), (0.75, 4.0), (0.2, 1.25), (0.4, 2.0), (0.5, 1.01),
                         (0.1, 1.1), (0.9, 10.0), (0.95, 20.0), (1e-9, 1.5)]:
@@ -1094,20 +1126,17 @@ def test_power_hints_decay_at_least_as_the_table_says(family):
 
 
 @pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)
-def test_two_atom_chunk_basis_keeps_terms_bit_identical(family, ref):
-    # a family's sources share the latest chunk's (m1, 1 - m1, v2): chunks
-    # taken source by source, repeated, overlapping or of scattered indices
-    # must all give the reference terms to the bit
+def test_two_atom_terms_match_reference_on_scattered_indices(family, ref):
+    # the generators take any index array, not only the consecutive runs a
+    # scan passes: runs, overlapping runs and scattered indices all give the
+    # reference terms to the bit
     params = ModeParams.defaults(family, alpha=2.0)
     pairs = [(family.meta.term_source(*_term_args(mode, probe, params)),
               ref[0](mode, probe, params))
              for mode in ALL_MODES for probe in probes_for(mode, params)]
     index_sets = [np.arange(lo, hi) for lo, hi in (
-        (1, 9), (1, 9), (1, 8), (5, 13), (100, 8292), (100, 8292), (8292, 9000))]
+        (1, 9), (1, 8), (5, 13), (100, 8292), (8292, 9000))]
     index_sets += [np.array([1, 2, 4, 8]), np.array([1, 3, 5, 8]), np.array([7])]
-    for ns in index_sets:
-        for got, want in pairs:
-            assert got.generator(ns).tobytes() == want.generator(ns).tobytes(), ns
     for got, want in pairs:
         for ns in index_sets:
             assert got.generator(ns).tobytes() == want.generator(ns).tobytes(), ns

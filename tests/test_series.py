@@ -775,75 +775,47 @@ def test_stream_zero_to_its_end_still_converges(values):
     assert null_sequence_test(src).tends_to_zero
 
 
-class Recorder:
-    """Term streams that log each generator call as (name, lo, hi)."""
+def _counted_sources(calls):
+    """A lawful, lawless, blowing-up, capped and finite-length mix, each of
+    whose generator calls appends its number of terms to calls."""
+    rng = np.random.default_rng(3)
+    short = rng.random(3000) * np.arange(1, 3001) ** -2.0
 
-    def __init__(self):
-        self.calls = []
-
-    def source(self, name, fn, **kwargs):
+    def source(fn, **kwargs):
         def gen(ns):
-            self.calls.append((name, int(ns[0]), int(ns[-1]) + 1))
+            calls.append(len(ns))
             return fn(ns)
 
         return TermSource(gen, **kwargs)
 
-    def terms(self, name):
-        return sum(hi - lo for who, lo, hi in self.calls if who == name)
-
-
-def _mixed_sources(rec):
-    """A lawful, lawless, blowing-up, capped and finite-length mix."""
-    rng = np.random.default_rng(3)
-    short = rng.random(3000) * np.arange(1, 3001) ** -2.0
-    longer = rng.random(5000) * np.arange(1, 5001) ** -1.1
-    return {
-        "hinted": rec.source("hinted", lambda ns: ns.astype(float) ** -1.5,
-                             law=rate(1.5)),
-        "p2": rec.source("p2", lambda ns: ns.astype(float) ** -2.0),
-        "p12": rec.source("p12", lambda ns: ns.astype(float) ** -1.2),
-        "p05": rec.source("p05", lambda ns: ns.astype(float) ** -0.5),
-        "blowup": rec.source("blowup", lambda ns: np.full(len(ns), 200.0)),
-        "capped": rec.source("capped", lambda ns: ns.astype(float) ** -3.0,
-                             horizon=4096),
-        "zeros": rec.source("zeros", lambda ns: (ns < 40) * 1.0),
-        "short": rec.source("short", lambda ns: short[ns - 1], horizon=short.size),
-        "longer": rec.source("longer", lambda ns: longer[ns - 1], horizon=longer.size),
-    }
+    return [
+        source(lambda ns: ns.astype(float) ** -1.5, law=rate(1.5)),
+        source(lambda ns: ns.astype(float) ** -2.0),
+        source(lambda ns: ns.astype(float) ** -0.5),
+        source(lambda ns: np.full(len(ns), 200.0)),
+        source(lambda ns: ns.astype(float) ** -3.0, horizon=4096),
+        source(lambda ns: (ns < 40) * 1.0),
+        source(lambda ns: short[ns - 1], horizon=short.size),
+    ]
 
 
 @pytest.mark.parametrize("test", (analyze_series, null_sequence_test))
-def test_grouped_scans_equal_ungrouped(test):
-    # every source gets the same verdict, field for field, and evaluates the
-    # same terms, whether or not it scans alongside the rest of its group
+def test_a_second_check_of_a_source_reads_its_blocks_from_the_memo(test):
+    # the same check again gives the same verdict and evaluates no block: a
+    # scan reads every term again from the source's block summaries, and a
+    # null test's decay fit reads again only the single anchor terms of the
+    # blocks it never evaluated
     policy = EnginePolicy(n_max=50_000)
-    alone, together = Recorder(), Recorder()
-    lone = _mixed_sources(alone)
-    want = {name: test(src, policy) for name, src in lone.items()}
-    grouped = _mixed_sources(together)
-    group = tuple(grouped.values())
-    got = {name: test(src, policy, group) for name, src in grouped.items()}
-    for name in grouped:
-        assert got[name] == want[name], name
-        assert got[name].to_dict() == want[name].to_dict(), name
-        assert together.terms(name) == alone.terms(name), name
-    # lawless members with one horizon took their chunks in turn: in a
-    # scan the hinted source (the one with a law) went alone and the blown-up
-    # one had stopped; in a null test the hinted one read no terms
+    calls = []
+    sources = _counted_sources(calls)
+    first = [test(src, policy) for src in sources]
+    assert max(calls) > 1
+    calls.clear()
+    assert [test(src, policy) for src in sources] == first
     if test is analyze_series:
-        lo, want_names = 8192, ["hinted", "p2", "p12", "p05", "zeros"]
-        assert want["blowup"].klass == "diverges"
-        assert together.terms("p12") == 50_000
+        assert calls == []
     else:
-        lo, want_names = 32768, ["p2", "p12", "p05", "blowup", "zeros"]
-    assert [who for who, start, end in together.calls
-            if start == lo and end > lo + 1] == want_names
-    # a second pass reads every block from the sources' memos
-    before = len(together.calls)
-    again = {name: test(src, policy, group) for name, src in grouped.items()}
-    assert again == got
-    assert all(start != lo or end == lo + 1
-               for _, start, end in together.calls[before:])
+        assert calls and set(calls) == {1}
 
 
 def test_a_law_shared_by_many_sources_keeps_a_bounded_number_of_verdicts():
