@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -105,7 +104,7 @@ class ModeParams:
     omega_points: tuple = tuple(van_der_corput(i) for i in range(1, 18))
 
     def __post_init__(self):
-        # tuples throughout, so that params can key _params_summary's cache
+        # tuples throughout, so that params can key _report_shape's cache
         for name in ("epsilons", "x_points", "t_points", "test_functions",
                      "omega_points"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
@@ -385,13 +384,12 @@ def certified(family, mode, params):
 
 
 def probe_key(probe):
-    # interned: every report of a probe shares one key string
     axis, value = probe
     if axis == "all":
         return "all"
     if axis == "f":
-        return sys.intern(f"f={value.name}")
-    return sys.intern(f"{axis}={value!r}")
+        return f"f={value.name}"
+    return f"{axis}={value!r}"
 
 
 @dataclass(slots=True)
@@ -433,27 +431,22 @@ class ModeReport:
 
 
 @functools.lru_cache(maxsize=256)
-def _probe_keys(mode, params):
-    """The keys of a mode's probes, in probe order; one tuple shared by
-    every report of (mode, params)."""
-    return tuple(probe_key(probe) for probe in probes_for(mode, params))
-
-
-@functools.lru_cache(maxsize=256)
-def _params_summary(mode, params):
-    """The probe values a report shows; one dict shared by every report of
-    (mode, params), which to_dict() copies."""
+def _report_shape(mode, params):
+    """(probe keys in probe order, the probe values a report shows): one
+    tuple and one dict shared by every report of (mode, params), whose
+    to_dict() copies the dict."""
     spec = mode_spec(mode)
-    out = {"alpha": params.alpha} if spec.alpha else {}
+    keys = tuple(probe_key(probe) for probe in probes_for(mode, params))
+    summary = {"alpha": params.alpha} if spec.alpha else {}
     for axis, _ in spec.axes:
         if axis == "p":
-            out["p"] = params.p
+            summary["p"] = params.p
         elif axis in _AXIS_FIELDS:
             vals = _axis_values(axis, params)
             if axis == "f":
                 vals = [f.name for f in vals]
-            out[_AXIS_FIELDS[axis]] = list(vals)
-    return out
+            summary[_AXIS_FIELDS[axis]] = list(vals)
+    return keys, summary
 
 
 def check_mode(
@@ -480,7 +473,7 @@ def check_mode(
     test = analyze_series if spec.series else null_sequence_test
     results = tuple(test(probe_source(family, mode, probe, params, use_analytic), policy)
                     for probe in probes)
-    keys = _probe_keys(mode, params)
+    keys, summary = _report_shape(mode, params)
     bad = next((key for key, v in zip(keys, results) if v.klass in _FAILING), None)
     if bad is not None:
         verdict_tag, witness = VERDICT_FAILS, bad
@@ -497,5 +490,5 @@ def check_mode(
         witness=witness,
         probe_verdicts=results,
         probe_keys=keys,
-        params_used=_params_summary(mode, params),
+        params_used=summary,
     )

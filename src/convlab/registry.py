@@ -30,9 +30,9 @@ from .testfuncs import ClampedIdentity, Sine
 SCHEMA_VERSION = 1
 
 
-# Laws are immutable: one per (start, terms, remainder) serves every source,
-# and every verdict resting on it shares its evidence dict and the verdicts
-# that read no term.
+# Laws are immutable: one object per (start, terms, remainder) serves every
+# source, so that each law's zeta tail is computed once.  Verdicts on a law
+# are shared by its value in the engine, not through this cache.
 _law = functools.lru_cache(maxsize=256)(TermLaw)
 
 
@@ -518,16 +518,10 @@ class ImplicationDiagram:
         reach = {n: set() for n in self.nodes}
         for a, b in self.edges:
             reach[a].add(b)
-        changed = True
-        while changed:
-            changed = False
+        for k in self.nodes:  # Warshall: every a that reaches k takes k's reach
             for a in self.nodes:
-                extra = set()
-                for b in reach[a]:
-                    extra |= reach[b] - reach[a]
-                if extra:
-                    reach[a] |= extra
-                    changed = True
+                if k in reach[a]:
+                    reach[a] |= reach[k]
         edges = tuple(sorted((a, b) for a in self.nodes for b in reach[a] if a != b))
         return ImplicationDiagram(self.nodes, edges)
 

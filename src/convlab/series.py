@@ -18,7 +18,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -87,9 +87,6 @@ def hurwitz_zeta(s, a):
         # two factors overflows, and 0 * inf would be nan
         t = t * ((s + 2 * j - 1) / x) * ((s + 2 * j) / x)
     return total
-
-
-_LAW_VERDICTS = 64  # distinct verdicts a TermLaw keeps to hand out again
 
 
 @dataclass(frozen=True)
@@ -229,29 +226,6 @@ class TermLaw:
         half = self.remainder[0] * zetas[-1] if self.remainder is not None else 0.0
         return mid - half, 2.0 * half
 
-    # A verdict on a law follows from the law and the few figures its terms
-    # give, so each distinct one is built once and shared, like the
-    # evidence: every probe, and every sweep, reaching it gets that object.
-    # A law that many sources share (one two-atom tail law serves every
-    # ex31) keeps at most _LAW_VERDICTS of them.
-
-    @cached_property
-    def _verdicts(self):
-        return {}
-
-    def verdict(self, klass, sum_estimate=None, tail_bound=None, n_used=0):
-        """analyze_series's verdict of this class on this law, with these
-        figures; a verdict that decides carries the law's rate."""
-        key = (klass, sum_estimate, tail_bound, n_used)
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            rate = self.rate if klass != "inconclusive" else {}
-            verdict = Verdict(klass, sum_estimate, tail_bound, self.evidence,
-                              n_used=n_used, **rate)
-            if len(self._verdicts) < _LAW_VERDICTS:
-                self._verdicts[key] = verdict
-        return verdict
-
     @cached_property
     def null_verdict(self):
         """null_sequence_test's verdict on this law."""
@@ -282,9 +256,10 @@ class TermSource:
     expensive generators (per-term quadrature) set it low and rely on laws
     or anchor fits.
 
-    A source remembers the summary of each dyadic block it has evaluated,
-    so a second scan of it (another mode's probe on the same terms) costs
-    no terms.
+    A source remembers the summary of each block it has evaluated (a dyadic
+    block, or the one term the decay fit reads as its anchor), so a second
+    scan or fit of it (another mode's probe on the same terms) costs no
+    terms.
     """
 
     def __init__(self, generator, law=None, horizon=None):
@@ -490,15 +465,15 @@ def _anchor_fit(anchor_ns, anchor_vals, window):
 def fit_exponent(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY):
     """Fit a_n ~ C n**(-p) on the terms at the dyadic block starts 1, 2, 4,
     ... up to the source's horizon; returns (p_hat, ci_halfwidth).  Each
-    anchor is its block's first term, read from the block memo where the
-    block has been evaluated and evaluated on its own where not.
+    anchor is its block's first term, read from the block memo: from the
+    whole block where that has been evaluated, else from the block of that
+    one term.
 
     Raises TooFewAnchors when fewer than DYADIC_WINDOW anchors have a
     positive term.
     """
     blocks = _dyadic_blocks(src.effective_n_max(policy))
-    anchors = [src._blocks[b][1] if b in src._blocks else src.terms(b[0], b[0] + 1)[0]
-               for b in blocks]
+    anchors = [(src._blocks.get(b) or _block(src, b[0], b[0] + 1))[1] for b in blocks]
     return _anchor_fit([lo for lo, _ in blocks], anchors, DYADIC_WINDOW)
 
 
@@ -550,6 +525,19 @@ def _dense_scan(src, n_max, exponent=None):
     return partial, a_last, n_last, last_max, None
 
 
+# 4096: the seed 0-9 sweeps build 519 distinct law verdicts, a 62-family
+# parameter grid 662
+@lru_cache(maxsize=4096)
+def _law_verdict(law, klass, sum_estimate=None, tail_bound=None, n_used=0):
+    """analyze_series's verdict of this class on this law, with these
+    figures; a verdict that decides carries the law's rate.  It follows from
+    the law's value and these figures alone, so each distinct one is built
+    once and shared, like the law's evidence, by every probe and every sweep
+    that reaches it, whichever source or law object it comes from."""
+    rate = law.rate if klass != "inconclusive" else {}
+    return Verdict(klass, sum_estimate, tail_bound, law.evidence, n_used=n_used, **rate)
+
+
 def _analyze_with_law(src, policy):
     """Exact comparison with the source's law.  A law that diverges reads
     no term.  A law from a start sums the terms before it densely and adds
@@ -560,20 +548,20 @@ def _analyze_with_law(src, policy):
     past it."""
     law = src.law
     if law.diverges:
-        return law.verdict("diverges")
+        return _law_verdict(law, "diverges")
     n_max = src.effective_n_max(policy)
     if law.start is None:
         partial, a_last, n_last, _, _ = _dense_scan(src, n_max, law.exponent)
         if partial == 0.0:
-            return law.verdict("inconclusive", n_used=n_last)
+            return _law_verdict(law, "inconclusive", n_used=n_last)
         est, bound = _power_tail(partial, a_last, n_last, law.exponent)
-        return law.verdict("converges", est, bound, n_last)
+        return _law_verdict(law, "converges", est, bound, n_last)
     n_used = law.start - 1
     if law.exponent <= 1.0 or n_used > n_max:
-        return law.verdict("inconclusive")
+        return _law_verdict(law, "inconclusive")
     head = _dense_scan(src, n_used)[0] if n_used else 0.0
     low, width = law.tail
-    return law.verdict("converges", head + low, width, n_used)
+    return _law_verdict(law, "converges", head + low, width, n_used)
 
 
 def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Verdict:

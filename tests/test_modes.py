@@ -14,7 +14,7 @@ from convlab import space
 from convlab.errors import ParameterError
 from convlab.modes import (ALL_MODES, LIMIT_MODES, MODES, SERIES_MODES,
                            UNIVERSAL_MODES, Family, FamilyMeta, ModeParams,
-                           _params_summary, check_mode, generic_term,
+                           _report_shape, check_mode, generic_term,
                            probe_key, probe_source, probes_for, term_cc, term_s1d,
                            term_s1star, term_s2d, term_s3d, term_sa_as,
                            term_slinf, term_slp, term_trunc_l1,
@@ -342,7 +342,7 @@ def test_mode_table_matches_reference_dispatch(family):
         for mode in ALL_MODES:
             probes = probes_for(mode, params)
             assert probes == reference_probes(mode, params)
-            assert (list(_params_summary(mode, params).items())
+            assert (list(_report_shape(mode, params)[1].items())
                     == list(reference_summary(mode, params).items()))
             for probe in probes:
                 for n in (1, 2, 5, 40):

@@ -283,12 +283,7 @@ def test_parameter_grid_sweeps_clean():
     # decided, and the grid witnesses 73 non-implications and leaves 37 open
     fams = _parameter_grid()
     assert len({fam.name for fam in fams}) == len(fams) == 62
-    try:
-        report = soundness_sweep(mode_diagram(), fams)
-    finally:
-        # the families share laws, and each law keeps only its first
-        # _LAW_VERDICTS verdicts: later tests get laws with room to share
-        registry._law.cache_clear()
+    report = soundness_sweep(mode_diagram(), fams)
     assert report.violations == []
     assert report.coverage_gaps == []
     assert (len(report.witnessed), len(report.open_pairs)) == (73, 37)
@@ -1152,8 +1147,8 @@ def _small_sweep():
 
 def test_kept_sweep_report_stays_small():
     # reports share their laws' evidence dicts and one verdict per (law,
-    # outcome), the lawless outcomes' constant evidence, one params summary and
-    # one probe-key tuple per (mode, params), and the diagram's node pairs;
+    # outcome, figures), the lawless outcomes' constant evidence, one params
+    # summary and probe-key tuple per (mode, params), and the diagram's node pairs;
     # a report keeps its probe verdicts in a tuple.  Before that sharing a
     # kept report held about 190 KiB, about 100 KiB with a verdict per
     # law-only probe, and about 73 KiB with a dict of verdicts per report
@@ -1175,8 +1170,9 @@ def test_kept_sweep_report_stays_small():
 
 def test_sweeps_share_the_verdicts_that_rest_on_a_law():
     # a verdict on a law follows from the law and the figures its terms
-    # give, and is built once: every sweep hands out the law's one Verdict
-    # object for it, and every catalog probe has a law
+    # give, and is built once: every sweep hands out one Verdict object for
+    # it, also after the parameter grid's sweep earlier in this file, and
+    # every catalog probe has a law
     a, b = _small_sweep(), _small_sweep()
     for cell, rep in a.verdicts.items():
         for v, w in zip(rep.probe_verdicts, b.verdicts[cell].probe_verdicts):
