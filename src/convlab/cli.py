@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import sys
 
@@ -32,6 +33,10 @@ EXIT_ERROR = 1
 EXIT_PARAMETER = 2
 EXIT_ACCURACY = 3
 EXIT_VIOLATION = 4
+
+# diagnose's family flags: every parameter a registered builder takes
+_FAMILY_PARAMS = tuple(dict.fromkeys(
+    name for build in _BUILDERS.values() for name in inspect.signature(build).parameters))
 
 
 def _policy_from(args):
@@ -78,15 +83,6 @@ def cmd_list(args):
     return EXIT_OK
 
 
-def _family_from_args(args):
-    params = {}
-    for key in ("alpha", "beta", "c"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return build_family(args.family, **params)
-
-
 def _dump_terms(fh, path, family, modes, count):
     """Per-term CSV: mode, probe, n, term.  Deterministic ordering.  Closes
     fh: a short dump stays in the write buffer, so a full disk shows only
@@ -114,7 +110,8 @@ def cmd_diagnose(args):
     if args.dump_count > policy.n_max:
         raise ParameterError(f"--dump-count must be at most the horizon "
                              f"n_max={policy.n_max}, got {args.dump_count}")
-    family = _family_from_args(args)
+    family = build_family(args.family, **{k: v for k, v in vars(args).items()
+                                          if k in _FAMILY_PARAMS})
     modes = args.modes.split(",") if args.modes else list(ALL_MODES)
     # open the dump file first, so an unwritable path fails before any work
     dump = contextlib.nullcontext()
@@ -247,9 +244,8 @@ def build_parser():
     p_diag = sub.add_parser("diagnose", help="classify modes for one family")
     p_diag.add_argument("--family", required=True,
                         help=f"family kind: {', '.join(sorted(_BUILDERS))}")
-    p_diag.add_argument("--alpha", type=float, default=None)
-    p_diag.add_argument("--beta", type=float, default=None)
-    p_diag.add_argument("--c", type=float, default=None)
+    for name in _FAMILY_PARAMS:
+        p_diag.add_argument(f"--{name}", type=float, default=argparse.SUPPRESS)
     p_diag.add_argument("--modes", default=None,
                         help="comma-separated mode tags or diagram node names "
                              "(default: all modes)")
@@ -275,9 +271,24 @@ def build_parser():
     return parser
 
 
+def _attach_numbers(argv):
+    """argv with each family flag joined to a value after it that reads as
+    a number, which argparse takes for a flag when it is -1e-05 or -inf."""
+    flags = {f"--{name}" for name in _FAMILY_PARAMS}
+    out = []
+    for arg in argv:
+        if out and out[-1] in flags:
+            with contextlib.suppress(ValueError):
+                float(arg)
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -185,46 +185,37 @@ class Family:
         self.limit = limit
         self._member_fn = member_fn
         self.meta = meta
-        self._members = {}
-        self._diffs = {}
-        self._member_cdfs = {}
-        self._limit_cdf = None
-        self._limit_expect = {}
-        self._limit_char = {}
+        self._memo = {}  # (quantity, key) -> value
         self._sources = {}
+
+    def _cached(self, key, build):
+        """build(), computed once per family and key."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def member(self, n):
         if n < 1:
             raise ParameterError("index n must be >= 1")
-        if n not in self._members:
-            self._members[n] = self._member_fn(n)
-        return self._members[n]
+        return self._cached(("member", n), lambda: self._member_fn(n))
 
     def diff(self, n):
-        if n not in self._diffs:
-            self._diffs[n] = space.diff_abs(self.member(n), self.limit)
-        return self._diffs[n]
+        return self._cached(("diff", n), lambda: space.diff_abs(self.member(n), self.limit))
 
     def member_cdf(self, n):
-        if n not in self._member_cdfs:
-            self._member_cdfs[n] = space.cdf(self.member(n))
-        return self._member_cdfs[n]
+        return self._cached(("member_cdf", n), lambda: space.cdf(self.member(n)))
 
-    @property
+    @functools.cached_property
     def limit_cdf(self):
-        if self._limit_cdf is None:
-            self._limit_cdf = space.cdf(self.limit)
-        return self._limit_cdf
+        return space.cdf(self.limit)
 
     def limit_expectation(self, f):
-        if f.name not in self._limit_expect:
-            self._limit_expect[f.name] = space.expectation(self.limit, f, tol=1e-11)[0]
-        return self._limit_expect[f.name]
+        return self._cached(("limit_expectation", f.name),
+                            lambda: space.expectation(self.limit, f, tol=1e-11)[0])
 
     def limit_char(self, t):
-        if t not in self._limit_char:
-            self._limit_char[t] = space.char_fn(self.limit, t, tol=1e-11)
-        return self._limit_char[t]
+        return self._cached(("limit_char", t),
+                            lambda: space.char_fn(self.limit, t, tol=1e-11))
 
     def describe(self):
         return {"name": self.name, "kind": self.meta.kind, "params": dict(self.params)}

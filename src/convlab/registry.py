@@ -27,7 +27,7 @@ from .modes import (MODES, Family, FamilyMeta, ModeParams, check_mode,
 from .series import DEFAULT_POLICY, TermLaw, TermSource, analyze_series
 from .testfuncs import ClampedIdentity, Sine
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # Laws are immutable: one object per (start, terms, remainder) serves every
@@ -134,22 +134,17 @@ def _two_atom_source_factory(r, q):
     def gap(g, ns):
         return np.abs(mean(g, ns) - g(0.0))
 
-    def gap_law(g):
-        """Both gaps of g are m1 * |g(1) - g(0)| + m2 * |g(v2) - g(0)|.
-        With the second atom at 0 that is exactly c * n^-r, c = |g(1) - g(0)|
-        (the zero law at c = 0).  For a finite q, g states g(v) - g(0) as a
-        power series in v on [0, 1], where it is nondecreasing, and m2 = 1 -
-        n^-r turns each of its terms a * v2^j into a * (n^-jq - n^-(r+jq));
-        the series' rest, times m2 <= 1, is the law's remainder.  A power
-        jq that overflows to inf adds nothing: m2 is 0 at n = 1, v2^j 0
-        after."""
-        c = float(g(1.0)) - float(g(0.0))
-        if math.isinf(q):
-            if c == 0.0:
-                return _zero_past(1)
-            return _exact((abs(c), r)) if math.isfinite(c) else None
-        series = g.power_series(1.0)
-        if series is None:
+    def atom_law(c, series):
+        """The law of m1 * c + m2 * h(v2), h(0) = 0, where series =
+        (terms, rest) states h as a power series in v on [0, 1]: None for a
+        c that is not finite, or for no series where q is finite.  With the
+        second atom at 0 it is |c| * n^-r, the zero law at c = 0.  Else
+        m2 = 1 - n^-r turns each term a * v^j into a * (n^-jq - n^-(r+jq)),
+        and the rest, times m2 <= 1, is the remainder.  A power jq that
+        overflows to inf adds nothing: m2 is 0 at n = 1, v2^j 0 after."""
+        if math.isinf(q) and math.isfinite(c):
+            return _exact((abs(c), r)) if c != 0.0 else _zero_past(1)
+        if series is None or not math.isfinite(c):
             return None
         terms, rest = series
         mixed = [pair for a, j in terms if j * q < math.inf
@@ -157,6 +152,12 @@ def _two_atom_source_factory(r, q):
         if rest is not None and rest[1] * q < math.inf:
             return _exact((c, r), *mixed, remainder=(rest[0], rest[1] * q))
         return _exact((c, r), *mixed)
+
+    def gap_law(g):
+        """Both gaps of g are m1 * |g(1) - g(0)| + m2 * |g(v2) - g(0)|; g
+        states its power series only where it is nondecreasing on [0, 1]."""
+        return atom_law(float(g(1.0)) - float(g(0.0)),
+                        g.power_series(1.0) if q < math.inf else None)
 
     def source(kind, value, power):
         if kind == "tail":
@@ -167,13 +168,9 @@ def _two_atom_source_factory(r, q):
                               law=_rate(r, 1.0))
 
         if kind == "moment":
-            # m1 + m2 * v2^p = n^-r + n^-pq - n^-(r+pq); at pq = inf the
-            # second atom's part is 0, m2 being 0 at n = 1
             p = float(value)
-            pq = p * q
-            mixed = ((1.0, pq), (-1.0, r + pq)) if pq < math.inf else ()
             return TermSource(lambda ns: mean(lambda v: np.abs(v) ** p, ns),
-                              law=_exact((1.0, r), *mixed))
+                              law=atom_law(1.0, (((1.0, p),), None)))
 
         if kind == "sup":
             return TermSource(lambda ns: np.maximum(1.0, basis(ns)[2]),

@@ -167,32 +167,11 @@ class TermLaw:
                 and (self.remainder is None or self.remainder[1] > p))
 
     def to_dict(self):
-        """The law as the evidence prints it.  One term keeps the kind
-        names it has always had, power or eventually_constant, and the zero
-        law is eventually_zero, with start the last n whose term the scan
-        reads, as it has always been printed; more terms, or a remainder,
-        are a power_sum."""
-        if not self.terms and self.remainder is None:
-            d = {"kind": "eventually_zero"}
-            if self.start != 2:
-                d["start"] = self.start - 1
-            return d
-        if len(self.terms) == 1 and self.remainder is None:
-            c, p = self.terms[0]
-            if p == 0.0:
-                d = {"kind": "eventually_constant"}
-                if c is not None:
-                    d["level"] = c
-            else:
-                d = {"kind": "power", "exponent": p}
-                if c is not None:
-                    d["constant"] = c
-        else:
-            d = {"kind": "power_sum", "terms": [list(t) for t in self.terms]}
-            if self.remainder is not None:
-                d["remainder"] = list(self.remainder)
-        if self.start not in (None, 1):
-            d["exact_from"] = self.start
+        """The law as the evidence prints it: its start (None for a rate
+        law), its [c, p] terms, and its remainder [C, p_r] where it has one."""
+        d = {"start": self.start, "terms": [list(t) for t in self.terms]}
+        if self.remainder is not None:
+            d["remainder"] = list(self.remainder)
         return d
 
     @cached_property
@@ -207,10 +186,7 @@ class TermLaw:
     def evidence(self):
         """The evidence dict of every verdict resting on this law, built
         once and shared by those verdicts (their to_dict() copies it)."""
-        d = {"method": "analytic_hint", "hint": self.to_dict()}
-        if self.exponent == 0.0 and self.level is not None:
-            d["detail"] = f"terms stay at level {self.level}"
-        return d
+        return {"method": "analytic_hint", "hint": self.to_dict()}
 
     @cached_property
     def tail(self):

@@ -38,7 +38,7 @@ def test_list_json_schema(capsys):
     code, out, _ = run(capsys, "list", "--format", "json", "--show-policy")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["policy"]["n_max"] == 1_000_000
     assert len(payload["families"]) == 6
 
@@ -108,6 +108,19 @@ def test_diagnose_non_finite_parameter_exit_2(capsys, argv):
     assert out == ""
     assert "must be finite" in err
     assert "Traceback" not in err
+
+
+def test_diagnose_takes_a_negative_value_after_its_flag(capsys):
+    # argparse reads -1e-05 and -inf as options unless they are joined to
+    # their flag; the CLI joins a value that reads as a number
+    code, out, err = run(capsys, "diagnose", "--family", "const", "--c", "-1e-05",
+                         "--modes", "cc")
+    assert (code, err) == (0, "")
+    assert "const(c=-1e-05)" in out
+    code, out, err = run(capsys, "diagnose", "--family", "const", "--c", "-inf",
+                         "--modes", "cc")
+    assert (code, out) == (2, "")
+    assert "const parameter c must be finite, got -inf" in err
 
 
 def _scipy_integrate_loaded(statement):

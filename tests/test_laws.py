@@ -5,17 +5,20 @@ n >= start, so it must agree with its source's own generator there.  It is
 read at n = start and at the powers of two 2^k >= start, k <= 20, as the
 generator evaluates them, to 1e-12 relative.  The two-atom gap generators
 subtract g(0) from m1 g(1) + m2 g(v2), so they also carry a rounding error
-of a few ulps of |g(0)|, which the check allows for.
+of a few ulps of |g(0)|, which the check allows for.  Every law a sweep
+prints as a hint must rebuild from its print.
 """
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from convlab.modes import ModeParams, mode_spec, probe_key, probes_for
-from convlab.registry import NODE_MODES, build_family, ex31
+from convlab.modes import ModeParams, mode_spec, probe_key, probe_source, probes_for
+from convlab.registry import NODE_MODES, build_family, ex31, mode_diagram, soundness_sweep
+from convlab.series import TermLaw
 from perfbench import gen
 
 _FAMILIES = {}
@@ -93,3 +96,41 @@ def test_the_sine_law_with_its_leading_exponent_raised_fails_the_check():
     (c, p), *rest = law.terms
     raised = replace(law, terms=((c, p + 0.01), *rest))
     assert _mismatches(family, "expect_gap", sine, src, raised)
+
+
+def _printed_hints(seed):
+    """(family, tag, probe, params, hint) of every law hint a seed's sweep
+    prints, read back from its JSON."""
+    families = [build_family(kind, **params) for kind, params in gen.family_specs(seed)]
+    printed = json.loads(json.dumps(soundness_sweep(mode_diagram(), families).to_dict()))
+    for family in families:
+        for node, (tag, overrides) in NODE_MODES.items():
+            params = ModeParams.defaults(family, **overrides)
+            probes = printed["verdicts"][family.name][node]["probes"]
+            for probe in probes_for(tag, params):
+                evidence = probes[probe_key(probe)].get("evidence", {})
+                if "hint" in evidence:
+                    yield family, tag, probe, params, evidence["hint"]
+
+
+def test_every_printed_hint_rebuilds_its_law():
+    # a hint prints the law's start (None for a rate law), its terms and
+    # its remainder, so it rebuilds the law and no two laws print alike
+    laws, seed0 = {}, {}
+    for seed in range(10):
+        for family, tag, probe, params, d in _printed_hints(seed):
+            law = probe_source(family, tag, probe, params).law
+            assert d == law.to_dict(), (family.name, tag, probe)
+            rebuilt = TermLaw(d["start"], tuple(map(tuple, d["terms"])),
+                              tuple(d["remainder"]) if "remainder" in d else None)
+            assert rebuilt == law, (family.name, tag, probe)
+            laws.setdefault(json.dumps(d, sort_keys=True), set()).add(law)
+            if seed == 0:
+                seed0[(family.name, tag, probe_key(probe))] = d
+    assert len(laws) > 100 and all(len(same) == 1 for same in laws.values())
+    # ex31(2)'s cc terms are n^-2 only past a plateau the law does not know;
+    # ex32(0.5, 2)'s slinf terms are n^-2 from n = 1 on
+    rate = seed0[("ex31(alpha=2)", "cc", "eps=0.5")]
+    exact = seed0[("ex32(alpha=0.5,beta=2)", "slinf", "all")]
+    assert (rate, exact) == ({"start": None, "terms": [[1.0, 2.0]]},
+                             {"start": 1, "terms": [[1.0, 2.0]]})

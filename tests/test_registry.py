@@ -581,7 +581,7 @@ def test_verify_truncation_constant():
 
 def test_export_catalog_schema():
     cat = export_catalog()
-    assert cat["schema_version"] == 1
+    assert cat["schema_version"] == 2
     assert len(cat["families"]) == 6
     for entry in cat["families"]:
         assert set(entry) >= {"name", "kind", "params", "expected_verdicts"}

@@ -144,7 +144,7 @@ def test_zero_law_starting_past_the_horizon_is_inconclusive():
         assert analyze_series(src, policy).to_dict() == {
             "class": "inconclusive", "n_used": 0,
             "evidence": {"method": "analytic_hint",
-                         "hint": {"kind": "eventually_zero", "start": 5000}}}
+                         "hint": {"start": 5001, "terms": []}}}
     assert calls == []
     v = analyze_series(TermSource(gen, law=law), EnginePolicy(n_max=8192))
     assert v.converges and (v.sum_estimate, v.tail_bound, v.n_used) == (5000.0, 0.0, 5000)
@@ -236,17 +236,22 @@ def test_law_merges_its_terms_by_exponent():
     assert law.terms == ((2.0, 2.0), (-1.0, 4.0))
     assert (law.exponent, law.level) == (2.0, 2.0)
     assert TermLaw(terms=((1.0, 5.0), (-1.0, 5.0))) == TermLaw()
-    assert law.to_dict() == {"kind": "power_sum", "terms": [[2.0, 2.0], [-1.0, 4.0]]}
+    assert law.to_dict() == {"start": 1, "terms": [[2.0, 2.0], [-1.0, 4.0]]}
 
 
 def test_zero_law_prints_the_last_term_its_scan_reads():
-    # a_n = 0 from start on: the evidence has always named the last n the
-    # scan reads, start - 1, and left it out at 1
-    assert TermLaw(start=10 ** 9).to_dict() == {
-        "kind": "eventually_zero", "start": 10 ** 9 - 1}
-    assert TermLaw(start=2).to_dict() == {"kind": "eventually_zero"}
+    # a_n = 0 from start on: the evidence prints the law's own start, and
+    # the scan reads the terms before it, up to start - 1
+    assert TermLaw(start=10 ** 9).to_dict() == {"start": 10 ** 9, "terms": []}
+    assert TermLaw(start=2).to_dict() == {"start": 2, "terms": []}
+    v = analyze_series(TermSource(lambda ns: (ns < 6).astype(float), law=TermLaw(start=6)))
+    assert (v.n_used, v.evidence["hint"]) == (5, {"start": 6, "terms": []})
+    # a law from a start prints it; a rate law prints start None, and None
+    # for a constant it does not know
     assert TermLaw(start=3, terms=((1.0, 2.0),)).to_dict() == {
-        "kind": "power", "exponent": 2.0, "constant": 1.0, "exact_from": 3}
+        "start": 3, "terms": [[1.0, 2.0]]}
+    assert rate(2.0, 1.0).to_dict() == {"start": None, "terms": [[1.0, 2.0]]}
+    assert rate(0.5).to_dict() == {"start": None, "terms": [[None, 0.5]]}
 
 
 def test_law_from_a_start_sums_the_terms_before_it_and_zeta_after():
@@ -284,7 +289,7 @@ def test_law_remainder_widens_the_interval_around_the_zeta_sum():
     assert v.converges and v.n_used == 0
     assert abs(v.sum_estimate - (zeta(2.0) - 0.5 * zeta(3.0))) <= 1e-15
     assert abs(v.tail_bound - zeta(3.0)) <= 1e-15
-    assert law.to_dict() == {"kind": "power_sum", "terms": [[1.0, 2.0]],
+    assert law.to_dict() == {"start": 1, "terms": [[1.0, 2.0]],
                              "remainder": [0.5, 3.0]}
 
 
