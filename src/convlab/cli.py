@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import inspect
 import json
 import sys
@@ -128,9 +129,8 @@ def cmd_diagnose(args):
             mode = mode.strip().lower().replace("-", "")
             tag, overrides = NODE_MODES.get(mode, (mode, {}))
             params = ModeParams.defaults(family, **overrides)
-            rep = check_mode(family, tag, params, policy)
-            rep.mode = mode
-            reports.append(rep)
+            reports.append(dataclasses.replace(check_mode(family, tag, params, policy),
+                                               mode=mode))
             dump_specs.append((mode, tag, params))
         if fh is not None:
             _dump_terms(fh, args.dump_terms, family, dump_specs, args.dump_count)

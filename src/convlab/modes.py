@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -383,11 +384,12 @@ def probe_key(probe):
     return f"{axis}={value!r}"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ModeReport:
     """One mode's verdict on a family.  probe_verdicts holds the engine's
     verdicts in probe order, beside probe_keys, their keys; every report of
-    one (mode, params) shares its probe_keys and params_used."""
+    one (mode, params) shares its probe_keys and params_used, and equal
+    reports on the same verdicts are one object."""
 
     family: str
     mode: str
@@ -440,6 +442,31 @@ def _report_shape(mode, params):
     return keys, summary
 
 
+class _SameVerdicts(tuple):
+    """Probe verdicts as a cache key, equal only to the same verdict
+    objects.  The key holds them, so no other object takes their ids while
+    it is cached."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(tuple(map(id, self)))
+
+    def __eq__(self, other):
+        return len(self) == len(other) and all(map(operator.is_, self, other))
+
+
+# 256: a seed-0 sweep has 78 cells.  A source without a law gives new
+# verdicts on every call, and its reports only pass through.
+@functools.lru_cache(maxsize=256)
+def _shared_report(family, mode, params, verdict, witness, results):
+    """The report of a family's mode on these probe verdicts: one object,
+    like the verdicts it holds, for every check that reaches them, so that
+    kept sweep reports share their cells."""
+    keys, summary = _report_shape(mode, params)
+    return ModeReport(family, mode, verdict, witness, tuple(results), keys, summary)
+
+
 def check_mode(
     family,
     mode,
@@ -462,9 +489,10 @@ def check_mode(
     if not probes:
         raise ParameterError(f"empty probe set for mode {mode!r}")
     test = analyze_series if spec.series else null_sequence_test
-    results = tuple(test(probe_source(family, mode, probe, params, use_analytic), policy)
-                    for probe in probes)
-    keys, summary = _report_shape(mode, params)
+    results = _SameVerdicts(
+        test(probe_source(family, mode, probe, params, use_analytic), policy)
+        for probe in probes)
+    keys, _ = _report_shape(mode, params)
     bad = next((key for key, v in zip(keys, results) if v.klass in _FAILING), None)
     if bad is not None:
         verdict_tag, witness = VERDICT_FAILS, bad
@@ -474,12 +502,4 @@ def check_mode(
         verdict_tag, witness = VERDICT_NOT_FALSIFIED, None
     else:
         verdict_tag, witness = VERDICT_HOLDS, None
-    return ModeReport(
-        family=family.name,
-        mode=mode,
-        verdict=verdict_tag,
-        witness=witness,
-        probe_verdicts=results,
-        probe_keys=keys,
-        params_used=summary,
-    )
+    return _shared_report(family.name, mode, params, verdict_tag, witness, results)

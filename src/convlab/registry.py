@@ -54,7 +54,45 @@ def _exact(*terms, remainder=None):
 
 
 def _zeros_source():
-    return TermSource(lambda ns: np.zeros(len(ns)), law=_zero_past(1))
+    return TermSource(lambda ns: np.zeros(len(ns)), law=_law(1))
+
+
+def _first_index(holds, log_guess):
+    """The first n >= 1 at which holds(ns), a test on an int64 array of
+    indices made with a generator's own arithmetic, is true, where it is
+    false before that n and true from it on; log_guess is the log of that n
+    in exact arithmetic.  None where it lies past 2**53, beyond the indices
+    a float holds exactly."""
+    last = 2 ** 53
+    if not log_guess < math.log(last):
+        return None
+    lo = max(1, math.floor(math.exp(log_guess)) - 2)
+    flags = holds(np.arange(lo, lo + 6, dtype=np.int64))
+    if flags[-1] and (lo == 1 or not flags[0]):
+        return lo + int(np.argmax(flags))
+    lo, hi = 0, last  # the test is false at lo (or lo = 0) and true at hi
+    if not holds(np.array([hi], dtype=np.int64))[0]:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(np.array([mid], dtype=np.int64))[0] else (mid, hi)
+    return hi
+
+
+def _series_law(start, series, scale, h, beta):
+    """The law from start on of scale * S(h * n^-beta), where series =
+    (terms, (C, p_r)) states S(u) as the sum of c * u^p over the terms
+    within C * u^p_r: each c * u^p gives scale * c * h^p * n^-(p beta), and
+    the rest likewise.  None where a constant or an exponent leaves the
+    floats."""
+    terms, (bound, p_r) = series
+    try:
+        scaled = [(scale * c * h ** p, p * beta) for c, p in terms + ((bound, p_r),)]
+    except OverflowError:
+        return None
+    if not all(0.0 < abs(c) < math.inf and p < math.inf for c, p in scaled):
+        return None
+    return _law(start, tuple(scaled[:-1]), scaled[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +181,7 @@ def _two_atom_source_factory(r, q):
         and the rest, times m2 <= 1, is the remainder.  A power jq that
         overflows to inf adds nothing: m2 is 0 at n = 1, v2^j 0 after."""
         if math.isinf(q) and math.isfinite(c):
-            return _exact((abs(c), r)) if c != 0.0 else _zero_past(1)
+            return _exact((abs(c), r)) if c != 0.0 else _law(1)
         if series is None or not math.isfinite(c):
             return None
         terms, rest = series
@@ -164,8 +202,10 @@ def _two_atom_source_factory(r, q):
             eps = float(value)
             if eps > 1.0:
                 return _zeros_source()
+            # past the plateau v2 >= eps the terms are m1 = n^-r
+            start = _first_index(lambda ns: basis(ns)[2] < eps, -math.log(eps) / q)
             return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns),
-                              law=_rate(r, 1.0))
+                              law=_rate(r, 1.0) if start is None else _law(start, ((1.0, r),)))
 
         if kind == "moment":
             p = float(value)
@@ -208,12 +248,16 @@ def _two_atom_source_factory(r, q):
                 m1, _, v2 = basis(ns)
                 return np.abs(np.where(omega < m1, 1.0, v2)) ** power
 
-            # past the plateau omega < n^-r the terms are v2^power, all 0
-            # for n >= 2 when the exponent is inf, q's or an overflowed
-            # power * q's
-            if math.isinf(power * q):
+            # past the plateau omega < m1 the terms are v2^power = n^-(power q),
+            # all 0 for n >= 2 when that exponent is inf, q's or an
+            # overflowed power * q's
+            p = power * q
+            start = _first_index(lambda ns: omega >= basis(ns)[0], -math.log(omega) / r)
+            if start is not None:
+                return TermSource(gen, law=_law(start, ((1.0, p),) if p < math.inf else ()))
+            if math.isinf(p):
                 return TermSource(gen, law=_zero_past(math.ceil(omega ** (-1.0 / r))))
-            return TermSource(gen, law=_rate(power * q))
+            return TermSource(gen, law=_rate(p))
 
         if kind == "trunc_l1":
             eps = float(value)
@@ -320,7 +364,7 @@ def _shift_source_factory(dens, beta, holder_at_1):
                 return np.abs(F(x - s_of(ns)) - fx)
 
             if x <= 0.0:
-                return TermSource(gen, law=_zero_past(1))
+                return TermSource(gen, law=_law(1))
             if x > 1.0:
                 gap = x - 1.0
                 last = 1 if gap >= 1.0 else math.ceil(gap ** (-1.0 / beta))
@@ -333,9 +377,14 @@ def _shift_source_factory(dens, beta, holder_at_1):
             if t == 0.0:
                 return _zeros_source()
             phi = base_char(t)
+            # 2 |phi| sin(u) with u = (|t| / 2) n^-beta: sin's Taylor series
+            # from the first n with u <= 1
+            h = abs(t) / 2.0
+            law = _series_law(max(1, math.ceil(h ** (1.0 / beta))), Sine().power_series(1.0),
+                              2.0 * float(np.abs(phi)), h, beta)
             return TermSource(
                 lambda ns: np.abs(phi) * np.abs(np.exp(1j * t * s_of(ns)) - 1.0),
-                law=_rate(beta))
+                law=law or _rate(beta))
 
         if kind in ("expect_gap", "coupled_gap"):
             f = value
@@ -349,7 +398,7 @@ def _shift_source_factory(dens, beta, holder_at_1):
                         return 2.0 * np.sin(s / 2.0) * np.real(half)
                     return np.abs(np.imag((np.exp(1j * s) - 1.0) * phi1))
 
-                return TermSource(gen, law=_rate(beta))
+                return TermSource(gen, law=_sine_gap_law(phi1, beta) or _rate(beta))
             # X_n and X lie in [0, 2]: where f is f(0) + c * v there, both
             # gaps are c * s = c * n^-beta exactly
             c = f.slope_on(2.0)
@@ -369,6 +418,23 @@ def _shift_source_factory(dens, beta, holder_at_1):
         return None
 
     return source
+
+
+def _sine_gap_law(phi1, beta):
+    """The law of both sine gaps of a shift by s = n^-beta, a sin s +
+    b (cos s - 1) with phi1 = a + ib, from the first n where that is
+    positive: sin's and cos's alternating Taylor series to s^18 on (0, 1],
+    within (|a| / 19! + |b| / 20!) s^19.  For a > 0 it is positive while
+    tan(s / 2) < a / b; None for a <= 0."""
+    a, b = phi1.real, phi1.imag
+    if not a > 0.0:
+        return None
+    top = min(1.0, 2.0 * math.atan2(a, b))  # the series holds for s <= top
+    start = 1 if top == 1.0 else math.floor(top ** (-1.0 / beta)) + 1
+    terms = tuple(((a if j % 2 else b) * (-1.0) ** (j // 2) / math.factorial(j), float(j))
+                  for j in range(1, 19))
+    rest = abs(a) / math.factorial(19) + abs(b) / math.factorial(20)
+    return _series_law(start, (terms, (rest, 19.0)), 1.0, 1.0, beta)
 
 
 def _shift_family(dens, beta, holder_at_1, expected, x_probes=None):
@@ -613,10 +679,19 @@ class SweepReport:
 
 
 def node_report(family, node, policy=DEFAULT_POLICY):
-    """check_mode for one diagram node with its parameter binding."""
+    """check_mode for one diagram node with its parameter binding, whose
+    probe parameters are built once per family and binding."""
     mode, overrides = NODE_MODES[node]
-    params = ModeParams.defaults(family, **overrides)
+    params = family._cached(("params", tuple(overrides.items())),
+                            lambda: ModeParams.defaults(family, **overrides))
     return check_mode(family, mode, params, policy)
+
+
+@functools.lru_cache(maxsize=4096)
+def _cell(family, node):
+    """A sweep's key of one cell, (family name, node): one tuple per cell,
+    which every sweep's report shares."""
+    return family, node
 
 
 def soundness_sweep(diagram, families, policy=DEFAULT_POLICY):
@@ -633,7 +708,7 @@ def soundness_sweep(diagram, families, policy=DEFAULT_POLICY):
     for fam in families:
         family_order.append(fam.name)
         for node in diagram.nodes:
-            verdicts[(fam.name, node)] = node_report(fam, node, policy)
+            verdicts[_cell(fam.name, node)] = node_report(fam, node, policy)
     implied = set(diagram.edges)
     violations = []
     witnessed = {}

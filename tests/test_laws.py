@@ -5,8 +5,10 @@ n >= start, so it must agree with its source's own generator there.  It is
 read at n = start and at the powers of two 2^k >= start, k <= 20, as the
 generator evaluates them, to 1e-12 relative.  The two-atom gap generators
 subtract g(0) from m1 g(1) + m2 g(v2), so they also carry a rounding error
-of a few ulps of |g(0)|, which the check allows for.  Every law a sweep
-prints as a hint must rebuild from its print.
+of a few ulps of |g(0)|, which the check allows for.  The shift families'
+sine gap generator rounds in cos s - 1 with s = n^-beta, a few ulps of 1,
+which the check allows for too.  Every law a sweep prints as a hint must
+rebuild from its print.
 """
 
 import json
@@ -17,8 +19,10 @@ import numpy as np
 import pytest
 
 from convlab.modes import ModeParams, mode_spec, probe_key, probe_source, probes_for
-from convlab.registry import NODE_MODES, build_family, ex31, mode_diagram, soundness_sweep
+from convlab.registry import (NODE_MODES, build_family, ex31, ex32, mode_diagram,
+                              shift_uniform, soundness_sweep)
 from convlab.series import TermLaw
+from convlab.testfuncs import Sine
 from perfbench import gen
 
 _FAMILIES = {}
@@ -53,6 +57,8 @@ def _mismatches(family, kind, value, src, law):
     slack = 0.0
     if family.meta.kind in ("ex31", "ex33") and kind in ("expect_gap", "coupled_gap"):
         slack = 4.0 * np.finfo(float).eps * abs(float(value(0.0)))
+    elif kind == "expect_gap" and isinstance(value, Sine):
+        slack = 4.0 * np.finfo(float).eps
     bad = []
     for n, term in zip(ns, got.tolist()):
         want = math.fsum(c * float(n) ** -p for c, p in law.terms)
@@ -98,6 +104,25 @@ def test_the_sine_law_with_its_leading_exponent_raised_fails_the_check():
     assert _mismatches(family, "expect_gap", sine, src, raised)
 
 
+@pytest.mark.parametrize("family, kind, value", [
+    (ex31(2.0), "tail", 0.1), (shift_uniform(2.0), "char_gap", 1.0),
+    (ex32(0.5, 2.0), "char_gap", 5.0)], ids=["ex31-tail", "uniform-s3d", "ex32-s3d"])
+def test_a_law_from_a_start_with_its_leading_exponent_raised_fails_the_check(
+        family, kind, value):
+    # ex31(2)'s tail at eps = 0.1 is n^-2 from n = 101, past the plateau
+    # n^-0.5 >= 0.1; a shift's characteristic-function gap is 2 |phi| sin u,
+    # u = (|t| / 2) n^-2, by sin's Taylor series from the first n with u <= 1
+    src = family.meta.term_source(kind, value, 1.0)
+    law = src.law
+    assert law.start is not None and _mismatches(family, kind, value, src, law) == []
+    (c, p), *rest = law.terms
+    raised = replace(law, terms=((c, p + 0.01), *rest))
+    assert _mismatches(family, kind, value, src, raised)
+    if kind == "tail":
+        assert law.start == 101
+        assert _mismatches(family, kind, value, src, replace(law, start=100)) == [100]
+
+
 def _printed_hints(seed):
     """(family, tag, probe, params, hint) of every law hint a seed's sweep
     prints, read back from its JSON."""
@@ -128,9 +153,12 @@ def test_every_printed_hint_rebuilds_its_law():
             if seed == 0:
                 seed0[(family.name, tag, probe_key(probe))] = d
     assert len(laws) > 100 and all(len(same) == 1 for same in laws.values())
-    # ex31(2)'s cc terms are n^-2 only past a plateau the law does not know;
-    # ex32(0.5, 2)'s slinf terms are n^-2 from n = 1 on
-    rate = seed0[("ex31(alpha=2)", "cc", "eps=0.5")]
+    # ex31(2)'s CDF gap at x = 0.5 is n^-2 only past a plateau the law does
+    # not know; its cc terms at eps = 0.5 are n^-2 from n = 5 on, past the
+    # plateau n^-0.5 >= 0.5, and ex32(0.5, 2)'s slinf terms from n = 1 on
+    rate = seed0[("ex31(alpha=2)", "s2d", "x=0.5")]
+    plateau = seed0[("ex31(alpha=2)", "cc", "eps=0.5")]
     exact = seed0[("ex32(alpha=0.5,beta=2)", "slinf", "all")]
-    assert (rate, exact) == ({"start": None, "terms": [[1.0, 2.0]]},
-                             {"start": 1, "terms": [[1.0, 2.0]]})
+    assert (rate, plateau, exact) == ({"start": None, "terms": [[1.0, 2.0]]},
+                                      {"start": 5, "terms": [[1.0, 2.0]]},
+                                      {"start": 1, "terms": [[1.0, 2.0]]})

@@ -133,20 +133,22 @@ def _cases():
     return cases
 
 
-# The ex31(3) tail at eps = 0.01 is 1 up to n = 10^6 = n_max, then n^-2;
-# ex31(4)'s is 1 up to n = 10^8.  The power law's tail model extrapolates
-# C*n^-2 from the last term, 1, and reports [1999999, +1.0] for both.
-_PLATEAU_TO_HORIZON = pytest.mark.xfail(
+# The ex31(3) tail at eps = 0.01 is 1 up to n = 10^6 = n_max, then n^-2:
+# its law from n = 10^6 + 1 sums the plateau and a zeta tail.  ex31(4)'s is
+# 1 up to n = 10^8, past the horizon, where the law is read as a rate law:
+# its tail model extrapolates C*n^-2 from the last term, 1, and reports
+# [1999999, +1.0].
+_PLATEAU_PAST_HORIZON = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="the tail model extrapolates the power law from a term still on "
-           "the plateau, which ends at or past n_max (ROADMAP item 2)")
+           "the plateau, which ends past n_max (ROADMAP item 2)")
 
 
 def _known_miss(family, node, probe):
     if family.meta.kind != "ex31":
         return ()
-    if node == "cc" and probe == ("eps", 0.01) and family.params["alpha"] >= 3.0:
-        return (_PLATEAU_TO_HORIZON,)
+    if node == "cc" and probe == ("eps", 0.01) and family.params["alpha"] >= 4.0:
+        return (_PLATEAU_PAST_HORIZON,)
     return ()
 
 

@@ -468,7 +468,7 @@ def test_ex33_gap_laws_are_exact():
             assert c > 0.0 and src.law == TermLaw(terms=((c, 1.0),)), (kind, f.name)
             assert np.max(np.abs(src.terms(1, 1 << 14) - c / ns)) <= 1e-15, (kind, f.name)
         src = fam.meta.term_source(kind, _Tent(), 1.0)
-        assert src.law == TermLaw(start=2)
+        assert src.law == TermLaw(start=1)
         assert not np.any(src.terms(1, 1 << 14))
 
 
@@ -930,7 +930,17 @@ def _source_signature(src):
     return law, src.terms(1, 2 ** 12).tobytes()
 
 
-def _two_atom_law_since_reference(family, kind, value):
+def _plateau_end(on_plateau, guess):
+    """The first n >= 1 off a plateau, on_plateau being the generator's own
+    comparison on a float array of indices and guess that n in exact
+    arithmetic, off by at most 2."""
+    ns = np.arange(max(1, math.ceil(guess) - 3), math.ceil(guess) + 4)
+    flags = on_plateau(ns.astype(float))
+    assert not flags[-1] and (ns[0] == 1 or flags[0])
+    return int(ns[np.argmin(flags)])
+
+
+def _two_atom_law_since_reference(family, kind, value, power):
     """The laws that differ from the reference's, else None.
 
     Moments are exactly m1 + m2 v2^p = n^-r + n^-pq - n^-(r+pq).  A gap of g
@@ -939,8 +949,21 @@ def _two_atom_law_since_reference(family, kind, value):
     [0, 1], with slope c, giving c (n^-r + n^-q - n^-(r+q)), and sine's
     Taylor series gives sin(1) n^-r plus (-1)^k / j! (n^-jq - n^-(r+jq)),
     j = 2k + 1 < 19, within n^-19q / 19!.  At eps <= 1 trunc_l1 drops the
-    first atom, leaving the rate q."""
+    first atom, leaving the rate q.  Past the plateau v2 >= eps a tail is
+    m1 = n^-r, and past omega < m1 a pointwise term is v2^power =
+    n^-(power q).  Terms that are 0 from n = 1 on have the zero law from 1."""
     r, q = (1.0, math.inf) if family.meta.kind == "ex33" else (2.0, 1.0 / family.params["alpha"])
+    zeros = {"tail": lambda eps: eps > 1.0, "cdf_gap": lambda x: not 0.0 <= x < 1.0,
+             "char_gap": lambda t: t == 0.0}
+    if kind in zeros and zeros[kind](value):
+        return TermLaw(start=1)
+    if kind == "tail":
+        start = 1 if math.isinf(q) else _plateau_end(lambda ns: ns ** -q >= value,
+                                                     value ** (-1.0 / q))
+        return TermLaw(start, ((1.0, r),))
+    if kind == "pointwise":
+        start = _plateau_end(lambda ns: value < np.minimum(ns ** -r, 1.0), value ** (-1.0 / r))
+        return TermLaw(start, ((1.0, power * q),) if power * q < math.inf else ())
     if kind == "moment":
         pq = float(value) * q
         return TermLaw(terms=((1.0, r),) + (((1.0, pq), (-1.0, r + pq)) if pq < math.inf else ()))
@@ -975,17 +998,19 @@ def test_two_atom_terms_match_reference(family, ref):
                 got_law, got_terms = _source_signature(got)
                 want_law, want_terms = _source_signature(want)
                 assert got_terms == want_terms, (mode, probe)
-                new_law = _two_atom_law_since_reference(family, *args[:2])
+                new_law = _two_atom_law_since_reference(family, *args)
                 if new_law is not None and new_law.to_dict() != want_law:
                     want_law = new_law.to_dict()
                     changed += 1
                 assert got_law == want_law, (mode, probe)
                 checked += 1
     assert checked > 700
-    # at each of the 9 (alpha, p): the 2 moment probes (sl1, l1) and the 9 gap
-    # probes (s1d, s1star, dist); ex33's 5 trunc_l1 probes at eps <= 1, and
+    # at each of the 9 (alpha, p): the 2 moment probes (sl1, l1), the 9 gap
+    # probes (s1d, s1star, dist), the 12 tail probes (cc, prob), the 34
+    # pointwise probes (as, s1as) and the 7 zero probes (s2d and dist at
+    # three x, s3d at t = 0); ex33's 5 trunc_l1 probes at eps <= 1, and
     # ex31(0.25)'s 5 trunc_l1 probes there
-    assert changed == 9 * {"ex33": 16, "ex31(alpha=0.25)": 16}.get(family.name, 11)
+    assert changed == 9 * {"ex33": 69, "ex31(alpha=0.25)": 69}.get(family.name, 64)
 
 
 @pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)

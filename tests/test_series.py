@@ -183,15 +183,16 @@ def test_hinted_power_stops_at_tight_sandwich():
 
 
 def test_hinted_power_does_not_stop_inside_plateau():
-    # ex31(2) at eps=0.01: terms are 1 up to n = 10^4, then exactly n^-2
+    # ex31(2) at eps=0.01: terms are 1 up to n = 10^4, then exactly n^-2:
+    # the law from n = 10^4 + 1 reads the whole plateau, and its sum is exact
     from scipy.special import zeta
 
     src = ex31(2.0).meta.term_source("tail", 0.01, 1.0)
     v = analyze_series(src)
-    assert v.converges
-    assert v.n_used > 10 ** 4
+    assert v.converges and src.law.start == 10 ** 4 + 1
+    assert v.n_used == 10 ** 4 and v.tail_bound == 0.0
     exact = 1e4 + zeta(2.0, 1e4 + 1.0)
-    assert v.sum_estimate - 1e-9 <= exact <= v.sum_estimate + v.tail_bound + 1e-9
+    assert abs(v.sum_estimate - exact) <= 1e-9
 
 
 def test_power_tail_huge_exponent_is_finite():
@@ -273,11 +274,34 @@ def test_law_from_a_start_sums_the_terms_before_it_and_zeta_after():
     assert abs(v.sum_estimate - exact) <= 4.0 * math.ulp(exact)
     assert (v.p_hat, v.ci_halfwidth) == (2.0, 0.0)
     assert max(hi for _, hi in calls) == 4
-    # past the horizon the law's start leaves the sum out of reach
+    # from past the horizon the law is read as a rate law: a scan that stops
+    # at its exponent's tight sandwich, and a one-power tail
+    policy = EnginePolicy(n_max=4096)
     far = TermLaw(start=5000, terms=((1.0, 2.0),))
-    v = analyze_series(TermSource(gen, law=far), EnginePolicy(n_max=4096))
-    assert v.klass == "inconclusive" and v.n_used == 0
-    assert analyze_series(TermSource(gen, law=far), EnginePolicy(n_max=4096)) is v
+    v = analyze_series(TermSource(gen, law=far), policy)
+    as_rate = analyze_series(TermSource(gen, law=rate(2.0, 1.0)), policy)
+    assert v.converges and v.n_used == as_rate.n_used < 4096
+    assert (v.sum_estimate, v.tail_bound) == (as_rate.sum_estimate, as_rate.tail_bound)
+    assert v.evidence["hint"] == {"start": 5000, "terms": [[1.0, 2.0]]}
+    assert analyze_series(TermSource(gen, law=far), policy) is v
+
+
+def test_a_law_from_past_the_horizon_keeps_the_rate_law_verdict():
+    # ex31(10)'s cc terms at eps = 0.1 are 1 while n^-0.1 >= 0.1, then n^-2.
+    # In floats the plateau ends one term early, (10^10)^-0.1 rounding below
+    # 0.1: the law from n = 10^10 gives the rate law's verdict, sum and n_used
+    src = ex31(10.0).meta.term_source("tail", 0.1, 1.0)
+    assert src.law.start == 10 ** 10
+    assert src.terms(10 ** 10 - 1, 10 ** 10 + 1).tolist() == [1.0, 1e-20]
+    v = analyze_series(src)
+    parent = analyze_series(TermSource(src.generator, law=rate(2.0, 1.0)))
+    assert v.converges and v.n_used == DEFAULT_POLICY.n_max
+    assert (round(v.sum_estimate), round(v.tail_bound, 5)) == (1999999, 1.0)
+    assert (parent.sum_estimate, parent.tail_bound, parent.n_used) == (
+        v.sum_estimate, v.tail_bound, v.n_used)
+    # the zero law from past the horizon stays out of reach
+    zero = analyze_series(TermSource(src.generator, law=TermLaw(start=10 ** 10)))
+    assert zero.klass == "inconclusive" and zero.n_used == 0
 
 
 def test_law_remainder_widens_the_interval_around_the_zeta_sum():
@@ -725,6 +749,36 @@ def test_chunked_block_matches_whole_block(monkeypatch):
             src = TermSource(lambda ns, vals=vals: vals[ns - 1])
             assert series._block(src, 1, n + 1) == (
                 float(np.sum(vals)), vals[0], vals[-1], vals.min(), vals.max()), (cap, n)
+
+
+def test_a_rate_law_scan_reads_its_first_blocks_in_one_call():
+    # n^-2 under its rate law stops at block 12, [2048, 4096): the first
+    # DYADIC_WINDOW blocks are read in one generator call, the next four one
+    # by one, and every block's summary is the one it has read on its own
+    from convlab import series
+
+    sizes = []
+    src = recording_source(2.0, sizes)
+    src.law = rate(2.0)
+    v = analyze_series(src)
+    assert v.n_used == 4095
+    assert sizes == [2 ** DYADIC_WINDOW - 1, 256, 512, 1024, 2048]
+    alone = power_source(2.0)
+    blocks = series._dyadic_blocks(4095)
+    assert src._blocks == {b: series._summary(alone, *b) for b in blocks}
+
+
+@pytest.mark.parametrize("values, at_n", [
+    # the partial sum passes BLOWUP_THRESHOLD in block [8, 16), inside the
+    # first run
+    ([1e5] * 100, 15),
+    # the run reads a term the scan never reaches: the scan stops at n = 1
+    ([1e7, math.inf, 1.0], 1),
+])
+def test_a_blowup_inside_a_run_keeps_its_verdict(values, at_n):
+    v = analyze_series(TermSource.from_values(np.array(values)))
+    assert v.to_dict() == {"class": "diverges", "n_used": at_n, "evidence": {
+        "method": "partial_sum_blowup", "threshold": 1e6, "at_n": at_n}}
 
 
 # clamped inside [0, 1], so no one power series states its two-atom gaps,
