@@ -492,10 +492,9 @@ def check_mode(
     results = _SameVerdicts(
         test(probe_source(family, mode, probe, params, use_analytic), policy)
         for probe in probes)
-    keys, _ = _report_shape(mode, params)
-    bad = next((key for key, v in zip(keys, results) if v.klass in _FAILING), None)
+    bad = next((i for i, v in enumerate(results) if v.klass in _FAILING), None)
     if bad is not None:
-        verdict_tag, witness = VERDICT_FAILS, bad
+        verdict_tag, witness = VERDICT_FAILS, _report_shape(mode, params)[0][bad]
     elif any(v.klass == "inconclusive" for v in results):
         verdict_tag, witness = VERDICT_INCONCLUSIVE, None
     elif spec.universal and not certified(family, mode, params):

@@ -69,7 +69,7 @@ def _first_index(holds, log_guess):
     lo = max(1, math.floor(math.exp(log_guess)) - 2)
     flags = holds(np.arange(lo, lo + 6, dtype=np.int64))
     if flags[-1] and (lo == 1 or not flags[0]):
-        return lo + int(np.argmax(flags))
+        return lo + int(flags.argmax())
     lo, hi = 0, last  # the test is false at lo (or lo = 0) and true at hi
     if not holds(np.array([hi], dtype=np.int64))[0]:
         return None
@@ -157,20 +157,42 @@ def _two_atom_source_factory(r, q):
     term is mean(g) = E g(X_n), or gap(g) = |E g(X_n) - g(0)|, for a g fixed
     by the term kind and probe value."""
 
+    def m1_of(nsf):
+        """m1 = min(n^-r, 1) at the float indices nsf, in a fresh array."""
+        m1 = nsf**-r
+        return np.minimum(m1, 1.0, out=m1)
+
+    def v2_of(nsf):
+        """v2 = n^-q at the float indices nsf, in nsf's own array."""
+        if math.isinf(q):
+            # n^-inf is 0 for every n, but pow gives 1 ** -inf = 1
+            nsf.fill(0.0)
+        else:
+            nsf **= -q
+        return nsf
+
     def basis(ns):
         """(m1, 1 - m1, v2) at ns: the first atom's mass, the second's, and
-        the second atom's value."""
+        the second atom's value, three fresh arrays."""
         nsf = ns.astype(float)
-        m1 = np.minimum(nsf**-r, 1.0)
-        # n^-inf is 0 for every n, but pow gives 1 ** -inf = 1
-        return m1, 1.0 - m1, np.zeros(len(nsf)) if math.isinf(q) else nsf**-q
+        m1 = m1_of(nsf)
+        return m1, np.subtract(1.0, m1), v2_of(nsf)
 
     def mean(g, ns):
+        """m1 * g(1) + m2 * g(v2), in m1's array where g is real."""
         m1, m2, v2 = basis(ns)
-        return m1 * g(1.0) + m2 * g(v2)
+        at1, at2 = g(1.0), g(v2)
+        if isinstance(at1, complex) or at2.dtype.kind == "c":
+            return m1 * at1 + m2 * at2
+        m1 *= at1
+        m2 *= at2
+        m1 += m2
+        return m1
 
     def gap(g, ns):
-        return np.abs(mean(g, ns) - g(0.0))
+        terms = mean(g, ns)
+        terms -= g(0.0)
+        return np.abs(terms, out=terms) if terms.dtype.kind == "f" else np.abs(terms)
 
     def atom_law(c, series):
         """The law of m1 * c + m2 * h(v2), h(0) = 0, where series =
@@ -203,7 +225,7 @@ def _two_atom_source_factory(r, q):
             if eps > 1.0:
                 return _zeros_source()
             # past the plateau v2 >= eps the terms are m1 = n^-r
-            start = _first_index(lambda ns: basis(ns)[2] < eps, -math.log(eps) / q)
+            start = _first_index(lambda ns: v2_of(ns.astype(float)) < eps, -math.log(eps) / q)
             return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns),
                               law=_rate(r, 1.0) if start is None else _law(start, ((1.0, r),)))
 
@@ -213,7 +235,7 @@ def _two_atom_source_factory(r, q):
                               law=atom_law(1.0, (((1.0, p),), None)))
 
         if kind == "sup":
-            return TermSource(lambda ns: np.maximum(1.0, basis(ns)[2]),
+            return TermSource(lambda ns: np.maximum(1.0, v2_of(ns.astype(float))),
                               law=_rate(0.0, 1.0))
 
         if kind == "expect_gap":
@@ -245,18 +267,26 @@ def _two_atom_source_factory(r, q):
             omega = float(value)
 
             def gen(ns):
-                m1, _, v2 = basis(ns)
-                return np.abs(np.where(omega < m1, 1.0, v2)) ** power
+                nsf = ns.astype(float)
+                m1 = m1_of(nsf)
+                return np.abs(np.where(omega < m1, 1.0, v2_of(nsf))) ** power
 
             # past the plateau omega < m1 the terms are v2^power = n^-(power q),
             # all 0 for n >= 2 when that exponent is inf, q's or an
             # overflowed power * q's
             p = power * q
-            start = _first_index(lambda ns: omega >= basis(ns)[0], -math.log(omega) / r)
+            start = _first_index(lambda ns: omega >= m1_of(ns.astype(float)), -math.log(omega) / r)
             if start is not None:
                 return TermSource(gen, law=_law(start, ((1.0, p),) if p < math.inf else ()))
             if math.isinf(p):
-                return TermSource(gen, law=_zero_past(math.ceil(omega ** (-1.0 / r))))
+                # the plateau ends past every index a float holds, at
+                # omega^(-1/r), or below 2^(1 - log2(omega) / r) where that
+                # overflows a float: the zero law from past the horizon
+                try:
+                    last = math.ceil(omega ** (-1.0 / r))
+                except OverflowError:
+                    last = 2 ** math.ceil(1.0 - math.log2(omega) / r)
+                return TermSource(gen, law=_zero_past(last))
             return TermSource(gen, law=_rate(p))
 
         if kind == "trunc_l1":
@@ -337,7 +367,9 @@ def _shift_source_factory(dens, beta, holder_at_1):
         lambda t: space.char_fn(space.density_rv(dens), t, tol=1e-11))
 
     def s_of(ns):
-        return ns.astype(float) ** -beta
+        s = ns.astype(float)
+        s **= -beta
+        return s
 
     def source(kind, value, power):
         if kind == "tail":
@@ -361,7 +393,10 @@ def _shift_source_factory(dens, beta, holder_at_1):
             fx = F(np.array([x]))[0]
 
             def gen(ns):
-                return np.abs(F(x - s_of(ns)) - fx)
+                s = s_of(ns)
+                terms = F(np.subtract(x, s, out=s))
+                terms -= fx
+                return np.abs(terms, out=terms)
 
             if x <= 0.0:
                 return TermSource(gen, law=_law(1))
@@ -392,11 +427,11 @@ def _shift_source_factory(dens, beta, holder_at_1):
                 phi1 = base_char(1.0)
 
                 def gen(ns):
+                    # both gaps are a sin s - 2b sin^2(s/2) with phi1 = a + ib,
+                    # 2 sin(s/2) Re(e^(is/2) phi1), which rounds in no cos s - 1
                     s = s_of(ns)
-                    if kind == "coupled_gap":
-                        half = np.exp(1j * s / 2.0) * phi1
-                        return 2.0 * np.sin(s / 2.0) * np.real(half)
-                    return np.abs(np.imag((np.exp(1j * s) - 1.0) * phi1))
+                    half = np.exp(1j * s / 2.0) * phi1
+                    return np.abs(2.0 * np.sin(s / 2.0) * np.real(half))
 
                 return TermSource(gen, law=_sine_gap_law(phi1, beta) or _rate(beta))
             # X_n and X lie in [0, 2]: where f is f(0) + c * v there, both
@@ -680,10 +715,13 @@ class SweepReport:
 
 def node_report(family, node, policy=DEFAULT_POLICY):
     """check_mode for one diagram node with its parameter binding, whose
-    probe parameters are built once per family and binding."""
+    probe parameters are built once per family and binding: the defaults,
+    where the binding only restates them."""
     mode, overrides = NODE_MODES[node]
-    params = family._cached(("params", tuple(overrides.items())),
-                            lambda: ModeParams.defaults(family, **overrides))
+    params = family._cached(("params", ()), lambda: ModeParams.defaults(family))
+    if any(getattr(params, k) != v for k, v in overrides.items()):
+        params = family._cached(("params", tuple(overrides.items())),
+                                lambda base=params: replace(base, **overrides))
     return check_mode(family, mode, params, policy)
 
 

@@ -265,17 +265,20 @@ class TermSource:
         return cls(gen, horizon=arr.size)
 
     def terms(self, lo, hi):
-        """Terms for n in [lo, hi), clamped at tiny negative quadrature noise.
+        """Terms for n in [lo, hi), clamped at tiny negative quadrature noise:
+        the generator's own array where every term is positive.
 
         Raises ParameterError on a negative or non-finite term."""
         ns = np.arange(lo, hi, dtype=np.int64)
         vals = np.asarray(self.generator(ns), dtype=float)
         if not vals.size:
             return vals
-        low = float(vals.min())
-        if not (math.isfinite(low) and math.isfinite(float(vals.max()))):
+        low = float(np.minimum.reduce(vals))
+        if not (math.isfinite(low) and math.isfinite(float(np.maximum.reduce(vals)))):
             bad = int(ns[int(np.argmin(np.isfinite(vals)))])
             raise ParameterError(f"term source produced non-finite term at n={bad}")
+        if low > 0.0:
+            return vals
         if low < -1e-12:
             bad = int(ns[int(np.argmin(vals))])
             raise ParameterError(
@@ -369,21 +372,37 @@ def _neumaier(values):
 
 # Most terms one generator call evaluates; longer blocks are generated in
 # pieces, so the scan's working set does not grow with its horizon.  A
-# generator makes several numpy temporaries of this length (about six for a
-# two-atom mean).  At 2**13 each is 64 KiB and glibc's heap reuses them from
-# call to call.  At 2**16 each is 512 KiB, and glibc gives every freed one
-# back to the kernel (by munmap or by trimming the heap), so each chunk
-# faults in zeroed pages again: a warm lawless 10**6-term scan then takes
-# ~12,500 minor faults instead of none.  Below 2**13 the Python overhead per
-# call dominates.  _summary keeps the sums bit-identical for any _CHUNK of
-# at least 128, numpy's pairwise block size.
-_CHUNK = 1 << 13
+# generator makes a few numpy temporaries of this length (two for a shift
+# CDF gap, about six for a lawless two-atom mean), and glibc hands freed ones
+# back to the kernel once the free top of its heap passes its trim
+# threshold, after which each chunk faults in zeroed pages again.  Warm
+# 10**6-term scans on a 2-vCPU x86 VM, with minor faults per scan:
+#   chunk   CDF gap of ex32(0.4, 2) at x = 1   lawless two-atom mean
+#   2**13   14.6-15.6 ms, 0 faults             0 faults, 387 KiB peak
+#   2**14   12.5-13.6 ms, 0 faults             0, 2615 or 4816 faults by heap layout
+#   2**15   2879 faults                        8752 faults, 1539 KiB peak
+#   2**16   5351 faults                        11208 faults
+# A chunk that is not a power of two splits the power-of-two blocks into
+# twice the calls (15 * 2**10: 13.2-14.2 ms).  _summary keeps the sums
+# bit-identical for any _CHUNK of at least 128, numpy's pairwise block size.
+_CHUNK = 1 << 14
 
 
-def _summarize(arr):
-    """(sum, first, last, min, max) of a nonempty term array."""
-    return (float(np.sum(arr)), float(arr[0]), float(arr[-1]),
-            float(arr.min()), float(arr.max()))
+def _summaries(arr, bounds):
+    """[(sum, first, last, min, max)] of the blocks arr[a:b] between
+    consecutive offsets of bounds, 0 to arr.size.  Each sum is
+    np.add.reduce of the block's slice, np.sum's pairwise sum without its
+    Python wrapper; first and last are read by index, and the minima and
+    maxima come from one reduceat each (plain reductions for one block)."""
+    if len(bounds) == 2:
+        return [(float(np.add.reduce(arr)), float(arr[0]), float(arr[-1]),
+                 float(np.minimum.reduce(arr)), float(np.maximum.reduce(arr)))]
+    starts, ends = bounds[:-1], bounds[1:]
+    k = len(starts)
+    edges = arr[starts + [b - 1 for b in ends]].tolist()  # the firsts, then the lasts
+    return list(zip([float(np.add.reduce(arr[a:b])) for a, b in zip(starts, ends)],
+                    edges[:k], edges[k:], np.minimum.reduceat(arr, starts).tolist(),
+                    np.maximum.reduceat(arr, starts).tolist()))
 
 
 def _summary(src, lo, hi):
@@ -393,7 +412,7 @@ def _summary(src, lo, hi):
     block to the bit."""
     n = hi - lo
     if n <= _CHUNK:
-        return _summarize(src.terms(lo, hi))
+        return _summaries(src.terms(lo, hi), [0, n])[0]
     half = n // 2
     mid = lo + half - half % 8
     sum1, first, _, min1, max1 = _summary(src, lo, mid)
@@ -401,29 +420,31 @@ def _summary(src, lo, hi):
     return sum1 + sum2, first, last, min(min1, min2), max(max1, max2)
 
 
-def _block(src, lo, hi):
-    """(sum, first, last, min, max) of src.terms(lo, hi), evaluated once."""
-    summary = src._blocks.get((lo, hi))
+def _block(src, block):
+    """(sum, first, last, min, max) of src.terms(lo, hi) for the block
+    (lo, hi), evaluated once."""
+    summary = src._blocks.get(block)
     if summary is None:
-        summary = src._blocks[(lo, hi)] = _summary(src, lo, hi)
+        summary = src._blocks[block] = _summary(src, *block)
     return summary
 
 
 def _read_runs(src, blocks):
     """Put the summaries of blocks, consecutive index blocks, in src's memo:
-    one src.terms call for each run of consecutive blocks not yet there, of
-    at most _CHUNK terms, and a slice of it per block.  np.sum of a
-    contiguous slice is numpy's pairwise sum of that block, so each summary
-    is _summary's to the bit.  A run with a bad term is left to _block,
-    which raises only where a scan that reads its blocks one by one would."""
+    one src.terms call for each run of two or more consecutive blocks not
+    yet there, of at most _CHUNK terms, summarised by _summaries, so that
+    each summary is _summary's to the bit.  A single block, and a run with a
+    bad term, is left to _block, which raises only where a scan that reads
+    its blocks one by one would."""
     runs = []
-    for lo, hi in blocks:
-        if (lo, hi) in src._blocks:
+    for block in blocks:
+        if block in src._blocks:
             continue
+        lo, hi = block
         if runs and runs[-1][-1][1] == lo and hi - runs[-1][0][0] <= _CHUNK:
-            runs[-1].append((lo, hi))
+            runs[-1].append(block)
         else:
-            runs.append([(lo, hi)])
+            runs.append([block])
     for run in runs:
         if len(run) == 1:
             continue
@@ -432,19 +453,21 @@ def _read_runs(src, blocks):
             arr = src.terms(start, run[-1][1])
         except ParameterError:
             continue
-        for lo, hi in run:
-            src._blocks[(lo, hi)] = _summarize(arr[lo - start:hi - start])
+        bounds = [0] + [hi - start for _, hi in run]
+        src._blocks.update(zip(run, _summaries(arr, bounds)))
 
 
+@lru_cache(maxsize=64)
 def _dyadic_blocks(n_max):
-    """[lo, hi) index blocks [1,2), [2,4), ... up to n_max inclusive."""
+    """[lo, hi) index blocks [1,2), [2,4), ... up to n_max inclusive, as a
+    tuple shared by every scan to that horizon."""
     blocks = []
     lo = 1
     while lo <= n_max:
         hi = min(2 * lo, n_max + 1)
         blocks.append((lo, hi))
         lo = hi
-    return blocks
+    return tuple(blocks)
 
 
 def _anchor_fit(anchor_ns, anchor_vals, window):
@@ -480,7 +503,7 @@ def fit_exponent(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY):
     positive term.
     """
     blocks = _dyadic_blocks(src.effective_n_max(policy))
-    anchors = [(src._blocks.get(b) or _block(src, b[0], b[0] + 1))[1] for b in blocks]
+    anchors = [(src._blocks.get(b) or _block(src, (b[0], b[0] + 1)))[1] for b in blocks]
     return _anchor_fit([lo for lo, _ in blocks], anchors, DYADIC_WINDOW)
 
 
@@ -505,6 +528,28 @@ def _power_tail(partial, a_last, n_last, p):
 _HORIZON_FRACTION = 0.1
 
 
+def _predicted_stop(src, blocks, p):
+    """How many of blocks a rate-law scan of exponent p reads if its terms
+    fall like n**-p from the last term of block DYADIC_WINDOW on: up to the
+    first block whose _power_tail width there passes the stop test.  Only
+    where the last terms of blocks DYADIC_WINDOW - 1 and DYADIC_WINDOW
+    already fall at that rate (a * n**p equal within 1e-3); else
+    DYADIC_WINDOW, and the scan reads on block by block."""
+    k = DYADIC_WINDOW
+    before, last = (src._blocks.get(b) for b in blocks[k - 2:k])
+    if before is None or last is None or not (before[2] > 0.0 and last[2] > 0.0):
+        return k
+    n0, n = blocks[k - 2][1] - 1, blocks[k - 1][1] - 1
+    if abs(math.log(last[2]) - math.log(before[2]) + p * math.log(n / n0)) > 1e-3:
+        return k
+    for j in range(k, len(blocks)):
+        m = blocks[j][1] - 1
+        if (_power_tail(0.0, last[2] * (m / n) ** -p, m, p)[1]
+                < _HORIZON_FRACTION * TAIL_TOLERANCE):
+            return j + 1
+    return len(blocks)
+
+
 def _dense_scan(src, n_max, exponent=None):
     """src's dense dyadic-block scan up to n_max, as (partial, a_last,
     n_last, last_max, blowup_at): the partial sum of the blocks read, the
@@ -517,20 +562,28 @@ def _dense_scan(src, n_max, exponent=None):
     DYADIC_WINDOW blocks, at the first block whose last term is positive and
     whose _power_tail sandwich is narrower than
     _HORIZON_FRACTION * TAIL_TOLERANCE.  The blocks it is sure to read, all
-    of them without an early stop, are evaluated in runs (_read_runs).
+    of them without an early stop, are evaluated in runs (_read_runs), and
+    with one the first DYADIC_WINDOW blocks and then those up to its
+    predicted stop (_predicted_stop).  The loop reads every block from the
+    memo, so what it reads and where it stops do not depend on the runs.
     """
     blocks = _dyadic_blocks(n_max)
-    _read_runs(src, blocks if exponent is None else blocks[:DYADIC_WINDOW])
+    if exponent is None:
+        _read_runs(src, blocks)
+    else:
+        _read_runs(src, blocks[:DYADIC_WINDOW])
+        if len(blocks) > DYADIC_WINDOW:
+            _read_runs(src, blocks[DYADIC_WINDOW:_predicted_stop(src, blocks, exponent)])
     s = c = 0.0
-    for k, (lo, hi) in enumerate(blocks, start=1):
-        block_sum, _, a_last, _, last_max = _block(src, lo, hi)
+    memo, narrow = src._blocks, _HORIZON_FRACTION * TAIL_TOLERANCE
+    for k, block in enumerate(blocks, start=1):
+        block_sum, _, a_last, _, last_max = memo.get(block) or _block(src, block)
         s, c = _neumaier_add(s, c, block_sum)
-        partial, n_last = s + c, hi - 1
+        partial, n_last = s + c, block[1] - 1
         if partial > BLOWUP_THRESHOLD:
             return partial, a_last, n_last, last_max, n_last
         if (exponent is not None and k >= DYADIC_WINDOW and a_last > 0.0
-                and _power_tail(partial, a_last, n_last, exponent)[1]
-                < _HORIZON_FRACTION * TAIL_TOLERANCE):
+                and _power_tail(partial, a_last, n_last, exponent)[1] < narrow):
             break
     return partial, a_last, n_last, last_max, None
 
@@ -648,9 +701,9 @@ def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -
     A source with a law reads no term."""
     if src.law is not None:
         return src.law.null_verdict
-    lo, hi = _dyadic_blocks(src.effective_n_max(policy))[-1]
-    _, _, _, last_min, last_max = _block(src, lo, hi)
-    n_used = hi - 1
+    block = _dyadic_blocks(src.effective_n_max(policy))[-1]
+    _, _, _, last_min, last_max = _block(src, block)
+    n_used = block[1] - 1
     if last_max < NULL_TOLERANCE:
         return Verdict("tends_to_zero", n_used=n_used)
     try:

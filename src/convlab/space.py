@@ -72,8 +72,17 @@ class PowerAtOne:
 
     def cdf(self, x):
         """F(x) = 1 - (1-x)^(1-alpha) on (0,1), elementwise for an array x;
-        also the quantile inverse."""
-        return 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** (1.0 - self.alpha)
+        also the quantile inverse.  x is clipped to [0, 1] by maximum and
+        minimum, which unlike np.clip need no Python wrapper (they differ
+        only in the sign of a zero, which 1 - x drops).  An array is worked
+        on in place in the one fresh array the clip makes."""
+        u = np.maximum(x, 0.0)
+        if not isinstance(u, np.ndarray):
+            return 1.0 - (1.0 - np.minimum(u, 1.0)) ** (1.0 - self.alpha)
+        np.minimum(u, 1.0, out=u)
+        np.subtract(1.0, u, out=u)
+        u **= 1.0 - self.alpha
+        return np.subtract(1.0, u, out=u)
 
     def quantile(self, w):
         """Q(w) = 1 - (1-w)^(1/(1-alpha)), defined on [0,1]."""

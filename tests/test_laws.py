@@ -5,10 +5,8 @@ n >= start, so it must agree with its source's own generator there.  It is
 read at n = start and at the powers of two 2^k >= start, k <= 20, as the
 generator evaluates them, to 1e-12 relative.  The two-atom gap generators
 subtract g(0) from m1 g(1) + m2 g(v2), so they also carry a rounding error
-of a few ulps of |g(0)|, which the check allows for.  The shift families'
-sine gap generator rounds in cos s - 1 with s = n^-beta, a few ulps of 1,
-which the check allows for too.  Every law a sweep prints as a hint must
-rebuild from its print.
+of a few ulps of |g(0)|, which the check allows for.  Every law a sweep
+prints as a hint must rebuild from its print.
 """
 
 import json
@@ -22,7 +20,6 @@ from convlab.modes import ModeParams, mode_spec, probe_key, probe_source, probes
 from convlab.registry import (NODE_MODES, build_family, ex31, ex32, mode_diagram,
                               shift_uniform, soundness_sweep)
 from convlab.series import TermLaw
-from convlab.testfuncs import Sine
 from perfbench import gen
 
 _FAMILIES = {}
@@ -57,8 +54,6 @@ def _mismatches(family, kind, value, src, law):
     slack = 0.0
     if family.meta.kind in ("ex31", "ex33") and kind in ("expect_gap", "coupled_gap"):
         slack = 4.0 * np.finfo(float).eps * abs(float(value(0.0)))
-    elif kind == "expect_gap" and isinstance(value, Sine):
-        slack = 4.0 * np.finfo(float).eps
     bad = []
     for n, term in zip(ns, got.tolist()):
         want = math.fsum(c * float(n) ** -p for c, p in law.terms)

@@ -491,6 +491,21 @@ def test_ex33_gap_modes_read_no_term(monkeypatch):
     assert calls == []
 
 
+def test_a_pointwise_plateau_past_every_float_index_is_inconclusive():
+    # at omega = 5e-324 ex33's first atom covers omega up to n = 2^1074,
+    # where omega^-1 overflows a float: the terms are 1 at every index a
+    # float holds, and the probe gets the zero law from past the horizon
+    # rather than an OverflowError
+    fam = ex33()
+    rep = check_mode(fam, "sa_as", ModeParams.defaults(fam, omega_points=(5e-324,)))
+    assert rep.verdict == "inconclusive"
+    v = rep.probe_results["omega=5e-324"]
+    assert v.klass == "inconclusive" and v.n_used == 0
+    law = v.evidence["hint"]
+    assert law["terms"] == [] and law["start"] > 2 ** 1074
+    assert check_mode(fam, "as", ModeParams.defaults(fam, omega_points=(5e-324,))).holds
+
+
 def test_shift_factory_falls_back_to_the_generic_route():
     # a clamped affine function that clamps on the shifted support [0, 2],
     # and a test function class the factory does not know: the family

@@ -747,14 +747,15 @@ def test_chunked_block_matches_whole_block(monkeypatch):
         for n in (1, 7, cap, cap + 1, cap + 3, 2 * cap + 6, 3 * cap + 5) * 3:
             vals = rng.random(n) * 10.0 ** rng.uniform(-12, 3, n)
             src = TermSource(lambda ns, vals=vals: vals[ns - 1])
-            assert series._block(src, 1, n + 1) == (
+            assert series._block(src, (1, n + 1)) == (
                 float(np.sum(vals)), vals[0], vals[-1], vals.min(), vals.max()), (cap, n)
 
 
 def test_a_rate_law_scan_reads_its_first_blocks_in_one_call():
     # n^-2 under its rate law stops at block 12, [2048, 4096): the first
-    # DYADIC_WINDOW blocks are read in one generator call, the next four one
-    # by one, and every block's summary is the one it has read on its own
+    # DYADIC_WINDOW blocks are read in one generator call, and the next four,
+    # up to the stop predicted from block 8's last term, in a second, and
+    # every block's summary is the one it has read on its own
     from convlab import series
 
     sizes = []
@@ -762,10 +763,59 @@ def test_a_rate_law_scan_reads_its_first_blocks_in_one_call():
     src.law = rate(2.0)
     v = analyze_series(src)
     assert v.n_used == 4095
-    assert sizes == [2 ** DYADIC_WINDOW - 1, 256, 512, 1024, 2048]
+    assert sizes == [2 ** DYADIC_WINDOW - 1, 4096 - 2 ** DYADIC_WINDOW]
     alone = power_source(2.0)
     blocks = series._dyadic_blocks(4095)
     assert src._blocks == {b: series._summary(alone, *b) for b in blocks}
+
+
+def test_a_plateau_at_the_last_window_block_is_not_extrapolated():
+    # ex31(2.456)'s CDF gap at x = 0.1 is 1 up to n = 285, past block 8: its
+    # last terms do not yet fall at the law's rate, so nothing is predicted
+    # and the scan reads its blocks one by one, 4,095 terms as before
+    fam = ex31(2.456)
+    src = fam.meta.term_source("cdf_gap", 0.1, 1.0)
+    sizes = []
+    generator = src.generator
+    src.generator = lambda ns: (sizes.append(len(ns)), generator(ns))[1]
+    assert analyze_series(src).n_used == 4095
+    assert sizes == [255, 256, 512, 1024, 2048]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_run_summaries_match_each_block_alone(seed):
+    # random layouts of consecutive blocks, single ones, runs of up to
+    # _CHUNK terms and blocks longer than _CHUNK, read in runs where they
+    # can be: every summary is np.sum, first, last, min and max of its block
+    # to the bit, and no generator call spans more than _CHUNK terms
+    from convlab import series
+
+    rng = np.random.default_rng(seed)
+    cap = series._CHUNK
+    lengths = rng.choice([1, 2, 3, 8, 127, 129, 1000, cap // 3, cap - 1, cap,
+                          cap + 1, 2 * cap + 5], size=14).tolist()
+    bounds = np.cumsum([1] + lengths).tolist()
+    blocks = list(zip(bounds, bounds[1:]))
+    vals = rng.random(bounds[-1]) * 10.0 ** rng.uniform(-12, 3, bounds[-1])
+    sizes = []
+    src = TermSource(lambda ns: (sizes.append(len(ns)), vals[ns - 1])[1])
+    series._read_runs(src, blocks)
+    for lo, hi in blocks:
+        block = vals[lo - 1:hi - 1]
+        assert series._block(src, (lo, hi)) == (
+            float(np.sum(block)), block[0], block[-1], block.min(), block.max()), (lo, hi)
+    assert max(sizes) <= cap and sum(sizes) == bounds[-1] - 1
+
+
+def test_terms_clear_negative_zero_and_noise():
+    src = TermSource(lambda ns: np.array([0.5, -0.0, -1e-13, 1.0])[ns - 1])
+    got = src.terms(1, 5)
+    assert got.tolist() == [0.5, 0.0, 0.0, 1.0] and not np.signbit(got).any()
+    # positive terms come back as the generator's own array
+    positive = np.array([0.5, 0.25])
+    assert TermSource(lambda ns: positive).terms(1, 3) is positive
+    with pytest.raises(ParameterError):
+        TermSource(lambda ns: np.array([1.0, -1e-11])).terms(1, 3)
 
 
 @pytest.mark.parametrize("values, at_n", [

@@ -214,6 +214,27 @@ def test_power_at_one_cdf_values():
     assert abs(dens.cdf(0.75) - val) < 1e-10
 
 
+@pytest.mark.parametrize("dens", [PowerAtOne(0.5), PowerAtOne(0.4), PowerAtOne(0.9), UNIFORM])
+def test_density_cdf_keeps_the_bits_of_its_expression(dens):
+    # an array is worked on in place, in one fresh array, with the bits of
+    # the plain expression, and is not written to; a scalar gives a scalar
+    def expression(x):
+        if dens is UNIFORM:
+            return np.clip(x, 0.0, 1.0)
+        return 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** (1.0 - dens.alpha)
+
+    x = np.concatenate([np.linspace(-0.5, 1.5, 4001),
+                        [-0.0, 0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, np.inf, -np.inf, np.nan]])
+    before = x.copy()
+    got = dens.cdf(x)
+    assert np.array_equal(got.view(np.int64), expression(x).view(np.int64))
+    assert np.array_equal(x.view(np.int64), before.view(np.int64))
+    for v in (0.3, np.float64(0.3), -0.2, 1.7, np.array(0.3)):
+        out = dens.cdf(v)
+        assert not isinstance(out, np.ndarray) and np.ndim(out) == 0
+        assert np.float64(out).view(np.int64) == np.float64(expression(v)).view(np.int64)
+
+
 def test_density_rv_mean_vs_quadrature_oracle():
     dens = PowerAtOne(0.5)
     rv = density_rv(dens)
