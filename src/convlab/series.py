@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -40,10 +41,15 @@ class EnginePolicy:
     n_max: int = 1_000_000
 
     def __post_init__(self):
-        if self.n_max < 2 ** DYADIC_WINDOW:
+        try:
+            n_max = operator.index(self.n_max)
+        except TypeError:
+            raise ParameterError(f"n_max must be an integer, got {self.n_max!r}") from None
+        if n_max < 2 ** DYADIC_WINDOW:
             raise ParameterError(
                 f"n_max must be at least 2**{DYADIC_WINDOW} = {2 ** DYADIC_WINDOW}, "
-                f"got {self.n_max}")
+                f"got {n_max}")
+        object.__setattr__(self, "n_max", int(n_max))
 
     def to_dict(self):
         return {
@@ -383,78 +389,62 @@ def _neumaier(values):
 #   2**15   2879 faults                        8752 faults, 1539 KiB peak
 #   2**16   5351 faults                        11208 faults
 # A chunk that is not a power of two splits the power-of-two blocks into
-# twice the calls (15 * 2**10: 13.2-14.2 ms).  _summary keeps the sums
+# twice the calls (15 * 2**10: 13.2-14.2 ms).  _summaries keeps the sums
 # bit-identical for any _CHUNK of at least 128, numpy's pairwise block size.
 _CHUNK = 1 << 14
 
 
-def _summaries(arr, bounds):
-    """[(sum, first, last, min, max)] of the blocks arr[a:b] between
-    consecutive offsets of bounds, 0 to arr.size.  Each sum is
-    np.add.reduce of the block's slice, np.sum's pairwise sum without its
-    Python wrapper; first and last are read by index, and the minima and
-    maxima come from one reduceat each (plain reductions for one block)."""
-    if len(bounds) == 2:
+def _summaries(src, lo, ends):
+    """[(sum, first, last, min, max)] of the consecutive blocks [lo, ends[0]),
+    [ends[0], ends[1]), ... of src's terms, read in one src.terms call where
+    they span at most _CHUNK terms.  Each sum is np.add.reduce of the
+    block's slice, np.sum's pairwise sum without its Python wrapper; first
+    and last are read by index, and the minima and maxima come from one
+    reduceat each (plain reductions for one block).  A lone block longer
+    than _CHUNK is halved where numpy's pairwise summation halves a
+    contiguous array, so its sum is np.sum of the whole block to the bit."""
+    n = ends[-1] - lo
+    if n > _CHUNK:
+        half = n // 2
+        mid = lo + half - half % 8
+        ((sum1, first, _, min1, max1),) = _summaries(src, lo, [mid])
+        ((sum2, _, last, min2, max2),) = _summaries(src, mid, ends)
+        return [(sum1 + sum2, first, last, min(min1, min2), max(max1, max2))]
+    arr = src.terms(lo, ends[-1])
+    if len(ends) == 1:
         return [(float(np.add.reduce(arr)), float(arr[0]), float(arr[-1]),
                  float(np.minimum.reduce(arr)), float(np.maximum.reduce(arr)))]
-    starts, ends = bounds[:-1], bounds[1:]
-    k = len(starts)
-    edges = arr[starts + [b - 1 for b in ends]].tolist()  # the firsts, then the lasts
-    return list(zip([float(np.add.reduce(arr[a:b])) for a, b in zip(starts, ends)],
+    bounds = [0] + [e - lo for e in ends]
+    starts, stops, k = bounds[:-1], bounds[1:], len(ends)
+    edges = arr[starts + [b - 1 for b in stops]].tolist()  # the firsts, then the lasts
+    return list(zip([float(np.add.reduce(arr[a:b])) for a, b in zip(starts, stops)],
                     edges[:k], edges[k:], np.minimum.reduceat(arr, starts).tolist(),
                     np.maximum.reduceat(arr, starts).tolist()))
 
 
-def _summary(src, lo, hi):
-    """(sum, first, last, min, max) of src.terms(lo, hi), generated at most
-    _CHUNK terms at a time.  A longer range is halved where numpy's pairwise
-    summation halves a contiguous array, so the sum is np.sum of the whole
-    block to the bit."""
-    n = hi - lo
-    if n <= _CHUNK:
-        return _summaries(src.terms(lo, hi), [0, n])[0]
-    half = n // 2
-    mid = lo + half - half % 8
-    sum1, first, _, min1, max1 = _summary(src, lo, mid)
-    sum2, _, last, min2, max2 = _summary(src, mid, hi)
-    return sum1 + sum2, first, last, min(min1, min2), max(max1, max2)
-
-
-def _block(src, block):
+def _block(src, block, ahead=()):
     """(sum, first, last, min, max) of src.terms(lo, hi) for the block
-    (lo, hi), evaluated once."""
-    summary = src._blocks.get(block)
-    if summary is None:
-        summary = src._blocks[block] = _summary(src, *block)
-    return summary
-
-
-def _read_runs(src, blocks):
-    """Put the summaries of blocks, consecutive index blocks, in src's memo:
-    one src.terms call for each run of two or more consecutive blocks not
-    yet there, of at most _CHUNK terms, summarised by _summaries, so that
-    each summary is _summary's to the bit.  A single block, and a run with a
-    bad term, is left to _block, which raises only where a scan that reads
-    its blocks one by one would."""
-    runs = []
-    for block in blocks:
-        if block in src._blocks:
-            continue
-        lo, hi = block
-        if runs and runs[-1][-1][1] == lo and hi - runs[-1][0][0] <= _CHUNK:
-            runs[-1].append(block)
-        else:
-            runs.append([block])
-    for run in runs:
-        if len(run) == 1:
-            continue
-        start = run[0][0]
-        try:
-            arr = src.terms(start, run[-1][1])
-        except ParameterError:
-            continue
-        bounds = [0] + [hi - start for _, hi in run]
-        src._blocks.update(zip(run, _summaries(arr, bounds)))
+    (lo, hi), evaluated once.  The blocks of ahead that follow it, up to the
+    first already in src's memo and within _CHUNK terms of lo, are read in
+    the same call.  A run with a bad term reads the block alone, which
+    raises only where a scan that reads its blocks one by one would."""
+    memo = src._blocks
+    if block in memo:
+        return memo[block]
+    lo = block[0]
+    ends = [block[1]]
+    for b in ahead:
+        if b in memo or b[1] - lo > _CHUNK:
+            break
+        ends.append(b[1])
+    try:
+        summaries = _summaries(src, lo, ends)
+    except ParameterError:
+        if len(ends) == 1:
+            raise
+        summaries = _summaries(src, lo, ends[:1])
+    memo.update(zip((block, *ahead), summaries))
+    return summaries[0]
 
 
 @lru_cache(maxsize=64)
@@ -532,19 +522,19 @@ def _predicted_stop(src, blocks, p):
     """How many of blocks a rate-law scan of exponent p reads if its terms
     fall like n**-p from the last term of block DYADIC_WINDOW on: up to the
     first block whose _power_tail width there passes the stop test.  Only
-    where the last terms of blocks DYADIC_WINDOW - 1 and DYADIC_WINDOW
-    already fall at that rate (a * n**p equal within 1e-3); else
-    DYADIC_WINDOW, and the scan reads on block by block."""
+    where the last terms of blocks DYADIC_WINDOW - 1 and DYADIC_WINDOW, both
+    in the memo, already fall at that rate (a * n**p equal within 1e-3);
+    else DYADIC_WINDOW, and the scan reads on block by block."""
     k = DYADIC_WINDOW
-    before, last = (src._blocks.get(b) for b in blocks[k - 2:k])
-    if before is None or last is None or not (before[2] > 0.0 and last[2] > 0.0):
+    before, last = (src._blocks[b][2] for b in blocks[k - 2:k])
+    if not (before > 0.0 and last > 0.0):
         return k
     n0, n = blocks[k - 2][1] - 1, blocks[k - 1][1] - 1
-    if abs(math.log(last[2]) - math.log(before[2]) + p * math.log(n / n0)) > 1e-3:
+    if abs(math.log(last) - math.log(before) + p * math.log(n / n0)) > 1e-3:
         return k
     for j in range(k, len(blocks)):
         m = blocks[j][1] - 1
-        if (_power_tail(0.0, last[2] * (m / n) ** -p, m, p)[1]
+        if (_power_tail(0.0, last * (m / n) ** -p, m, p)[1]
                 < _HORIZON_FRACTION * TAIL_TOLERANCE):
             return j + 1
     return len(blocks)
@@ -561,30 +551,29 @@ def _dense_scan(src, n_max, exponent=None):
     With a rate law's exponent > 1 the scan stops early, after at least
     DYADIC_WINDOW blocks, at the first block whose last term is positive and
     whose _power_tail sandwich is narrower than
-    _HORIZON_FRACTION * TAIL_TOLERANCE.  The blocks it is sure to read, all
-    of them without an early stop, are evaluated in runs (_read_runs), and
-    with one the first DYADIC_WINDOW blocks and then those up to its
-    predicted stop (_predicted_stop).  The loop reads every block from the
-    memo, so what it reads and where it stops do not depend on the runs.
+    _HORIZON_FRACTION * TAIL_TOLERANCE.  A block missing from the memo is
+    read together with the blocks after it that the scan is sure to read
+    (_block): without an early stop every block, and with one the first
+    DYADIC_WINDOW blocks, then those up to its predicted stop
+    (_predicted_stop), then one block at a time.  So what the scan sums and
+    where it stops do not depend on how its blocks were read.
     """
     blocks = _dyadic_blocks(n_max)
-    if exponent is None:
-        _read_runs(src, blocks)
-    else:
-        _read_runs(src, blocks[:DYADIC_WINDOW])
-        if len(blocks) > DYADIC_WINDOW:
-            _read_runs(src, blocks[DYADIC_WINDOW:_predicted_stop(src, blocks, exponent)])
+    sure = len(blocks) if exponent is None else DYADIC_WINDOW
     s = c = 0.0
     memo, narrow = src._blocks, _HORIZON_FRACTION * TAIL_TOLERANCE
     for k, block in enumerate(blocks, start=1):
-        block_sum, _, a_last, _, last_max = memo.get(block) or _block(src, block)
+        block_sum, _, a_last, _, last_max = (memo.get(block)
+                                             or _block(src, block, blocks[k:sure]))
         s, c = _neumaier_add(s, c, block_sum)
         partial, n_last = s + c, block[1] - 1
         if partial > BLOWUP_THRESHOLD:
             return partial, a_last, n_last, last_max, n_last
-        if (exponent is not None and k >= DYADIC_WINDOW and a_last > 0.0
-                and _power_tail(partial, a_last, n_last, exponent)[1] < narrow):
-            break
+        if exponent is not None and k >= DYADIC_WINDOW:
+            if a_last > 0.0 and _power_tail(partial, a_last, n_last, exponent)[1] < narrow:
+                break
+            if k == DYADIC_WINDOW:
+                sure = _predicted_stop(src, blocks, exponent)
     return partial, a_last, n_last, last_max, None
 
 

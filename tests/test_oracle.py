@@ -217,3 +217,30 @@ def test_overflowed_pointwise_exponent_keeps_the_plateau():
             probe, v.to_dict())
         lengths.add(n0)
     assert max(lengths) > 1
+
+
+# ex32's CDF gap at x = 1 is F(1) - F(1 - s) = s^(1 - alpha) with
+# s = n^-beta, exactly n^-((1 - alpha) beta).  Its terms are computed as
+# 1 - (1 - s)^(1 - alpha), so they carry the rounding of 1 - s, which the
+# rate law's one-power tail multiplies by 1 / (p - 1).
+_ROUNDED_AT_ONE = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="PowerAtOne.cdf rounds 1 - (1 - s), and the tail model "
+           "carries the loss (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (0.2, 2.0),
+    (0.25, 4.0),
+    pytest.param(0.4, 2.0, marks=_ROUNDED_AT_ONE),  # misses by 4.2e-6
+    pytest.param(0.5, 3.0, marks=_ROUNDED_AT_ONE),  # by 1.8e-7
+    pytest.param(0.5, 2.0 + 1e-9, marks=_ROUNDED_AT_ONE),  # by 2.2e4
+    pytest.param(0.5, 2.5, marks=_ROUNDED_AT_ONE),  # by 4.2e-4, bound 7.1e-8
+])
+def test_cdf_gap_at_one_interval_holds_the_exact_sum(alpha, beta):
+    v = analyze_series(ex32(alpha, beta).meta.term_source("cdf_gap", 1.0, 1.0))
+    assert v.converges, v.to_dict()
+    exact = float(zeta((1.0 - alpha) * beta))
+    slack = 2.3e-16 * v.n_used + 8.0 * math.ulp(exact)
+    assert v.sum_estimate - slack <= exact <= v.sum_estimate + v.tail_bound + slack, (
+        v.sum_estimate, v.tail_bound, exact)

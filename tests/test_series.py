@@ -6,6 +6,7 @@ hand-built finite term streams.
 
 import gzip
 import importlib.util
+import json
 import math
 import os
 import sys
@@ -46,6 +47,17 @@ def test_policy_validation():
     with pytest.raises(ParameterError):
         EnginePolicy(n_max=10)  # n_max < 2**DYADIC_WINDOW
     assert EnginePolicy(n_max=2 ** DYADIC_WINDOW).n_max == 256
+    # n_max is an integer index: an infinite one hung the block layout, nan
+    # failed inside the engine, and a float or numpy integer leaked into
+    # the printed n_used
+    for bad in (float("inf"), float("nan"), 1e5, 4096.0, "4096", None):
+        with pytest.raises(ParameterError):
+            EnginePolicy(n_max=bad)
+    policy = EnginePolicy(n_max=np.int64(5000))
+    assert type(policy.n_max) is int and policy.n_max == 5000
+    v = analyze_series(power_source(2.0), policy)
+    assert type(v.n_used) is int
+    json.dumps(v.to_dict())
     # the engine rules stay in the printed policy beside its one setting
     assert EnginePolicy(n_max=4096).to_dict() == {
         "n_max": 4096, "dyadic_window": 8, "exponent_margin": 0.05,
@@ -766,7 +778,7 @@ def test_a_rate_law_scan_reads_its_first_blocks_in_one_call():
     assert sizes == [2 ** DYADIC_WINDOW - 1, 4096 - 2 ** DYADIC_WINDOW]
     alone = power_source(2.0)
     blocks = series._dyadic_blocks(4095)
-    assert src._blocks == {b: series._summary(alone, *b) for b in blocks}
+    assert src._blocks == {b: series._block(alone, b) for b in blocks}
 
 
 def test_a_plateau_at_the_last_window_block_is_not_extrapolated():
@@ -780,6 +792,19 @@ def test_a_plateau_at_the_last_window_block_is_not_extrapolated():
     src.generator = lambda ns: (sizes.append(len(ns)), generator(ns))[1]
     assert analyze_series(src).n_used == 4095
     assert sizes == [255, 256, 512, 1024, 2048]
+
+
+def test_a_read_ahead_stops_at_a_block_the_memo_holds():
+    # the null test reads the last block, [2048, 3001), and the decay fit's
+    # single-term anchors at n = 1, 2, 4, ..., 1024; the scan after it reads
+    # [2, 4) ... [1024, 2048) in one call that stops before the last block.
+    # So every term is evaluated once, plus the ten anchors at n = 2 ... 1024.
+    sizes = []
+    src = recording_source(1.5, sizes)
+    policy = EnginePolicy(n_max=3000)
+    assert null_sequence_test(src, policy).tends_to_zero
+    assert analyze_series(src, policy).n_used == 3000
+    assert sum(sizes) == 3000 + 10
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -799,7 +824,8 @@ def test_run_summaries_match_each_block_alone(seed):
     vals = rng.random(bounds[-1]) * 10.0 ** rng.uniform(-12, 3, bounds[-1])
     sizes = []
     src = TermSource(lambda ns: (sizes.append(len(ns)), vals[ns - 1])[1])
-    series._read_runs(src, blocks)
+    for k, block in enumerate(blocks, start=1):  # as a lawless scan reads them
+        series._block(src, block, blocks[k:])
     for lo, hi in blocks:
         block = vals[lo - 1:hi - 1]
         assert series._block(src, (lo, hi)) == (
