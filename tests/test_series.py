@@ -47,9 +47,8 @@ def test_policy_validation():
     with pytest.raises(ParameterError):
         EnginePolicy(n_max=10)  # n_max < 2**DYADIC_WINDOW
     assert EnginePolicy(n_max=2 ** DYADIC_WINDOW).n_max == 256
-    # n_max is an integer index: an infinite one hung the block layout, nan
-    # failed inside the engine, and a float or numpy integer leaked into
-    # the printed n_used
+    # n_max is an integer index: inf, nan, floats and strings are refused,
+    # and a numpy integer is kept as an int, so n_used prints as JSON
     for bad in (float("inf"), float("nan"), 1e5, 4096.0, "4096", None):
         with pytest.raises(ParameterError):
             EnginePolicy(n_max=bad)
