@@ -224,10 +224,10 @@ def _two_atom_source_factory(r, q):
             eps = float(value)
             if eps > 1.0:
                 return _zeros_source()
-            # past the plateau v2 >= eps the terms are m1 = n^-r
+            # m1 + (1 - m1) = 1 on the plateau v2 >= eps, then m1 = n^-r
             start = _first_index(lambda ns: v2_of(ns.astype(float)) < eps, -math.log(eps) / q)
-            return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns),
-                              law=_rate(r, 1.0) if start is None else _law(start, ((1.0, r),)))
+            return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns), law=_rate(r, 1.0)
+                              if start is None else _law(start, ((1.0, r),), None, 1.0))
 
         if kind == "moment":
             p = float(value)
@@ -271,13 +271,13 @@ def _two_atom_source_factory(r, q):
                 m1 = m1_of(nsf)
                 return np.abs(np.where(omega < m1, 1.0, v2_of(nsf))) ** power
 
-            # past the plateau omega < m1 the terms are v2^power = n^-(power q),
-            # all 0 for n >= 2 when that exponent is inf, q's or an
-            # overflowed power * q's
+            # 1.0 ** power = 1 on the plateau omega < m1, then v2^power = n^-(power q),
+            # all 0 for n >= 2 when that exponent is inf, q's or an overflowed power * q's
             p = power * q
             start = _first_index(lambda ns: omega >= m1_of(ns.astype(float)), -math.log(omega) / r)
             if start is not None:
-                return TermSource(gen, law=_law(start, ((1.0, p),) if p < math.inf else ()))
+                return TermSource(gen, law=_law(start, ((1.0, p),) if p < math.inf else (),
+                                                None, 1.0))
             if math.isinf(p):
                 # the plateau ends past every index a float holds, at
                 # omega^(-1/r), or below 2^(1 - log2(omega) / r) where that

@@ -103,9 +103,10 @@ class TermLaw:
     From n = start on, a_n = sum(c * n**-p for c, p in terms) + R_n, where
     |R_n| <= C * n**-p_r for remainder (C, p_r), and R_n = 0 without one.
     With no terms and no remainder this is the zero law: a_n = 0 from start
-    on.  The engine sums the terms before start and takes the rest from the
-    law as Hurwitz zeta values, so a law with start 1 reads no term.  Terms
-    of one exponent are merged, and terms are kept by rising exponent.
+    on.  A positive head states a_n = head for n < start; with head 0 the
+    engine sums those terms.  It takes the rest from the law as Hurwitz zeta
+    values, so a law with start 1 reads no term.  Terms of one exponent are
+    merged, and terms are kept by rising exponent.
 
     start None: a rate law.  Its one term (level, exponent) holds only
     eventually, from an index the law does not know, and level is None where
@@ -116,21 +117,24 @@ class TermLaw:
     start: Optional[int] = 1
     terms: tuple = ()
     remainder: Optional[tuple] = None
+    head: float = 0.0
 
     def __post_init__(self):
         if self.start is None:
-            if len(self.terms) != 1 or self.remainder is not None:
+            if len(self.terms) != 1 or self.remainder is not None or self.head:
                 raise ParameterError(
-                    "a rate law (start None) states one term and no remainder")
+                    "a rate law (start None) states one term, no remainder and no head")
             ((level, p),) = self.terms
             if level is not None and not 0.0 < level < math.inf:
                 raise ParameterError(
                     f"a term law needs a positive finite level, got {level}")
             terms = ((None if level is None else float(level), _law_exponent(p)),)
         else:
-            if self.start < 1:
-                raise ParameterError(f"a term law needs start >= 1, got {self.start}")
+            if self.start < 1 or not 0.0 <= self.head < math.inf:
+                raise ParameterError(f"a term law needs start >= 1 and a finite head >= 0, "
+                                     f"got {self.start} and {self.head}")
             object.__setattr__(self, "start", int(self.start))
+            object.__setattr__(self, "head", float(self.head) if self.start > 1 else 0.0)
             merged = {}
             for c, p in self.terms:
                 if c is None or not math.isfinite(c):
@@ -174,11 +178,12 @@ class TermLaw:
 
     def to_dict(self):
         """The law as the evidence prints it: its start (None for a rate
-        law), its [c, p] terms, and its remainder [C, p_r] where it has one."""
+        law), its [c, p] terms, and its remainder [C, p_r] and head where it
+        has them."""
         d = {"start": self.start, "terms": [list(t) for t in self.terms]}
         if self.remainder is not None:
             d["remainder"] = list(self.remainder)
-        return d
+        return {**d, "head": self.head} if self.head else d
 
     @cached_property
     def rate(self):
@@ -400,9 +405,9 @@ def _summaries(src, lo, ends):
     they span at most _CHUNK terms.  Each sum is np.add.reduce of the
     block's slice, np.sum's pairwise sum without its Python wrapper; first
     and last are read by index, and the minima and maxima come from one
-    reduceat each (plain reductions for one block).  A lone block longer
-    than _CHUNK is halved where numpy's pairwise summation halves a
-    contiguous array, so its sum is np.sum of the whole block to the bit."""
+    reduceat each.  A lone block longer than _CHUNK is halved where numpy's
+    pairwise summation halves a contiguous array, so its sum is np.sum of
+    the whole block to the bit."""
     n = ends[-1] - lo
     if n > _CHUNK:
         half = n // 2
@@ -411,9 +416,6 @@ def _summaries(src, lo, ends):
         ((sum2, _, last, min2, max2),) = _summaries(src, mid, ends)
         return [(sum1 + sum2, first, last, min(min1, min2), max(max1, max2))]
     arr = src.terms(lo, ends[-1])
-    if len(ends) == 1:
-        return [(float(np.add.reduce(arr)), float(arr[0]), float(arr[-1]),
-                 float(np.minimum.reduce(arr)), float(np.maximum.reduce(arr)))]
     bounds = [0] + [e - lo for e in ends]
     starts, stops, k = bounds[:-1], bounds[1:], len(ends)
     edges = arr[starts + [b - 1 for b in stops]].tolist()  # the firsts, then the lasts
@@ -561,10 +563,9 @@ def _dense_scan(src, n_max, exponent=None):
     blocks = _dyadic_blocks(n_max)
     sure = len(blocks) if exponent is None else DYADIC_WINDOW
     s = c = 0.0
-    memo, narrow = src._blocks, _HORIZON_FRACTION * TAIL_TOLERANCE
+    narrow = _HORIZON_FRACTION * TAIL_TOLERANCE
     for k, block in enumerate(blocks, start=1):
-        block_sum, _, a_last, _, last_max = (memo.get(block)
-                                             or _block(src, block, blocks[k:sure]))
+        block_sum, _, a_last, _, last_max = _block(src, block, blocks[k:sure])
         s, c = _neumaier_add(s, c, block_sum)
         partial, n_last = s + c, block[1] - 1
         if partial > BLOWUP_THRESHOLD:
@@ -592,27 +593,26 @@ def _law_verdict(law, klass, sum_estimate=None, tail_bound=None, n_used=0):
 
 def _analyze_with_law(src, policy):
     """Exact comparison with the source's law.  A law that diverges reads
-    no term.  A law from a start sums the terms before it densely and adds
-    the law's zeta tail; one that decides nothing, or the zero law from past
-    the horizon, is inconclusive.  A rate law, and a converging law with
-    terms from past the horizon, is summed from a dense scan to its
-    tight-sandwich horizon, and a one-power tail from the last term; a scan
-    that finds every term 0 is inconclusive, since the law's terms lie past
-    it."""
+    no term.  A law from a start takes the terms before it from its head or
+    a dense scan, and adds its zeta tail; one that decides nothing, or that
+    starts past the horizon without a head, is inconclusive.  A rate law is
+    summed from a dense scan to its tight-sandwich horizon and a one-power
+    tail from the last term; a scan that finds every term 0 is
+    inconclusive, since the law's terms lie past it."""
     law = src.law
     if law.diverges:
         return _law_verdict(law, "diverges")
     n_max = src.effective_n_max(policy)
-    if law.start is None or (law.terms and law.exponent > 1.0 and law.start - 1 > n_max):
+    if law.start is None:
         partial, a_last, n_last, _, _ = _dense_scan(src, n_max, law.exponent)
         if partial == 0.0:
             return _law_verdict(law, "inconclusive", n_used=n_last)
         est, bound = _power_tail(partial, a_last, n_last, law.exponent)
         return _law_verdict(law, "converges", est, bound, n_last)
     n_used = law.start - 1
-    if law.exponent <= 1.0 or n_used > n_max:
+    if law.exponent <= 1.0 or (n_used > n_max and not law.head):
         return _law_verdict(law, "inconclusive")
-    head = _dense_scan(src, n_used)[0] if n_used else 0.0
+    head = n_used * law.head if law.head or not n_used else _dense_scan(src, n_used)[0]
     low, width = law.tail
     return _law_verdict(law, "converges", head + low, width, n_used)
 

@@ -5,8 +5,9 @@ n >= start, so it must agree with its source's own generator there.  It is
 read at n = start and at the powers of two 2^k >= start, k <= 20, as the
 generator evaluates them, to 1e-12 relative.  The two-atom gap generators
 subtract g(0) from m1 g(1) + m2 g(v2), so they also carry a rounding error
-of a few ulps of |g(0)|, which the check allows for.  Every law a sweep
-prints as a hint must rebuild from its print.
+of a few ulps of |g(0)|, which the check allows for.  A law's head must be
+the generator's term, exactly, at n = 1, at n = start - 1 and at every
+2^k < start.  Every law a sweep prints as a hint must rebuild from its print.
 """
 
 import json
@@ -48,13 +49,18 @@ def _exact_sources(family):
 
 
 def _mismatches(family, kind, value, src, law):
-    """The n at which law and src.generator disagree beyond the tolerance."""
+    """The n at which law and src.generator disagree beyond the tolerance,
+    or before start, where the law has a head, at all."""
+    bad = []
+    if law.head:
+        heads = sorted({1, law.start - 1} | {2 ** k for k in range(53) if 2 ** k < law.start})
+        got = src.generator(np.array(heads, dtype=np.int64))
+        bad = [n for n, term in zip(heads, got.tolist()) if term != law.head]
     ns = sorted({law.start} | {2 ** k for k in range(21) if 2 ** k >= law.start})
     got = src.generator(np.array(ns, dtype=np.int64))
     slack = 0.0
     if family.meta.kind in ("ex31", "ex33") and kind in ("expect_gap", "coupled_gap"):
         slack = 4.0 * np.finfo(float).eps * abs(float(value(0.0)))
-    bad = []
     for n, term in zip(ns, got.tolist()):
         want = math.fsum(c * float(n) ** -p for c, p in law.terms)
         rest = law.remainder[0] * float(n) ** -law.remainder[1] if law.remainder else 0.0
@@ -114,8 +120,10 @@ def test_a_law_from_a_start_with_its_leading_exponent_raised_fails_the_check(
     raised = replace(law, terms=((c, p + 0.01), *rest))
     assert _mismatches(family, kind, value, src, raised)
     if kind == "tail":
-        assert law.start == 101
+        assert (law.start, law.head) == (101, 1.0)
         assert _mismatches(family, kind, value, src, replace(law, start=100)) == [100]
+        # a head past the plateau's end meets the first term past it
+        assert _mismatches(family, kind, value, src, replace(law, start=102)) == [101]
 
 
 def _printed_hints(seed):
@@ -134,15 +142,17 @@ def _printed_hints(seed):
 
 
 def test_every_printed_hint_rebuilds_its_law():
-    # a hint prints the law's start (None for a rate law), its terms and
-    # its remainder, so it rebuilds the law and no two laws print alike
+    # a hint prints the law's start (None for a rate law), its terms, its
+    # remainder and its head, so it rebuilds the law and no two laws print
+    # alike
     laws, seed0 = {}, {}
     for seed in range(10):
         for family, tag, probe, params, d in _printed_hints(seed):
             law = probe_source(family, tag, probe, params).law
             assert d == law.to_dict(), (family.name, tag, probe)
             rebuilt = TermLaw(d["start"], tuple(map(tuple, d["terms"])),
-                              tuple(d["remainder"]) if "remainder" in d else None)
+                              tuple(d["remainder"]) if "remainder" in d else None,
+                              d.get("head", 0.0))
             assert rebuilt == law, (family.name, tag, probe)
             laws.setdefault(json.dumps(d, sort_keys=True), set()).add(law)
             if seed == 0:
@@ -150,10 +160,11 @@ def test_every_printed_hint_rebuilds_its_law():
     assert len(laws) > 100 and all(len(same) == 1 for same in laws.values())
     # ex31(2)'s CDF gap at x = 0.5 is n^-2 only past a plateau the law does
     # not know; its cc terms at eps = 0.5 are n^-2 from n = 5 on, past the
-    # plateau n^-0.5 >= 0.5, and ex32(0.5, 2)'s slinf terms from n = 1 on
+    # plateau n^-0.5 >= 0.5 of terms 1, and ex32(0.5, 2)'s slinf terms from
+    # n = 1 on
     rate = seed0[("ex31(alpha=2)", "s2d", "x=0.5")]
     plateau = seed0[("ex31(alpha=2)", "cc", "eps=0.5")]
     exact = seed0[("ex32(alpha=0.5,beta=2)", "slinf", "all")]
     assert (rate, plateau, exact) == ({"start": None, "terms": [[1.0, 2.0]]},
-                                      {"start": 5, "terms": [[1.0, 2.0]]},
+                                      {"start": 5, "terms": [[1.0, 2.0]], "head": 1.0},
                                       {"start": 1, "terms": [[1.0, 2.0]]})

@@ -133,32 +133,10 @@ def _cases():
     return cases
 
 
-# The ex31(3) tail at eps = 0.01 is 1 up to n = 10^6 = n_max, then n^-2:
-# its law from n = 10^6 + 1 sums the plateau and a zeta tail.  ex31(4)'s is
-# 1 up to n = 10^8, past the horizon, where the law is read as a rate law:
-# its tail model extrapolates C*n^-2 from the last term, 1, and reports
-# [1999999, +1.0].
-_PLATEAU_PAST_HORIZON = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the tail model extrapolates the power law from a term still on "
-           "the plateau, which ends past n_max (ROADMAP item 2)")
-
-
-def _known_miss(family, node, probe):
-    if family.meta.kind != "ex31":
-        return ()
-    if node == "cc" and probe == ("eps", 0.01) and family.params["alpha"] >= 4.0:
-        return (_PLATEAU_PAST_HORIZON,)
-    return ()
-
-
-def _params(cases):
-    return [pytest.param(family, node, probe, exact,
-                         id=f"{family.name}-{node}-{probe_key(probe)}",
-                         marks=_known_miss(family, node, probe))
-            for family, node, probe, exact in cases]
-
-
+# The ex31(3) tail at eps = 0.01 is 1 up to n = 10^6 = n_max, then n^-2,
+# and ex31(4)'s is 1 up to n = 10^8, past the horizon: each law from a start
+# states its plateau's level, so its sum is the plateau's length and a zeta
+# tail, wherever the plateau ends.
 _CASES = _cases()
 
 
@@ -175,7 +153,8 @@ def test_every_family_has_closed_form_probes():
     assert min(counts.values()) >= 12
 
 
-@pytest.mark.parametrize("family, node, probe, exact", _params(_CASES))
+@pytest.mark.parametrize("family, node, probe, exact", _CASES, ids=[
+    f"{family.name}-{node}-{probe_key(probe)}" for family, node, probe, _ in _CASES])
 def test_converging_interval_holds_the_exact_sum(family, node, probe, exact):
     v = _report(family, node).probe_results[probe_key(probe)]
     assert v.converges, v.to_dict()
@@ -217,6 +196,31 @@ def test_overflowed_pointwise_exponent_keeps_the_plateau():
             probe, v.to_dict())
         lengths.add(n0)
     assert max(lengths) > 1
+
+
+# ex31(2)'s pointwise terms at omega are 1 while omega < n^-2, then
+# v^alpha = n^-(alpha / 2).  At omega = 1e-40 the plateau lasts to n = 10^20,
+# past the indices a float holds exactly: the law stays a rate law, and its
+# one-power tail extrapolates from a term still on the plateau.
+_PLATEAU_PAST_FLOATS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a plateau that ends past 2**53 keeps the rate law, whose tail "
+           "model reports [1999999, +1.0] (ROADMAP item 2)")
+
+
+@pytest.mark.parametrize("omega, n0", [
+    (1e-20, 10 ** 10 - 1),
+    pytest.param(1e-40, 10 ** 20 - 1, marks=_PLATEAU_PAST_FLOATS),
+])
+def test_pointwise_plateau_past_the_horizon_holds_the_exact_sum(omega, n0):
+    family = ex31(2.0)
+    params = ModeParams.defaults(family, alpha=4.0, omega_points=(omega,))
+    v = check_mode(family, "sa_as", params).probe_results[probe_key(("omega", omega))]
+    assert v.converges, v.to_dict()
+    exact = n0 + _after_plateau(n0, 2.0)
+    slack = 2.3e-16 * v.n_used + 8.0 * math.ulp(exact)
+    assert v.sum_estimate - slack <= exact <= v.sum_estimate + v.tail_bound + slack, (
+        v.sum_estimate, v.tail_bound, exact)
 
 
 # ex32's CDF gap at x = 1 is F(1) - F(1 - s) = s^(1 - alpha) with

@@ -506,6 +506,32 @@ def test_a_pointwise_plateau_past_every_float_index_is_inconclusive():
     assert check_mode(fam, "as", ModeParams.defaults(fam, omega_points=(5e-324,))).holds
 
 
+def test_first_index_bisects_where_its_guess_misses():
+    # six indices around the guess hold the first n where the guess is near
+    # it; a guess below or above it falls back to bisection over [1, 2^53],
+    # and a test still false at 2^53 has no first index a float holds
+    def from_1000(ns):
+        return ns >= 1000
+
+    for guess in (1000.0, 10.0, 1e6):
+        assert registry._first_index(from_1000, math.log(guess)) == 1000, guess
+    assert registry._first_index(lambda ns: ns >= 2 ** 60, math.log(1e4)) is None
+    assert registry._first_index(from_1000, math.log(2.0 ** 54)) is None
+
+
+def test_series_laws_decline_constants_and_exponents_past_the_floats():
+    # a scaled power series whose h^p overflows, whose constant is 0 or
+    # whose exponent p * beta is inf states no law, and neither does the
+    # sine gap a sin s + b (cos s - 1) for a = Re phi(1) <= 0
+    sine = testfuncs.Sine().power_series(1.0)
+    assert registry._series_law(1, sine, 1.0, 0.5, 2.0) is not None
+    for scale, h, beta in ((1.0, 1e200, 2.0), (0.0, 0.5, 2.0), (1.0, 0.5, 1e308)):
+        assert registry._series_law(1, sine, scale, h, beta) is None, (scale, h, beta)
+    assert registry._sine_gap_law(complex(0.5, 0.5), 2.0) is not None
+    for phi1 in (complex(0.0, 0.5), complex(-0.5, 0.5)):
+        assert registry._sine_gap_law(phi1, 2.0) is None, phi1
+
+
 def test_shift_factory_falls_back_to_the_generic_route():
     # a clamped affine function that clamps on the shifted support [0, 2],
     # and a test function class the factory does not know: the family
@@ -966,7 +992,8 @@ def _two_atom_law_since_reference(family, kind, value, power):
     j = 2k + 1 < 19, within n^-19q / 19!.  At eps <= 1 trunc_l1 drops the
     first atom, leaving the rate q.  Past the plateau v2 >= eps a tail is
     m1 = n^-r, and past omega < m1 a pointwise term is v2^power =
-    n^-(power q).  Terms that are 0 from n = 1 on have the zero law from 1."""
+    n^-(power q); on either plateau the terms are 1, the law's head.  Terms
+    that are 0 from n = 1 on have the zero law from 1."""
     r, q = (1.0, math.inf) if family.meta.kind == "ex33" else (2.0, 1.0 / family.params["alpha"])
     zeros = {"tail": lambda eps: eps > 1.0, "cdf_gap": lambda x: not 0.0 <= x < 1.0,
              "char_gap": lambda t: t == 0.0}
@@ -975,10 +1002,10 @@ def _two_atom_law_since_reference(family, kind, value, power):
     if kind == "tail":
         start = 1 if math.isinf(q) else _plateau_end(lambda ns: ns ** -q >= value,
                                                      value ** (-1.0 / q))
-        return TermLaw(start, ((1.0, r),))
+        return TermLaw(start, ((1.0, r),), head=1.0)
     if kind == "pointwise":
         start = _plateau_end(lambda ns: value < np.minimum(ns ** -r, 1.0), value ** (-1.0 / r))
-        return TermLaw(start, ((1.0, power * q),) if power * q < math.inf else ())
+        return TermLaw(start, ((1.0, power * q),) if power * q < math.inf else (), head=1.0)
     if kind == "moment":
         pq = float(value) * q
         return TermLaw(terms=((1.0, r),) + (((1.0, pq), (-1.0, r + pq)) if pq < math.inf else ()))

@@ -122,6 +122,10 @@ def test_non_finite_terms_rejected(bad):
     src = TermSource(lambda ns: np.where(ns == 3, bad, 1.0))
     with pytest.raises(ParameterError, match="non-finite term at n=3"):
         src.terms(1, 10)
+    # n = 3 lies in the last block, [2, 4), which both engines read alone
+    for engine in (analyze_series, null_sequence_test):
+        with pytest.raises(ParameterError, match="non-finite term at n=3"):
+            engine(TermSource(src.generator, horizon=3))
 
 
 def test_tiny_negative_noise_clamped():
@@ -195,7 +199,8 @@ def test_hinted_power_stops_at_tight_sandwich():
 
 def test_hinted_power_does_not_stop_inside_plateau():
     # ex31(2) at eps=0.01: terms are 1 up to n = 10^4, then exactly n^-2:
-    # the law from n = 10^4 + 1 reads the whole plateau, and its sum is exact
+    # the law from n = 10^4 + 1 states the plateau's level as its head, and
+    # its sum is exact
     from scipy.special import zeta
 
     src = ex31(2.0).meta.term_source("tail", 0.01, 1.0)
@@ -224,7 +229,10 @@ def test_hint_validation():
                 dict(start=None, terms=()),
                 dict(start=1, terms=((None, 2.0),)),
                 dict(start=1, terms=((1.0, 2.0),), remainder=(0.0, 3.0)),
-                dict(start=1, terms=((1.0, 2.0),), remainder=(-1.0, 3.0))):
+                dict(start=1, terms=((1.0, 2.0),), remainder=(-1.0, 3.0)),
+                dict(start=None, terms=((1.0, 2.0),), head=1.0),
+                dict(start=2, head=-1.0), dict(start=2, head=math.inf),
+                dict(start=2, head=math.nan)):
         with pytest.raises(ParameterError):
             TermLaw(**bad)
 
@@ -264,6 +272,11 @@ def test_zero_law_prints_the_last_term_its_scan_reads():
         "start": 3, "terms": [[1.0, 2.0]]}
     assert rate(2.0, 1.0).to_dict() == {"start": None, "terms": [[1.0, 2.0]]}
     assert rate(0.5).to_dict() == {"start": None, "terms": [[None, 0.5]]}
+    # a head prints where it states the terms before start, which a law from
+    # n = 1 has none of
+    assert TermLaw(start=3, terms=((1.0, 2.0),), head=1.0).to_dict() == {
+        "start": 3, "terms": [[1.0, 2.0]], "head": 1.0}
+    assert TermLaw(start=1, head=1.0) == TermLaw() and TermLaw().head == 0.0
 
 
 def test_law_from_a_start_sums_the_terms_before_it_and_zeta_after():
@@ -285,34 +298,39 @@ def test_law_from_a_start_sums_the_terms_before_it_and_zeta_after():
     assert abs(v.sum_estimate - exact) <= 4.0 * math.ulp(exact)
     assert (v.p_hat, v.ci_halfwidth) == (2.0, 0.0)
     assert max(hi for _, hi in calls) == 4
-    # from past the horizon the law is read as a rate law: a scan that stops
-    # at its exponent's tight sandwich, and a one-power tail
+    # a law without a head states nothing before its start: from past the
+    # horizon the terms before it are out of reach, and none is read
+    calls.clear()
     policy = EnginePolicy(n_max=4096)
     far = TermLaw(start=5000, terms=((1.0, 2.0),))
-    v = analyze_series(TermSource(gen, law=far), policy)
-    as_rate = analyze_series(TermSource(gen, law=rate(2.0, 1.0)), policy)
-    assert v.converges and v.n_used == as_rate.n_used < 4096
-    assert (v.sum_estimate, v.tail_bound) == (as_rate.sum_estimate, as_rate.tail_bound)
-    assert v.evidence["hint"] == {"start": 5000, "terms": [[1.0, 2.0]]}
-    assert analyze_series(TermSource(gen, law=far), policy) is v
+    assert analyze_series(TermSource(gen, law=far), policy).to_dict() == {
+        "class": "inconclusive", "n_used": 0,
+        "evidence": {"method": "analytic_hint",
+                     "hint": {"start": 5000, "terms": [[1.0, 2.0]]}}}
+    assert calls == []
 
 
-def test_a_law_from_past_the_horizon_keeps_the_rate_law_verdict():
+def test_a_plateau_law_from_past_the_horizon_reads_no_term():
     # ex31(10)'s cc terms at eps = 0.1 are 1 while n^-0.1 >= 0.1, then n^-2.
     # In floats the plateau ends one term early, (10^10)^-0.1 rounding below
-    # 0.1: the law from n = 10^10 gives the rate law's verdict, sum and n_used
+    # 0.1: the law from n = 10^10 states the plateau's level, so the sum is
+    # (10^10 - 1) + zeta(2, 10^10) without a term read
+    from scipy.special import zeta
+
     src = ex31(10.0).meta.term_source("tail", 0.1, 1.0)
-    assert src.law.start == 10 ** 10
+    assert (src.law.start, src.law.head) == (10 ** 10, 1.0)
     assert src.terms(10 ** 10 - 1, 10 ** 10 + 1).tolist() == [1.0, 1e-20]
+    calls = []
+    generator = src.generator
+    src.generator = lambda ns: (calls.append(len(ns)), generator(ns))[1]
     v = analyze_series(src)
-    parent = analyze_series(TermSource(src.generator, law=rate(2.0, 1.0)))
-    assert v.converges and v.n_used == DEFAULT_POLICY.n_max
-    assert (round(v.sum_estimate), round(v.tail_bound, 5)) == (1999999, 1.0)
-    assert (parent.sum_estimate, parent.tail_bound, parent.n_used) == (
-        v.sum_estimate, v.tail_bound, v.n_used)
-    # the zero law from past the horizon stays out of reach
+    assert v.converges and v.n_used == 10 ** 10 - 1 and v.tail_bound == 0.0
+    assert v.sum_estimate == (10 ** 10 - 1) + zeta(2.0, 1e10)
+    assert v.evidence["hint"] == {"start": 10 ** 10, "terms": [[1.0, 2.0]], "head": 1.0}
+    assert calls == []
+    # the zero law without a head from past the horizon stays out of reach
     zero = analyze_series(TermSource(src.generator, law=TermLaw(start=10 ** 10)))
-    assert zero.klass == "inconclusive" and zero.n_used == 0
+    assert zero.klass == "inconclusive" and zero.n_used == 0 and calls == []
 
 
 def test_law_remainder_widens_the_interval_around_the_zeta_sum():
