@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import inspect
 import json
 import sys
@@ -129,15 +128,14 @@ def cmd_diagnose(args):
             mode = mode.strip().lower().replace("-", "")
             tag, overrides = NODE_MODES.get(mode, (mode, {}))
             params = ModeParams.defaults(family, **overrides)
-            reports.append(dataclasses.replace(check_mode(family, tag, params, policy),
-                                               mode=mode))
+            reports.append({**check_mode(family, tag, params, policy).to_dict(), "mode": mode})
             dump_specs.append((mode, tag, params))
         if fh is not None:
             _dump_terms(fh, args.dump_terms, family, dump_specs, args.dump_count)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "family": family.describe(),
-        "reports": [r.to_dict() for r in reports],
+        "reports": reports,
     }
 
     def table(pl):

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import space
 from .errors import ParameterError
 from .series import (DEFAULT_POLICY, EnginePolicy, TermSource, analyze_series,
-                     fresh, null_sequence_test)
+                     null_sequence_test)
 from .testfuncs import ClampedAffine, ClampedIdentity, Sine
 
 
@@ -105,7 +104,7 @@ class ModeParams:
     omega_points: tuple = tuple(van_der_corput(i) for i in range(1, 18))
 
     def __post_init__(self):
-        # tuples throughout, so that params can key _report_shape's cache
+        # tuples throughout, so that params can key the report caches
         for name in ("epsilons", "x_points", "t_points", "test_functions",
                      "omega_points"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
@@ -322,6 +321,8 @@ def generic_term(family, kind, value, power, n):
         return term_s3d(family, n, value)
     if kind == "pointwise":
         return term_sa_as(family, n, power, value)
+    if kind == "trunc_l1":
+        return term_trunc_l1(family, n, value)
     raise ParameterError(f"unknown term kind {kind!r}")
 
 
@@ -386,10 +387,9 @@ def probe_key(probe):
 
 @dataclass(frozen=True, slots=True)
 class ModeReport:
-    """One mode's verdict on a family.  probe_verdicts holds the engine's
-    verdicts in probe order, beside probe_keys, their keys; every report of
-    one (mode, params) shares its probe_keys and params_used, and equal
-    reports on the same verdicts are one object."""
+    """One mode's verdict on a family, a value.  probe_verdicts holds the
+    engine's verdicts in probe order, beside probe_keys, their keys; params
+    are the probe parameters the mode ran with."""
 
     family: str
     mode: str
@@ -397,7 +397,7 @@ class ModeReport:
     witness: Optional[str] = None
     probe_verdicts: tuple = ()
     probe_keys: tuple = ()
-    params_used: dict = field(default_factory=dict)
+    params: ModeParams = ModeParams()
 
     @property
     def holds(self):
@@ -413,58 +413,41 @@ class ModeReport:
         return dict(zip(self.probe_keys, self.probe_verdicts))
 
     def to_dict(self):
+        """The report as JSON, with the probe values of params its mode
+        reads (test functions by name)."""
+        spec = mode_spec(self.mode)
+        shown = {"alpha": self.params.alpha} if spec.alpha else {}
+        for axis, _ in spec.axes:
+            if axis == "p":
+                shown["p"] = self.params.p
+            elif axis in _AXIS_FIELDS:
+                vals = _axis_values(axis, self.params)
+                shown[_AXIS_FIELDS[axis]] = [f.name for f in vals] if axis == "f" else list(vals)
         return {
             "family": self.family,
             "mode": self.mode,
             "verdict": self.verdict,
             "witness": self.witness,
-            "params": fresh(self.params_used),
+            "params": shown,
             "probes": {k: v.to_dict() for k, v in zip(self.probe_keys, self.probe_verdicts)},
         }
 
 
 @functools.lru_cache(maxsize=256)
-def _report_shape(mode, params):
-    """(probe keys in probe order, the probe values a report shows): one
-    tuple and one dict shared by every report of (mode, params), whose
-    to_dict() copies the dict."""
-    spec = mode_spec(mode)
-    keys = tuple(probe_key(probe) for probe in probes_for(mode, params))
-    summary = {"alpha": params.alpha} if spec.alpha else {}
-    for axis, _ in spec.axes:
-        if axis == "p":
-            summary["p"] = params.p
-        elif axis in _AXIS_FIELDS:
-            vals = _axis_values(axis, params)
-            if axis == "f":
-                vals = [f.name for f in vals]
-            summary[_AXIS_FIELDS[axis]] = list(vals)
-    return keys, summary
+def _probe_keys(mode, params):
+    """The probe keys of (mode, params) in probe order, one tuple that every
+    report of the two shares."""
+    return tuple(probe_key(probe) for probe in probes_for(mode, params))
 
 
-class _SameVerdicts(tuple):
-    """Probe verdicts as a cache key, equal only to the same verdict
-    objects.  The key holds them, so no other object takes their ids while
-    it is cached."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(tuple(map(id, self)))
-
-    def __eq__(self, other):
-        return len(self) == len(other) and all(map(operator.is_, self, other))
-
-
-# 256: a seed-0 sweep has 78 cells.  A source without a law gives new
-# verdicts on every call, and its reports only pass through.
+# 256: a seed-0 sweep has 78 cells
 @functools.lru_cache(maxsize=256)
 def _shared_report(family, mode, params, verdict, witness, results):
-    """The report of a family's mode on these probe verdicts: one object,
-    like the verdicts it holds, for every check that reaches them, so that
-    kept sweep reports share their cells."""
-    keys, summary = _report_shape(mode, params)
-    return ModeReport(family, mode, verdict, witness, tuple(results), keys, summary)
+    """The report of a family's mode on these probe verdicts: one object for
+    every check that reaches equal verdicts, so that kept sweep reports
+    share their cells."""
+    return ModeReport(family, mode, verdict, witness, results, _probe_keys(mode, params),
+                      params)
 
 
 def check_mode(
@@ -489,12 +472,11 @@ def check_mode(
     if not probes:
         raise ParameterError(f"empty probe set for mode {mode!r}")
     test = analyze_series if spec.series else null_sequence_test
-    results = _SameVerdicts(
-        test(probe_source(family, mode, probe, params, use_analytic), policy)
-        for probe in probes)
+    results = tuple(test(probe_source(family, mode, probe, params, use_analytic), policy)
+                    for probe in probes)
     bad = next((i for i, v in enumerate(results) if v.klass in _FAILING), None)
     if bad is not None:
-        verdict_tag, witness = VERDICT_FAILS, _report_shape(mode, params)[0][bad]
+        verdict_tag, witness = VERDICT_FAILS, _probe_keys(mode, params)[bad]
     elif any(v.klass == "inconclusive" for v in results):
         verdict_tag, witness = VERDICT_INCONCLUSIVE, None
     elif spec.universal and not certified(family, mode, params):

@@ -236,7 +236,7 @@ def _two_atom_source_factory(r, q):
 
         if kind == "sup":
             return TermSource(lambda ns: np.maximum(1.0, v2_of(ns.astype(float))),
-                              law=_rate(0.0, 1.0))
+                              law=_exact((1.0, 0.0)))
 
         if kind == "expect_gap":
             return TermSource(lambda ns: gap(value, ns), law=gap_law(value))

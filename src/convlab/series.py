@@ -185,19 +185,13 @@ class TermLaw:
             d["remainder"] = list(self.remainder)
         return {**d, "head": self.head} if self.head else d
 
-    @cached_property
+    @property
     def rate(self):
-        """The p_hat and ci_halfwidth of a verdict on this law: its
-        exponent exactly where it is a positive power, else no rate."""
+        """The p_hat and ci_halfwidth of a verdict on this law, a new dict:
+        its exponent exactly where it is a positive power, else no rate."""
         if 0.0 < self.exponent < math.inf:
             return {"p_hat": self.exponent, "ci_halfwidth": 0.0}
         return {}
-
-    @cached_property
-    def evidence(self):
-        """The evidence dict of every verdict resting on this law, built
-        once and shared by those verdicts (their to_dict() copies it)."""
-        return {"method": "analytic_hint", "hint": self.to_dict()}
 
     @cached_property
     def tail(self):
@@ -302,41 +296,35 @@ class TermSource:
         return max(n, 2)
 
 
-def fresh(value):
-    """A copy of a JSON-like value that shares no dict or list with it:
-    verdicts and reports share their constant dicts, and each to_dict()
-    hands out its own."""
-    if isinstance(value, dict):
-        return {k: fresh(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [fresh(v) for v in value]
-    return value
-
-
-# evidence of the lawless outcomes that carry no figures, shared by every
-# verdict with that outcome
-_EXPONENT_FIT = {"method": "exponent_fit"}
-_NEAR_BOUNDARY = {"method": "exponent_near_boundary"}
-_ZERO_OBSERVED = {"method": "eventually_zero_observed"}
-_TOO_FEW_ANCHORS = {"method": "too_few_positive_anchors"}
-
-
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    """The outcome of one engine call.  klass is "converges", "diverges" or
-    "inconclusive" from analyze_series, and "tends_to_zero", "stays_above" or
-    "inconclusive" from null_sequence_test.  A null-test verdict has no
-    evidence, sum or tail bound; level is the null test's level where the
-    terms stay above it."""
+    """The outcome of one engine call, a value.  klass is "converges",
+    "diverges" or "inconclusive" from analyze_series, and "tends_to_zero",
+    "stays_above" or "inconclusive" from null_sequence_test.  An
+    analyze_series verdict names its method, the law it rests on, if any,
+    and in detail the figures it adds as (key, value) pairs.  A null-test
+    verdict has no method, sum or tail bound; level is the null test's level
+    where the terms stay above it."""
 
     klass: str
     sum_estimate: Optional[float] = None
     tail_bound: Optional[float] = None
-    evidence: Optional[dict] = None
+    method: Optional[str] = None
     p_hat: Optional[float] = None
     ci_halfwidth: Optional[float] = None
     n_used: int = 0
     level: Optional[float] = None
+    law: Optional[TermLaw] = None
+    detail: tuple = ()
+
+    @property
+    def evidence(self):
+        """What the verdict rests on, a new dict on each read: its method,
+        its law's hint and its detail; None for a null-test verdict."""
+        if self.method is None:
+            return None
+        hint = {} if self.law is None else {"hint": self.law.to_dict()}
+        return {"method": self.method, **hint, **dict(self.detail)}
 
     @property
     def converges(self):
@@ -352,8 +340,8 @@ class Verdict:
 
     def to_dict(self):
         d = {"class": self.klass, "n_used": self.n_used}
-        if self.evidence is not None:
-            d["evidence"] = fresh(self.evidence)
+        if self.method is not None:
+            d["evidence"] = self.evidence
         for k in ("sum_estimate", "tail_bound", "level", "p_hat", "ci_halfwidth"):
             v = getattr(self, k)
             if v is not None:
@@ -585,10 +573,11 @@ def _law_verdict(law, klass, sum_estimate=None, tail_bound=None, n_used=0):
     """analyze_series's verdict of this class on this law, with these
     figures; a verdict that decides carries the law's rate.  It follows from
     the law's value and these figures alone, so each distinct one is built
-    once and shared, like the law's evidence, by every probe and every sweep
-    that reaches it, whichever source or law object it comes from."""
+    once and shared by every probe and every sweep that reaches it,
+    whichever source or law object it comes from."""
     rate = law.rate if klass != "inconclusive" else {}
-    return Verdict(klass, sum_estimate, tail_bound, law.evidence, n_used=n_used, **rate)
+    return Verdict(klass, sum_estimate, tail_bound, "analytic_hint", n_used=n_used,
+                   law=law, **rate)
 
 
 def _analyze_with_law(src, policy):
@@ -624,65 +613,28 @@ def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Ve
     partial, a_last, n_used, last_max, blowup_at = _dense_scan(
         src, src.effective_n_max(policy))
     if blowup_at is not None:
-        return Verdict(
-            "diverges",
-            evidence={
-                "method": "partial_sum_blowup",
-                "threshold": BLOWUP_THRESHOLD,
-                "at_n": blowup_at,
-            },
-            n_used=blowup_at,
-        )
+        return Verdict("diverges", method="partial_sum_blowup", n_used=blowup_at,
+                       detail=(("threshold", BLOWUP_THRESHOLD), ("at_n", blowup_at)))
     if last_max == 0.0:
         # terms have died out within the probed range
-        return Verdict(
-            "converges",
-            sum_estimate=partial,
-            tail_bound=0.0,
-            evidence=_ZERO_OBSERVED,
-            n_used=n_used,
-        )
+        return Verdict("converges", partial, 0.0, "eventually_zero_observed", n_used=n_used)
     try:
         p_hat, ci = fit_exponent(src, policy)
     except TooFewAnchors:
         # the last block is positive, but too few anchors are to fit a decay
-        return Verdict("inconclusive", evidence=_TOO_FEW_ANCHORS, n_used=n_used)
+        return Verdict("inconclusive", method="too_few_positive_anchors", n_used=n_used)
+    fit = {"p_hat": p_hat, "ci_halfwidth": ci, "n_used": n_used}
     # divergence needs an interval that reaches 1; one wholly inside
     # (1, 1 + EXPONENT_MARGIN] is near the boundary
     if p_hat - ci <= 1.0 and p_hat + ci <= 1.0 + EXPONENT_MARGIN:
-        return Verdict(
-            "diverges",
-            p_hat=p_hat,
-            ci_halfwidth=ci,
-            evidence=_EXPONENT_FIT,
-            n_used=n_used,
-        )
+        return Verdict("diverges", method="exponent_fit", **fit)
     if p_hat - ci >= 1.0 + EXPONENT_MARGIN:
         est, bound = _power_tail(partial, a_last, n_used, p_hat)
         if bound < TAIL_TOLERANCE:
-            return Verdict(
-                "converges",
-                sum_estimate=est,
-                tail_bound=bound,
-                p_hat=p_hat,
-                ci_halfwidth=ci,
-                evidence=_EXPONENT_FIT,
-                n_used=n_used,
-            )
-        return Verdict(
-            "inconclusive",
-            p_hat=p_hat,
-            ci_halfwidth=ci,
-            evidence={"method": "tail_above_tolerance", "tail_bound": bound},
-            n_used=n_used,
-        )
-    return Verdict(
-        "inconclusive",
-        p_hat=p_hat,
-        ci_halfwidth=ci,
-        evidence=_NEAR_BOUNDARY,
-        n_used=n_used,
-    )
+            return Verdict("converges", est, bound, "exponent_fit", **fit)
+        return Verdict("inconclusive", method="tail_above_tolerance",
+                       detail=(("tail_bound", bound),), **fit)
+    return Verdict("inconclusive", method="exponent_near_boundary", **fit)
 
 
 def null_sequence_test(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Verdict:

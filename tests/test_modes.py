@@ -14,7 +14,7 @@ from convlab import space
 from convlab.errors import ParameterError
 from convlab.modes import (ALL_MODES, LIMIT_MODES, MODES, SERIES_MODES,
                            UNIVERSAL_MODES, Family, FamilyMeta, ModeParams,
-                           _report_shape, check_mode, generic_term,
+                           ModeReport, check_mode, generic_term,
                            probe_key, probe_source, probes_for, term_cc, term_s1d,
                            term_s1star, term_s2d, term_s3d, term_sa_as,
                            term_slinf, term_slp, term_trunc_l1,
@@ -138,6 +138,7 @@ def test_truncated_terms_match_generic(family):
         for n in CROSS_CHECK_NS:
             slow = term_trunc_l1(family, n, eps)
             assert abs(fast[n - 1] - slow) < 1e-8
+            assert generic_term(family, "trunc_l1", eps, 1.0, n) == slow
 
 
 def test_generic_term_rejects_unknown_kind():
@@ -342,8 +343,8 @@ def test_mode_table_matches_reference_dispatch(family):
         for mode in ALL_MODES:
             probes = probes_for(mode, params)
             assert probes == reference_probes(mode, params)
-            assert (list(_report_shape(mode, params)[1].items())
-                    == list(reference_summary(mode, params).items()))
+            shown = ModeReport(family.name, mode, "holds", params=params).to_dict()["params"]
+            assert list(shown.items()) == list(reference_summary(mode, params).items())
             for probe in probes:
                 for n in (1, 2, 5, 40):
                     got = generic_term(family, *term_args(mode, probe, params), n)

@@ -136,6 +136,18 @@ def test_golden_agreement(family):
         )
 
 
+def test_node_report_runs_a_binding_that_changes_the_defaults(monkeypatch):
+    # every NODE_MODES binding restates the defaults; one that changes them
+    # runs on the defaults with its overrides, built once per family
+    family = ex31(2.0)
+    monkeypatch.setitem(NODE_MODES, "sl1", ("slp", {"p": 2.0}))
+    rep = node_report(family, "sl1")
+    assert rep.params == ModeParams.defaults(family, p=2.0)
+    assert node_report(family, "sl1").params is rep.params
+    assert rep == check_mode(ex31(2.0), "slp", ModeParams.defaults(family, p=2.0))
+    assert rep.probe_keys == ("p=2.0",)
+
+
 def test_expected_verdicts_regime_dependence():
     # outside the analyzed regime the failure claims are absent, not flipped
     assert "s1d" in expected_verdicts(ex31(2.0))
@@ -992,8 +1004,9 @@ def _two_atom_law_since_reference(family, kind, value, power):
     j = 2k + 1 < 19, within n^-19q / 19!.  At eps <= 1 trunc_l1 drops the
     first atom, leaving the rate q.  Past the plateau v2 >= eps a tail is
     m1 = n^-r, and past omega < m1 a pointwise term is v2^power =
-    n^-(power q); on either plateau the terms are 1, the law's head.  Terms
-    that are 0 from n = 1 on have the zero law from 1."""
+    n^-(power q); on either plateau the terms are 1, the law's head.  The
+    sup norm max(1, v2) is exactly 1 from n = 1.  Terms that are 0 from
+    n = 1 on have the zero law from 1."""
     r, q = (1.0, math.inf) if family.meta.kind == "ex33" else (2.0, 1.0 / family.params["alpha"])
     zeros = {"tail": lambda eps: eps > 1.0, "cdf_gap": lambda x: not 0.0 <= x < 1.0,
              "char_gap": lambda t: t == 0.0}
@@ -1006,6 +1019,8 @@ def _two_atom_law_since_reference(family, kind, value, power):
     if kind == "pointwise":
         start = _plateau_end(lambda ns: value < np.minimum(ns ** -r, 1.0), value ** (-1.0 / r))
         return TermLaw(start, ((1.0, power * q),) if power * q < math.inf else (), head=1.0)
+    if kind == "sup":
+        return TermLaw(terms=((1.0, 0.0),))
     if kind == "moment":
         pq = float(value) * q
         return TermLaw(terms=((1.0, r),) + (((1.0, pq), (-1.0, r + pq)) if pq < math.inf else ()))
@@ -1047,12 +1062,12 @@ def test_two_atom_terms_match_reference(family, ref):
                 assert got_law == want_law, (mode, probe)
                 checked += 1
     assert checked > 700
-    # at each of the 9 (alpha, p): the 2 moment probes (sl1, l1), the 9 gap
-    # probes (s1d, s1star, dist), the 12 tail probes (cc, prob), the 34
-    # pointwise probes (as, s1as) and the 7 zero probes (s2d and dist at
-    # three x, s3d at t = 0); ex33's 5 trunc_l1 probes at eps <= 1, and
-    # ex31(0.25)'s 5 trunc_l1 probes there
-    assert changed == 9 * {"ex33": 69, "ex31(alpha=0.25)": 69}.get(family.name, 64)
+    # at each of the 9 (alpha, p): the 2 sup probes (slinf, linf), the 2
+    # moment probes (sl1, l1), the 9 gap probes (s1d, s1star, dist), the 12
+    # tail probes (cc, prob), the 34 pointwise probes (as, s1as) and the 7
+    # zero probes (s2d and dist at three x, s3d at t = 0); ex33's 5 trunc_l1
+    # probes at eps <= 1, and ex31(0.25)'s 5 trunc_l1 probes there
+    assert changed == 9 * {"ex33": 71, "ex31(alpha=0.25)": 71}.get(family.name, 66)
 
 
 @pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)
@@ -1213,10 +1228,10 @@ def _small_sweep():
 
 
 def test_kept_sweep_report_stays_small():
-    # reports share their laws' evidence dicts and one verdict per (law,
-    # outcome, figures), the lawless outcomes' constant evidence, one params
-    # summary and probe-key tuple per (mode, params), and the diagram's node pairs;
-    # a report keeps its probe verdicts in a tuple.  Before that sharing a
+    # reports share one verdict per (law, outcome, figures), one probe-key
+    # tuple per (mode, params), their family's params and the diagram's node
+    # pairs; a report keeps its probe verdicts in a tuple, and a verdict its
+    # law, from which its evidence is built on read.  Before that sharing a
     # kept report held about 190 KiB, about 100 KiB with a verdict per
     # law-only probe, and about 73 KiB with a dict of verdicts per report
     import gc
@@ -1244,10 +1259,10 @@ def test_sweeps_share_the_verdicts_that_rest_on_a_law():
     for cell, rep in a.verdicts.items():
         for v, w in zip(rep.probe_verdicts, b.verdicts[cell].probe_verdicts):
             assert v is w, cell
-    # a fitted verdict is the family's own
+    # a fitted verdict is a value too: equal ones share one report
     params = ModeParams.defaults(ex31(2.0), test_functions=(ClampedAffine(K=2.0, M=0.5),))
-    one, two = (check_mode(ex31(2.0), "s1d", params).probe_verdicts[0] for _ in range(2))
-    assert one == two and one is not two and one.evidence == {"method": "exponent_fit"}
+    one, two = (check_mode(ex31(2.0), "s1d", params) for _ in range(2))
+    assert one is two and one.probe_verdicts[0].evidence == {"method": "exponent_fit"}
 
 
 def test_fresh_sweeps_share_the_shift_families_pointwise_verdicts():
@@ -1288,6 +1303,25 @@ def test_to_dict_outputs_share_nothing_with_reports():
             _scribble(verdict.to_dict())
     _scribble(reports[1].to_dict())
     assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == snapshot
+
+
+def test_writing_into_what_a_report_prints_changes_no_later_report():
+    # a verdict's evidence and a report's printed params are built on each
+    # read, so writing into them changes no result: not a later family's
+    # report of the same mode, and no later sweep
+    def s1d():
+        return check_mode(ex31(2.0), "s1d")
+
+    report, sweep = s1d().to_dict(), json.dumps(_small_sweep().to_dict(), sort_keys=True)
+    scribbled = s1d()
+    scribbled.probe_verdicts[0].evidence["method"] = "scribbled"
+    scribbled.to_dict()["params"]["t_points"] = [9]
+    for rep in [scribbled, *_small_sweep().verdicts.values()]:
+        for v in rep.probe_verdicts:
+            _scribble(v.evidence)
+        _scribble(rep.to_dict()["params"])
+    assert s1d().to_dict() == report
+    assert json.dumps(_small_sweep().to_dict(), sort_keys=True) == sweep
 
 
 def _first_moment_verdict(alpha, with_law):

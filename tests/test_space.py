@@ -175,9 +175,11 @@ def test_char_fn_rejects_overflowing_phase(rv):
         char_fn(rv, 1e308)
 
 
-@pytest.mark.parametrize("t", (5.0, 50.0), ids=["series", "continued-fraction"])
+@pytest.mark.parametrize("t", (2.0, 50.0), ids=["series", "continued-fraction"])
 def test_char_fn_unconverged_expansion_raises(monkeypatch, t):
-    # two steps reach neither the series' nor the fraction's stopping rule
+    # two steps reach neither the series' nor the fraction's stopping rule;
+    # the quantile piece of PowerAtOne(0.5) has s*b = t, inside the series
+    # radius at t = 2 and past it at t = 50
     monkeypatch.setattr(space, "_MAX_ITER", 2)
     with pytest.raises(AccuracyError):
         char_fn(density_rv(PowerAtOne(0.5)), t)
@@ -315,15 +317,17 @@ def test_diff_abs_mixed_kinds_rejected():
             diff_abs(rv1, density_rv(PowerAtOne(0.5)))
 
 
-def test_diff_abs_crossing_rounded_onto_an_end_keeps_the_larger_ends_sign():
+@pytest.mark.parametrize("a, b", [(-4.9, 2.744), (1.4, -0.056)])
+def test_diff_abs_crossing_rounded_onto_an_end_keeps_the_larger_ends_sign(a, b):
     # -4.9 w + 2.744 vanishes at w = 0.56, the piece's right end, but rounds
-    # to -4.4e-16 there: the crossing collapses onto the end, and the piece
-    # stays whole with the sign of its value 2.548 at the left end
-    X = RandomVariable((Piece(0.0, 0.04, B=0.0), Piece(0.04, 0.56, -4.9, 2.744),
+    # to -4.4e-16 there; 1.4 w - 0.056 vanishes at its left end, w = 0.04,
+    # and rounds to -6.9e-18 there.  The crossing collapses onto the end,
+    # and the piece stays whole with the sign of its value at the other end
+    X = RandomVariable((Piece(0.0, 0.04, B=0.0), Piece(0.04, 0.56, a, b),
                         Piece(0.56, 1.0, B=0.0)))
+    assert min(a * 0.04 + b, a * 0.56 + b) < 0.0
     d = diff_abs(X, constant_rv(0.0))
-    assert [(p.lo, p.hi, p.A, p.B) for p in d.pieces if p.A != 0.0] == [
-        (0.04, 0.56, -4.9, 2.744)]
+    assert [(p.lo, p.hi, p.A, p.B) for p in d.pieces if p.A != 0.0] == [(0.04, 0.56, a, b)]
 
 
 def test_truncated_abs_moment_skips_pieces_at_or_above_eps():
