@@ -42,9 +42,8 @@ def _zero_past(n):
 
 
 def _rate(p, level=None):
-    """The law of terms that decay like level * n^-p from some n on; at
-    p = inf, of terms that are 0 past n = 1."""
-    return _law(None, ((level, p),)) if p < math.inf else _zero_past(1)
+    """The law of terms that decay like level * n^-p from some n on."""
+    return _law(None, ((level, p),))
 
 
 def _exact(*terms, remainder=None):
@@ -58,25 +57,31 @@ def _zeros_source():
 
 
 def _first_index(holds, log_guess):
-    """The first n >= 1 at which holds(ns), a test on an int64 array of
-    indices made with a generator's own arithmetic, is true, where it is
-    false before that n and true from it on; log_guess is the log of that n
-    in exact arithmetic.  None where it lies past 2**53, beyond the indices
-    a float holds exactly."""
-    last = 2 ** 53
-    if not log_guess < math.log(last):
-        return None
-    lo = max(1, math.floor(math.exp(log_guess)) - 2)
-    flags = holds(np.arange(lo, lo + 6, dtype=np.int64))
-    if flags[-1] and (lo == 1 or not flags[0]):
-        return lo + int(flags.argmax())
-    lo, hi = 0, last  # the test is false at lo (or lo = 0) and true at hi
-    if not holds(np.array([hi], dtype=np.int64))[0]:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(np.array([mid], dtype=np.int64))[0] else (mid, hi)
-    return hi
+    """The first n >= 1 at which holds(ns) is true, where it is false before
+    that n and true from it on; log_guess is the log of that n in exact
+    arithmetic.  holds tests an array of indices with a generator's own
+    arithmetic, which casts it with astype(float): it gets int64 indices up
+    to 2**62, and past that the floats themselves, each an integer, up to
+    the largest float.  None where the test is false at every float."""
+    if log_guess < math.log(2 ** 53):
+        lo = max(1, math.floor(math.exp(log_guess)) - 2)
+        flags = holds(np.arange(lo, lo + 6, dtype=np.int64))
+        if flags[-1] and (lo == 1 or not flags[0]):
+            return lo + int(flags.argmax())
+
+    def index(n, dtype):  # n itself, or the float whose bit pattern n is
+        return np.array([n], dtype=np.int64).view(dtype)
+
+    # bisect where the test is false at lo (or lo = 0) and true at hi: int64
+    # indices, then the floats' bit patterns, which order the positive floats
+    floats = np.array([2.0 ** 62, np.finfo(float).max]).view(np.int64).tolist()
+    for lo, hi, dtype in ((0, 2 ** 53, np.int64), (2 ** 53, 2 ** 62, np.int64), (*floats, float)):
+        if holds(index(hi, dtype))[0]:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if holds(index(mid, dtype))[0] else (mid, hi)
+            return int(index(hi, dtype)[0])
+    return None
 
 
 def _series_law(start, series, scale, h, beta):
@@ -157,42 +162,20 @@ def _two_atom_source_factory(r, q):
     term is mean(g) = E g(X_n), or gap(g) = |E g(X_n) - g(0)|, for a g fixed
     by the term kind and probe value."""
 
-    def m1_of(nsf):
-        """m1 = min(n^-r, 1) at the float indices nsf, in a fresh array."""
-        m1 = nsf**-r
-        return np.minimum(m1, 1.0, out=m1)
-
-    def v2_of(nsf):
-        """v2 = n^-q at the float indices nsf, in nsf's own array."""
-        if math.isinf(q):
-            # n^-inf is 0 for every n, but pow gives 1 ** -inf = 1
-            nsf.fill(0.0)
-        else:
-            nsf **= -q
-        return nsf
-
     def basis(ns):
         """(m1, 1 - m1, v2) at ns: the first atom's mass, the second's, and
-        the second atom's value, three fresh arrays."""
+        the second atom's value."""
         nsf = ns.astype(float)
-        m1 = m1_of(nsf)
-        return m1, np.subtract(1.0, m1), v2_of(nsf)
+        m1 = np.minimum(nsf**-r, 1.0)
+        # n^-inf is 0 for every n, but pow gives 1 ** -inf = 1
+        return m1, 1.0 - m1, np.zeros(len(nsf)) if math.isinf(q) else nsf**-q
 
     def mean(g, ns):
-        """m1 * g(1) + m2 * g(v2), in m1's array where g is real."""
         m1, m2, v2 = basis(ns)
-        at1, at2 = g(1.0), g(v2)
-        if isinstance(at1, complex) or at2.dtype.kind == "c":
-            return m1 * at1 + m2 * at2
-        m1 *= at1
-        m2 *= at2
-        m1 += m2
-        return m1
+        return m1 * g(1.0) + m2 * g(v2)
 
     def gap(g, ns):
-        terms = mean(g, ns)
-        terms -= g(0.0)
-        return np.abs(terms, out=terms) if terms.dtype.kind == "f" else np.abs(terms)
+        return np.abs(mean(g, ns) - g(0.0))
 
     def atom_law(c, series):
         """The law of m1 * c + m2 * h(v2), h(0) = 0, where series =
@@ -225,7 +208,7 @@ def _two_atom_source_factory(r, q):
             if eps > 1.0:
                 return _zeros_source()
             # m1 + (1 - m1) = 1 on the plateau v2 >= eps, then m1 = n^-r
-            start = _first_index(lambda ns: v2_of(ns.astype(float)) < eps, -math.log(eps) / q)
+            start = _first_index(lambda ns: basis(ns)[2] < eps, -math.log(eps) / q)
             return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns), law=_rate(r, 1.0)
                               if start is None else _law(start, ((1.0, r),), None, 1.0))
 
@@ -235,7 +218,7 @@ def _two_atom_source_factory(r, q):
                               law=atom_law(1.0, (((1.0, p),), None)))
 
         if kind == "sup":
-            return TermSource(lambda ns: np.maximum(1.0, v2_of(ns.astype(float))),
+            return TermSource(lambda ns: np.maximum(1.0, basis(ns)[2]),
                               law=_exact((1.0, 0.0)))
 
         if kind == "expect_gap":
@@ -267,33 +250,35 @@ def _two_atom_source_factory(r, q):
             omega = float(value)
 
             def gen(ns):
-                nsf = ns.astype(float)
-                m1 = m1_of(nsf)
-                return np.abs(np.where(omega < m1, 1.0, v2_of(nsf))) ** power
+                m1, _, v2 = basis(ns)
+                return np.abs(np.where(omega < m1, 1.0, v2)) ** power
 
             # 1.0 ** power = 1 on the plateau omega < m1, then v2^power = n^-(power q),
             # all 0 for n >= 2 when that exponent is inf, q's or an overflowed power * q's
             p = power * q
-            start = _first_index(lambda ns: omega >= m1_of(ns.astype(float)), -math.log(omega) / r)
+            start = _first_index(lambda ns: omega >= basis(ns)[0], -math.log(omega) / r)
             if start is not None:
                 return TermSource(gen, law=_law(start, ((1.0, p),) if p < math.inf else (),
                                                 None, 1.0))
             if math.isinf(p):
-                # the plateau ends past every index a float holds, at
-                # omega^(-1/r), or below 2^(1 - log2(omega) / r) where that
-                # overflows a float: the zero law from past the horizon
-                try:
-                    last = math.ceil(omega ** (-1.0 / r))
-                except OverflowError:
-                    last = 2 ** math.ceil(1.0 - math.log2(omega) / r)
-                return TermSource(gen, law=_zero_past(last))
+                # the plateau ends past every float, below 2^(1 - log2(omega) / r):
+                # the zero law from past the horizon
+                return TermSource(gen, law=_zero_past(2 ** math.ceil(1.0 - math.log2(omega) / r)))
             return TermSource(gen, law=_rate(p))
 
         if kind == "trunc_l1":
             eps = float(value)
-            # the first atom, at 1, is truncated away unless eps > 1
-            return TermSource(lambda ns: mean(lambda v: np.abs(v) * (np.abs(v) < eps),
-                                              ns), law=_rate(min(r, q) if eps > 1.0 else q))
+
+            def gen(ns):
+                return mean(lambda v: np.abs(v) * (np.abs(v) < eps), ns)
+
+            if eps > 1.0:  # both atoms are kept: the first moment
+                return TermSource(gen, law=atom_law(1.0, (((1.0, 1.0),), None)))
+            # the first atom, at 1, is truncated away: m2 * v2 = n^-q - n^-(r+q)
+            # from the first n with v2 < eps, and 0 before it
+            start = _first_index(lambda ns: basis(ns)[2] < eps, -math.log(eps) / q)
+            return TermSource(gen, law=_rate(q) if start is None else _law(
+                start, ((1.0, q), (-1.0, r + q)) if q < math.inf else ()))
 
         return None
 
@@ -448,7 +433,9 @@ def _shift_source_factory(dens, beta, holder_at_1):
                 s = s_of(ns)
                 return np.where(s < eps, s, 0.0)
 
-            return TermSource(gen, law=_rate(beta))
+            # s = n^-beta from the first n with s < eps, 0 before it
+            start = _first_index(lambda ns: s_of(ns) < eps, -math.log(eps) / beta)
+            return TermSource(gen, law=_law(start, ((1.0, beta),)) if start else _rate(beta))
 
         return None
 

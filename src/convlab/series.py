@@ -372,15 +372,15 @@ def _neumaier(values):
 # Most terms one generator call evaluates; longer blocks are generated in
 # pieces, so the scan's working set does not grow with its horizon.  A
 # generator makes a few numpy temporaries of this length (two for a shift
-# CDF gap, about six for a lawless two-atom mean), and glibc hands freed ones
-# back to the kernel once the free top of its heap passes its trim
+# CDF gap, about a dozen for a lawless two-atom mean), and glibc hands freed
+# ones back to the kernel once the free top of its heap passes its trim
 # threshold, after which each chunk faults in zeroed pages again.  Warm
 # 10**6-term scans on a 2-vCPU x86 VM, with minor faults per scan:
 #   chunk   CDF gap of ex32(0.4, 2) at x = 1   lawless two-atom mean
-#   2**13   14.6-15.6 ms, 0 faults             0 faults, 387 KiB peak
-#   2**14   12.5-13.6 ms, 0 faults             0, 2615 or 4816 faults by heap layout
-#   2**15   2879 faults                        8752 faults, 1539 KiB peak
-#   2**16   5351 faults                        11208 faults
+#   2**13   14.6-15.6 ms, 0 faults             0 faults, 453 KiB peak
+#   2**14   12.5-13.6 ms, 0 faults             0 faults (heap layout can move it), 900 KiB peak
+#   2**15   2879 faults                        10288 faults, 1796 KiB peak
+#   2**16   5351 faults                        13680 faults
 # A chunk that is not a power of two splits the power-of-two blocks into
 # twice the calls (15 * 2**10: 13.2-14.2 ms).  _summaries keeps the sums
 # bit-identical for any _CHUNK of at least 128, numpy's pairwise block size.

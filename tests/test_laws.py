@@ -77,6 +77,17 @@ def test_exact_laws_match_their_generators(family):
         assert _mismatches(family, kind, value, src, src.law) == [], (kind, key, power)
 
 
+@pytest.mark.parametrize("family", list(_FAMILIES.values()), ids=list(_FAMILIES))
+def test_truncated_moment_laws_match_their_generators(family):
+    # the truncated first moment at eps keeps each atom, or the shift, below
+    # eps: a law from the first n where the second atom, or the shift, is
+    # kept, and the first moment from n = 1 where eps keeps both atoms
+    for eps in (0.5, 2.0, 1e-3):
+        src = family.meta.term_source("trunc_l1", eps, 1.0)
+        assert src.law.start is not None, eps
+        assert _mismatches(family, "trunc_l1", eps, src, src.law) == [], eps
+
+
 @pytest.mark.parametrize("alpha, kind, index", [
     (alpha, kind, index) for alpha in (0.6, 0.8, 0.95)
     for kind in ("moment", "expect_gap") for index in range(3)])

@@ -198,24 +198,22 @@ def test_overflowed_pointwise_exponent_keeps_the_plateau():
     assert max(lengths) > 1
 
 
-# ex31(2)'s pointwise terms at omega are 1 while omega < n^-2, then
-# v^alpha = n^-(alpha / 2).  At omega = 1e-40 the plateau lasts to n = 10^20,
-# past the indices a float holds exactly: the law stays a rate law, and its
-# one-power tail extrapolates from a term still on the plateau.
-_PLATEAU_PAST_FLOATS = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="a plateau that ends past 2**53 keeps the rate law, whose tail "
-           "model reports [1999999, +1.0] (ROADMAP item 2)")
-
-
-@pytest.mark.parametrize("omega, n0", [
-    (1e-20, 10 ** 10 - 1),
-    pytest.param(1e-40, 10 ** 20 - 1, marks=_PLATEAU_PAST_FLOATS),
+# Plateaus of terms 1 past the horizon, then n^-2.  ex31(2)'s pointwise
+# terms at omega are 1 while omega < n^-2, then v^alpha = n^-(alpha / 2):
+# at omega = 1e-40 the plateau lasts to n = 10^20, past int64.  ex31(8)'s
+# tails at eps are 1 while n^(-1/8) >= eps, to n = eps^-8 in exact
+# arithmetic, past 2**53: at eps = 2^-7 the generator's pow ends the plateau
+# 40 indices past 2^56, inside the slack.
+@pytest.mark.parametrize("alpha, mode, axis, value, n0", [
+    (2.0, "sa_as", "omega_points", 1e-20, 10 ** 10 - 1),
+    (2.0, "sa_as", "omega_points", 1e-40, 10 ** 20 - 1),
+    (8.0, "cc", "epsilons", 0.01, 10 ** 16),
+    (8.0, "cc", "epsilons", 2.0 ** -7, 2 ** 56),
 ])
-def test_pointwise_plateau_past_the_horizon_holds_the_exact_sum(omega, n0):
-    family = ex31(2.0)
-    params = ModeParams.defaults(family, alpha=4.0, omega_points=(omega,))
-    v = check_mode(family, "sa_as", params).probe_results[probe_key(("omega", omega))]
+def test_plateau_past_the_horizon_holds_the_exact_sum(alpha, mode, axis, value, n0):
+    family = ex31(alpha)
+    params = ModeParams.defaults(family, alpha=4.0, **{axis: (value,)})
+    (v,) = check_mode(family, mode, params).probe_results.values()
     assert v.converges, v.to_dict()
     exact = n0 + _after_plateau(n0, 2.0)
     slack = 2.3e-16 * v.n_used + 8.0 * math.ulp(exact)

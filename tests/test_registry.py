@@ -521,14 +521,17 @@ def test_a_pointwise_plateau_past_every_float_index_is_inconclusive():
 def test_first_index_bisects_where_its_guess_misses():
     # six indices around the guess hold the first n where the guess is near
     # it; a guess below or above it falls back to bisection over [1, 2^53],
-    # and a test still false at 2^53 has no first index a float holds
+    # then over int64 indices to 2^62 and over the floats past that, and a
+    # test false at every float has no first index
     def from_1000(ns):
         return ns >= 1000
 
-    for guess in (1000.0, 10.0, 1e6):
+    for guess in (1000.0, 10.0, 1e6, 2.0 ** 54):
         assert registry._first_index(from_1000, math.log(guess)) == 1000, guess
-    assert registry._first_index(lambda ns: ns >= 2 ** 60, math.log(1e4)) is None
-    assert registry._first_index(from_1000, math.log(2.0 ** 54)) is None
+    assert registry._first_index(lambda ns: ns >= 2 ** 60, math.log(1e4)) == 2 ** 60
+    past_int64 = registry._first_index(lambda ns: ns.astype(float) >= 1e300, math.log(1e300))
+    assert past_int64 == int(1e300)
+    assert registry._first_index(lambda ns: np.zeros(len(ns), bool), math.log(1e4)) is None
 
 
 def test_series_laws_decline_constants_and_exponents_past_the_floats():
@@ -604,9 +607,9 @@ def test_verify_truncation_ex31_hypothesis_fails():
 
 def test_verify_truncation_ex33_truncates_the_first_atom_away():
     # at eps = 0.5 the atom at 1 is truncated away and the other atom is 0,
-    # so every truncated term is 0
+    # so every truncated term is 0: the zero law from n = 1
     src = ex33().meta.term_source("trunc_l1", 0.5, 1.0)
-    assert src.law == TermLaw(start=2)
+    assert src.law == TermLaw(start=1)
     assert not np.any(src.terms(1, 10001))
     v = analyze_series(src)
     assert v.converges and (v.sum_estimate, v.tail_bound) == (0.0, 0.0)
@@ -1001,8 +1004,10 @@ def _two_atom_law_since_reference(family, kind, value, power):
     is |g(1) - g(0)| n^-r; otherwise the clamped functions are linear on
     [0, 1], with slope c, giving c (n^-r + n^-q - n^-(r+q)), and sine's
     Taylor series gives sin(1) n^-r plus (-1)^k / j! (n^-jq - n^-(r+jq)),
-    j = 2k + 1 < 19, within n^-19q / 19!.  At eps <= 1 trunc_l1 drops the
-    first atom, leaving the rate q.  Past the plateau v2 >= eps a tail is
+    j = 2k + 1 < 19, within n^-19q / 19!.  At eps > 1 trunc_l1 is the first
+    moment; at eps <= 1 it drops the first atom, leaving m2 v2 = n^-q -
+    n^-(r+q) past the plateau v2 >= eps of terms 0, and the zero law from
+    n = 1 with the second atom at 0.  Past the plateau v2 >= eps a tail is
     m1 = n^-r, and past omega < m1 a pointwise term is v2^power =
     n^-(power q); on either plateau the terms are 1, the law's head.  The
     sup norm max(1, v2) is exactly 1 from n = 1.  Terms that are 0 from
@@ -1036,8 +1041,13 @@ def _two_atom_law_since_reference(family, kind, value, power):
                 terms += [(a, j * q), (-a, r + j * q)]
             return TermLaw(terms=tuple(terms), remainder=(1.0 / math.factorial(19), 19.0 * q))
         return TermLaw(terms=((c, r), (c, q), (-c, r + q)))
-    if kind == "trunc_l1" and value <= 1.0:
-        return TermLaw(None, ((None, q),)) if q < math.inf else TermLaw(start=2)
+    if kind == "trunc_l1" and value > 1.0:
+        return _two_atom_law_since_reference(family, "moment", 1.0, 1.0)
+    if kind == "trunc_l1":
+        if math.isinf(q):
+            return TermLaw(start=1)
+        start = _plateau_end(lambda ns: ns ** -q >= value, value ** (-1.0 / q))
+        return TermLaw(start, ((1.0, q), (-1.0, r + q)))
     return None
 
 
@@ -1065,9 +1075,9 @@ def test_two_atom_terms_match_reference(family, ref):
     # at each of the 9 (alpha, p): the 2 sup probes (slinf, linf), the 2
     # moment probes (sl1, l1), the 9 gap probes (s1d, s1star, dist), the 12
     # tail probes (cc, prob), the 34 pointwise probes (as, s1as) and the 7
-    # zero probes (s2d and dist at three x, s3d at t = 0); ex33's 5 trunc_l1
-    # probes at eps <= 1, and ex31(0.25)'s 5 trunc_l1 probes there
-    assert changed == 9 * {"ex33": 71, "ex31(alpha=0.25)": 71}.get(family.name, 66)
+    # zero probes (s2d and dist at three x, s3d at t = 0), and the 6 trunc_l1
+    # probes, whose reference laws are rate laws
+    assert changed == 9 * 72
 
 
 @pytest.mark.parametrize("family, ref", _TWO_ATOM_CASES, ids=_TWO_ATOM_IDS)

@@ -386,8 +386,10 @@ def test_hurwitz_zeta_matches_scipy(a):
 def test_rate_law_whose_terms_are_zero_to_the_horizon_is_inconclusive():
     # ex31(0.9)'s truncated moment at eps = 1e-7 keeps the second atom only
     # once n^-(1/0.9) < 1e-7, from n ~ 2e6 on: every term to 10^6 is 0, yet
-    # the series sums to about 1.8, so [0, +0] would not hold it
-    v = analyze_series(ex31(0.9).meta.term_source("trunc_l1", 1e-7, 1.0))
+    # the series sums to about 1.8, so [0, +0] would not hold it.  Its own
+    # law states that start; a rate law of the same terms does not
+    exact = ex31(0.9).meta.term_source("trunc_l1", 1e-7, 1.0)
+    v = analyze_series(TermSource(exact.generator, law=TermLaw(None, ((None, 1.0 / 0.9),))))
     assert v.klass == "inconclusive" and v.sum_estimate is None
     assert v.n_used == DEFAULT_POLICY.n_max
 
