@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -126,7 +128,8 @@ def _builder(kind):
     """Register a builder, which maps its parameters to (limit, member
     function, FamilyMeta), under kind.  The registered function binds the
     parameters by name, rejects a non-finite one, and gives the Family its
-    kind and its name."""
+    kind and its name, interned: every family of one name, and every report
+    that names it, share one string."""
 
     def register(build):
         signature = inspect.signature(build)
@@ -142,7 +145,7 @@ def _builder(kind):
                         f"{kind} parameter {name} must be finite, got {value}")
             limit, member, meta = build(**params)
             meta.kind = kind
-            return Family(family_name(kind, params), params, limit, member, meta)
+            return Family(sys.intern(family_name(kind, params)), params, limit, member, meta)
 
         _BUILDERS[kind] = family
         return family
@@ -278,7 +281,7 @@ def _two_atom_source_factory(r, q):
             # from the first n with v2 < eps, and 0 before it
             start = _first_index(lambda ns: basis(ns)[2] < eps, -math.log(eps) / q)
             return TermSource(gen, law=_rate(q) if start is None else _law(
-                start, ((1.0, q), (-1.0, r + q)) if q < math.inf else ()))
+                start, ((1.0, q), (-1.0, r + q)) if q < math.inf else (), None, 0.0))
 
         return None
 
@@ -435,7 +438,8 @@ def _shift_source_factory(dens, beta, holder_at_1):
 
             # s = n^-beta from the first n with s < eps, 0 before it
             start = _first_index(lambda ns: s_of(ns) < eps, -math.log(eps) / beta)
-            return TermSource(gen, law=_law(start, ((1.0, beta),)) if start else _rate(beta))
+            return TermSource(gen, law=_law(start, ((1.0, beta),), None, 0.0) if start
+                              else _rate(beta))
 
         return None
 
@@ -610,12 +614,6 @@ class ImplicationDiagram:
         edges = tuple(sorted((a, b) for a in self.nodes for b in reach[a] if a != b))
         return ImplicationDiagram(self.nodes, edges)
 
-    @functools.cached_property
-    def pairs(self):
-        """Every ordered pair of distinct nodes, in node order, mapped to
-        itself: one tuple per pair, which every sweep's report shares."""
-        return {(a, b): (a, b) for a in self.nodes for b in self.nodes if a != b}
-
     def with_edge(self, a, b):
         """Append one edge without re-closing (used to inject false arrows)."""
         if (a, b) in self.edges:
@@ -626,7 +624,10 @@ class ImplicationDiagram:
         return {"nodes": list(self.nodes), "edges": [list(e) for e in self.edges]}
 
 
+@functools.cache
 def mode_diagram():
+    """The closed diagram of the generator edges: one value, which every
+    sweep's report shares."""
     return ImplicationDiagram(NODES, _GENERATOR_EDGES).transitive_closure()
 
 
@@ -656,7 +657,7 @@ def _separations(nodes, verdict):
     return [(a, b) for a in holds for b in fails]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Violation:
     kind: str  # "edge" | "expected"
     family: str
@@ -668,34 +669,82 @@ class Violation:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SweepReport:
-    verdicts: dict  # (family name, node) -> ModeReport
-    violations: list
-    coverage_gaps: list
-    family_order: list
-    nodes: tuple
-    witnessed: dict  # (source, target) -> first family holding source, failing target
-    open_pairs: list  # (source, target) neither implied nor witnessed
+    """A soundness sweep's outcome, a value: the diagram, the family names
+    in sweep order, one ModeReport per cell in reports, family by family and
+    node by node, and the violations.  The verdict grid, the relation map
+    and the coverage gaps are built from the cells on each read."""
+
+    diagram: ImplicationDiagram
+    families: tuple
+    reports: tuple
+    violations: tuple = ()
 
     @property
     def ok(self):
         return not self.violations
 
+    @property
+    def nodes(self):
+        return self.diagram.nodes
+
+    @property
+    def family_order(self):
+        return list(self.families)
+
+    @property
+    def verdicts(self):
+        """{(family name, node): ModeReport}, in sweep order."""
+        return dict(zip(itertools.product(self.families, self.nodes), self.reports))
+
+    def _rows(self):
+        """(family name, {node: verdict}) for each family, in sweep order."""
+        k = len(self.nodes)
+        for i, fam in enumerate(self.families):
+            yield fam, {node: rep.verdict
+                        for node, rep in zip(self.nodes, self.reports[i * k:(i + 1) * k])}
+
+    @property
+    def witnessed(self):
+        """{(source, target): the first family holding source and failing
+        target}, for the pairs the diagram does not imply."""
+        implied = set(self.diagram.edges)
+        found = {}
+        for fam, got in self._rows():
+            for pair in _separations(self.nodes, got):
+                if pair not in implied:
+                    found.setdefault(pair, fam)
+        return found
+
+    @property
+    def open_pairs(self):
+        """The (source, target) pairs neither implied nor witnessed, in node
+        order."""
+        known = set(self.diagram.edges) | self.witnessed.keys()
+        return [(a, b) for a in self.nodes for b in self.nodes
+                if a != b and (a, b) not in known]
+
+    @property
+    def coverage_gaps(self):
+        return [f"{fam}: {node} inconclusive"
+                for (fam, node), rep in self.verdicts.items() if rep.verdict == "inconclusive"]
+
     def to_dict(self):
         grid = {}
         for (fam, node), rep in self.verdicts.items():
             grid.setdefault(fam, {})[node] = rep.to_dict()
+        witnessed = self.witnessed
         return {
             "schema_version": SCHEMA_VERSION,
-            "families": list(self.family_order),
+            "families": list(self.families),
             "nodes": list(self.nodes),
             "verdicts": grid,
             "violations": [v.to_dict() for v in self.violations],
-            "coverage_gaps": list(self.coverage_gaps),
-            "witnessed": [[a, b, self.witnessed[(a, b)]]
+            "coverage_gaps": self.coverage_gaps,
+            "witnessed": [[a, b, witnessed[(a, b)]]
                           for a in self.nodes for b in self.nodes
-                          if (a, b) in self.witnessed],
+                          if (a, b) in witnessed],
             "open": [list(pair) for pair in self.open_pairs],
         }
 
@@ -712,13 +761,6 @@ def node_report(family, node, policy=DEFAULT_POLICY):
     return check_mode(family, mode, params, policy)
 
 
-@functools.lru_cache(maxsize=4096)
-def _cell(family, node):
-    """A sweep's key of one cell, (family name, node): one tuple per cell,
-    which every sweep's report shares."""
-    return family, node
-
-
 def soundness_sweep(diagram, families, policy=DEFAULT_POLICY):
     """Check every family against the diagram and derive the relation map.
 
@@ -728,17 +770,11 @@ def soundness_sweep(diagram, families, policy=DEFAULT_POLICY):
     witnessed is open.  A family that misses its own expected_verdicts is
     an `expected` violation.  Inconclusive cells are reported as coverage
     gaps, not violations."""
-    verdicts = {}
-    family_order = []
-    for fam in families:
-        family_order.append(fam.name)
-        for node in diagram.nodes:
-            verdicts[_cell(fam.name, node)] = node_report(fam, node, policy)
+    cells = SweepReport(diagram, tuple(fam.name for fam in families), tuple(
+        node_report(fam, node, policy) for fam in families for node in diagram.nodes))
     implied = set(diagram.edges)
     violations = []
-    witnessed = {}
-    for fam in families:
-        got = {node: verdicts[(fam.name, node)].verdict for node in diagram.nodes}
+    for fam, (_, got) in zip(families, cells._rows()):
         for node, want in expected_verdicts(fam).items():
             if not verdict_matches(want, got[node]):
                 violations.append(Violation(
@@ -746,18 +782,11 @@ def soundness_sweep(diagram, families, policy=DEFAULT_POLICY):
                     detail=f"expected {want}, got {got[node]}"))
         for a, b in _separations(diagram.nodes, got):
             if (a, b) in implied:
+                witness = cells.verdicts[fam.name, b].witness
                 violations.append(Violation(
                     "edge", fam.name, a, b,
-                    detail=f"{a} holds but {b} fails (witness probe "
-                           f"{verdicts[(fam.name, b)].witness})"))
-            else:
-                witnessed.setdefault(diagram.pairs[a, b], fam.name)
-    open_pairs = [pair for pair in diagram.pairs
-                  if pair not in implied and pair not in witnessed]
-    gaps = [f"{fam}: {node} inconclusive"
-            for (fam, node), rep in verdicts.items() if rep.verdict == "inconclusive"]
-    return SweepReport(verdicts, violations, gaps, family_order, diagram.nodes,
-                       witnessed, open_pairs)
+                    detail=f"{a} holds but {b} fails (witness probe {witness})"))
+    return replace(cells, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

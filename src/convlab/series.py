@@ -103,10 +103,10 @@ class TermLaw:
     From n = start on, a_n = sum(c * n**-p for c, p in terms) + R_n, where
     |R_n| <= C * n**-p_r for remainder (C, p_r), and R_n = 0 without one.
     With no terms and no remainder this is the zero law: a_n = 0 from start
-    on.  A positive head states a_n = head for n < start; with head 0 the
-    engine sums those terms.  It takes the rest from the law as Hurwitz zeta
-    values, so a law with start 1 reads no term.  Terms of one exponent are
-    merged, and terms are kept by rising exponent.
+    on.  A head, 0 included, states a_n = head for n < start; with head None
+    the engine sums those terms.  It takes the rest from the law as Hurwitz
+    zeta values, so a law with start 1 reads no term.  Terms of one exponent
+    are merged, and terms are kept by rising exponent.
 
     start None: a rate law.  Its one term (level, exponent) holds only
     eventually, from an index the law does not know, and level is None where
@@ -117,11 +117,11 @@ class TermLaw:
     start: Optional[int] = 1
     terms: tuple = ()
     remainder: Optional[tuple] = None
-    head: float = 0.0
+    head: Optional[float] = None
 
     def __post_init__(self):
         if self.start is None:
-            if len(self.terms) != 1 or self.remainder is not None or self.head:
+            if len(self.terms) != 1 or self.remainder is not None or self.head is not None:
                 raise ParameterError(
                     "a rate law (start None) states one term, no remainder and no head")
             ((level, p),) = self.terms
@@ -130,11 +130,12 @@ class TermLaw:
                     f"a term law needs a positive finite level, got {level}")
             terms = ((None if level is None else float(level), _law_exponent(p)),)
         else:
-            if self.start < 1 or not 0.0 <= self.head < math.inf:
+            if self.start < 1 or not (self.head is None or 0.0 <= self.head < math.inf):
                 raise ParameterError(f"a term law needs start >= 1 and a finite head >= 0, "
                                      f"got {self.start} and {self.head}")
             object.__setattr__(self, "start", int(self.start))
-            object.__setattr__(self, "head", float(self.head) if self.start > 1 else 0.0)
+            object.__setattr__(self, "head", None if self.head is None or self.start == 1
+                               else float(self.head))
             merged = {}
             for c, p in self.terms:
                 if c is None or not math.isfinite(c):
@@ -183,7 +184,7 @@ class TermLaw:
         d = {"start": self.start, "terms": [list(t) for t in self.terms]}
         if self.remainder is not None:
             d["remainder"] = list(self.remainder)
-        return {**d, "head": self.head} if self.head else d
+        return d if self.head is None else {**d, "head": self.head}
 
     @property
     def rate(self):
@@ -248,6 +249,7 @@ class TermSource:
         self.law = law
         self.horizon = horizon
         self._blocks = {}  # (lo, hi) -> (sum, first, last, min, max)
+        self._extremes = None  # (min, max) of the last terms() read
 
     @classmethod
     def from_scalar(cls, fn, horizon):
@@ -271,24 +273,28 @@ class TermSource:
 
     def terms(self, lo, hi):
         """Terms for n in [lo, hi), clamped at tiny negative quadrature noise:
-        the generator's own array where every term is positive.
+        the generator's own array where every term is positive.  The least
+        and the greatest of them, which the checks read, are kept in
+        _extremes, so that a scan reading one block reduces it once.
 
         Raises ParameterError on a negative or non-finite term."""
         ns = np.arange(lo, hi, dtype=np.int64)
         vals = np.asarray(self.generator(ns), dtype=float)
         if not vals.size:
             return vals
-        low = float(np.minimum.reduce(vals))
-        if not (math.isfinite(low) and math.isfinite(float(np.maximum.reduce(vals)))):
+        low, high = float(np.minimum.reduce(vals)), float(np.maximum.reduce(vals))
+        if not (math.isfinite(low) and math.isfinite(high)):
             bad = int(ns[int(np.argmin(np.isfinite(vals)))])
             raise ParameterError(f"term source produced non-finite term at n={bad}")
-        if low > 0.0:
-            return vals
         if low < -1e-12:
             bad = int(ns[int(np.argmin(vals))])
             raise ParameterError(
                 f"term source produced negative term {low:.3e} at n={bad}"
             )
+        if low > 0.0:
+            self._extremes = low, high
+            return vals
+        self._extremes = 0.0, max(0.0, high)  # as the clamped terms', never -0.0
         return np.maximum(vals, 0.0)
 
     def effective_n_max(self, policy):
@@ -392,10 +398,11 @@ def _summaries(src, lo, ends):
     [ends[0], ends[1]), ... of src's terms, read in one src.terms call where
     they span at most _CHUNK terms.  Each sum is np.add.reduce of the
     block's slice, np.sum's pairwise sum without its Python wrapper; first
-    and last are read by index, and the minima and maxima come from one
-    reduceat each.  A lone block longer than _CHUNK is halved where numpy's
-    pairwise summation halves a contiguous array, so its sum is np.sum of
-    the whole block to the bit."""
+    and last are read by index.  A block read alone has the minimum and
+    maximum src.terms checks it by, and several blocks one reduceat each.
+    A lone block longer than _CHUNK is halved where numpy's pairwise
+    summation halves a contiguous array, so its sum is np.sum of the whole
+    block to the bit."""
     n = ends[-1] - lo
     if n > _CHUNK:
         half = n // 2
@@ -407,9 +414,12 @@ def _summaries(src, lo, ends):
     bounds = [0] + [e - lo for e in ends]
     starts, stops, k = bounds[:-1], bounds[1:], len(ends)
     edges = arr[starts + [b - 1 for b in stops]].tolist()  # the firsts, then the lasts
+    if k == 1:  # src.terms has reduced the one block
+        mins, maxs = ([v] for v in src._extremes)
+    else:
+        mins, maxs = (f.reduceat(arr, starts).tolist() for f in (np.minimum, np.maximum))
     return list(zip([float(np.add.reduce(arr[a:b])) for a, b in zip(starts, stops)],
-                    edges[:k], edges[k:], np.minimum.reduceat(arr, starts).tolist(),
-                    np.maximum.reduceat(arr, starts).tolist()))
+                    edges[:k], edges[k:], mins, maxs))
 
 
 def _block(src, block, ahead=()):
@@ -582,12 +592,13 @@ def _law_verdict(law, klass, sum_estimate=None, tail_bound=None, n_used=0):
 
 def _analyze_with_law(src, policy):
     """Exact comparison with the source's law.  A law that diverges reads
-    no term.  A law from a start takes the terms before it from its head or
-    a dense scan, and adds its zeta tail; one that decides nothing, or that
-    starts past the horizon without a head, is inconclusive.  A rate law is
-    summed from a dense scan to its tight-sandwich horizon and a one-power
-    tail from the last term; a scan that finds every term 0 is
-    inconclusive, since the law's terms lie past it."""
+    no term.  A law from a start takes the terms before it from its head,
+    reading none, or from a dense scan where it states none, and adds its
+    zeta tail; one that decides nothing, or that starts past the horizon
+    without a head, is inconclusive.  A rate law is summed from a dense
+    scan to its tight-sandwich horizon and a one-power tail from the last
+    term; a scan that finds every term 0 is inconclusive, since the law's
+    terms lie past it."""
     law = src.law
     if law.diverges:
         return _law_verdict(law, "diverges")
@@ -599,9 +610,12 @@ def _analyze_with_law(src, policy):
         est, bound = _power_tail(partial, a_last, n_last, law.exponent)
         return _law_verdict(law, "converges", est, bound, n_last)
     n_used = law.start - 1
-    if law.exponent <= 1.0 or (n_used > n_max and not law.head):
+    if law.exponent <= 1.0 or (n_used > n_max and law.head is None):
         return _law_verdict(law, "inconclusive")
-    head = n_used * law.head if law.head or not n_used else _dense_scan(src, n_used)[0]
+    if law.head is not None:
+        head = n_used * law.head
+    else:
+        head = _dense_scan(src, n_used)[0] if n_used else 0.0
     low, width = law.tail
     return _law_verdict(law, "converges", head + low, width, n_used)
 

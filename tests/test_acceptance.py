@@ -141,7 +141,7 @@ def test_criterion_4_diagram_soundness_and_fault_injection():
     the known-false arrow added, witnessed by the two-atom family."""
     families = default_registry()
     clean = soundness_sweep(mode_diagram(), families)
-    assert clean.ok and clean.violations == []
+    assert clean.ok and clean.violations == ()
 
     injected = soundness_sweep(mode_diagram().with_edge("s2d", "s1d"), families)
     assert len(injected.violations) == 1

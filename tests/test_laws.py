@@ -20,7 +20,7 @@ import pytest
 from convlab.modes import ModeParams, mode_spec, probe_key, probe_source, probes_for
 from convlab.registry import (NODE_MODES, build_family, ex31, ex32, mode_diagram,
                               shift_uniform, soundness_sweep)
-from convlab.series import TermLaw
+from convlab.series import TermLaw, analyze_series
 from perfbench import gen
 
 _FAMILIES = {}
@@ -52,7 +52,7 @@ def _mismatches(family, kind, value, src, law):
     """The n at which law and src.generator disagree beyond the tolerance,
     or before start, where the law has a head, at all."""
     bad = []
-    if law.head:
+    if law.head is not None:
         heads = sorted({1, law.start - 1} | {2 ** k for k in range(53) if 2 ** k < law.start})
         got = src.generator(np.array(heads, dtype=np.int64))
         bad = [n for n, term in zip(heads, got.tolist()) if term != law.head]
@@ -86,6 +86,25 @@ def test_truncated_moment_laws_match_their_generators(family):
         src = family.meta.term_source("trunc_l1", eps, 1.0)
         assert src.law.start is not None, eps
         assert _mismatches(family, "trunc_l1", eps, src, src.law) == [], eps
+
+
+def test_a_truncated_moment_sums_its_zero_head_without_reading_a_term():
+    # ex31(0.9)'s truncated first moment at eps <= 1 is 0 while the second
+    # atom n^-(1/0.9) is at least eps: up to n = 251,188 at eps = 1e-6, and
+    # to 1,995,262, past the horizon, at 1e-7.  The law's head 0 states those
+    # terms, so neither sum reads one
+    def unread(ns):
+        raise AssertionError(f"read {len(ns)} terms from n = {ns[0]}")
+
+    for eps, start in ((1e-6, 251_189), (1e-7, 1_995_263)):
+        src = ex31(0.9).meta.term_source("trunc_l1", eps, 1.0)
+        assert (src.law.start, src.law.head) == (start, 0.0)
+        src.generator = unread
+        v = analyze_series(src)
+        assert v.converges and v.n_used == start - 1 and v.tail_bound == 0.0, eps
+        assert v.sum_estimate == src.law.tail[0], eps
+    assert analyze_series(ex31(0.9).meta.term_source("trunc_l1", 1e-6, 1.0)).sum_estimate == \
+        2.2606979315075533
 
 
 @pytest.mark.parametrize("alpha, kind, index", [
@@ -163,7 +182,7 @@ def test_every_printed_hint_rebuilds_its_law():
             assert d == law.to_dict(), (family.name, tag, probe)
             rebuilt = TermLaw(d["start"], tuple(map(tuple, d["terms"])),
                               tuple(d["remainder"]) if "remainder" in d else None,
-                              d.get("head", 0.0))
+                              d.get("head"))
             assert rebuilt == law, (family.name, tag, probe)
             laws.setdefault(json.dumps(d, sort_keys=True), set()).add(law)
             if seed == 0:

@@ -249,7 +249,7 @@ def test_family_names_tell_apart_parameters_that_g_rounds_together():
     # (1 - alpha) beta straddles 1: s2d fails below and holds above
     assert report.verdicts[below.name, "s2d"].verdict == "fails"
     assert report.verdicts[above.name, "s2d"].verdict == "holds"
-    assert report.violations == []
+    assert report.violations == ()
 
 
 def test_seeded_family_names_keep_their_g_form():
@@ -270,7 +270,7 @@ def test_boundary_witnesses_violate_no_edge():
     # 1e-4, was not flat.  Their exact laws decide both: the gaps sum, with
     # rate q = 1.04, and tend to zero, with rate q = 0.02.
     report = soundness_sweep(mode_diagram(), [ex31(0.9615), ex31(50.0)])
-    assert report.violations == []
+    assert report.violations == ()
     assert report.coverage_gaps == []
     got = {cell: rep.verdict for cell, rep in report.verdicts.items()}
     assert got["ex31(alpha=0.9615)", "s1d"] == got["ex31(alpha=0.9615)", "s1star"] == "holds"
@@ -296,7 +296,7 @@ def test_parameter_grid_sweeps_clean():
     fams = _parameter_grid()
     assert len({fam.name for fam in fams}) == len(fams) == 62
     report = soundness_sweep(mode_diagram(), fams)
-    assert report.violations == []
+    assert report.violations == ()
     assert report.coverage_gaps == []
     assert (len(report.witnessed), len(report.open_pairs)) == (73, 37)
     # past the bound 2**(-1/alpha) is 1 in floats: no member would decay
@@ -312,7 +312,7 @@ def seed0_sweep():
 def test_soundness_sweep_clean(seed0_sweep):
     report = seed0_sweep
     assert report.ok
-    assert report.violations == []
+    assert report.violations == ()
     assert report.coverage_gaps == []
     # no catalog family separates s3d from prob
     assert ("s3d", "prob") in report.open_pairs
@@ -1006,12 +1006,12 @@ def _two_atom_law_since_reference(family, kind, value, power):
     Taylor series gives sin(1) n^-r plus (-1)^k / j! (n^-jq - n^-(r+jq)),
     j = 2k + 1 < 19, within n^-19q / 19!.  At eps > 1 trunc_l1 is the first
     moment; at eps <= 1 it drops the first atom, leaving m2 v2 = n^-q -
-    n^-(r+q) past the plateau v2 >= eps of terms 0, and the zero law from
-    n = 1 with the second atom at 0.  Past the plateau v2 >= eps a tail is
-    m1 = n^-r, and past omega < m1 a pointwise term is v2^power =
-    n^-(power q); on either plateau the terms are 1, the law's head.  The
-    sup norm max(1, v2) is exactly 1 from n = 1.  Terms that are 0 from
-    n = 1 on have the zero law from 1."""
+    n^-(r+q) past the plateau v2 >= eps of terms 0, the law's head, and the
+    zero law from n = 1 with the second atom at 0.  Past the plateau v2 >=
+    eps a tail is m1 = n^-r, and past omega < m1 a pointwise term is
+    v2^power = n^-(power q); on either plateau the terms are 1, the law's
+    head.  The sup norm max(1, v2) is exactly 1 from n = 1.  Terms that are
+    0 from n = 1 on have the zero law from 1."""
     r, q = (1.0, math.inf) if family.meta.kind == "ex33" else (2.0, 1.0 / family.params["alpha"])
     zeros = {"tail": lambda eps: eps > 1.0, "cdf_gap": lambda x: not 0.0 <= x < 1.0,
              "char_gap": lambda t: t == 0.0}
@@ -1047,7 +1047,7 @@ def _two_atom_law_since_reference(family, kind, value, power):
         if math.isinf(q):
             return TermLaw(start=1)
         start = _plateau_end(lambda ns: ns ** -q >= value, value ** (-1.0 / q))
-        return TermLaw(start, ((1.0, q), (-1.0, r + q)))
+        return TermLaw(start, ((1.0, q), (-1.0, r + q)), head=0.0)
     return None
 
 
@@ -1238,12 +1238,16 @@ def _small_sweep():
 
 
 def test_kept_sweep_report_stays_small():
-    # reports share one verdict per (law, outcome, figures), one probe-key
-    # tuple per (mode, params), their family's params and the diagram's node
-    # pairs; a report keeps its probe verdicts in a tuple, and a verdict its
-    # law, from which its evidence is built on read.  Before that sharing a
-    # kept report held about 190 KiB, about 100 KiB with a verdict per
-    # law-only probe, and about 73 KiB with a dict of verdicts per report
+    # cell reports share one verdict per (law, outcome, figures), one
+    # probe-key tuple per (mode, params) and their family's params; a cell
+    # report keeps its probe verdicts in a tuple, and a verdict its law, from
+    # which its evidence is built on read.  A sweep report keeps its cell
+    # reports in one tuple, beside the shared diagram and the interned family
+    # names, and builds its relation map on read: it holds about 1.3 KiB.
+    # Before that sharing a kept report held about 190 KiB, about 100 KiB
+    # with a verdict per law-only probe, about 73 KiB with a dict of verdicts
+    # per report, and about 12 KiB with a cell dict, a witness dict, the open
+    # pairs and gaps as lists, and a closed diagram of its own
     import gc
     import tracemalloc
 
@@ -1257,7 +1261,7 @@ def test_kept_sweep_report_stays_small():
         per_report = (tracemalloc.get_traced_memory()[0] - before) / 3
     finally:
         tracemalloc.stop()
-    assert per_report < 50 * 1024
+    assert per_report < 1.5 * 1024
 
 
 def test_sweeps_share_the_verdicts_that_rest_on_a_law():
@@ -1302,6 +1306,30 @@ def _scribble(value):
         for v in value:
             _scribble(v)
         value.append("scribbled")
+
+
+def test_sweeps_of_the_same_families_are_equal_values():
+    # a sweep report is a value: equal cells give equal, equally hashed
+    # reports, which cannot be written into
+    a, b = _small_sweep(), _small_sweep()
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len(a.reports) == len(a.families) * len(a.nodes) and a.violations == ()
+    injected = soundness_sweep(mode_diagram().with_edge("s2d", "s1d"), default_registry(),
+                               EnginePolicy(n_max=4096))
+    assert injected != a and injected.reports == a.reports
+    with pytest.raises(AttributeError):
+        a.violations = injected.violations
+
+
+def test_writing_into_a_sweeps_relation_map_changes_no_later_read():
+    # the cell grid, the relation map and the gaps are built on each read
+    reads = ("verdicts", "family_order", "witnessed", "open_pairs", "coverage_gaps")
+    report, clean = _small_sweep(), _small_sweep()
+    for name in reads:
+        _scribble(getattr(report, name))
+    for name in reads:
+        assert getattr(report, name) == getattr(clean, name), name
+    assert report.to_dict() == clean.to_dict()
 
 
 def test_to_dict_outputs_share_nothing_with_reports():

@@ -231,6 +231,7 @@ def test_hint_validation():
                 dict(start=1, terms=((1.0, 2.0),), remainder=(0.0, 3.0)),
                 dict(start=1, terms=((1.0, 2.0),), remainder=(-1.0, 3.0)),
                 dict(start=None, terms=((1.0, 2.0),), head=1.0),
+                dict(start=None, terms=((1.0, 2.0),), head=0.0),
                 dict(start=2, head=-1.0), dict(start=2, head=math.inf),
                 dict(start=2, head=math.nan)):
         with pytest.raises(ParameterError):
@@ -272,11 +273,13 @@ def test_zero_law_prints_the_last_term_its_scan_reads():
         "start": 3, "terms": [[1.0, 2.0]]}
     assert rate(2.0, 1.0).to_dict() == {"start": None, "terms": [[1.0, 2.0]]}
     assert rate(0.5).to_dict() == {"start": None, "terms": [[None, 0.5]]}
-    # a head prints where it states the terms before start, which a law from
-    # n = 1 has none of
+    # a head prints where it states the terms before start, 0 included, which
+    # a law from n = 1 has none of
     assert TermLaw(start=3, terms=((1.0, 2.0),), head=1.0).to_dict() == {
         "start": 3, "terms": [[1.0, 2.0]], "head": 1.0}
-    assert TermLaw(start=1, head=1.0) == TermLaw() and TermLaw().head == 0.0
+    assert TermLaw(start=3, head=0.0).to_dict() == {"start": 3, "terms": [], "head": 0.0}
+    assert TermLaw(start=1, head=1.0) == TermLaw(start=1, head=0.0) == TermLaw()
+    assert TermLaw().head is None
 
 
 def test_law_from_a_start_sums_the_terms_before_it_and_zeta_after():
@@ -308,6 +311,11 @@ def test_law_from_a_start_sums_the_terms_before_it_and_zeta_after():
         "evidence": {"method": "analytic_hint",
                      "hint": {"start": 5000, "terms": [[1.0, 2.0]]}}}
     assert calls == []
+    # a head of 0 states them too, and the sum is the law's tail alone
+    zero_head = TermLaw(start=5000, terms=((1.0, 2.0),), head=0.0)
+    v = analyze_series(TermSource(gen, law=zero_head), policy)
+    assert v.converges and v.n_used == 4999 and v.sum_estimate == zero_head.tail[0]
+    assert v.evidence["hint"]["head"] == 0.0 and calls == []
 
 
 def test_a_plateau_law_from_past_the_horizon_reads_no_term():
@@ -856,6 +864,13 @@ def test_terms_clear_negative_zero_and_noise():
     src = TermSource(lambda ns: np.array([0.5, -0.0, -1e-13, 1.0])[ns - 1])
     got = src.terms(1, 5)
     assert got.tolist() == [0.5, 0.0, 0.0, 1.0] and not np.signbit(got).any()
+    # a block read alone is summarised from the cleared terms, their least
+    # and greatest included
+    from convlab import series
+
+    summary = series._block(TermSource(lambda ns: np.array([-0.0, -1e-13, -0.0])[ns - 1]),
+                            (1, 4))
+    assert summary == (0.0,) * 5 and not np.signbit(summary).any()
     # positive terms come back as the generator's own array
     positive = np.array([0.5, 0.25])
     assert TermSource(lambda ns: positive).terms(1, 3) is positive
