@@ -186,7 +186,6 @@ class Family:
         self._member_fn = member_fn
         self.meta = meta
         self._memo = {}  # (quantity, key) -> value
-        self._sources = {}
 
     def _cached(self, key, build):
         """build(), computed once per family and key."""
@@ -345,15 +344,14 @@ def probe_source(family, mode, probe, params, use_analytic=True):
     """The family's closed-form TermSource for one probe or, without one
     (or with use_analytic False), the generic term-by-term route.
 
-    The family keeps every source it hands out, keyed by the route and by
-    the (kind, value, power) the terms depend on, so modes with the same
-    terms share one source (dist's test functions and s1d's, say) and each
-    block of it is evaluated once."""
+    The family's memo keeps every source it hands out, keyed by the route
+    and by the (kind, value, power) the terms depend on, so modes with the
+    same terms share one source (dist's test functions and s1d's, say) and
+    each block of it is evaluated once."""
     spec = mode_spec(mode)
     kind, value, power = spec.term(probe[0]), probe[1], spec.exponent(params)
-    key = (use_analytic, kind, value, power)
-    src = family._sources.get(key)
-    if src is None:
+
+    def build():
         if kind == "cdf_gap":
             require_continuity_point(family, value)
         src = family.meta.term_source(kind, value, power) if use_analytic else None
@@ -362,8 +360,9 @@ def probe_source(family, mode, probe, params, use_analytic=True):
                 lambda n: generic_term(family, kind, value, power, n),
                 horizon=GENERIC_DENSE_CAP,
             )
-        family._sources[key] = src
-    return src
+        return src
+
+    return family._cached(("source", use_analytic, kind, value, power), build)
 
 
 def certified(family, mode, params):
@@ -388,15 +387,14 @@ def probe_key(probe):
 @dataclass(frozen=True, slots=True)
 class ModeReport:
     """One mode's verdict on a family, a value.  probe_verdicts holds the
-    engine's verdicts in probe order, beside probe_keys, their keys; params
-    are the probe parameters the mode ran with."""
+    engine's verdicts in probe order; params are the probe parameters the
+    mode ran with.  The probe keys and the witness are built from the two
+    on each read."""
 
     family: str
     mode: str
     verdict: str
-    witness: Optional[str] = None
     probe_verdicts: tuple = ()
-    probe_keys: tuple = ()
     params: ModeParams = ModeParams()
 
     @property
@@ -407,10 +405,19 @@ class ModeReport:
     def fails(self):
         return self.verdict == VERDICT_FAILS
 
+    def _keyed(self):
+        """(probe key, verdict) pairs, in probe order."""
+        return zip(map(probe_key, probes_for(self.mode, self.params)), self.probe_verdicts)
+
     @property
     def probe_results(self):
         """{probe key: verdict}, in probe order: a new dict on each read."""
-        return dict(zip(self.probe_keys, self.probe_verdicts))
+        return dict(self._keyed())
+
+    @property
+    def witness(self):
+        """The key of the first probe that falsifies the mode, or None."""
+        return next((k for k, v in self._keyed() if v.klass in _FAILING), None)
 
     def to_dict(self):
         """The report as JSON, with the probe values of params its mode
@@ -429,25 +436,14 @@ class ModeReport:
             "verdict": self.verdict,
             "witness": self.witness,
             "params": shown,
-            "probes": {k: v.to_dict() for k, v in zip(self.probe_keys, self.probe_verdicts)},
+            "probes": {k: v.to_dict() for k, v in self._keyed()},
         }
 
 
-@functools.lru_cache(maxsize=256)
-def _probe_keys(mode, params):
-    """The probe keys of (mode, params) in probe order, one tuple that every
-    report of the two shares."""
-    return tuple(probe_key(probe) for probe in probes_for(mode, params))
-
-
-# 256: a seed-0 sweep has 78 cells
-@functools.lru_cache(maxsize=256)
-def _shared_report(family, mode, params, verdict, witness, results):
-    """The report of a family's mode on these probe verdicts: one object for
-    every check that reaches equal verdicts, so that kept sweep reports
-    share their cells."""
-    return ModeReport(family, mode, verdict, witness, results, _probe_keys(mode, params),
-                      params)
+# one report object for every check of a family's mode that reaches equal
+# verdicts, so that kept sweep reports share their cells; 256: a seed-0
+# sweep has 78 cells
+_report = functools.lru_cache(maxsize=256)(ModeReport)
 
 
 def check_mode(
@@ -474,13 +470,12 @@ def check_mode(
     test = analyze_series if spec.series else null_sequence_test
     results = tuple(test(probe_source(family, mode, probe, params, use_analytic), policy)
                     for probe in probes)
-    bad = next((i for i, v in enumerate(results) if v.klass in _FAILING), None)
-    if bad is not None:
-        verdict_tag, witness = VERDICT_FAILS, _probe_keys(mode, params)[bad]
+    if any(v.klass in _FAILING for v in results):
+        verdict_tag = VERDICT_FAILS
     elif any(v.klass == "inconclusive" for v in results):
-        verdict_tag, witness = VERDICT_INCONCLUSIVE, None
+        verdict_tag = VERDICT_INCONCLUSIVE
     elif spec.universal and not certified(family, mode, params):
-        verdict_tag, witness = VERDICT_NOT_FALSIFIED, None
+        verdict_tag = VERDICT_NOT_FALSIFIED
     else:
-        verdict_tag, witness = VERDICT_HOLDS, None
-    return _shared_report(family.name, mode, params, verdict_tag, witness, results)
+        verdict_tag = VERDICT_HOLDS
+    return _report(family.name, mode, verdict_tag, results, params)

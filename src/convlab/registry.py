@@ -690,10 +690,6 @@ class SweepReport:
         return self.diagram.nodes
 
     @property
-    def family_order(self):
-        return list(self.families)
-
-    @property
     def verdicts(self):
         """{(family name, node): ModeReport}, in sweep order."""
         return dict(zip(itertools.product(self.families, self.nodes), self.reports))

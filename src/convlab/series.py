@@ -576,20 +576,6 @@ def _dense_scan(src, n_max, exponent=None):
     return partial, a_last, n_last, last_max, None
 
 
-# 4096: the seed 0-9 sweeps build 533 distinct law verdicts, a 62-family
-# parameter grid 653
-@lru_cache(maxsize=4096)
-def _law_verdict(law, klass, sum_estimate=None, tail_bound=None, n_used=0):
-    """analyze_series's verdict of this class on this law, with these
-    figures; a verdict that decides carries the law's rate.  It follows from
-    the law's value and these figures alone, so each distinct one is built
-    once and shared by every probe and every sweep that reaches it,
-    whichever source or law object it comes from."""
-    rate = law.rate if klass != "inconclusive" else {}
-    return Verdict(klass, sum_estimate, tail_bound, "analytic_hint", n_used=n_used,
-                   law=law, **rate)
-
-
 def _analyze_with_law(src, policy):
     """Exact comparison with the source's law.  A law that diverges reads
     no term.  A law from a start takes the terms before it from its head,
@@ -598,26 +584,27 @@ def _analyze_with_law(src, policy):
     without a head, is inconclusive.  A rate law is summed from a dense
     scan to its tight-sandwich horizon and a one-power tail from the last
     term; a scan that finds every term 0 is inconclusive, since the law's
-    terms lie past it."""
+    terms lie past it.  A verdict that decides carries the law's rate."""
     law = src.law
+    hint = dict(method="analytic_hint", law=law)
     if law.diverges:
-        return _law_verdict(law, "diverges")
+        return Verdict("diverges", **hint, **law.rate)
     n_max = src.effective_n_max(policy)
     if law.start is None:
         partial, a_last, n_last, _, _ = _dense_scan(src, n_max, law.exponent)
         if partial == 0.0:
-            return _law_verdict(law, "inconclusive", n_used=n_last)
+            return Verdict("inconclusive", n_used=n_last, **hint)
         est, bound = _power_tail(partial, a_last, n_last, law.exponent)
-        return _law_verdict(law, "converges", est, bound, n_last)
+        return Verdict("converges", est, bound, n_used=n_last, **hint, **law.rate)
     n_used = law.start - 1
     if law.exponent <= 1.0 or (n_used > n_max and law.head is None):
-        return _law_verdict(law, "inconclusive")
+        return Verdict("inconclusive", **hint)
     if law.head is not None:
         head = n_used * law.head
     else:
         head = _dense_scan(src, n_used)[0] if n_used else 0.0
     low, width = law.tail
-    return _law_verdict(law, "converges", head + low, width, n_used)
+    return Verdict("converges", head + low, width, n_used=n_used, **hint, **law.rate)
 
 
 def analyze_series(src: TermSource, policy: EnginePolicy = DEFAULT_POLICY) -> Verdict:

@@ -8,7 +8,7 @@ arrays as well as scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,9 +45,9 @@ _SINE_TERMS = 9
 
 @dataclass(frozen=True)
 class Sine(TestFunction):
-    name: str = "sine"
-    bound: float = 1.0
-    lipschitz: float = 1.0
+    name: str = field(init=False, default="sine")
+    bound: float = field(init=False, default=1.0)
+    lipschitz: float = field(init=False, default=1.0)
 
     def __call__(self, x):
         return np.sin(x)
@@ -76,9 +76,9 @@ class ClampedIdentity(TestFunction):
 
     M: float = 1.0
     eps: float = 1.0
-    name: str = ""
-    bound: float = 0.0
-    lipschitz: float = 1.0
+    name: str = field(init=False, default="")
+    bound: float = field(init=False, default=0.0)
+    lipschitz: float = field(init=False, default=1.0)
 
     def __post_init__(self):
         if self.M <= 0 or self.eps <= 0:
@@ -102,9 +102,9 @@ class ClampedAffine(TestFunction):
     K: float = 2.0
     M: float = 10.0
     x0: float = 0.5
-    name: str = ""
-    bound: float = 0.0
-    lipschitz: float = 0.0
+    name: str = field(init=False, default="")
+    bound: float = field(init=False, default=0.0)
+    lipschitz: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.K <= 0 or self.M <= 0:

@@ -23,7 +23,7 @@ from convlab.registry import (NODE_MODES, NODES, constant_family,
                               default_registry, ex31, ex32, ex33,
                               shift_uniform)
 from convlab.series import EnginePolicy
-from convlab.testfuncs import ClampedAffine, ClampedIdentity
+from convlab.testfuncs import ClampedAffine, ClampedIdentity, Sine
 
 CROSS_CHECK_NS = (1, 2, 3, 5, 12, 40)
 
@@ -166,6 +166,23 @@ def test_fails_reports_first_witness():
     assert rep.fails
     assert rep.witness == "f=sine"
     assert rep.probe_results["f=sine"].diverges
+
+
+def test_witness_is_the_key_of_the_first_failing_probe_among_repeated_values():
+    # ex32(0.5, 2)'s CDF gap sums at x = 0.5 and diverges at x = 1: the
+    # witness is the key of the first failing probe, the second of four
+    fam = ex32(0.5, 2.0)
+    params = ModeParams.defaults(fam, x_points=(0.5, 1.0, 0.5, 1.0))
+    rep = check_mode(fam, "s2d", params)
+    assert [v.klass for v in rep.probe_verdicts] == ["converges", "diverges"] * 2
+    assert rep.fails and rep.witness == "x=1.0"
+    assert list(rep.probe_results) == ["x=0.5", "x=1.0"]
+    # it is read probe by probe, not from the dict, which keeps a repeated
+    # key's last verdict: here the dict fails at x = 0.5 and holds at x = 1
+    held, failed = rep.probe_verdicts[:2]
+    rep = ModeReport(fam.name, "s2d", "fails", (held, failed, failed, held), params)
+    assert rep.probe_results == {"x=0.5": failed, "x=1.0": held}
+    assert rep.witness == "x=1.0"
 
 
 def test_report_round_trip_dict():
@@ -419,3 +436,12 @@ def test_mode_report_holds_and_fails_read_its_verdict():
 def test_clamped_test_functions_need_positive_parameters(make):
     with pytest.raises(ParameterError, match="needs"):
         make()
+
+
+@pytest.mark.parametrize("cls", [Sine, ClampedIdentity, ClampedAffine])
+@pytest.mark.parametrize("derived", ["name", "bound", "lipschitz"])
+def test_test_functions_take_no_derived_constant(cls, derived):
+    # a test function's name, sup bound and Lipschitz constant follow from
+    # its parameters: verify_truncation_s1star's splitting bound reads them
+    with pytest.raises(TypeError):
+        cls(**{derived: 0.0})

@@ -145,7 +145,7 @@ def test_node_report_runs_a_binding_that_changes_the_defaults(monkeypatch):
     assert rep.params == ModeParams.defaults(family, p=2.0)
     assert node_report(family, "sl1").params is rep.params
     assert rep == check_mode(ex31(2.0), "slp", ModeParams.defaults(family, p=2.0))
-    assert rep.probe_keys == ("p=2.0",)
+    assert list(rep.probe_results) == ["p=2.0"]
 
 
 def test_expected_verdicts_regime_dependence():
@@ -245,7 +245,7 @@ def test_family_names_tell_apart_parameters_that_g_rounds_together():
     assert above.name == "ex32(alpha=0.5,beta=2.000000001)"
     report = soundness_sweep(mode_diagram(), [below, above])
     assert len(report.verdicts) == 2 * len(NODES)
-    assert report.family_order == [below.name, above.name]
+    assert report.families == (below.name, above.name)
     # (1 - alpha) beta straddles 1: s2d fails below and holds above
     assert report.verdicts[below.name, "s2d"].verdict == "fails"
     assert report.verdicts[above.name, "s2d"].verdict == "holds"
@@ -1238,12 +1238,14 @@ def _small_sweep():
 
 
 def test_kept_sweep_report_stays_small():
-    # cell reports share one verdict per (law, outcome, figures), one
-    # probe-key tuple per (mode, params) and their family's params; a cell
-    # report keeps its probe verdicts in a tuple, and a verdict its law, from
-    # which its evidence is built on read.  A sweep report keeps its cell
-    # reports in one tuple, beside the shared diagram and the interned family
-    # names, and builds its relation map on read: it holds about 1.3 KiB.
+    # check_mode hands out one report for every check of a cell that reaches
+    # equal verdicts, so kept sweeps share their cell reports, and the
+    # reports their family's params; a cell report keeps its probe verdicts
+    # in a tuple and builds its probe keys and witness on read, and a verdict
+    # keeps its law, from which its evidence is built on read.  A sweep
+    # report keeps its cell reports in one tuple, beside the shared diagram
+    # and the interned family names, and builds its relation map on read: it
+    # holds about 1.3 KiB.
     # Before that sharing a kept report held about 190 KiB, about 100 KiB
     # with a verdict per law-only probe, about 73 KiB with a dict of verdicts
     # per report, and about 12 KiB with a cell dict, a witness dict, the open
@@ -1266,9 +1268,10 @@ def test_kept_sweep_report_stays_small():
 
 def test_sweeps_share_the_verdicts_that_rest_on_a_law():
     # a verdict on a law follows from the law and the figures its terms
-    # give, and is built once: every sweep hands out one Verdict object for
-    # it, also after the parameter grid's sweep earlier in this file, and
-    # every catalog probe has a law
+    # give, and a cell that reaches equal verdicts gets the report check_mode
+    # handed out before: every sweep hands out one Verdict object for it,
+    # also after the parameter grid's sweep earlier in this file, and every
+    # catalog probe has a law
     a, b = _small_sweep(), _small_sweep()
     for cell, rep in a.verdicts.items():
         for v, w in zip(rep.probe_verdicts, b.verdicts[cell].probe_verdicts):
@@ -1281,12 +1284,13 @@ def test_sweeps_share_the_verdicts_that_rest_on_a_law():
 
 def test_fresh_sweeps_share_the_shift_families_pointwise_verdicts():
     # |X_n(omega) - X(omega)| is the shift n^-beta at every omega: the 17 s1as
-    # probes of ex32 share one law from n = 1, and one verdict
+    # probes of ex32 share one law from n = 1, and equal verdicts; the
+    # second sweep hands out the first sweep's report of the cell
     a, b = (soundness_sweep(mode_diagram(), default_registry()) for _ in range(2))
     for name in ("ex32(alpha=0.5,beta=2)", "ex32(alpha=0.4,beta=2)"):
         got = a.verdicts[name, "s1as"].probe_verdicts
-        assert len(got) == 17 and len({id(v) for v in got}) == 1
-        assert b.verdicts[name, "s1as"].probe_verdicts[0] is got[0]
+        assert len(got) == 17 and all(v == got[0] for v in got)
+        assert b.verdicts[name, "s1as"] is a.verdicts[name, "s1as"]
         assert got[0].converges and got[0].n_used == 0
 
 
@@ -1323,7 +1327,7 @@ def test_sweeps_of_the_same_families_are_equal_values():
 
 def test_writing_into_a_sweeps_relation_map_changes_no_later_read():
     # the cell grid, the relation map and the gaps are built on each read
-    reads = ("verdicts", "family_order", "witnessed", "open_pairs", "coverage_gaps")
+    reads = ("verdicts", "witnessed", "open_pairs", "coverage_gaps")
     report, clean = _small_sweep(), _small_sweep()
     for name in reads:
         _scribble(getattr(report, name))
