@@ -104,10 +104,11 @@ class ModeParams:
     omega_points: tuple = tuple(van_der_corput(i) for i in range(1, 18))
 
     def __post_init__(self):
-        # tuples throughout, so that params can key the report caches
+        # tuples throughout, so that params can key the report caches; each
+        # value once, in first-seen order, so that probes pair with their keys
         for name in ("epsilons", "x_points", "t_points", "test_functions",
                      "omega_points"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
         for name, values in (("epsilons", self.epsilons), ("p", (self.p,)),
                              ("alpha", (self.alpha,)), ("t_points", self.t_points),
                              ("x_points", self.x_points)):

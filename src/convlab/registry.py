@@ -38,11 +38,6 @@ SCHEMA_VERSION = 2
 _law = functools.lru_cache(maxsize=256)(TermLaw)
 
 
-def _zero_past(n):
-    """The law of terms that are 0 past n."""
-    return _law(n + 1)
-
-
 def _rate(p, level=None):
     """The law of terms that decay like level * n^-p from some n on."""
     return _law(None, ((level, p),))
@@ -84,6 +79,19 @@ def _first_index(holds, log_guess):
                 lo, hi = (lo, mid) if holds(index(mid, dtype))[0] else (mid, hi)
             return int(index(hi, dtype)[0])
     return None
+
+
+def _plateau(holds, log_guess, terms=(), head=None):
+    """The law of terms from the first n at which holds, found by
+    _first_index(holds, log_guess), with head before it.  Where holds is
+    false at every float: the rate law of the leading term, or with no
+    terms the zero law from 2^ceil(1 + log_guess / ln 2), past every float."""
+    start = _first_index(holds, log_guess)
+    if start is not None:
+        return _law(start, terms, None, head)
+    if terms:
+        return _law(None, terms[:1])
+    return _law(2 ** math.ceil(1.0 + log_guess / math.log(2.0)))
 
 
 def _series_law(start, series, scale, h, beta):
@@ -211,9 +219,8 @@ def _two_atom_source_factory(r, q):
             if eps > 1.0:
                 return _zeros_source()
             # m1 + (1 - m1) = 1 on the plateau v2 >= eps, then m1 = n^-r
-            start = _first_index(lambda ns: basis(ns)[2] < eps, -math.log(eps) / q)
-            return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns), law=_rate(r, 1.0)
-                              if start is None else _law(start, ((1.0, r),), None, 1.0))
+            return TermSource(lambda ns: mean(lambda v: np.abs(v) >= eps, ns), law=_plateau(
+                lambda ns: basis(ns)[2] < eps, -math.log(eps) / q, ((1.0, r),), 1.0))
 
         if kind == "moment":
             p = float(value)
@@ -259,15 +266,9 @@ def _two_atom_source_factory(r, q):
             # 1.0 ** power = 1 on the plateau omega < m1, then v2^power = n^-(power q),
             # all 0 for n >= 2 when that exponent is inf, q's or an overflowed power * q's
             p = power * q
-            start = _first_index(lambda ns: omega >= basis(ns)[0], -math.log(omega) / r)
-            if start is not None:
-                return TermSource(gen, law=_law(start, ((1.0, p),) if p < math.inf else (),
-                                                None, 1.0))
-            if math.isinf(p):
-                # the plateau ends past every float, below 2^(1 - log2(omega) / r):
-                # the zero law from past the horizon
-                return TermSource(gen, law=_zero_past(2 ** math.ceil(1.0 - math.log2(omega) / r)))
-            return TermSource(gen, law=_rate(p))
+            return TermSource(gen, law=_plateau(lambda ns: omega >= basis(ns)[0],
+                                                -math.log(omega) / r,
+                                                ((1.0, p),) if p < math.inf else (), 1.0))
 
         if kind == "trunc_l1":
             eps = float(value)
@@ -279,9 +280,9 @@ def _two_atom_source_factory(r, q):
                 return TermSource(gen, law=atom_law(1.0, (((1.0, 1.0),), None)))
             # the first atom, at 1, is truncated away: m2 * v2 = n^-q - n^-(r+q)
             # from the first n with v2 < eps, and 0 before it
-            start = _first_index(lambda ns: basis(ns)[2] < eps, -math.log(eps) / q)
-            return TermSource(gen, law=_rate(q) if start is None else _law(
-                start, ((1.0, q), (-1.0, r + q)) if q < math.inf else (), None, 0.0))
+            return TermSource(gen, law=_plateau(
+                lambda ns: basis(ns)[2] < eps, -math.log(eps) / q,
+                ((1.0, q), (-1.0, r + q)) if q < math.inf else (), 0.0))
 
         return None
 
@@ -362,13 +363,13 @@ def _shift_source_factory(dens, beta, holder_at_1):
     def source(kind, value, power):
         if kind == "tail":
             eps = float(value)
-            last = 1 if eps > 1.0 else math.ceil(eps ** (-1.0 / beta))
-            return TermSource(lambda ns: (s_of(ns) >= eps) * 1.0, law=_zero_past(last))
+            return TermSource(lambda ns: (s_of(ns) >= eps) * 1.0, law=_plateau(
+                lambda ns: s_of(ns) < eps, -math.log(eps) / beta, head=1.0))
 
         if kind in ("moment", "pointwise"):
             # s^k = n^-(beta k) exactly; at beta k = inf, 1 at n = 1 and 0 after
             k = float(value) if kind == "moment" else power
-            law = _exact((1.0, beta * k)) if beta * k < math.inf else _zero_past(1)
+            law = _exact((1.0, beta * k)) if beta * k < math.inf else _law(2, (), None, 1.0)
             return TermSource(lambda ns: s_of(ns) ** k, law=law)
 
         if kind == "sup":
@@ -388,10 +389,9 @@ def _shift_source_factory(dens, beta, holder_at_1):
 
             if x <= 0.0:
                 return TermSource(gen, law=_law(1))
-            if x > 1.0:
-                gap = x - 1.0
-                last = 1 if gap >= 1.0 else math.ceil(gap ** (-1.0 / beta))
-                return TermSource(gen, law=_zero_past(last))
+            if x > 1.0:  # 0 from the first n with F(x - s) = F(x) = 1
+                return TermSource(gen, law=_plateau(lambda ns: gen(ns) == 0.0,
+                                                    -math.log(x - 1.0) / beta))
             holder = holder_at_1 if abs(x - 1.0) <= 1e-12 else 1.0
             return TermSource(gen, law=_rate(holder * beta))
 
@@ -437,9 +437,8 @@ def _shift_source_factory(dens, beta, holder_at_1):
                 return np.where(s < eps, s, 0.0)
 
             # s = n^-beta from the first n with s < eps, 0 before it
-            start = _first_index(lambda ns: s_of(ns) < eps, -math.log(eps) / beta)
-            return TermSource(gen, law=_law(start, ((1.0, beta),), None, 0.0) if start
-                              else _rate(beta))
+            return TermSource(gen, law=_plateau(lambda ns: s_of(ns) < eps,
+                                                -math.log(eps) / beta, ((1.0, beta),), 0.0))
 
         return None
 

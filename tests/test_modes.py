@@ -169,20 +169,16 @@ def test_fails_reports_first_witness():
 
 
 def test_witness_is_the_key_of_the_first_failing_probe_among_repeated_values():
-    # ex32(0.5, 2)'s CDF gap sums at x = 0.5 and diverges at x = 1: the
-    # witness is the key of the first failing probe, the second of four
+    # ex32(0.5, 2)'s CDF gap sums at x = 0.5 and diverges at x = 1: params
+    # keep each value once, in first-seen order, so the probes, their keys,
+    # verdicts and JSON pair one to one, and the witness is the second key
     fam = ex32(0.5, 2.0)
     params = ModeParams.defaults(fam, x_points=(0.5, 1.0, 0.5, 1.0))
+    assert params.x_points == (0.5, 1.0)
     rep = check_mode(fam, "s2d", params)
-    assert [v.klass for v in rep.probe_verdicts] == ["converges", "diverges"] * 2
+    assert [v.klass for v in rep.probe_verdicts] == ["converges", "diverges"]
     assert rep.fails and rep.witness == "x=1.0"
-    assert list(rep.probe_results) == ["x=0.5", "x=1.0"]
-    # it is read probe by probe, not from the dict, which keeps a repeated
-    # key's last verdict: here the dict fails at x = 0.5 and holds at x = 1
-    held, failed = rep.probe_verdicts[:2]
-    rep = ModeReport(fam.name, "s2d", "fails", (held, failed, failed, held), params)
-    assert rep.probe_results == {"x=0.5": failed, "x=1.0": held}
-    assert rep.witness == "x=1.0"
+    assert list(rep.probe_results) == list(rep.to_dict()["probes"]) == ["x=0.5", "x=1.0"]
 
 
 def test_report_round_trip_dict():
@@ -221,12 +217,16 @@ def test_x_probe_override_reaches_failure_point():
 def test_zero_law_past_the_horizon_leaves_the_probe_inconclusive():
     # shift_uniform(1.01)'s CDF gap at x = 1 + 1e-7 is nonzero while the
     # shift n^-1.01 exceeds 1e-7, up to n = 8524974: past n_max, so a sum to
-    # the horizon is not the series' sum
+    # the horizon is not the series' sum.  The zero law starts at the first
+    # zero term
     fam = shift_uniform(1.01)
     params = ModeParams.defaults(fam, x_points=(1.0000001,))
     src = probe_source(fam, "s2d", ("x", 1.0000001), params)
-    assert src.law.exponent == math.inf and src.law.start == 8524976
+    assert src.law.exponent == math.inf and src.law.start == 8524975
+    assert src.law.head is None
     assert src.terms(10 ** 6 + 1, 10 ** 6 + 2)[0] > 0.0
+    before, at = src.generator(np.array([8524974, 8524975]))
+    assert before > 0.0 and at == 0.0
     rep = check_mode(fam, "s2d", params)
     assert rep.verdict == "inconclusive" and rep.witness is None
     v = rep.probe_results["x=1.0000001"]

@@ -503,19 +503,65 @@ def test_ex33_gap_modes_read_no_term(monkeypatch):
     assert calls == []
 
 
-def test_a_pointwise_plateau_past_every_float_index_is_inconclusive():
-    # at omega = 5e-324 ex33's first atom covers omega up to n = 2^1074,
-    # where omega^-1 overflows a float: the terms are 1 at every index a
-    # float holds, and the probe gets the zero law from past the horizon
-    # rather than an OverflowError
-    fam = ex33()
-    rep = check_mode(fam, "sa_as", ModeParams.defaults(fam, omega_points=(5e-324,)))
+@pytest.mark.parametrize("fam, series_mode, limit_mode, overrides", [
+    # ex33's first atom covers omega = 5e-324 up to n = 2^1074
+    (ex33(), "sa_as", "as", {"omega_points": (5e-324,)}),
+    # shift_uniform(1.0000001)'s shift n^-1.0000001 is at least 5e-324 at
+    # every index a float holds
+    (shift_uniform(1.0000001), "cc", "prob", {"epsilons": (5e-324,)}),
+], ids=["ex33-pointwise", "shift-tail"])
+def test_a_plateau_past_every_float_index_is_inconclusive(fam, series_mode, limit_mode,
+                                                           overrides):
+    # the plateau's end overflows a float: the terms are 1 at every index
+    # a float holds, and the probe gets the zero law from past the horizon,
+    # with no head, rather than an OverflowError; the limit mode holds
+    params = ModeParams.defaults(fam, **overrides)
+    rep = check_mode(fam, series_mode, params)
     assert rep.verdict == "inconclusive"
-    v = rep.probe_results["omega=5e-324"]
+    (v,) = rep.probe_verdicts
     assert v.klass == "inconclusive" and v.n_used == 0
-    law = v.evidence["hint"]
-    assert law["terms"] == [] and law["start"] > 2 ** 1074
-    assert check_mode(fam, "as", ModeParams.defaults(fam, omega_points=(5e-324,))).holds
+    assert v.law.terms == () and v.law.start > 2 ** 1074 and v.law.head is None
+    assert check_mode(fam, limit_mode, params).holds
+
+
+def test_shift_tails_read_their_plateau_from_the_head(monkeypatch):
+    # the tail 1{n^-beta >= eps} is 1 up to the first n with n^-beta < eps,
+    # then 0: its law states that start with head 1.0, so the default tails
+    # read no term, and neither does a plateau that ends near n = 1e150
+    calls = []
+    terms = TermSource.terms
+
+    def counting(src, lo, hi):
+        calls.append((lo, hi))
+        return terms(src, lo, hi)
+
+    monkeypatch.setattr(TermSource, "terms", counting)
+    for fam in (ex32(0.5, 2.0), shift_uniform(2.0)):
+        for mode in ("cc", "prob"):
+            assert check_mode(fam, mode).holds, (fam.name, mode)
+    fam = shift_uniform(2.0)
+    (v,) = check_mode(fam, "cc", ModeParams.defaults(fam, epsilons=(1e-300,))).probe_verdicts
+    assert v.converges and v.law.start > 1e150 and v.sum_estimate == float(v.law.start - 1)
+    assert calls == []
+
+
+def test_rate_laws_left_are_cdf_gaps_and_two_atom_char_gaps():
+    # every other source of the seeded families and of the parameter grid
+    # states where its law starts
+    from perfbench import gen
+
+    fams = _parameter_grid() + [build_family(kind, **params) for seed in range(10)
+                                for kind, params in gen.family_specs(seed)]
+    rates = set()
+    for fam in fams:
+        for mode, overrides in NODE_MODES.values():
+            params = ModeParams.defaults(fam, **overrides)
+            for probe in probes_for(mode, params):
+                law = probe_source(fam, mode, probe, params).law
+                if law is not None and law.start is None:
+                    rates.add((fam.meta.kind, mode_spec(mode).term(probe[0])))
+    assert rates == {(kind, "cdf_gap") for kind in ("ex31", "ex32", "ex33", "shift_uniform")} | {
+        ("ex31", "char_gap"), ("ex33", "char_gap")}
 
 
 def test_first_index_bisects_where_its_guess_misses():
