@@ -202,20 +202,9 @@ class Family:
     def diff(self, n):
         return self._cached(("diff", n), lambda: space.diff_abs(self.member(n), self.limit))
 
-    def member_cdf(self, n):
-        return self._cached(("member_cdf", n), lambda: space.cdf(self.member(n)))
-
     @functools.cached_property
     def limit_cdf(self):
         return space.cdf(self.limit)
-
-    def limit_expectation(self, f):
-        return self._cached(("limit_expectation", f.name),
-                            lambda: space.expectation(self.limit, f, tol=1e-11)[0])
-
-    def limit_char(self, t):
-        return self._cached(("limit_char", t),
-                            lambda: space.char_fn(self.limit, t, tol=1e-11))
 
     def describe(self):
         return {"name": self.name, "kind": self.meta.kind, "params": dict(self.params)}
@@ -223,40 +212,6 @@ class Family:
 
 # ---------------------------------------------------------------------------
 # Term generators (the generic, representation-exact route)
-
-
-def term_cc(family, n, eps):
-    """P(|X_n - X| >= eps)."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    c = space.cdf(family.diff(n))
-    return max(0.0, 1.0 - c.prob_below(eps))
-
-
-def term_slp(family, n, p):
-    """E[|X_n - X|**p]."""
-    if p <= 0:
-        raise ParameterError("p must be positive")
-    return space.expectation(family.diff(n), lambda v: v**p, tol=1e-10)[0]
-
-
-def term_slinf(family, n):
-    """||X_n - X||_inf (essential supremum)."""
-    return space.sup_norm(family.diff(n))
-
-
-def term_s1d(family, n, f):
-    """|E[f(X_n)] - E[f(X)]|."""
-    en = space.expectation(family.member(n), f, tol=1e-11)[0]
-    return abs(en - family.limit_expectation(f))
-
-
-def term_s1star(family, n, f):
-    """E[|f(X_n) - f(X)|], over the joint coupling on the sample space."""
-    val, _ = space.expectation_joint(
-        family.member(n), family.limit, lambda a, b: abs(f(a) - f(b)), tol=1e-9
-    )
-    return val
 
 
 def require_continuity_point(family, x):
@@ -267,30 +222,6 @@ def require_continuity_point(family, x):
         raise ParameterError(
             f"x={x} is a jump point of the limit CDF (atom at {jump})"
         )
-
-
-def term_s2d(family, n, x):
-    """|F_n(x) - F(x)| at a continuity point x of the limit CDF."""
-    require_continuity_point(family, x)
-    return abs(family.member_cdf(n)(x) - family.limit_cdf(x))
-
-
-def term_s3d(family, n, t):
-    """|E[exp(itX_n)] - E[exp(itX)]|."""
-    return abs(space.char_fn(family.member(n), t, tol=1e-11) - family.limit_char(t))
-
-
-def term_sa_as(family, n, alpha, omega):
-    """|X_n(omega) - X(omega)|**alpha."""
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
-    w = space.require_omega(omega)
-    return abs(family.member(n)(w) - family.limit(w)) ** alpha
-
-
-def term_trunc_l1(family, n, eps):
-    """E[|X_n - X| * 1{|X_n - X| < eps}] via closed-form piece integration."""
-    return space.truncated_abs_moment(family.diff(n), eps)
 
 
 def mode_spec(mode):
@@ -304,25 +235,46 @@ def mode_spec(mode):
 def generic_term(family, kind, value, power, n):
     """The n-th term of one term kind at one probe value, pointwise terms
     raised to power: summed for a series mode, tested for tending to zero
-    for a limit mode."""
+    for a limit mode.  Each branch is its kind's whole generic definition,
+    with X_n = family.member(n) and X = family.limit; the probe values
+    were checked by ModeParams."""
     if kind == "tail":
-        return term_cc(family, n, value)
+        # P(|X_n - X| >= eps)
+        return max(0.0, 1.0 - space.cdf(family.diff(n)).prob_below(value))
     if kind == "moment":
-        return term_slp(family, n, value)
+        # E|X_n - X|^p
+        return space.expectation(family.diff(n), lambda v: v**value, tol=1e-10)[0]
     if kind == "sup":
-        return term_slinf(family, n)
+        # ess sup |X_n - X|
+        return space.sup_norm(family.diff(n))
     if kind == "expect_gap":
-        return term_s1d(family, n, value)
+        # |E f(X_n) - E f(X)|
+        en = space.expectation(family.member(n), value, 1e-11, value.kinks)[0]
+        e = family._cached(("limit_expectation", value.name),
+                           lambda: space.expectation(family.limit, value, 1e-11, value.kinks)[0])
+        return abs(en - e)
     if kind == "coupled_gap":
-        return term_s1star(family, n, value)
+        # E|f(X_n) - f(X)|, over the joint coupling on the sample space
+        return space.expectation_joint(family.member(n), family.limit,
+                                       lambda a, b: abs(value(a) - value(b)),
+                                       1e-9, value.kinks)[0]
     if kind == "cdf_gap":
-        return term_s2d(family, n, value)
+        # |F_n(x) - F(x)|, at a continuity point x of F
+        require_continuity_point(family, value)
+        cdf_n = family._cached(("member_cdf", n), lambda: space.cdf(family.member(n)))
+        return abs(cdf_n(value) - family.limit_cdf(value))
     if kind == "char_gap":
-        return term_s3d(family, n, value)
+        # |phi_n(t) - phi(t)|
+        phi_n = space.char_fn(family.member(n), value, tol=1e-11)
+        phi = family._cached(("limit_char", value),
+                             lambda: space.char_fn(family.limit, value, tol=1e-11))
+        return abs(phi_n - phi)
     if kind == "pointwise":
-        return term_sa_as(family, n, power, value)
+        # |X_n(omega) - X(omega)|^power
+        return abs(family.member(n)(value) - family.limit(value)) ** power
     if kind == "trunc_l1":
-        return term_trunc_l1(family, n, value)
+        # E[|X_n - X|; |X_n - X| < eps], by closed-form piece integration
+        return space.truncated_abs_moment(family.diff(n), value)
     raise ParameterError(f"unknown term kind {kind!r}")
 
 

@@ -366,8 +366,20 @@ def _merged_pieces(rv1, rv2):
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def expectation(rv, g, tol=1e-10):
-    """E[g(X)] with an absolute error bound.
+def _quad(fn, lo, hi, share, pieces, kinks):
+    """quad of fn(omega) over [lo, hi), split at each omega inside where the
+    value of one of the smooth pieces crosses a kink, a value where the
+    integrand bends; one unsplit call where none does."""
+    crossings = {float(p.dens.cdf((k - p.B) / p.A)) for p in pieces if p.A != 0.0
+                 for k in kinks}
+    points = sorted(w for w in crossings if lo < w < hi)
+    split = {"points": points} if points else {}
+    return quad(fn, lo, hi, epsabs=share, epsrel=0.0, limit=200, **split)
+
+
+def expectation(rv, g, tol=1e-10, kinks=()):
+    """E[g(X)] with an absolute error bound; kinks are the values where g
+    is not smooth (TestFunction.kinks).
 
     Atoms are summed exactly; smooth pieces are integrated adaptively.
     Raises AccuracyError if the combined quadrature error exceeds the
@@ -380,17 +392,17 @@ def expectation(rv, g, tol=1e-10):
         if p.A == 0.0:
             total += (p.hi - p.lo) * g(p.B)
             continue
-        val, e = quad(lambda w, p=p: g(p.value(w)), p.lo, p.hi,
-                      epsabs=share, epsrel=0.0, limit=200)
+        val, e = _quad(lambda w, p=p: g(p.value(w)), p.lo, p.hi, share, (p,), kinks)
         total += val
         err += e
     _check_accuracy(total, err, tol)
     return total, err
 
 
-def expectation_joint(rv1, rv2, h, tol=1e-9):
+def expectation_joint(rv1, rv2, h, tol=1e-9, kinks=()):
     """E[h(X, Y)] for two variables coupled on the same space, by direct
-    quadrature over omega on merged piece boundaries."""
+    quadrature over omega on merged piece boundaries; kinks are the values
+    of either argument where h is not smooth."""
     cells = _merged_pieces(rv1, rv2)
     # one share of tol per interval, and one to spare
     share = tol / (len(cells) + 1)
@@ -400,8 +412,8 @@ def expectation_joint(rv1, rv2, h, tol=1e-9):
         if p1.A == 0.0 and p2.A == 0.0:
             total += (hi - lo) * h(p1.B, p2.B)
             continue
-        val, e = quad(lambda w, p1=p1, p2=p2: h(p1.value(w), p2.value(w)), lo, hi,
-                      epsabs=share, epsrel=0.0, limit=200)
+        val, e = _quad(lambda w, p1=p1, p2=p2: h(p1.value(w), p2.value(w)), lo, hi,
+                       share, (p1, p2), kinks)
         total += val
         err += e
     _check_accuracy(total, err, tol)

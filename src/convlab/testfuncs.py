@@ -24,6 +24,12 @@ class TestFunction:
     def __call__(self, x):
         raise NotImplementedError
 
+    @property
+    def kinks(self):
+        """The values where the function is not smooth: a quadrature of it
+        splits where its argument crosses one."""
+        return ()
+
     def slope_on(self, hi):
         """c > 0 where g(v) = g(0) + c * v on [0, hi], else None."""
         return None
@@ -90,6 +96,10 @@ class ClampedIdentity(TestFunction):
         c = self.M + self.eps
         return np.clip(x, -c, c)
 
+    @property
+    def kinks(self):
+        return (-self.bound, self.bound)
+
     def slope_on(self, hi):
         """1, where [0, hi] lies inside the unclamped range."""
         return 1.0 if hi <= self.M + self.eps else None
@@ -117,6 +127,10 @@ class ClampedAffine(TestFunction):
 
     def __call__(self, x):
         return np.clip(self.K * (np.asarray(x, dtype=float) - self.x0), -self.M, self.M)
+
+    @property
+    def kinks(self):
+        return (self.x0 - self.M / self.K, self.x0 + self.M / self.K)
 
     def slope_on(self, hi):
         """K, where [0, hi] lies inside the unclamped range."""

@@ -15,8 +15,7 @@ from scipy.integrate import quad
 
 import convlab.cli as cli
 from convlab import space
-from convlab.modes import (ModeParams, check_mode, generic_term, probes_for,
-                           term_s1star, term_s3d)
+from convlab.modes import ModeParams, check_mode, generic_term, probes_for
 from convlab.registry import (LipschitzWitness, default_registry, ex31, ex32,
                               ex33, mode_diagram, shift_uniform,
                               soundness_sweep, verify_lipschitz_s2d,
@@ -271,9 +270,9 @@ def test_criterion_9_dominance_suite():
         for n in (1, 3, 17, 257):
             d1 = generic_term(fam, "moment", 1.0, 1.0, n)
             for f in params.test_functions:
-                s1s_n = term_s1star(fam, n, f)
+                s1s_n = generic_term(fam, "coupled_gap", f, 1.0, n)
                 assert s1s_n <= f.lipschitz * d1 + slack_q, (fam.name, n, f.name)
-            assert term_s3d(fam, n, 2.0) <= 2.0 + slack_q, (fam.name, n)
+            assert generic_term(fam, "char_gap", 2.0, 1.0, n) <= 2.0 + slack_q, (fam.name, n)
 
     report(9, "dominance suite (Markov / Lipschitz / sup-norm / char-term) "
               "holds for all catalog families, n <= 1e4, slacks 1e-9 / 1e-12")

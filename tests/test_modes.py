@@ -15,10 +15,7 @@ from convlab.errors import ParameterError
 from convlab.modes import (ALL_MODES, LIMIT_MODES, MODES, SERIES_MODES,
                            UNIVERSAL_MODES, Family, FamilyMeta, ModeParams,
                            ModeReport, check_mode, generic_term,
-                           probe_key, probe_source, probes_for, term_cc, term_s1d,
-                           term_s1star, term_s2d, term_s3d, term_sa_as,
-                           term_slinf, term_slp, term_trunc_l1,
-                           van_der_corput)
+                           probe_key, probe_source, probes_for, van_der_corput)
 from convlab.registry import (NODE_MODES, NODES, constant_family,
                               default_registry, ex31, ex32, ex33,
                               shift_uniform)
@@ -56,6 +53,8 @@ def test_mode_params_validation():
     with pytest.raises(ParameterError):
         ModeParams(p=0.0)
     with pytest.raises(ParameterError):
+        ModeParams(alpha=0.0)
+    with pytest.raises(ParameterError):
         ModeParams(omega_points=(0.5, 1.5))
 
 
@@ -82,7 +81,7 @@ def test_unknown_mode_rejected():
 def test_term_s2d_rejects_jump_points():
     fam = [f for f in registry_families() if f.meta.kind == "ex31"][0]
     with pytest.raises(ParameterError, match="jump point"):
-        term_s2d(fam, 5, 0.0)  # the limit has its atom at 0
+        generic_term(fam, "cdf_gap", 0.0, 1.0, 5)  # the limit has its atom at 0
 
 
 @pytest.mark.parametrize("builder, args", [
@@ -136,9 +135,8 @@ def test_truncated_terms_match_generic(family):
             continue
         fast = src.terms(1, 41)
         for n in CROSS_CHECK_NS:
-            slow = term_trunc_l1(family, n, eps)
+            slow = generic_term(family, "trunc_l1", eps, 1.0, n)
             assert abs(fast[n - 1] - slow) < 1e-8
-            assert generic_term(family, "trunc_l1", eps, 1.0, n) == slow
 
 
 def test_generic_term_rejects_unknown_kind():
@@ -246,15 +244,15 @@ def test_linf_fails_for_persistent_sup():
     fam = [f for f in registry_families() if f.meta.kind == "ex33"][0]
     rep = check_mode(fam, "linf")
     assert rep.fails
-    assert abs(term_slinf(fam, 100) - 1.0) < 1e-12
+    assert abs(generic_term(fam, "sup", None, 1.0, 100) - 1.0) < 1e-12
 
 
 def test_markov_dominance_generic_route():
     for fam in registry_families():
         for n in CROSS_CHECK_NS:
             for eps in (0.5, 0.1):
-                lhs = eps * term_cc(fam, n, eps)
-                rhs = term_slp(fam, n, 1.0)
+                lhs = eps * generic_term(fam, "tail", eps, 1.0, n)
+                rhs = generic_term(fam, "moment", 1.0, 1.0, n)
                 assert lhs <= rhs + 1e-9, (fam.name, n, eps)
 
 
@@ -313,36 +311,28 @@ def reference_summary(mode, params):
 
 def reference_term(family, mode, probe, n, params):
     axis, value = probe
-    if mode == "cc":
-        return term_cc(family, n, value)
-    if mode == "slp":
-        return term_slp(family, n, value)
-    if mode == "slinf":
-        return term_slinf(family, n)
-    if mode == "s1d":
-        return term_s1d(family, n, value)
-    if mode == "s1star":
-        return term_s1star(family, n, value)
-    if mode == "s2d":
-        return term_s2d(family, n, value)
-    if mode == "s3d":
-        return term_s3d(family, n, value)
-    if mode == "sa_as":
-        return term_sa_as(family, n, params.alpha, value)
-    if mode == "prob":
-        return term_cc(family, n, value)
-    if mode == "lp":
-        return term_slp(family, n, value)
-    if mode == "linf":
-        return term_slinf(family, n)
-    if mode == "as":
-        w = space.require_omega(value)
-        return abs(family.member(n)(w) - family.limit(w))
-    if mode == "dist":
-        if axis == "x":
-            return term_s2d(family, n, value)
-        return term_s1d(family, n, value)
-    raise ParameterError(f"unknown mode {mode!r}")
+    power = 1.0
+    if mode in ("cc", "prob"):
+        kind = "tail"
+    elif mode in ("slp", "lp"):
+        kind = "moment"
+    elif mode in ("slinf", "linf"):
+        kind = "sup"
+    elif mode == "s1d" or (mode == "dist" and axis == "f"):
+        kind = "expect_gap"
+    elif mode == "s1star":
+        kind = "coupled_gap"
+    elif mode in ("s2d", "dist"):
+        kind = "cdf_gap"
+    elif mode == "s3d":
+        kind = "char_gap"
+    elif mode == "sa_as":
+        kind, power = "pointwise", params.alpha
+    elif mode == "as":
+        kind = "pointwise"
+    else:
+        raise ParameterError(f"unknown mode {mode!r}")
+    return generic_term(family, kind, value, power, n)
 
 
 @pytest.mark.parametrize("family", registry_families(), ids=lambda f: f.name)
@@ -411,15 +401,36 @@ def test_modes_sharing_a_family_report_what_fresh_families_do(family):
 
 
 def test_generic_terms_check_their_arguments():
+    # eps, p and alpha are checked by ModeParams (test_mode_params_validation)
     fam = ex31(2.0)
     with pytest.raises(ParameterError, match="index n must be >= 1"):
         fam.member(0)
-    with pytest.raises(ParameterError, match="eps must be positive"):
-        term_cc(fam, 1, 0.0)
-    with pytest.raises(ParameterError, match="p must be positive"):
-        term_slp(fam, 1, -1.0)
-    with pytest.raises(ParameterError, match="alpha must be positive"):
-        term_sa_as(fam, 1, 0.0, 0.5)
+    with pytest.raises(ParameterError, match="omega must lie in"):
+        generic_term(fam, "pointwise", 1.5, 1.0, 1)
+
+
+@pytest.mark.parametrize("kind", ("expect_gap", "coupled_gap"))
+@pytest.mark.parametrize("n", (22, 30, 100, 1000))
+def test_generic_gaps_see_a_test_functions_kink(kind, n):
+    # f = ClampedAffine(K=2, M=1) is 2x - 1 on [0, 1] and clamps above 1, so
+    # on U + s it clamps on a strip of width s = n^-2 and both gaps are
+    # exactly 2s - s^2; an unsplit quadrature missed the strip from n = 22
+    # on and gave 2s
+    f = ClampedAffine(K=2.0, M=1.0)
+    assert f.kinks == (0.0, 1.0)
+    s = n ** -2.0
+    assert abs(generic_term(shift_uniform(2.0), kind, f, 1.0, n) - (2 * s - s * s)) <= 1e-15
+
+
+def test_generic_s1d_sum_sees_a_test_functions_kink():
+    # the gaps 2s - s^2 with s = n^-2 sum to 2 zeta(2) - zeta(4); with the
+    # kink missed from n = 22 on, the generic sum lay 3.3e-5 above it.  The
+    # 3.9e-8 left is the fitted tail and the per-term quadrature tolerance
+    fam = shift_uniform(2.0)
+    params = ModeParams.defaults(fam, test_functions=(ClampedAffine(K=2.0, M=1.0),))
+    (v,) = check_mode(fam, "s1d", params, use_analytic=False).probe_verdicts
+    assert v.converges
+    assert abs(v.sum_estimate - (math.pi ** 2 / 3 - math.pi ** 4 / 90)) < 1e-7
 
 
 def test_mode_report_holds_and_fails_read_its_verdict():
