@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -228,14 +228,43 @@ class Piece:
         """Limits of the value at both interval endpoints."""
         return self.value(self.lo), self.value(self.hi)
 
+    def crossing(self, level):
+        """The omega in [lo, hi] where the value crosses level, for A != 0,
+        elementwise for an array level.  For a tiny slope A, the quotient
+        may overflow to inf, which the density's CDF and the clip read right."""
+        with np.errstate(over="ignore"):
+            q = (level - self.B) / self.A
+        return np.clip(self.dens.cdf(q), self.lo, self.hi)
+
+    def split(self, level):
+        """(part below level, part at or above it), None for an empty part.
+        The endpoint values decide empty parts, and a crossing that rounds
+        onto an endpoint leaves the piece whole, on the side of the endpoint
+        value farther from level."""
+        v_lo, v_hi = self.endpoint_values()
+        if min(v_lo, v_hi) >= level:
+            return None, self
+        if max(v_lo, v_hi) <= level:
+            return self, None
+        w = float(self.crossing(level))
+        if w <= self.lo or w >= self.hi:
+            far = v_lo if abs(v_lo - level) >= abs(v_hi - level) else v_hi
+            return (None, self) if far > level else (self, None)
+        parts = replace(self, hi=w), replace(self, lo=w)
+        return parts if v_lo < level else parts[::-1]
+
+    def integral(self):
+        """The integral of the value over [lo, hi), in closed form."""
+        if self.A == 0.0:
+            return (self.hi - self.lo) * self.B
+        anti = lambda w: self.A * self.dens.quantile_antiderivative(w) + self.B * w
+        return anti(self.hi) - anti(self.lo)
+
     def measure_below(self, x):
         """The measure of {omega in [lo, hi): value <= x}, for A != 0,
-        elementwise for an array x.  For a tiny slope A, x / A may overflow
-        to inf, which the clip reads right."""
-        with np.errstate(over="ignore"):
-            q = (x - self.B) / self.A
-        w = self.dens.cdf(q)
-        return np.clip(w - self.lo if self.A > 0 else self.hi - w, 0.0, self.hi - self.lo)
+        elementwise for an array x."""
+        w = self.crossing(x)
+        return w - self.lo if self.A > 0 else self.hi - w
 
 
 @dataclass(frozen=True)
@@ -358,11 +387,11 @@ def _check_accuracy(total, err, tol, what="quadrature error"):
 
 
 def _merged_pieces(rv1, rv2):
-    """(lo, hi, p1, p2) for each interval between consecutive piece
+    """(lo, hi, (p1, p2)) for each interval between consecutive piece
     boundaries of two variables on the same space, with the piece of each
     that covers it."""
     bounds = sorted({p.lo for p in rv1.pieces} | {p.lo for p in rv2.pieces} | {1.0})
-    return [(lo, hi, rv1.piece_at(lo + 1e-15), rv2.piece_at(lo + 1e-15))
+    return [(lo, hi, (rv1.piece_at(lo + 1e-15), rv2.piece_at(lo + 1e-15)))
             for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -370,11 +399,27 @@ def _quad(fn, lo, hi, share, pieces, kinks):
     """quad of fn(omega) over [lo, hi), split at each omega inside where the
     value of one of the smooth pieces crosses a kink, a value where the
     integrand bends; one unsplit call where none does."""
-    crossings = {float(p.dens.cdf((k - p.B) / p.A)) for p in pieces if p.A != 0.0
-                 for k in kinks}
+    crossings = {float(p.crossing(k)) for p in pieces if p.A != 0.0 for k in kinks}
     points = sorted(w for w in crossings if lo < w < hi)
     split = {"points": points} if points else {}
     return quad(fn, lo, hi, epsabs=share, epsrel=0.0, limit=200, **split)
+
+
+def _expect(cells, h, integrand, tol, share, kinks):
+    """Sum over cells (lo, hi, pieces) of the integral of h at the pieces'
+    values: exact where all are constant, else _quad of integrand(*pieces)
+    within share.  Raises AccuracyError if the error bounds sum past tol."""
+    total = 0.0
+    err = 0.0
+    for lo, hi, ps in cells:
+        if all(p.A == 0.0 for p in ps):
+            total += (hi - lo) * h(*(p.B for p in ps))
+            continue
+        val, e = _quad(integrand(*ps), lo, hi, share, ps, kinks)
+        total += val
+        err += e
+    _check_accuracy(total, err, tol)
+    return total, err
 
 
 def expectation(rv, g, tol=1e-10, kinks=()):
@@ -386,17 +431,8 @@ def expectation(rv, g, tol=1e-10, kinks=()):
     tolerance.
     """
     share = tol / max(1, sum(p.A != 0.0 for p in rv.pieces))
-    total = 0.0
-    err = 0.0
-    for p in rv.pieces:
-        if p.A == 0.0:
-            total += (p.hi - p.lo) * g(p.B)
-            continue
-        val, e = _quad(lambda w, p=p: g(p.value(w)), p.lo, p.hi, share, (p,), kinks)
-        total += val
-        err += e
-    _check_accuracy(total, err, tol)
-    return total, err
+    return _expect([(p.lo, p.hi, (p,)) for p in rv.pieces], g,
+                   lambda p: lambda w: g(p.value(w)), tol, share, kinks)
 
 
 def expectation_joint(rv1, rv2, h, tol=1e-9, kinks=()):
@@ -405,19 +441,8 @@ def expectation_joint(rv1, rv2, h, tol=1e-9, kinks=()):
     of either argument where h is not smooth."""
     cells = _merged_pieces(rv1, rv2)
     # one share of tol per interval, and one to spare
-    share = tol / (len(cells) + 1)
-    total = 0.0
-    err = 0.0
-    for lo, hi, p1, p2 in cells:
-        if p1.A == 0.0 and p2.A == 0.0:
-            total += (hi - lo) * h(p1.B, p2.B)
-            continue
-        val, e = _quad(lambda w, p1=p1, p2=p2: h(p1.value(w), p2.value(w)), lo, hi,
-                       share, (p1, p2), kinks)
-        total += val
-        err += e
-    _check_accuracy(total, err, tol)
-    return total, err
+    return _expect(cells, h, lambda p1, p2: lambda w: h(p1.value(w), p2.value(w)),
+                   tol, tol / (len(cells) + 1), kinks)
 
 
 def sup_norm(rv):
@@ -464,41 +489,15 @@ def _combine_difference(p1, p2):
     return p1.A - p2.A, p1.B - p2.B, (p1.dens if p1.A != 0.0 else p2.dens)
 
 
-def _emit_abs_pieces(a, b, dens, lo, hi, out):
-    """Append pieces representing |a*Q(w) + b| on [lo, hi)."""
-
-    def piece(sign, plo, phi):
-        out.append(Piece(plo, phi, sign * a, sign * b, dens))
-
-    v_lo = a * dens.quantile(lo) + b
-    v_hi = a * dens.quantile(hi) + b
-    if min(v_lo, v_hi) >= 0.0:
-        piece(1.0, lo, hi)
-        return
-    if max(v_lo, v_hi) <= 0.0:
-        piece(-1.0, lo, hi)
-        return
-    w0 = min(max(float(dens.cdf(-b / a)), lo), hi)
-    if w0 <= lo or w0 >= hi:  # crossing collapses to an endpoint numerically
-        if abs(v_lo) >= abs(v_hi):
-            sign = 1.0 if v_lo > 0 else -1.0
-        else:
-            sign = 1.0 if v_hi > 0 else -1.0
-        piece(sign, lo, hi)
-        return
-    if v_lo < 0.0:
-        piece(-1.0, lo, w0)
-        piece(1.0, w0, hi)
-    else:
-        piece(1.0, lo, w0)
-        piece(-1.0, w0, hi)
-
-
 def diff_abs(rv_n, rv_limit):
-    """The random variable |X_n - X| as an exact piecewise representation."""
+    """The random variable |X_n - X| as an exact piecewise representation:
+    each difference piece with its part below 0 negated."""
     out = []
-    for lo, hi, p1, p2 in _merged_pieces(rv_n, rv_limit):
-        _emit_abs_pieces(*_combine_difference(p1, p2), lo, hi, out)
+    for lo, hi, (p1, p2) in _merged_pieces(rv_n, rv_limit):
+        below, above = Piece(lo, hi, *_combine_difference(p1, p2)).split(0.0)
+        if below:
+            below = replace(below, A=-below.A, B=-below.B)
+        out.extend(sorted(filter(None, (below, above)), key=lambda q: q.lo))
     return RandomVariable(tuple(out))
 
 
@@ -509,25 +508,6 @@ def truncated_abs_moment(diff_rv, eps):
         raise ParameterError("eps must be positive")
     total = 0.0
     for p in diff_rv.pieces:
-        if p.A == 0.0:
-            if p.B < eps:
-                total += (p.hi - p.lo) * p.B
-            continue
-        # value is monotone on the piece; find the sub-interval where it is
-        # below eps and integrate the value there in closed form
-        w_eps = min(max(float(p.dens.cdf((eps - p.B) / p.A)), p.lo), p.hi)
-        v_lo, v_hi = p.endpoint_values()
-        increasing = v_hi >= v_lo
-        if increasing:
-            a_int, b_int = p.lo, (w_eps if v_hi >= eps else p.hi)
-            if v_lo >= eps:
-                continue
-        else:
-            a_int, b_int = (w_eps if v_lo >= eps else p.lo), p.hi
-            if v_hi >= eps:
-                continue
-        if b_int <= a_int:
-            continue
-        anti = lambda w: p.A * p.dens.quantile_antiderivative(w) + p.B * w
-        total += anti(b_int) - anti(a_int)
+        below = p.split(eps)[0]
+        total += below.integral() if below else 0.0
     return total

@@ -82,25 +82,25 @@ def _two_atom_sum(alpha, kind, value):
 
 def _shift_sum(family, kind, value, power):
     """X_n = X + s with s = n^-beta: |X_n - X| = s, so sup, moment and
-    pointwise terms are powers of s, and tails are 1 while s >= eps.  For
-    the uniform base, CDF gaps are x while s >= x and s after, and the
-    clamped test functions' gaps are their slopes times s."""
+    pointwise terms are powers of s, and tails are 1 while s >= eps.  The
+    clamped test functions' gaps are their slopes times s: X_n and X lie in
+    [0, 2], inside both functions' linear ranges (ClampedAffine's
+    K * max(x0, 2 - x0) = 3 <= M = 10).  For the uniform base, CDF gaps are
+    x while s >= x and s after."""
     beta = family.params["beta"]
     if kind in ("sup", "moment", "pointwise"):
         k = {"sup": 1.0, "moment": value, "pointwise": power}[kind]
         return float(zeta(beta * k))
     if kind == "tail":
         return float(_plateau(lambda ns: ns ** -beta >= value))
-    if family.meta.kind != "shift_uniform":
-        return None
-    if kind == "cdf_gap":
-        n0 = _plateau(lambda ns: value - ns ** -beta <= 0.0)
-        return value * n0 + _after_plateau(n0, beta)
     if kind in ("expect_gap", "coupled_gap"):
         if isinstance(value, ClampedIdentity):
             return float(zeta(beta))
         if isinstance(value, ClampedAffine):
             return value.K * float(zeta(beta))
+    if kind == "cdf_gap" and family.meta.kind == "shift_uniform":
+        n0 = _plateau(lambda ns: value - ns ** -beta <= 0.0)
+        return value * n0 + _after_plateau(n0, beta)
     return None
 
 
@@ -166,12 +166,13 @@ def test_converging_interval_holds_the_exact_sum(family, node, probe, exact):
 
 
 @pytest.mark.parametrize("alpha, exact", [
-    (0.4, zeta(2.5) - zeta(4.5)),
-    (0.25, zeta(4.0) - zeta(6.0)),
-])
+    (0.4, zeta(2.5, 2.0) - zeta(4.5, 2.0)),
+    (0.25, zeta(4.0, 2.0) - zeta(6.0, 2.0)),
+], ids=("alpha=0.4", "alpha=0.25"))
 def test_truncated_moment_interval_holds_the_exact_sum(alpha, exact):
     # at eps = 0.5 the first atom, at 1, is truncated away: the terms are
-    # (1 - n^-2) n^-q with q = 1/alpha, and 0 at n = 1, where n^-q = 1
+    # (1 - n^-2) n^-q with q = 1/alpha, and 0 at n = 1, where n^-q = 1, so
+    # the references sum from n = 2, within 2 ulps of the exact sums
     v = analyze_series(ex31(alpha).meta.term_source("trunc_l1", 0.5, 1.0))
     assert v.converges, v.to_dict()
     slack = 2.3e-16 * v.n_used + 8.0 * math.ulp(exact)

@@ -330,6 +330,25 @@ def test_diff_abs_crossing_rounded_onto_an_end_keeps_the_larger_ends_sign(a, b):
     assert [(p.lo, p.hi, p.A, p.B) for p in d.pieces if p.A != 0.0] == [(0.04, 0.56, a, b)]
 
 
+@pytest.mark.parametrize("lo, hi, a, b, eps", [(0.04, 0.68, 0.1, 0.042, 0.11),
+                                              (0.3, 0.9, -3.3, 2.98, 1.99)])
+def test_truncated_abs_moment_crossing_rounded_onto_an_end_keeps_the_piece_whole(
+        lo, hi, a, b, eps):
+    # 0.1 w + 0.042 rises to 0.11 at its right end, w = 0.68, but rounds to
+    # 0.11000000000000001 there; -3.3 w + 2.98 falls from 1.99 at its left
+    # end, w = 0.3, and rounds to 1.9900000000000002 there.  Each piece
+    # crosses eps in floats, but the crossing collapses onto that end, so the
+    # piece stays whole below eps, the side of its value at the other end,
+    # by the rule diff_abs keeps at 0
+    D = RandomVariable((Piece(0.0, lo, B=0.0), Piece(lo, hi, a, b), Piece(hi, 1.0, B=0.0)))
+    p = D.pieces[1]
+    assert min(p.endpoint_values()) < eps < max(p.endpoint_values())
+    assert float(p.crossing(eps)) in (lo, hi)
+    got = truncated_abs_moment(D, eps)
+    assert got == truncated_abs_moment(D, 10.0) == p.integral()
+    assert abs(got - (0.5 * a * (hi * hi - lo * lo) + b * (hi - lo))) < 1e-15
+
+
 def test_truncated_abs_moment_skips_pieces_at_or_above_eps():
     # a decreasing and an increasing piece wholly above eps = 0.65, and one
     # that falls to 0.65 only at its right end (in floats just below it,
@@ -485,6 +504,49 @@ def test_cdf_of_a_subnormal_slope_is_silent(slope, dens):
     c = cdf(RandomVariable((Piece(0.0, 1.0, slope, 0.0, dens),)))
     xs = np.array([0.5, -0.5])
     assert c(xs).tolist() == [c(x) for x in xs] == [1.0, 0.0]
+
+
+@st.composite
+def pieces_and_levels(draw):
+    """A piece of a uniform or power density with a slope of either sign,
+    and a level inside its range of values, outside it, or at either
+    endpoint value."""
+    lo, hi = sorted(draw(st.lists(st.sampled_from([k / 16.0 for k in range(17)]),
+                                  min_size=2, max_size=2, unique=True)))
+    slope = draw(st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1)))
+    p = Piece(lo, hi, slope, draw(finite), draw(densities))
+    v_lo, v_hi = p.endpoint_values()
+    low, high = min(v_lo, v_hi), max(v_lo, v_hi)
+    level = draw(st.one_of(st.sampled_from([v_lo, v_hi, low - 1.0, high + 1.0]),
+                           st.floats(low, high)))
+    return p, level
+
+
+@given(pl=pieces_and_levels())
+@settings(max_examples=300, deadline=None)
+def test_split_parts_tile_the_piece_on_their_sides_of_the_level(pl):
+    p, level = pl
+    below, above = p.split(level)
+    parts = sorted((q for q in (below, above) if q is not None), key=lambda q: q.lo)
+    # in omega order, the parts tile [lo, hi) and keep the piece's value
+    assert [q.lo for q in parts] + [p.hi] == [p.lo] + [q.hi for q in parts]
+    assert all((q.A, q.B, q.dens) == (p.A, p.B, p.dens) for q in parts)
+    if below is not None and above is not None:
+        assert (below.lo < above.lo) == (p.A > 0)
+    # the endpoint values decide empty parts: a level at one leaves the
+    # piece whole
+    if level in p.endpoint_values():
+        assert below is None or above is None
+    # each part's midpoint value lies on the part's side of the level, up to
+    # the rounding of the crossing, which a part one ulp wide can reach
+    for q, side in ((below, -1.0), (above, 1.0)):
+        if q is None:
+            continue
+        assert side * (q.value(0.5 * (q.lo + q.hi)) - level) > -1e-13, (q, level)
+        want, _ = quad(q.value, q.lo, q.hi, epsabs=1e-13, epsrel=0.0, limit=200)
+        assert abs(q.integral() - want) <= 1e-12
+    if p.A > 0 and level not in p.endpoint_values():
+        assert p.measure_below(level) == (below.hi - below.lo if below else 0.0)
 
 
 omegas =st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
