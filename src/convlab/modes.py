@@ -250,7 +250,7 @@ def generic_term(family, kind, value, power, n):
     if kind == "expect_gap":
         # |E f(X_n) - E f(X)|
         en = space.expectation(family.member(n), value, 1e-11, value.kinks)[0]
-        e = family._cached(("limit_expectation", value.name),
+        e = family._cached(("limit_expectation", value),
                            lambda: space.expectation(family.limit, value, 1e-11, value.kinks)[0])
         return abs(en - e)
     if kind == "coupled_gap":

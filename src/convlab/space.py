@@ -262,9 +262,14 @@ class Piece:
 
     def measure_below(self, x):
         """The measure of {omega in [lo, hi): value <= x}, for A != 0,
-        elementwise for an array x."""
+        elementwise for an array x.  Where the endpoint values differ, they
+        decide a level at or past one of them, as in split."""
         w = self.crossing(x)
-        return w - self.lo if self.A > 0 else self.hi - w
+        inside = w - self.lo if self.A > 0 else self.hi - w
+        low, high = sorted(self.endpoint_values())
+        if low == high:
+            return inside
+        return np.where(x >= high, self.hi - self.lo, np.where(x <= low, 0.0, inside))
 
 
 @dataclass(frozen=True)

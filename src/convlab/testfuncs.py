@@ -1,34 +1,29 @@
 """Bounded Lipschitz test functions used by the distributional checkers.
 
-Every function carries its sup bound and Lipschitz constant so dominance
-checks can be stated without re-deriving them.  All of them accept numpy
-arrays as well as scalars.
+A test function states its parameters; its name, sup bound and Lipschitz
+constant follow from them, for dominance checks to read.  All of them
+accept numpy arrays as well as scalars.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
 class TestFunction:
-    name: str
-    bound: float
-    lipschitz: float
+    """A subclass gives name, bound (the sup of |g|) and lipschitz."""
 
     def __call__(self, x):
         raise NotImplementedError
 
-    @property
-    def kinks(self):
-        """The values where the function is not smooth: a quadrature of it
-        splits where its argument crosses one."""
-        return ()
+    # the values where the function is not smooth: a quadrature of it
+    # splits where its argument crosses one
+    kinks = ()
 
     def slope_on(self, hi):
         """c > 0 where g(v) = g(0) + c * v on [0, hi], else None."""
@@ -51,9 +46,9 @@ _SINE_TERMS = 9
 
 @dataclass(frozen=True)
 class Sine(TestFunction):
-    name: str = field(init=False, default="sine")
-    bound: float = field(init=False, default=1.0)
-    lipschitz: float = field(init=False, default=1.0)
+    name = "sine"
+    bound = 1.0
+    lipschitz = 1.0
 
     def __call__(self, x):
         return np.sin(x)
@@ -70,8 +65,30 @@ class Sine(TestFunction):
         return terms, (1.0 / math.factorial(last), float(last))
 
 
+class _Clamp(TestFunction):
+    """slope * (x - center), clamped to [-half, half]: a subclass states the
+    shape (slope, center, half) its parameters give."""
+
+    lipschitz = property(lambda self: self.shape[0])
+    bound = property(lambda self: self.shape[2])
+
+    def __call__(self, x):
+        k, x0, half = self.shape
+        return np.clip(k * (x - x0), -half, half)
+
+    @property
+    def kinks(self):
+        k, x0, half = self.shape
+        return (x0 - half / k, x0 + half / k)
+
+    def slope_on(self, hi):
+        """The slope, where [0, hi] lies inside the unclamped range."""
+        k, x0, half = self.shape
+        return k if k * max(abs(x0), abs(hi - x0)) <= half else None
+
+
 @dataclass(frozen=True)
-class ClampedIdentity(TestFunction):
+class ClampedIdentity(_Clamp):
     """Identity on [-(M+eps), M+eps], clamped outside.
 
     This is the truncation function used in the converse direction of the
@@ -82,56 +99,26 @@ class ClampedIdentity(TestFunction):
 
     M: float = 1.0
     eps: float = 1.0
-    name: str = field(init=False, default="")
-    bound: float = field(init=False, default=0.0)
-    lipschitz: float = field(init=False, default=1.0)
+
+    name = property(lambda self: f"clamped_identity(M={self.M},eps={self.eps})")
+    shape = property(lambda self: (1.0, 0.0, self.M + self.eps))
 
     def __post_init__(self):
         if self.M <= 0 or self.eps <= 0:
             raise ParameterError("ClampedIdentity needs M > 0 and eps > 0")
-        object.__setattr__(self, "bound", self.M + self.eps)
-        object.__setattr__(self, "name", f"clamped_identity(M={self.M},eps={self.eps})")
-
-    def __call__(self, x):
-        c = self.M + self.eps
-        return np.clip(x, -c, c)
-
-    @property
-    def kinks(self):
-        return (-self.bound, self.bound)
-
-    def slope_on(self, hi):
-        """1, where [0, hi] lies inside the unclamped range."""
-        return 1.0 if hi <= self.M + self.eps else None
 
 
 @dataclass(frozen=True)
-class ClampedAffine(TestFunction):
+class ClampedAffine(_Clamp):
     """K*(x - x0), clamped to [-M, M]."""
 
     K: float = 2.0
     M: float = 10.0
     x0: float = 0.5
-    name: str = field(init=False, default="")
-    bound: float = field(init=False, default=0.0)
-    lipschitz: float = field(init=False, default=0.0)
+
+    name = property(lambda self: f"clamped_affine(K={self.K},M={self.M},x0={self.x0})")
+    shape = property(lambda self: (self.K, self.x0, self.M))
 
     def __post_init__(self):
         if self.K <= 0 or self.M <= 0:
             raise ParameterError("ClampedAffine needs K > 0 and M > 0")
-        object.__setattr__(self, "bound", self.M)
-        object.__setattr__(self, "lipschitz", self.K)
-        object.__setattr__(
-            self, "name", f"clamped_affine(K={self.K},M={self.M},x0={self.x0})"
-        )
-
-    def __call__(self, x):
-        return np.clip(self.K * (np.asarray(x, dtype=float) - self.x0), -self.M, self.M)
-
-    @property
-    def kinks(self):
-        return (self.x0 - self.M / self.K, self.x0 + self.M / self.K)
-
-    def slope_on(self, hi):
-        """K, where [0, hi] lies inside the unclamped range."""
-        return self.K if self.K * max(abs(self.x0), abs(hi - self.x0)) <= self.M else None

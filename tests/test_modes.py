@@ -6,11 +6,12 @@ generator (quadrature/CDF route) at small indices.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from convlab import space
+from convlab import space, testfuncs
 from convlab.errors import ParameterError
 from convlab.modes import (ALL_MODES, LIMIT_MODES, MODES, SERIES_MODES,
                            UNIVERSAL_MODES, Family, FamilyMeta, ModeParams,
@@ -456,3 +457,87 @@ def test_test_functions_take_no_derived_constant(cls, derived):
     # its parameters: verify_truncation_s1star's splitting bound reads them
     with pytest.raises(TypeError):
         cls(**{derived: 0.0})
+
+
+def _sine_series(hi):
+    if hi > 1.0:
+        return None
+    terms = tuple(((-1.0) ** k / math.factorial(2 * k + 1), 2.0 * k + 1.0) for k in range(9))
+    return terms, (1.0 / math.factorial(19), 19.0)
+
+
+# (function, name, bound, lipschitz, kinks, reference value, slope_on at
+# PINNED_HIS): each test function pinned by what its parameters define
+PINNED_HIS = (0.5, 1.0, 2.0, 3.0)
+PINNED_TEST_FUNCTIONS = (
+    (Sine(), "sine", 1.0, 1.0, (), np.sin, (None,) * 4),
+    (ClampedIdentity(), "clamped_identity(M=1.0,eps=1.0)", 2.0, 1.0, (-2.0, 2.0),
+     lambda x: np.clip(x, -2.0, 2.0), (1.0, 1.0, 1.0, None)),
+    (ClampedIdentity(M=0.25, eps=0.25), "clamped_identity(M=0.25,eps=0.25)", 0.5, 1.0,
+     (-0.5, 0.5), lambda x: np.clip(x, -0.5, 0.5), (1.0, None, None, None)),
+    (ClampedIdentity(M=3.7, eps=0.1), "clamped_identity(M=3.7,eps=0.1)", 3.7 + 0.1, 1.0,
+     (-(3.7 + 0.1), 3.7 + 0.1), lambda x: np.clip(x, -(3.7 + 0.1), 3.7 + 0.1), (1.0,) * 4),
+    (ClampedAffine(), "clamped_affine(K=2.0,M=10.0,x0=0.5)", 10.0, 2.0, (-4.5, 5.5),
+     lambda x: np.clip(2.0 * (x - 0.5), -10.0, 10.0), (2.0,) * 4),
+    (ClampedAffine(K=2.0, M=1.0), "clamped_affine(K=2.0,M=1.0,x0=0.5)", 1.0, 2.0, (0.0, 1.0),
+     lambda x: np.clip(2.0 * (x - 0.5), -1.0, 1.0), (2.0, 2.0, None, None)),
+    (ClampedAffine(K=2.0, M=0.5), "clamped_affine(K=2.0,M=0.5,x0=0.5)", 0.5, 2.0,
+     (0.25, 0.75), lambda x: np.clip(2.0 * (x - 0.5), -0.5, 0.5), (None,) * 4),
+    (ClampedAffine(K=4.0, M=1.0, x0=0.25), "clamped_affine(K=4.0,M=1.0,x0=0.25)", 1.0, 4.0,
+     (0.0, 0.5), lambda x: np.clip(4.0 * (x - 0.25), -1.0, 1.0), (4.0, None, None, None)),
+    (ClampedAffine(K=3.0, M=10.0, x0=-1.3), "clamped_affine(K=3.0,M=10.0,x0=-1.3)", 10.0, 3.0,
+     (-1.3 - 10.0 / 3.0, -1.3 + 10.0 / 3.0), lambda x: np.clip(3.0 * (x + 1.3), -10.0, 10.0),
+     (3.0, 3.0, 3.0, None)),
+    (ClampedAffine(K=0.7, M=0.3, x0=2.5), "clamped_affine(K=0.7,M=0.3,x0=2.5)", 0.3, 0.7,
+     (2.5 - 0.3 / 0.7, 2.5 + 0.3 / 0.7), lambda x: np.clip(0.7 * (x - 2.5), -0.3, 0.3),
+     (None,) * 4),
+)
+
+
+@pytest.mark.parametrize("pinned", PINNED_TEST_FUNCTIONS, ids=lambda p: p[1])
+def test_test_functions_are_pinned_by_their_parameters(pinned):
+    f, name, bound, lipschitz, kinks, ref, slopes = pinned
+    assert (f.name, f.bound, f.lipschitz, f.kinks) == (name, bound, lipschitz, kinks)
+    # values bit for bit, at each kink and its neighbouring floats, at the
+    # signed zeros and infinities and on a spread of points
+    near = [np.nextafter(k, d) for k in kinks for d in (-np.inf, np.inf)]
+    xs = np.concatenate([kinks, near, [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300],
+                         np.linspace(-6.0, 6.0, 97),
+                         np.random.default_rng(0).uniform(-8.0, 8.0, 200)]).astype(float)
+    with np.errstate(invalid="ignore"):  # sin(inf)
+        got = f(xs)
+        assert got.dtype == np.float64 and got.tobytes() == ref(xs).tobytes()
+        assert np.array([f(float(x)) for x in xs]).tobytes() == got.tobytes()
+    for hi, slope in zip(PINNED_HIS, slopes):
+        assert f.slope_on(hi) == slope, hi
+        want = _sine_series(hi) if isinstance(f, Sine) else (
+            None if slope is None else (((slope, 1.0),), None))
+        assert f.power_series(hi) == want, hi
+    # equal parameters make equal, equally hashed functions
+    twin = type(f)(**{k: getattr(f, k) for k in ("M", "eps", "K", "x0") if hasattr(f, k)})
+    assert twin == f and hash(twin) == hash(f)
+
+
+@dataclass(frozen=True)
+class _Lifted(testfuncs.TestFunction):
+    """The identity clamped to [-2, 2], plus c: every c shares one name."""
+
+    name: str = "f"
+    bound: float = 3.0
+    lipschitz: float = 1.0
+    c: float = 0.0
+
+    def __call__(self, x):
+        return np.clip(x, -2.0, 2.0) + self.c
+
+
+def test_expect_gap_keeps_each_test_functions_own_limit_mean():
+    # two functions with one name: the second's gap on a family that has
+    # evaluated the first must be its gap on a fresh family, s = n^-2 on
+    # X_n = U + s, not 1 + s from the first's limit mean
+    fam = shift_uniform(2.0)
+    first, second = _Lifted(), _Lifted(c=1.0)
+    generic_term(fam, "expect_gap", first, 1.0, 3)
+    want = generic_term(shift_uniform(2.0), "expect_gap", second, 1.0, 3)
+    assert generic_term(fam, "expect_gap", second, 1.0, 3) == want
+    assert abs(want - 1.0 / 9.0) < 1e-12

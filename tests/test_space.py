@@ -438,12 +438,18 @@ def test_truncated_abs_moment_quantile_piece():
 
 def reference_cdf(rv, x):
     """P(X <= x) with uniform and other pieces kept apart: a UNIFORM piece
-    is inverted in omega directly, any other through its density's CDF."""
+    is inverted in omega directly, any other through its density's CDF.  A
+    level at or past a piece's lower or upper end value, where the two
+    differ, counts none or all of the piece."""
     atoms, below = {}, []
     for p in rv.pieces:
         mass = p.hi - p.lo
         if p.A == 0.0:
             atoms[p.B] = atoms.get(p.B, 0.0) + mass
+            continue
+        low, high = sorted(p.A * p.dens.quantile(w) + p.B for w in (p.lo, p.hi))
+        if low < high and (x <= low or x >= high):
+            below.append(mass if x >= high else 0.0)
             continue
         w = (x - p.B) / p.A
         if p.dens is not UNIFORM:
@@ -506,6 +512,14 @@ def test_cdf_of_a_subnormal_slope_is_silent(slope, dens):
     assert c(xs).tolist() == [c(x) for x in xs] == [1.0, 0.0]
 
 
+def test_cdf_reaches_one_at_the_top_of_a_shifted_power_piece():
+    # (2.3 - 0.3) / 2 rounds to 1 - 1.1e-16, where the density's CDF is
+    # still 0.84: the endpoint values decide a level at or past one of them
+    c = cdf(space.density_rv(PowerAtOne(0.95)).scaled(2.0).shifted(0.3))
+    assert c(2.3) == 1.0
+    assert c(np.array([0.0, 0.3, 2.3, 5.0])).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
 @st.composite
 def pieces_and_levels(draw):
     """A piece of a uniform or power density with a slope of either sign,
@@ -545,7 +559,11 @@ def test_split_parts_tile_the_piece_on_their_sides_of_the_level(pl):
         assert side * (q.value(0.5 * (q.lo + q.hi)) - level) > -1e-13, (q, level)
         want, _ = quad(q.value, q.lo, q.hi, epsabs=1e-13, epsrel=0.0, limit=200)
         assert abs(q.integral() - want) <= 1e-12
-    if p.A > 0 and level not in p.endpoint_values():
+    # the CDF's measure of the piece up to the level is the below part's
+    # length, a level at an endpoint value included.  A piece whose values
+    # round to the level at both ends is inverted there instead: on a power
+    # density's steep top, none of it lies below the level, all at or below
+    if p.endpoint_values() != (level, level):
         assert p.measure_below(level) == (below.hi - below.lo if below else 0.0)
 
 
